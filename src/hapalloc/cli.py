@@ -172,7 +172,6 @@ def _cmd_sweep(args) -> int:
             grid,
             backends=tuple(cfg.get("backends", harness.BUDGET_BACKENDS)),
             seeds=_seeds(cfg.get("seeds")),
-            workers=int(cfg.get("workers", 1)),
         )
     else:
         raise ConfigError("sweep 'kind' must be 'airspeed' or 'rf_budget'")

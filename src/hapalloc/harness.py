@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,25 +148,19 @@ def run_budget_sweep(
     grid,
     backends=BUDGET_BACKENDS,
     seeds=(0,),
-    workers: int = 1,
 ) -> ReportTable:
     """Per-backend satisfaction ratio and EE over an RF-budget grid.
 
-    Rows come out in grid-then-backend order regardless of worker count.
-    Raises if the lexicographic solver's satisfaction ratio ever decreases
-    along the grid, or if the sum-rate baseline ever satisfies more users.
+    Rows come out in grid-then-backend order.  Raises if the lexicographic
+    solver's satisfaction ratio ever decreases along the grid, or if the
+    sum-rate baseline ever satisfies more users.
     """
     bf = scenario_beamformer(scenario)
     grid = [float(x) for x in grid]
 
-    def point(p_tot):
-        return {b: _solve_backend(b, scenario, bf, p_tot, ledger, seeds) for b in backends}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, grid))
-    else:
-        results = [point(p) for p in grid]
+    results = [
+        {b: _solve_backend(b, scenario, bf, p_tot, ledger, seeds) for b in backends} for p_tot in grid
+    ]
 
     rows = []
     prev_sat = -1.0

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import static_comm_power
 from .q3e import BarrierConfig, PowerProblem, project_capped
 
 DEFAULT_HIDDEN = (64, 64, 32, 32)
@@ -47,16 +48,49 @@ class TrainingLog:
 
 @dataclass
 class MlpNetwork:
-    """Fully connected stack: ReLU on every layer except the last."""
+    """Fully connected stack: ReLU on every layer except the last.
+
+    All parameters live in one flat buffer, ``params``: layer by layer, the
+    row-major weight matrix followed by the bias.  ``weights`` and ``biases``
+    are views into it, so writing through them updates ``params``.
+    """
 
     layer_widths: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     log: TrainingLog | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.params, self.layer_widths)
 
     @property
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+
+def _param_count(widths) -> int:
+    return sum(w_in * w_out + w_out for w_in, w_out in zip(widths[:-1], widths[1:]))
+
+
+def _layer_views(flat: np.ndarray, layer_widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a buffer laid out like ``MlpNetwork.params``."""
+    widths = tuple(layer_widths)
+    if flat.shape != (_param_count(widths),):
+        raise ValueError(f"flat buffer of shape {flat.shape} does not fit layer widths {widths}")
+    weights, biases = [], []
+    at = 0
+    for w_in, w_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[at:at + w_in * w_out].reshape(w_in, w_out))
+        at += w_in * w_out
+        biases.append(flat[at:at + w_out])
+        at += w_out
+    return weights, biases
+
+
+def _zero_network(layer_widths) -> MlpNetwork:
+    widths = tuple(int(w) for w in layer_widths)
+    return MlpNetwork(layer_widths=widths, params=np.zeros(_param_count(widths)))
 
 
 @dataclass(frozen=True)
@@ -83,14 +117,13 @@ class TrainConfig:
 
 def init_network(layer_widths, seed: int = 0) -> MlpNetwork:
     """Symmetric uniform fan-in initialization, seeded for determinism."""
-    widths = tuple(int(w) for w in layer_widths)
+    net = _zero_network(layer_widths)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for w_in, w_out in zip(widths[:-1], widths[1:]):
-        bound = 1.0 / math.sqrt(w_in)
-        weights.append(rng.uniform(-bound, bound, size=(w_in, w_out)))
-        biases.append(rng.uniform(-bound, bound, size=w_out))
-    return MlpNetwork(layer_widths=widths, weights=weights, biases=biases)
+    for w, b in zip(net.weights, net.biases):
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return net
 
 
 def _softplus(z):
@@ -123,19 +156,16 @@ def mlp_forward(net: MlpNetwork, features) -> np.ndarray:
     return p_tilde
 
 
-def _backward(net: MlpNetwork, cache, d_p_tilde: np.ndarray):
-    """Backprop from d(loss)/d(p_tilde) to per-layer weight/bias gradients."""
+def _backward(net: MlpNetwork, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
+    """Backprop from d(loss)/d(p_tilde) into per-layer weight/bias gradient views."""
     pre, post, sp = cache
     sigmoid = 1.0 / (1.0 + np.exp(-pre[-1]))
     delta = d_p_tilde * 2.0 * sp * sigmoid  # through the squared softplus
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = np.outer(post[i], delta)
-        grads_b[i] = delta.copy()
+        np.multiply(post[i][:, None], delta, out=grads_w[i])  # outer product
+        grads_b[i][...] = delta
         if i > 0:
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-    return grads_w, grads_b
 
 
 def problem_features(problem: PowerProblem) -> np.ndarray:
@@ -174,7 +204,7 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
     targets = np.maximum(targets, 1e-3)
     y = np.sqrt(targets)  # want softplus(z) = sqrt(target) exactly
     net.weights[-1][:] = 0.0  # zero output head makes the start point exact
-    net.biases[-1] = np.log(np.expm1(y))
+    net.biases[-1][:] = np.log(np.expm1(y))
     return net
 
 
@@ -221,27 +251,53 @@ def instance_loss(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
     return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, barrier)
 
 
+def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
+    """EE, barrier loss and d(loss)/dp at ``p``, sharing rates and spends.
+
+    ``p_free`` is ``p[problem.free]``.  The arithmetic is that of
+    ``PowerProblem.objective``/``objective_gradient`` and of
+    ``loss_full_qos``/``loss_partial_qos`` with barrier weight ``lam``, except
+    that the per-user log terms are summed in one vector call, so the loss
+    may differ from those references in the last bits.  The gradient is zero
+    on pinned coordinates.  Returns (EE, loss, gradient, free users' spend).
+    """
+    m = problem.rate_model
+    c = problem.w_norms_sq
+    gp2 = m.gammas * p * p
+    rates = m.bw_hz * np.log2(1.0 + gp2 / m.n0_w)
+    rf = float((c * p * p).sum())
+    denom = problem.ledger.xi * rf + static_comm_power(problem.ledger)
+    numer = float(rates[problem.objective_users].sum())
+    ee = numer / denom if denom > 0.0 else 0.0
+    d_numer = np.where(
+        problem.objective_users,
+        2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + gp2)),
+        0.0,
+    )
+    d_denom = 2.0 * problem.ledger.xi * c * p
+    grad = -((d_numer * denom - numer * d_denom) / (denom * denom))
+    free_spend = float((c[problem.free] * p_free**2).sum())
+    if problem.full_qos:
+        x = p - problem.p_min + eps
+        slack = problem.budget - rf + eps
+        logs = float(np.log(np.maximum(x, eps)).sum()) + math.log(max(slack, eps))
+        if lam > 0:
+            grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
+            if slack > eps:
+                grad += lam * 2.0 * c * p / slack
+    else:
+        slack = problem.budget - free_spend + eps
+        logs = math.log(max(slack, eps))
+        if lam > 0 and slack > eps:
+            grad += lam * 2.0 * c * p / slack
+    grad[~problem.free] = 0.0
+    return ee, -ee - lam * logs, grad, free_spend
+
+
 def _loss_gradient(p: np.ndarray, problem: PowerProblem, barrier: BarrierConfig) -> np.ndarray:
     """Analytic d(loss)/dp; zero on pinned coordinates."""
-    eps = barrier.epsilon
-    grad = -problem.objective_gradient(p)
-    c = problem.w_norms_sq
-    if barrier.lambda_ > 0:
-        if problem.full_qos:
-            x = p - problem.p_min + eps
-            grad -= barrier.lambda_ * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-            slack = problem.budget - problem.rf_spent(p) + eps
-            if slack > eps:
-                grad += barrier.lambda_ * 2.0 * c * p / slack
-        else:
-            free_spend = float(np.sum(c[problem.free] * p[problem.free] ** 2))
-            slack = problem.budget - free_spend + eps
-            if slack > eps:
-                g = barrier.lambda_ * 2.0 * c * p / slack
-                g[~problem.free] = 0.0
-                grad += g
-    grad[~problem.free] = 0.0
-    return grad
+    p = np.asarray(p, dtype=float)
+    return _evaluate(p, p[problem.free], problem, barrier.lambda_, barrier.epsilon)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +312,7 @@ def _project_with_grad(p_tilde, mask, c, budget, scaling: bool):
     c = np.asarray(c, dtype=float)
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
     p_hat = np.maximum(p_tilde, mask)
-    p_0 = float(np.sum(c * p_hat * p_hat))
+    p_0 = float((c * p_hat * p_hat).sum())
     if not scaling or p_0 <= budget:
         p = p_hat
 
@@ -265,7 +321,7 @@ def _project_with_grad(p_tilde, mask, c, budget, scaling: bool):
 
         return p, backward
 
-    p_m = float(np.sum(c * mask * mask))
+    p_m = float((c * mask * mask).sum())
     alpha = (budget - p_m) / (p_0 - p_m)
     alpha = min(1.0, max(0.0, alpha))
     sq = mask * mask + alpha * (p_hat * p_hat - mask * mask)
@@ -276,7 +332,7 @@ def _project_with_grad(p_tilde, mask, c, budget, scaling: bool):
         # diagonal term: dp_k/dp_hat_k at fixed alpha
         diag = np.where(p > 0.0, alpha * p_hat / safe_p, math.sqrt(alpha))
         # coupling through alpha's dependence on every clamped coefficient
-        s = float(np.sum(np.where(p > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0)))
+        s = float(np.where(p > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0).sum())
         d_alpha = -2.0 * alpha * c * p_hat / (p_0 - p_m)
         return (d_p * diag + s * d_alpha) * clamped
 
@@ -299,6 +355,28 @@ def _ee_scale(problem: PowerProblem) -> float:
     return ref if ref > 0 else 1.0
 
 
+def _step(net: MlpNetwork, problem: PowerProblem, features: np.ndarray, lam: float, eps: float,
+          scaling: bool, grads_w, grads_b):
+    """One full-instance pass, shared by ``train`` and ``training_loss_and_grads``.
+
+    Forward pass, projection, one evaluation of EE, loss and d(loss)/dp at
+    the projected point, then backprop into the gradient views ``grads_w``
+    and ``grads_b``.  Returns the raw output, the projected coefficients of
+    all users, the EE, the loss and the free users' spend.
+    """
+    free = problem.free
+    p_tilde, cache = _forward_trace(net, features)
+    p_free, proj_backward = _project_with_grad(
+        p_tilde[free], problem.lower_bound[free], problem.w_norms_sq[free], problem.budget, scaling
+    )
+    p = problem.assemble(p_free)
+    ee, loss, d_p, free_spend = _evaluate(p, p_free, problem, lam, eps)
+    d_p_tilde = np.zeros(p_tilde.shape)
+    d_p_tilde[free] = proj_backward(d_p[free])
+    _backward(net, cache, d_p_tilde, grads_w, grads_b)
+    return p_tilde, p, ee, loss, free_spend
+
+
 def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     """Optimize the network on one instance with in-loop feasibility projection.
 
@@ -307,84 +385,68 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     epochs and internally rescaled by the instance's EE magnitude so the
     configured weight is unit-free.  Early stopping tracks the barrier-free
     EE of the projected output and the best checkpoint is returned.
+
+    Adam runs on the flat parameter buffer: each of its elementwise
+    operations is one call over all layers at once.
     """
     cfg = cfg or TrainConfig()
     net = network_for(problem, cfg)
     features = problem_features(problem)
-    free = problem.free
-    c_free = problem.w_norms_sq[free]
-    floor_free = problem.lower_bound[free]
     ee_scale = _ee_scale(problem)
+    b1, b2 = cfg.beta1, cfg.beta2
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    grads = np.zeros_like(net.params)
+    grads_w, grads_b = _layer_views(grads, net.layer_widths)
+    m1 = np.zeros_like(net.params)
+    v1 = np.zeros_like(net.params)
+    step = np.empty_like(net.params)
+    tmp = np.empty_like(net.params)
 
     log = TrainingLog()
     best_val = -np.inf
     best_epoch = 0
-    best_weights = None
+    best_params = None
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         lam = cfg.barrier.lambda_ * 0.5 ** ((epoch - 1) // cfg.anneal_every)
         if not cfg.use_soft_loss:
             lam = 0.0
-        barrier = BarrierConfig(
-            lambda_=lam * ee_scale,
-            epsilon=cfg.barrier.epsilon,
-            max_iters=cfg.barrier.max_iters,
-            step_tolerance=cfg.barrier.step_tolerance,
-        )
 
         # divergence is detected explicitly below, so transient overflow in a
-        # diverging forward pass is expected rather than a numerics bug
+        # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
-            p_tilde, cache = _forward_trace(net, features)
-            if not np.all(np.isfinite(p_tilde)):
-                raise TrainingError(epoch)
-            p_free, proj_backward = _project_with_grad(
-                p_tilde[free], floor_free, c_free, problem.budget, cfg.project_scaling
+            p_tilde, _, val, loss, free_spend = _step(
+                net, problem, features, lam * ee_scale, cfg.barrier.epsilon,
+                cfg.project_scaling, grads_w, grads_b,
             )
-            p = problem.assemble(p_free)
-            val = problem.objective(p)
-            loss = instance_loss(p, problem, barrier)
-        if not np.isfinite(loss):
+        if not (np.isfinite(p_tilde).all() and math.isfinite(loss)):
             raise TrainingError(epoch)
-        free_spend = float(np.sum(c_free * p_free**2))
         log.max_budget_overshoot = max(log.max_budget_overshoot, free_spend - problem.budget)
         if val > best_val:
             best_val = val
             best_epoch = epoch
-            best_weights = (
-                [w.copy() for w in net.weights],
-                [b.copy() for b in net.biases],
-            )
+            best_params = net.params.copy()
 
-        d_p = _loss_gradient(p, problem, barrier)
-        d_p_tilde = np.zeros_like(p_tilde)
-        d_p_tilde[free] = proj_backward(d_p[free])
-        grads_w, grads_b = _backward(net, cache, d_p_tilde)
-
-        t = epoch
-        for i in range(len(net.weights)):
-            for g, param, m1, v1 in (
-                (grads_w[i], net.weights[i], m_w[i], v_w[i]),
-                (grads_b[i], net.biases[i], m_b[i], v_b[i]),
-            ):
-                m1 *= cfg.beta1
-                m1 += (1.0 - cfg.beta1) * g
-                v1 *= cfg.beta2
-                v1 += (1.0 - cfg.beta2) * g * g
-                m_hat = m1 / (1.0 - cfg.beta1**t)
-                v_hat = v1 / (1.0 - cfg.beta2**t)
-                param -= cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+        m1 *= b1
+        np.multiply(grads, 1.0 - b1, out=tmp)
+        m1 += tmp
+        v1 *= b2
+        np.multiply(grads, 1.0 - b2, out=tmp)
+        tmp *= grads
+        v1 += tmp
+        np.divide(m1, 1.0 - b1**epoch, out=step)  # m_hat
+        np.divide(v1, 1.0 - b2**epoch, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps_adam
+        step *= cfg.step_size
+        step /= tmp
+        net.params -= step
 
         if epoch - best_epoch >= cfg.patience:
             break
 
-    if best_weights is not None:
-        net.weights, net.biases = best_weights
+    if best_params is not None:
+        net.params[:] = best_params
     log.best_epoch = best_epoch
     log.stopped_epoch = epoch
     log.best_ee = best_val
@@ -409,21 +471,17 @@ def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool =
 
 
 def training_loss_and_grads(net: MlpNetwork, problem: PowerProblem, barrier: BarrierConfig):
-    """Full-pipeline loss (forward, project, barrier loss) and its parameter grads."""
-    features = problem_features(problem)
-    free = problem.free
-    p_tilde, cache = _forward_trace(net, features)
-    p_free, proj_backward = _project_with_grad(
-        p_tilde[free], problem.lower_bound[free], problem.w_norms_sq[free],
-        problem.budget, True,
+    """Full-pipeline loss (forward, project, barrier loss) and its parameter grads.
+
+    The grads come from the same step that ``train`` runs each epoch; the
+    loss is the reference ``instance_loss`` at the projected point, so a
+    finite-difference check compares the two independently written forms.
+    """
+    grads_w, grads_b = _layer_views(np.zeros_like(net.params), net.layer_widths)
+    _, p, _, _, _ = _step(
+        net, problem, problem_features(problem), barrier.lambda_, barrier.epsilon, True, grads_w, grads_b
     )
-    p = problem.assemble(p_free)
-    loss = instance_loss(p, problem, barrier)
-    d_p = _loss_gradient(p, problem, barrier)
-    d_p_tilde = np.zeros_like(p_tilde)
-    d_p_tilde[free] = proj_backward(d_p[free])
-    grads_w, grads_b = _backward(net, cache, d_p_tilde)
-    return loss, grads_w, grads_b
+    return instance_loss(p, problem, barrier), grads_w, grads_b
 
 
 def gradient_check(net: MlpNetwork, loss_and_grads, sample: int = 100, seed: int = 0) -> float:
@@ -481,10 +539,10 @@ def load_checkpoint(path: str | Path) -> MlpNetwork:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-    widths = tuple(doc["layer_widths"])
-    weights = [
-        np.array(flat, dtype=float).reshape(w_in, w_out)
-        for flat, w_in, w_out in zip(doc["weights"], widths[:-1], widths[1:])
-    ]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    return MlpNetwork(layer_widths=widths, weights=weights, biases=biases)
+    net = _zero_network(doc["layer_widths"])
+    if not len(doc["weights"]) == len(doc["biases"]) == len(net.weights):
+        raise ValueError("checkpoint layer count does not match its layer widths")
+    for w, b, w_doc, b_doc in zip(net.weights, net.biases, doc["weights"], doc["biases"]):
+        w[...] = np.array(w_doc, dtype=float).reshape(w.shape)
+        b[...] = np.array(b_doc, dtype=float).reshape(b.shape)
+    return net

@@ -391,7 +391,13 @@ def q3e(
         p_free = _project_free(problem, neuro.mlp_forward(net, neuro.problem_features(problem))[problem.free])
         p = problem.assemble(p_free)
         q = range(problem.n_users) if partition.full_feasible else partition.satisfied_set
-        return _solution_from(problem, p, q, "mlp", {"backend": "mlp"})
+        diag = {
+            "backend": "mlp",
+            "iterations": net.log.stopped_epoch,
+            "best_epoch": net.log.best_epoch,
+            "max_budget_overshoot": net.log.max_budget_overshoot,
+        }
+        return _solution_from(problem, p, q, "mlp", diag)
     raise ValueError(f"unknown backend {backend!r}; expected 'numeric' or 'mlp'")
 
 

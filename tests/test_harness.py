@@ -74,12 +74,6 @@ class TestBudgetSweep:
         t2 = run_budget_sweep(sc, LEDGER, [100.0, 200.0], backends=self.BACKENDS)
         assert table_to_csv(t1) == table_to_csv(t2)
 
-    def test_worker_count_does_not_change_output(self):
-        sc = sweep_scenario()
-        serial = run_budget_sweep(sc, LEDGER, [90.0, 240.0], backends=self.BACKENDS, workers=1)
-        threaded = run_budget_sweep(sc, LEDGER, [90.0, 240.0], backends=self.BACKENDS, workers=3)
-        assert table_to_csv(serial) == table_to_csv(threaded)
-
     def test_mlp_backend_runs(self):
         sc = sweep_scenario()
         table = run_budget_sweep(sc, LEDGER, [150.0], backends=("q3e-numeric", "q3e-mlp"), seeds=(0,))

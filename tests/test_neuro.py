@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,21 @@ class TestLosses:
             q[i] += 1.7
             assert neuro.loss_partial_qos(q, prob, bar) == base
 
+    def test_shared_evaluation_matches_the_references(self):
+        for partial in (False, True):
+            _, prob = build_problem(k=3, seed=16, partial=partial)
+            bar = BarrierConfig(lambda_=0.3)
+            if partial:
+                p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
+            else:
+                p = prob.p_min * 1.3
+            ee, loss, grad, spend = neuro._evaluate(p, p[prob.free], prob, bar.lambda_, bar.epsilon)
+            assert ee == prob.objective(p)
+            assert loss == pytest.approx(neuro.instance_loss(p, prob, bar), rel=1e-12)
+            assert spend == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
+            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, bar.epsilon)[2]
+            assert np.array_equal(unbarriered, -prob.objective_gradient(p))
+
     def test_partial_zero_barrier(self):
         _, prob = build_problem(k=2, seed=15, partial=True)
         bar = BarrierConfig(lambda_=0.0)
@@ -172,6 +189,39 @@ class TestTrain:
         net = neuro.train(prob, cfg)
         assert net.log.stopped_epoch - net.log.best_epoch <= cfg.patience
         assert net.log.stopped_epoch <= cfg.max_epochs
+
+    def test_first_update_is_one_adam_step_on_the_checked_gradient(self):
+        # the gradient that TestGradientCheck verifies is the one training applies
+        _, prob = build_problem(k=3, seed=12)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=2, patience=1)
+        start = neuro.network_for(prob, cfg)
+        bar = BarrierConfig(
+            lambda_=cfg.barrier.lambda_ * neuro._ee_scale(prob), epsilon=cfg.barrier.epsilon
+        )
+        _, grads_w, grads_b = neuro.training_loss_and_grads(start, prob, bar)
+        net = neuro.train(prob, cfg)
+        assert net.log.best_epoch == 2  # the returned checkpoint is the one after one update
+        for p0, g, p1 in zip(
+            [*start.weights, *start.biases], [*grads_w, *grads_b], [*net.weights, *net.biases]
+        ):
+            m = (1.0 - cfg.beta1) * g
+            v = (1.0 - cfg.beta2) * g * g
+            step = cfg.step_size * (m / (1.0 - cfg.beta1)) / (np.sqrt(v / (1.0 - cfg.beta2)) + cfg.eps_adam)
+            assert np.array_equal(p1, p0 - step)
+
+    def test_trained_networks_share_no_buffers(self):
+        _, prob = build_problem(k=2, seed=21)
+        cfg = neuro.TrainConfig(seed=3, max_epochs=200, patience=40)
+        a = neuro.train(prob, cfg)
+        b = neuro.train(prob, cfg)
+        assert not np.shares_memory(a.params, b.params)
+        for view in [*a.weights, *a.biases]:
+            assert np.shares_memory(view, a.params)
+        before = b.params.copy()
+        a.weights[0][...] += 1.0
+        a.biases[-1][...] = 0.0
+        assert np.array_equal(b.params, before)
+        assert not np.array_equal(a.params, before)
 
     def test_divergent_training_raises(self):
         _, prob = build_problem(k=2, seed=24)
@@ -270,6 +320,27 @@ class TestCheckpointIo:
             assert np.array_equal(a, b)
         feats = neuro.problem_features(prob)
         assert np.array_equal(neuro.mlp_forward(net, feats), neuro.mlp_forward(back, feats))
+
+    def test_loaded_network_owns_a_bit_exact_flat_buffer(self, tmp_path):
+        _, prob = build_problem(k=3, seed=51, partial=True)
+        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=120, patience=30))
+        path = tmp_path / "net.json"
+        neuro.save_checkpoint(net, path)
+        back = neuro.load_checkpoint(path)
+        assert back.params.tobytes() == net.params.tobytes()
+        back.biases[0][0] += 1.0
+        assert back.params.tobytes() != net.params.tobytes()
+        assert not np.shares_memory(back.params, net.params)
+
+    def test_layer_count_mismatch_rejected(self, tmp_path):
+        net = neuro.init_network((3, 4, 2), seed=0)
+        path = tmp_path / "net.json"
+        neuro.save_checkpoint(net, path)
+        doc = json.loads(path.read_text())
+        doc["layer_widths"] = [3, 4, 4, 2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            neuro.load_checkpoint(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -291,6 +291,19 @@ class TestQ3eOrchestrator:
             "p", "q_set", "rates_bps", "ee_bps_per_w", "rf_spent_w", "solver_tag", "iterations",
         }
 
+    def test_mlp_export_reports_the_training_log(self):
+        from hapalloc import neuro
+
+        sc = random_scenario(2, seed=96)
+        bf = scenario_beamformer(sc)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=300, patience=40)
+        sol = q3e(sc, bf, 50.0, LEDGER, cfg=cfg, backend="mlp")
+        diag = sol.diagnostics
+        assert 0 < diag["best_epoch"] <= diag["iterations"] <= cfg.max_epochs
+        assert diag["iterations"] - diag["best_epoch"] <= cfg.patience
+        assert 0.0 <= diag["max_budget_overshoot"] <= 1e-9
+        assert solution_to_dict(sol)["iterations"] == diag["iterations"]
+
 
 class TestBaselineMaxSumRate:
     def test_symmetric_users_split_equally(self):
