@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -54,16 +55,19 @@ class PropellerSpec:
 
     ``chord_fn`` and ``pitch_fn`` map radius (m) to local chord (m) and
     geometric pitch (rad); ``polar`` maps angle of attack (rad) to a
-    (c_l, c_d) pair.  Table-backed specs are built with ``from_tables`` or
-    the CSV loaders, which interpolate linearly and clamp at the ends.
+    (c_l, c_d) pair.  All three are elementwise on float arrays: the solver
+    calls them with a 1-D array of radii or angles and expects arrays of the
+    same shape back (``polar`` returns two, newly allocated).  Use numpy
+    ufuncs, not ``math``.  Table-backed specs are built with ``from_tables``
+    or the CSV loaders, which interpolate linearly and clamp at the ends.
     """
 
     n_blades: int
     r_hub: float
     r_tip: float
-    chord_fn: Callable[[float], float]
-    pitch_fn: Callable[[float], float]
-    polar: Callable[[float], tuple[float, float]]
+    chord_fn: Callable[[np.ndarray], np.ndarray]
+    pitch_fn: Callable[[np.ndarray], np.ndarray]
+    polar: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if self.n_blades < 1:
@@ -83,13 +87,13 @@ class PropellerSpec:
             raise ValueError("chord must be positive along the span")
 
         def chord_fn(x):
-            return float(np.interp(x, r, chord))
+            return np.interp(x, r, chord)
 
         def pitch_fn(x):
-            return float(np.interp(x, r, pitch))
+            return np.interp(x, r, pitch)
 
         def polar(a):
-            return float(np.interp(a, alpha, cl)), float(np.interp(a, alpha, cd))
+            return np.interp(a, alpha, cl), np.interp(a, alpha, cd)
 
         return cls(
             n_blades=int(n_blades),
@@ -103,7 +107,7 @@ class PropellerSpec:
 
 @dataclass(frozen=True)
 class SectionState:
-    """Converged flow state of one blade section."""
+    """Converged flow state of one blade section (inside the solver, of every station as arrays)."""
 
     r: float
     phi: float  # inflow angle incl. induction, rad
@@ -150,19 +154,150 @@ def axial_induction(sigma: float, phi: float, c_l: float, c_d: float, k_p: float
     return 1.0 / (ratio - 1.0)
 
 
-def _zero_loading_state(spec, r, phi0):
+# numpy's vector atan2, tan and square round differently from ``math`` and from
+# Python's ``x ** 2`` (libm pow) on some inputs; these run per element so every
+# station matches a scalar evaluation of the same formulas bit for bit.
+def _each(fn, *args: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(pow, x.tolist(), repeat(2)), float, x.size)
+
+
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Bisect fn(x, idx) on the brackets [lo, hi] of stations idx in lockstep.
+
+    A bracket stops at an exact zero or once narrower than 1e-15, and
+    returns its midpoint after at most 200 halvings.
+    """
+    root = np.empty_like(lo)
+    pos = np.arange(lo.size)  # where each live bracket's root goes
+    lo_positive = fn(lo, idx) > 0  # lo only moves to points of the same sign
+    for _ in range(200):
+        if not pos.size:
+            return root
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid, idx)
+        stop = (fm == 0.0) | (hi - lo < 1e-15)
+        if stop.any():
+            root[pos[stop]] = mid[stop]
+            pos, idx, lo, hi, lo_positive, mid, fm = (x[~stop] for x in (pos, idx, lo, hi, lo_positive, mid, fm))
+        same = (fm > 0) == lo_positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    root[pos] = 0.5 * (lo + hi)
+    return root
+
+
+# a step also evaluates stations its masks discard, which may divide by zero
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -> SectionState:
+    """``solve_section`` at every radius in ``r``, in lockstep under per-station masks.
+
+    Returns a SectionState of arrays.  If a station has no solution, the
+    error of the first such station in ``r``'s order is raised.
+    """
+    if v0 <= 0 or n_s <= 0:
+        raise ValueError("airspeed and rotational speed must be positive")
+
+    omega_r = 2.0 * math.pi * n_s * r
+    phi0 = _each(math.atan2, np.full(r.size, v0), omega_r)
+    k_p = np.array([tip_loss(spec.n_blades, x, spec.r_tip, p) for x, p in zip(r.tolist(), phi0.tolist())])
+    loaded = ~(k_p < KP_FLOOR)
     theta = spec.pitch_fn(r)
-    cl, cd = spec.polar(theta - phi0)
-    return SectionState(
-        r=r,
-        phi=phi0,
-        alpha=theta - phi0,
-        a_a=0.0,
-        sigma=spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r),
-        k_p=0.0,
-        cl=cl,
-        cd=cd,
-    )
+    sigma = spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r)
+    errors: dict[int, SectionError] = {}
+
+    def section_at(phi, idx):
+        """(c_l, c_d, sin phi, section force) of stations idx at inflow angles phi."""
+        cl, cd = spec.polar(theta[idx] - phi)
+        sin_phi = np.sin(phi)
+        return cl, cd, sin_phi, cl * np.cos(phi) - cd * sin_phi
+
+    def ratio_at(sin_phi, force, idx):
+        return 4.0 * k_p[idx] * _sq(sin_phi) / (sigma[idx] * force)
+
+    # Unloaded stations keep the zero-induction state; loaded ones start there.
+    phi = phi0.copy()
+    a_a = np.zeros(r.size)
+    cl, cd, _, force0 = section_at(phi0, slice(None))
+    nonpropulsive = loaded & (force0 <= 0.0)
+    for i in np.flatnonzero(nonpropulsive).tolist():
+        errors[i] = SectionError("non-propulsive section at zero induction", float(r[i]))
+
+    # Fast path: damped iteration on the induction factor.  Convergence is
+    # declared on the residual at the current iterate, so the returned state
+    # satisfies the balance equation to the tolerance by construction.
+    a = np.zeros(r.size)
+    residual = np.full(r.size, math.inf)
+    prev_residual = np.full(r.size, math.inf)
+    solved = ~loaded | nonpropulsive
+    act = np.flatnonzero(~solved)
+    for _ in range(_MAX_ITERS):
+        if not act.size:
+            break
+        a_act = a[act]
+        phi_act = _each(math.atan2, v0 * (1.0 + a_act), omega_r[act])
+        cl_act, cd_act, sin_phi, force = section_at(phi_act, act)
+        ratio = ratio_at(sin_phi, force, act)
+        a_new = 1.0 / (ratio - 1.0)
+        res = np.abs(a_new - a_act)
+        # leaving the propulsive branch hands the station over to bisection
+        live = ~(force <= 0.0) & ~(ratio <= 1.0 + 1e-12)
+        residual[act[live]] = res[live]
+        done = live & (res < _FIXED_POINT_TOL)
+        hit = act[done]
+        phi[hit], a_a[hit], cl[hit], cd[hit] = phi_act[done], a_act[done], cl_act[done], cd_act[done]
+        solved[hit] = True
+        go = live & ~done & ~(res > 0.999 * prev_residual[act])  # else not contracting
+        act, a_act, a_new, res = act[go], a_act[go], a_new[go], res[go]
+        prev_residual[act] = res
+        a[act] = a_act + _RELAXATION * (a_new - a_act)
+
+    # Robust path: bisection on the inflow-angle residual.  The momentum
+    # ratio is monotone increasing in phi and the section force monotone
+    # decreasing, so the propulsive branch lives on (phi_pole, phi_zero)
+    # where ratio crosses 1 and the force crosses 0 respectively, and the
+    # residual a_alg(phi) - a_kin(phi) falls from +inf to negative there.
+    def not_converged(idx):
+        errors.update((i, SectionConvergenceError(float(r[i]), float(residual[i]))) for i in idx.tolist())
+
+    def ratio_minus_one(phi, idx):
+        _, _, sin_phi, force = section_at(phi, idx)
+        return np.where(force <= 0.0, math.inf, ratio_at(sin_phi, force, idx) - 1.0)
+
+    def residual_fn(phi, idx):
+        _, _, sin_phi, force = section_at(phi, idx)
+        rat = ratio_at(sin_phi, force, idx)
+        a_alg = 1.0 / (rat - 1.0)
+        a_kin = _each(math.tan, phi) * omega_r[idx] / v0 - 1.0
+        return np.where(force <= 0.0, -math.inf, np.where(rat <= 1.0, math.inf, a_alg - a_kin))
+
+    todo = np.flatnonzero(~solved)
+    phi_cap = np.full(todo.size, math.pi / 2 - 1e-9)
+    capped = section_at(phi_cap, todo)[3] >= 0.0
+    not_converged(todo[capped])
+    todo, phi_cap = todo[~capped], phi_cap[~capped]
+    phi_zero = _bisect(lambda phi, idx: section_at(phi, idx)[3], phi0[todo], phi_cap, todo)
+
+    phi_lo = phi0[todo]
+    pole = ~(ratio_minus_one(phi_lo, todo) > 0.0)
+    phi_lo[pole] = _bisect(ratio_minus_one, phi_lo[pole], phi_zero[pole], todo[pole]) + 1e-12
+
+    phi_hi = phi_zero - 1e-12
+    bracketed = (residual_fn(phi_lo, todo) > 0.0) & (residual_fn(phi_hi, todo) < 0.0)
+    not_converged(todo[~bracketed])
+    todo = todo[bracketed]
+    phi_star = _bisect(residual_fn, phi_lo[bracketed], phi_hi[bracketed], todo)
+    phi[todo] = phi_star
+    a_a[todo] = _each(math.tan, phi_star) * omega_r[todo] / v0 - 1.0
+    cl[todo], cd[todo], _, _ = section_at(phi_star, todo)
+
+    if errors:
+        raise errors[min(errors)]
+    k_p = np.where(loaded, k_p, 0.0)
+    return SectionState(r=r, phi=phi, alpha=theta - phi, a_a=a_a, sigma=sigma, k_p=k_p, cl=cl, cd=cd)
 
 
 def solve_section(spec: PropellerSpec, v0: float, n_s: float, r: float) -> SectionState:
@@ -172,130 +307,13 @@ def solve_section(spec: PropellerSpec, v0: float, n_s: float, r: float) -> Secti
     200 iterations) with a bisection fallback on the scalar residual in the
     inflow angle when the iteration oscillates or leaves the propulsive
     regime.  Sections with a vanishing tip-loss factor return the unloaded
-    tip boundary state instead of evaluating the (singular) balance.
+    tip boundary state instead of evaluating the (singular) balance.  This
+    is the one-station case of the solver ``propeller_performance`` uses.
     """
-    if v0 <= 0 or n_s <= 0:
-        raise ValueError("airspeed and rotational speed must be positive")
     if not (spec.r_hub <= r <= spec.r_tip):
         raise ValueError(f"radius {r} outside blade span [{spec.r_hub}, {spec.r_tip}]")
-
-    omega_r = 2.0 * math.pi * n_s * r
-    phi0 = math.atan2(v0, omega_r)
-    k_p = tip_loss(spec.n_blades, r, spec.r_tip, phi0)
-    if k_p < KP_FLOOR:
-        return _zero_loading_state(spec, r, phi0)
-
-    theta = spec.pitch_fn(r)
-    chord = spec.chord_fn(r)
-    sigma = spec.n_blades * chord / (2.0 * math.pi * r)
-
-    def section_at(phi):
-        alpha = theta - phi
-        cl, cd = spec.polar(alpha)
-        force = cl * math.cos(phi) - cd * math.sin(phi)
-        return alpha, cl, cd, force
-
-    def ratio_at(phi, force):
-        return 4.0 * k_p * math.sin(phi) ** 2 / (sigma * force)
-
-    _, _, _, force0 = section_at(phi0)
-    if force0 <= 0.0:
-        raise SectionError("non-propulsive section at zero induction", r)
-
-    def build_state(a, phi):
-        alpha, cl, cd, _ = section_at(phi)
-        return SectionState(
-            r=r, phi=phi, alpha=alpha, a_a=a, sigma=sigma, k_p=k_p, cl=cl, cd=cd
-        )
-
-    # Fast path: damped iteration on the induction factor.  Convergence is
-    # declared on the residual at the current iterate, so the returned state
-    # satisfies the balance equation to the tolerance by construction.
-    a = 0.0
-    residual = math.inf
-    prev_residual = math.inf
-    for _ in range(_MAX_ITERS):
-        phi = math.atan2(v0 * (1.0 + a), omega_r)
-        _, _, _, force = section_at(phi)
-        if force <= 0.0:
-            break
-        ratio = ratio_at(phi, force)
-        if ratio <= 1.0 + 1e-12:
-            break  # iterate left the propulsive branch
-        a_new = 1.0 / (ratio - 1.0)
-        residual = abs(a_new - a)
-        if residual < _FIXED_POINT_TOL:
-            return build_state(a, phi)
-        if residual > 0.999 * prev_residual:
-            break  # not contracting; hand over to bisection
-        prev_residual = residual
-        a += _RELAXATION * (a_new - a)
-
-    # Robust path: bisection on the inflow-angle residual.  The momentum
-    # ratio is monotone increasing in phi and the section force monotone
-    # decreasing, so the propulsive branch lives on (phi_pole, phi_zero)
-    # where ratio crosses 1 and the force crosses 0 respectively, and the
-    # residual a_alg(phi) - a_kin(phi) falls from +inf to negative there.
-    def bisect(fn, lo, hi, iters=200):
-        flo = fn(lo)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            fm = fn(mid)
-            if fm == 0.0 or hi - lo < 1e-15:
-                return mid
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    phi_cap = math.pi / 2 - 1e-9
-    _, _, _, force_cap = section_at(phi_cap)
-    if force_cap >= 0.0:
-        raise SectionConvergenceError(r, residual)
-    phi_zero = bisect(lambda p: section_at(p)[3], phi0, phi_cap)
-
-    def ratio_minus_one(phi):
-        _, _, _, force = section_at(phi)
-        if force <= 0.0:
-            return math.inf
-        return ratio_at(phi, force) - 1.0
-
-    if ratio_minus_one(phi0) > 0.0:
-        phi_lo = phi0
-    else:
-        pole = bisect(ratio_minus_one, phi0, phi_zero)
-        phi_lo = pole + 1e-12
-
-    def residual_fn(phi):
-        _, _, _, force = section_at(phi)
-        if force <= 0.0:
-            return -math.inf
-        rat = ratio_at(phi, force)
-        if rat <= 1.0:
-            return math.inf
-        a_alg = 1.0 / (rat - 1.0)
-        a_kin = math.tan(phi) * omega_r / v0 - 1.0
-        return a_alg - a_kin
-
-    phi_hi = phi_zero - 1e-12
-    if not (residual_fn(phi_lo) > 0.0 and residual_fn(phi_hi) < 0.0):
-        raise SectionConvergenceError(r, residual)
-    phi_star = bisect(residual_fn, phi_lo, phi_hi)
-    a_star = math.tan(phi_star) * omega_r / v0 - 1.0
-    return build_state(a_star, phi_star)
-
-
-def _loading(state: SectionState, chord: float) -> tuple[float, float]:
-    """Thrust and torque-power integrand densities at one section."""
-    if state.k_p < KP_FLOOR:
-        return 0.0, 0.0
-    sin_phi = math.sin(state.phi)
-    cos_phi = math.cos(state.phi)
-    common = chord * (1.0 + state.a_a) ** 2 / sin_phi**2
-    f_thrust = (state.cl * cos_phi - state.cd * sin_phi) * common
-    f_power = (state.cl * sin_phi + state.cd * cos_phi) * common * state.r
-    return f_thrust, f_power
+    st = _solve_stations(spec, v0, n_s, np.array([float(r)]))
+    return SectionState(**{name: float(value[0]) for name, value in vars(st).items()})
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -330,15 +348,15 @@ def propeller_performance(
     span = spec.r_tip - spec.r_hub
     u = np.linspace(0.0, 1.0, n_nodes)  # u = 0 at the tip, 1 at the hub
     h = 1.0 / (n_nodes - 1)
-    f_thrust = np.empty(n_nodes)
-    f_power = np.empty(n_nodes)
-    for i, ui in enumerate(u):
-        r = min(max(spec.r_tip - span * ui * ui, spec.r_hub), spec.r_tip)  # roundoff guard
-        state = solve_section(spec, v0, n_s, float(r))
-        ft, fp = _loading(state, spec.chord_fn(float(r)))
-        jacobian = 2.0 * span * ui
-        f_thrust[i] = ft * jacobian
-        f_power[i] = fp * jacobian
+    r = np.minimum(np.maximum(spec.r_tip - span * u * u, spec.r_hub), spec.r_tip)  # roundoff guard
+    st = _solve_stations(spec, v0, n_s, r)
+    sin_phi = np.sin(st.phi)
+    cos_phi = np.cos(st.phi)
+    common = spec.chord_fn(r) * _sq(1.0 + st.a_a) / _sq(sin_phi)
+    loaded = ~(st.k_p < KP_FLOOR)  # unloaded tip boundary stations carry no loading
+    jacobian = 2.0 * span * u
+    f_thrust = np.where(loaded, (st.cl * cos_phi - st.cd * sin_phi) * common, 0.0) * jacobian
+    f_power = np.where(loaded, (st.cl * sin_phi + st.cd * cos_phi) * common * r, 0.0) * jacobian
 
     thrust = float(0.5 * atm.rho * v0 * v0 * spec.n_blades * _simpson(f_thrust, h))
     power = float(math.pi * n_s * atm.rho * v0 * v0 * spec.n_blades * _simpson(f_power, h))
@@ -365,10 +383,10 @@ def default_test_propeller() -> PropellerSpec:
 
     def pitch_fn(r):
         t = (r - r_hub) / (r_tip - r_hub)
-        return math.radians(35.0 + (12.0 - 35.0) * t)
+        return np.radians(35.0 + (12.0 - 35.0) * t)
 
     def polar(alpha):
-        return 2.0 * math.pi * math.sin(alpha) * math.cos(alpha), 0.008 + 0.01 * alpha**2
+        return 2.0 * np.pi * np.sin(alpha) * np.cos(alpha), 0.008 + 0.01 * np.square(alpha)
 
     return PropellerSpec(
         n_blades=3, r_hub=r_hub, r_tip=r_tip, chord_fn=chord_fn, pitch_fn=pitch_fn, polar=polar

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,12 +19,14 @@ from . import bemt as bemt_mod
 from . import harness, propulsion
 from .channel import load_scenario, scenario_from_dict
 from .config import (
+    Atmosphere,
     BudgetInfeasibleError,
     ConfigError,
     isa_properties,
     ledger_from_dict,
     load_platform_config,
     platform_from_dict,
+    reject_unknown_keys,
     rf_budget,
 )
 from .q3e import q3e, scenario_beamformer, solution_to_dict
@@ -33,11 +36,37 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
-def _read_json(path) -> dict:
+_SCENARIO_KEYS = ("scenario", "scenario_path")
+
+
+def _read_json(path, keys=None) -> dict:
+    """Read a JSON config object; with ``keys``, reject any other top-level key."""
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    if keys is not None:
+        reject_unknown_keys(cfg, keys, f"config {path}")
+    return cfg
+
+
+def _positive(name: str, value) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+    return x
+
+
+def _atmosphere(altitude) -> Atmosphere:
+    try:
+        return isa_properties(altitude)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"altitude: {exc}") from exc
 
 
 def _seeds(raw, default=(0,)) -> list[int]:
@@ -53,29 +82,34 @@ def _seeds(raw, default=(0,)) -> list[int]:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_propulsion(args) -> int:
     geom, _, altitude = load_platform_config(args.config)
-    atm = isa_properties(altitude)
-    v0 = args.v0
-    if v0 is None:
+    atm = _atmosphere(altitude)
+    if args.v0 is None:
         raise ConfigError("propulsion needs --v0 (m/s)")
-    coeffs = propulsion.reference_coeffs()
-    table = harness.run_airspeed_sweep(geom, atm, [v0], coeffs)
+    v0 = _positive("--v0", args.v0)
+    try:
+        table = harness.run_airspeed_sweep(geom, atm, [v0], propulsion.reference_coeffs())
+    except propulsion.SurrogateRangeError as exc:
+        raise ConfigError(str(exc)) from exc
     _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
 
 
 def _cmd_bemt(args) -> int:
-    cfg = _read_json(args.config) if args.config else {}
+    cfg = _read_json(args.config, ("spec_dir", "v0_mps", "ns_rps", "altitude_m")) if args.config else {}
     spec_dir = args.spec or cfg.get("spec_dir")
     v0 = args.v0 if args.v0 is not None else cfg.get("v0_mps")
     n_s = args.ns if args.ns is not None else cfg.get("ns_rps")
-    altitude = args.altitude if args.altitude is not None else float(cfg.get("altitude_m", 20000.0))
+    altitude = args.altitude if args.altitude is not None else cfg.get("altitude_m", 20000.0)
     if spec_dir is None or v0 is None or n_s is None:
         raise ConfigError("bemt needs --spec <dir>, --v0 (m/s), and --ns (rev/s), "
                           "via flags or the JSON config")
@@ -83,15 +117,19 @@ def _cmd_bemt(args) -> int:
         spec = bemt_mod.load_spec_dir(spec_dir)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load propeller spec {spec_dir}: {exc}") from exc
-    atm = isa_properties(altitude)
-    op = bemt_mod.propeller_performance(spec, float(v0), float(n_s), atm)
+    v0, n_s = _positive("--v0/v0_mps", v0), _positive("--ns/ns_rps", n_s)
+    atm = _atmosphere(altitude)
+    try:
+        op = bemt_mod.propeller_performance(spec, v0, n_s, atm)
+    except bemt_mod.SectionError as exc:
+        raise ConfigError(f"no operating point at v0 = {v0} m/s, n_s = {n_s} rev/s: {exc}") from exc
     text = "t_p_n,p_p_w,eta_p\n" + f"{op.thrust!r},{op.shaft_power!r},{op.eta_p!r}\n"
     _write_or_print(text, args.out)
     return EXIT_OK
 
 
 def _cmd_surrogate_fit(args) -> int:
-    cfg = _read_json(args.config) if args.config else {}
+    cfg = _read_json(args.config, ("samples_csv",)) if args.config else {}
     if "samples_csv" in cfg:
         samples = propulsion.read_samples_csv(cfg["samples_csv"])
     else:
@@ -113,7 +151,7 @@ def _budget_from_config(cfg: dict) -> tuple[float, object]:
     if "platform" in cfg:
         geom = platform_from_dict(cfg["platform"])
         ledger = ledger_from_dict(cfg["ledger"])
-        atm = isa_properties(float(cfg.get("altitude_m", 20000.0)))
+        atm = _atmosphere(cfg.get("altitude_m", 20000.0))
         v0 = float(cfg.get("v0_mps", 10.0))
         p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
         return rf_budget(ledger, p_prop), ledger
@@ -131,7 +169,8 @@ def _scenario_from_config(cfg: dict, base: Path):
 
 
 def _cmd_solve(args) -> int:
-    cfg = _read_json(args.config)
+    keys = (*_SCENARIO_KEYS, "ledger", "p_tot_w", "platform", "altitude_m", "v0_mps", "backend", "seed")
+    cfg = _read_json(args.config, keys)
     scenario = _scenario_from_config(cfg, Path(args.config).parent)
     p_tot, ledger = _budget_from_config(cfg)
     backend = cfg.get("backend", "numeric")
@@ -156,14 +195,18 @@ def _cmd_sweep(args) -> int:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep config needs a non-empty 'grid' list")
     if kind == "airspeed":
+        keys = ("kind", "grid", "platform", "altitude_m", "legacy_eta_p")
+        reject_unknown_keys(cfg, keys, f"config {args.config}")
         geom = platform_from_dict(cfg["platform"]) if "platform" in cfg else None
         if geom is None:
             raise ConfigError("airspeed sweep needs a 'platform' block")
-        atm = isa_properties(float(cfg.get("altitude_m", 20000.0)))
+        atm = _atmosphere(cfg.get("altitude_m", 20000.0))
         table = harness.run_airspeed_sweep(
             geom, atm, grid, legacy_eta_p=float(cfg.get("legacy_eta_p", 0.73))
         )
     elif kind == "rf_budget":
+        keys = ("kind", "grid", *_SCENARIO_KEYS, "ledger", "backends", "seeds")
+        reject_unknown_keys(cfg, keys, f"config {args.config}")
         scenario = _scenario_from_config(cfg, Path(args.config).parent)
         ledger = ledger_from_dict(cfg["ledger"])
         table = harness.run_budget_sweep(
@@ -177,12 +220,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep 'kind' must be 'airspeed' or 'rf_budget'")
     _write_or_print(harness.table_to_csv(table), args.out)
     if args.svg:
-        harness.emit_report(table, "svg", args.svg)
+        try:
+            harness.emit_report(table, "svg", args.svg)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
     return EXIT_OK
 
 
 def _cmd_ablation(args) -> int:
-    cfg = _read_json(args.config)
+    cfg = _read_json(args.config, (*_SCENARIO_KEYS, "ledger", "p_tot_w", "seeds", "max_epochs"))
     scenario = _scenario_from_config(cfg, Path(args.config).parent)
     ledger = ledger_from_dict(cfg["ledger"])
     env = os.environ.get("HPP_SEED")

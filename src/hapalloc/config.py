@@ -222,6 +222,13 @@ def ledger_from_dict(d: dict) -> PowerLedger:
         raise ConfigError(f"invalid ledger config: {exc}") from exc
 
 
+def reject_unknown_keys(raw: dict, allowed, where) -> None:
+    """Raise ConfigError naming every top-level key of ``raw`` outside ``allowed``."""
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def load_platform_config(path: str | Path) -> tuple[PlatformGeometry, PowerLedger, float]:
     """Read the platform JSON config: {"platform": {...}, "ledger": {...}, "altitude_m": x}."""
     try:
@@ -230,6 +237,7 @@ def load_platform_config(path: str | Path) -> tuple[PlatformGeometry, PowerLedge
         raise ConfigError(f"cannot read platform config {path}: {exc}") from exc
     if not isinstance(raw, dict) or "platform" not in raw or "ledger" not in raw:
         raise ConfigError(f"platform config {path} must contain 'platform' and 'ledger'")
+    reject_unknown_keys(raw, ("platform", "ledger", "altitude_m"), f"platform config {path}")
     geom = platform_from_dict(raw["platform"])
     ledger = ledger_from_dict(raw["ledger"])
     altitude = float(raw.get("altitude_m", 20000.0))

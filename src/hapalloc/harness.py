@@ -93,7 +93,7 @@ def run_airspeed_sweep(
         cdv = propulsion.hull_drag_coefficient(geom.slenderness, re)
         drag = propulsion.aerodynamic_drag(atm, geom, v0)
         eta = propulsion.surrogate_efficiency(coeffs, v0)
-        power = drag * v0 / (eta * geom.motor_eff_etam)
+        power = propulsion.propulsion_power(atm, geom, v0, coeffs)
         legacy = drag * v0 / (legacy_eta_p * geom.motor_eff_etam)
         if power <= prev_power:
             raise AssertionError(

@@ -1,0 +1,203 @@
+"""Scalar reference for ``hapalloc.bemt``: one section at a time, in plain floats.
+
+This is the per-station solver that ``hapalloc.bemt`` replaced with its array
+solver.  It evaluates the same formulas in the same order with ``math`` on
+Python floats, one radius at a time, so the array solver must reproduce its
+results bit for bit.  The spec's callables are called on scalars and their
+results cast to float.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hapalloc.bemt import (
+    KP_FLOOR,
+    PropellerOperatingPoint,
+    SectionConvergenceError,
+    SectionError,
+    SectionState,
+    tip_loss,
+)
+
+_FIXED_POINT_TOL = 1e-6
+_MAX_ITERS = 200
+_RELAXATION = 0.5
+
+
+def _polar(spec, alpha):
+    cl, cd = spec.polar(alpha)
+    return float(cl), float(cd)
+
+
+def _zero_loading_state(spec, r, phi0):
+    theta = float(spec.pitch_fn(r))
+    cl, cd = _polar(spec, theta - phi0)
+    return SectionState(
+        r=r,
+        phi=phi0,
+        alpha=theta - phi0,
+        a_a=0.0,
+        sigma=spec.n_blades * float(spec.chord_fn(r)) / (2.0 * math.pi * r),
+        k_p=0.0,
+        cl=cl,
+        cd=cd,
+    )
+
+
+def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
+    """Damped induction fixed point, then bisection on the inflow angle."""
+    if v0 <= 0 or n_s <= 0:
+        raise ValueError("airspeed and rotational speed must be positive")
+    if not (spec.r_hub <= r <= spec.r_tip):
+        raise ValueError(f"radius {r} outside blade span [{spec.r_hub}, {spec.r_tip}]")
+
+    omega_r = 2.0 * math.pi * n_s * r
+    phi0 = math.atan2(v0, omega_r)
+    k_p = tip_loss(spec.n_blades, r, spec.r_tip, phi0)
+    if k_p < KP_FLOOR:
+        return _zero_loading_state(spec, r, phi0)
+
+    theta = float(spec.pitch_fn(r))
+    chord = float(spec.chord_fn(r))
+    sigma = spec.n_blades * chord / (2.0 * math.pi * r)
+
+    def section_at(phi):
+        alpha = theta - phi
+        cl, cd = _polar(spec, alpha)
+        force = cl * math.cos(phi) - cd * math.sin(phi)
+        return alpha, cl, cd, force
+
+    def ratio_at(phi, force):
+        return 4.0 * k_p * math.sin(phi) ** 2 / (sigma * force)
+
+    _, _, _, force0 = section_at(phi0)
+    if force0 <= 0.0:
+        raise SectionError("non-propulsive section at zero induction", r)
+
+    def build_state(a, phi):
+        alpha, cl, cd, _ = section_at(phi)
+        return SectionState(
+            r=r, phi=phi, alpha=alpha, a_a=a, sigma=sigma, k_p=k_p, cl=cl, cd=cd
+        )
+
+    a = 0.0
+    residual = math.inf
+    prev_residual = math.inf
+    for _ in range(_MAX_ITERS):
+        phi = math.atan2(v0 * (1.0 + a), omega_r)
+        _, _, _, force = section_at(phi)
+        if force <= 0.0:
+            break
+        ratio = ratio_at(phi, force)
+        if ratio <= 1.0 + 1e-12:
+            break
+        a_new = 1.0 / (ratio - 1.0)
+        residual = abs(a_new - a)
+        if residual < _FIXED_POINT_TOL:
+            return build_state(a, phi)
+        if residual > 0.999 * prev_residual:
+            break
+        prev_residual = residual
+        a += _RELAXATION * (a_new - a)
+
+    def bisect(fn, lo, hi, iters=200):
+        flo = fn(lo)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            fm = fn(mid)
+            if fm == 0.0 or hi - lo < 1e-15:
+                return mid
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    phi_cap = math.pi / 2 - 1e-9
+    _, _, _, force_cap = section_at(phi_cap)
+    if force_cap >= 0.0:
+        raise SectionConvergenceError(r, residual)
+    phi_zero = bisect(lambda p: section_at(p)[3], phi0, phi_cap)
+
+    def ratio_minus_one(phi):
+        _, _, _, force = section_at(phi)
+        if force <= 0.0:
+            return math.inf
+        return ratio_at(phi, force) - 1.0
+
+    if ratio_minus_one(phi0) > 0.0:
+        phi_lo = phi0
+    else:
+        pole = bisect(ratio_minus_one, phi0, phi_zero)
+        phi_lo = pole + 1e-12
+
+    def residual_fn(phi):
+        _, _, _, force = section_at(phi)
+        if force <= 0.0:
+            return -math.inf
+        rat = ratio_at(phi, force)
+        if rat <= 1.0:
+            return math.inf
+        a_alg = 1.0 / (rat - 1.0)
+        a_kin = math.tan(phi) * omega_r / v0 - 1.0
+        return a_alg - a_kin
+
+    phi_hi = phi_zero - 1e-12
+    if not (residual_fn(phi_lo) > 0.0 and residual_fn(phi_hi) < 0.0):
+        raise SectionConvergenceError(r, residual)
+    phi_star = bisect(residual_fn, phi_lo, phi_hi)
+    a_star = math.tan(phi_star) * omega_r / v0 - 1.0
+    return build_state(a_star, phi_star)
+
+
+def _loading(state: SectionState, chord: float) -> tuple[float, float]:
+    if state.k_p < KP_FLOOR:
+        return 0.0, 0.0
+    sin_phi = math.sin(state.phi)
+    cos_phi = math.cos(state.phi)
+    common = chord * (1.0 + state.a_a) ** 2 / sin_phi**2
+    f_thrust = (state.cl * cos_phi - state.cd * sin_phi) * common
+    f_power = (state.cl * sin_phi + state.cd * cos_phi) * common * state.r
+    return f_thrust, f_power
+
+
+def _simpson(values: np.ndarray, h: float) -> float:
+    acc = values[0] + values[-1]
+    acc += 4.0 * sum(values[1:-1:2])
+    acc += 2.0 * sum(values[2:-1:2])
+    return acc * h / 3.0
+
+
+def stations(spec, n_nodes: int = 101) -> list[float]:
+    """The tip-clustered quadrature radii, tip first."""
+    span = spec.r_tip - spec.r_hub
+    return [
+        float(min(max(spec.r_tip - span * ui * ui, spec.r_hub), spec.r_tip))
+        for ui in np.linspace(0.0, 1.0, n_nodes)
+    ]
+
+
+def propeller_performance(spec, v0, n_s, atm, n_nodes: int = 101) -> PropellerOperatingPoint:
+    """Per-station loop: solve each section, then Simpson-integrate its loading."""
+    span = spec.r_tip - spec.r_hub
+    u = np.linspace(0.0, 1.0, n_nodes)
+    h = 1.0 / (n_nodes - 1)
+    f_thrust = np.empty(n_nodes)
+    f_power = np.empty(n_nodes)
+    for i, (ui, r) in enumerate(zip(u, stations(spec, n_nodes))):
+        state = solve_section(spec, v0, n_s, r)
+        ft, fp = _loading(state, float(spec.chord_fn(r)))
+        jacobian = 2.0 * span * ui
+        f_thrust[i] = ft * jacobian
+        f_power[i] = fp * jacobian
+
+    thrust = float(0.5 * atm.rho * v0 * v0 * spec.n_blades * _simpson(f_thrust, h))
+    power = float(math.pi * n_s * atm.rho * v0 * v0 * spec.n_blades * _simpson(f_power, h))
+    if power <= 0.0:
+        raise SectionError("non-positive integrated shaft power")
+    return PropellerOperatingPoint(
+        v0=v0, n_s=n_s, thrust=thrust, shaft_power=power, eta_p=thrust * v0 / power
+    )

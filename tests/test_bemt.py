@@ -1,11 +1,18 @@
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bemt_oracle as oracle
+from conftest import CONFIG_DIR
+from hapalloc import bemt
 from hapalloc.bemt import (
     KP_FLOOR,
     PropellerSpec,
+    SectionConvergenceError,
     SectionError,
     axial_induction,
     default_test_propeller,
@@ -18,6 +25,8 @@ from hapalloc.bemt import (
 from hapalloc.config import isa_properties
 
 SPEC = default_test_propeller()
+TABLE = load_spec_dir(CONFIG_DIR / "propeller")
+SPECS = {"default": SPEC, "table": TABLE}
 ATM = isa_properties(20000.0)
 
 
@@ -171,7 +180,7 @@ class TestPropellerPerformance:
     def test_drag_lowers_efficiency(self):
         def polar_with_cd(cd_const):
             def polar(a):
-                return 2.0 * math.pi * math.sin(a) * math.cos(a), cd_const
+                return 2.0 * np.pi * np.sin(a) * np.cos(a), np.full_like(a, cd_const)
             return polar
 
         clean = PropellerSpec(3, SPEC.r_hub, SPEC.r_tip, SPEC.chord_fn, SPEC.pitch_fn, polar_with_cd(0.0))
@@ -206,6 +215,79 @@ class TestPropellerPerformance:
     def test_section_errors_propagate(self):
         with pytest.raises(SectionError):
             propeller_performance(SPEC, 10.0, 5.0, ATM)
+
+
+def outcome(solver, spec, v0, n_s):
+    """(None, repr of T, P, eta) or (error type, message); equal reprs are equal bits."""
+    try:
+        op = solver(spec, v0, n_s, ATM)
+    except SectionError as exc:
+        return type(exc), str(exc)
+    return None, repr((op.thrust, op.shaft_power, op.eta_p))
+
+
+class TestArraySolverMatchesScalarOracle:
+    """The lockstep array solver against the per-station scalar solver in tests/bemt_oracle.py."""
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("v0, n_s", [(15.0, 12.0), (10.0, 12.0), (4.0, 9.0), (22.0, 25.0)])
+    def test_operating_point_is_bit_identical(self, spec_name, v0, n_s):
+        spec = SPECS[spec_name]
+        got = outcome(propeller_performance, spec, v0, n_s)
+        assert got == outcome(oracle.propeller_performance, spec, v0, n_s)
+        assert got[0] is None
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_stations_are_bit_identical_on_both_paths(self, spec_name, monkeypatch):
+        spec = SPECS[spec_name]
+        v0, n_s = 15.0, 12.0
+        radii = oracle.stations(spec)
+        want = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
+        batch = bemt._solve_stations(spec, v0, n_s, np.array(radii))
+        for f in fields(batch):
+            assert repr(getattr(batch, f.name).tolist()) == repr([getattr(w, f.name) for w in want]), f.name
+        assert [repr(astuple(solve_section(spec, v0, n_s, r))) for r in radii] == [
+            repr(astuple(w)) for w in want
+        ]
+        # with no fixed-point iterations every loaded station would come from bisection
+        monkeypatch.setattr(oracle, "_MAX_ITERS", 0)
+        bisected = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
+        from_fixed_point = sum(a != b for a, b in zip(want, bisected))
+        loaded = sum(w.k_p >= KP_FLOOR for w in want)
+        assert 0 < from_fixed_point < loaded
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    def test_infeasible_point_raises_the_same_error(self, spec_name):
+        spec = SPECS[spec_name]
+        got = outcome(propeller_performance, spec, 40.0, 1.0)
+        assert got == outcome(oracle.propeller_performance, spec, 40.0, 1.0)
+        assert got == (SectionError, "non-propulsive section at zero induction (r = 2.9997 m)")
+
+    def test_non_convergent_point_raises_the_same_error(self):
+        def flat_polar(a):  # lift without drag: the section force never reaches zero
+            return np.ones_like(a), np.zeros_like(a)
+
+        spec = PropellerSpec(3, SPEC.r_hub, SPEC.r_tip, SPEC.chord_fn, SPEC.pitch_fn, flat_polar)
+        got = outcome(propeller_performance, spec, 10.0, 12.0)
+        assert got == outcome(oracle.propeller_performance, spec, 10.0, 12.0)
+        assert got[0] is SectionConvergenceError
+
+    def test_square_is_python_power(self):
+        # x * x rounds differently from Python's x ** 2 (libm pow) on about 0.1% of inputs
+        x = np.random.default_rng(0).uniform(-1.5, 1.5, 20_000)
+        assert repr(bemt._sq(x).tolist()) == repr([v**2 for v in x.tolist()])
+
+    @given(
+        spec_name=st.sampled_from(sorted(SPECS)),
+        v0=st.floats(1.0, 30.0),
+        advance=st.floats(0.02, 0.18),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_propulsive_region_is_bit_identical(self, spec_name, v0, advance):
+        spec = SPECS[spec_name]
+        n_s = v0 / (advance * 2.0 * spec.r_tip)
+        got = outcome(propeller_performance, spec, v0, n_s)
+        assert got == outcome(oracle.propeller_performance, spec, v0, n_s)
 
 
 class TestSpecDirIo:

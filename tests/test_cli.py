@@ -16,6 +16,21 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def one_line_config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def shipped(name: str) -> dict:
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
 class TestPropulsionVerb:
     def test_prints_labeled_csv(self, tmp_path, capsys):
         assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", "10") == EXIT_OK
@@ -37,6 +52,15 @@ class TestPropulsionVerb:
     def test_unreadable_config(self, tmp_path):
         assert run_cli("propulsion", "--config", tmp_path / "nope.json", "--v0", "10") == EXIT_CONFIG
 
+    def test_airspeed_below_surrogate_range_is_config_error(self, capsys):
+        assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", "0.5") == EXIT_CONFIG
+        assert "below surrogate fit floor" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("v0", ["nan", "inf", "0", "-3"])
+    def test_non_finite_or_non_positive_airspeed_is_config_error(self, v0, capsys):
+        assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", v0) == EXIT_CONFIG
+        one_line_config_error(capsys)
+
 
 class TestBemtVerb:
     def test_runs_on_spec_dir(self, tmp_path, capsys):
@@ -51,6 +75,31 @@ class TestBemtVerb:
 
     def test_missing_inputs(self, capsys):
         assert run_cli("bemt", "--v0", "10") == EXIT_CONFIG
+
+    def test_point_without_propulsive_solution_is_config_error(self, capsys):
+        code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", "40", "--ns", "1")
+        assert code == EXIT_CONFIG
+        err = one_line_config_error(capsys)
+        assert "non-propulsive section at zero induction (r = 2.9997 m)" in err
+
+    @pytest.mark.parametrize("flag, value", [("--v0", "nan"), ("--v0", "-inf"), ("--v0", "0"),
+                                             ("--ns", "inf"), ("--ns", "-2"), ("--ns", "nan")])
+    def test_non_finite_or_non_positive_speed_is_config_error(self, flag, value, capsys):
+        speeds = {"--v0": "10", "--ns": "12", flag: value}
+        code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", *(f"{k}={v}" for k, v in speeds.items()))
+        assert code == EXIT_CONFIG
+        assert flag in one_line_config_error(capsys)
+
+    def test_altitude_outside_the_standard_atmosphere_is_config_error(self, capsys):
+        code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", "10", "--ns", "12", "--altitude", "40000")
+        assert code == EXIT_CONFIG
+        assert "altitude" in one_line_config_error(capsys)
+
+    def test_non_numeric_speed_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {"spec_dir": str(CONFIG_DIR / "propeller"),
+                                               "v0_mps": "fast", "ns_rps": 12})
+        assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
+        one_line_config_error(capsys)
 
 
 class TestSurrogateFitVerb:
@@ -174,6 +223,63 @@ class TestSweepVerb:
         cfg = tmp_path / "sweep.json"
         cfg.write_text("{not json")
         assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("verb, argv", [
+        ("propulsion", ["--config", PLATFORM_CONFIG, "--v0", "10"]),
+        ("bemt", ["--spec", CONFIG_DIR / "propeller", "--v0", "10", "--ns", "12"]),
+        ("surrogate-fit", []),
+        ("solve", ["--config", CONFIG_DIR / "solve.json"]),
+        ("sweep", ["--config", CONFIG_DIR / "sweep_airspeed.json"]),
+        ("ablation", None),
+    ])
+    def test_missing_output_directory_is_config_error(self, verb, argv, tmp_path, capsys):
+        if argv is None:  # the shipped ablation, cut to a few epochs per training
+            argv = ["--config", write_json(tmp_path / "a.json", {**shipped("ablation.json"), "max_epochs": 51})]
+        assert run_cli(verb, *argv, "--out", tmp_path / "missing" / "out.txt") == EXIT_CONFIG
+        assert "cannot write output" in one_line_config_error(capsys)
+
+    def test_missing_svg_directory_is_config_error(self, tmp_path, capsys):
+        svg = tmp_path / "missing" / "a.svg"
+        code = run_cli("sweep", "--config", CONFIG_DIR / "sweep_airspeed.json",
+                       "--out", tmp_path / "a.csv", "--svg", svg)
+        assert code == EXIT_CONFIG
+        assert "cannot write report" in one_line_config_error(capsys)
+
+
+class TestConfigKeys:
+    """Verb configs accept their documented top-level keys and nothing else."""
+
+    @pytest.mark.parametrize("verb, name", [
+        ("propulsion", "platform.json"),
+        ("bemt", None),
+        ("surrogate-fit", None),
+        ("solve", "solve.json"),
+        ("sweep", "sweep_airspeed.json"),
+        ("sweep", "sweep_budget.json"),
+        ("ablation", "ablation.json"),
+    ])
+    def test_unknown_top_level_key_is_named(self, verb, name, tmp_path, capsys):
+        doc = shipped(name) if name else {}
+        cfg = write_json(tmp_path / "c.json", {**doc, "workers": 4})
+        flags = {"propulsion": ["--v0", "10"], "bemt": ["--v0", "10", "--ns", "12"]}.get(verb, [])
+        assert run_cli(verb, "--config", cfg, *flags) == EXIT_CONFIG
+        assert "unknown key(s) 'workers'" in one_line_config_error(capsys)
+
+    def test_shipped_configs_load(self, tmp_path):
+        # each config's own key set, with work-sizing values cut down where a full run is slow
+        budget = {**shipped("sweep_budget.json"), "grid": [150], "backends": ["qos-only"], "seeds": [3],
+                  "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")}
+        runs = [
+            ("propulsion", PLATFORM_CONFIG, "--v0", "10"),
+            ("solve", CONFIG_DIR / "solve.json"),
+            ("sweep", CONFIG_DIR / "sweep_airspeed.json"),
+            ("sweep", write_json(tmp_path / "b.json", budget)),
+            ("ablation", write_json(tmp_path / "a.json", {**shipped("ablation.json"), "max_epochs": 51})),
+        ]
+        for i, (verb, cfg, *rest) in enumerate(runs):
+            assert run_cli(verb, "--config", cfg, *rest, "--out", tmp_path / f"{i}.out") == EXIT_OK, verb
 
 
 class TestSeedOverride:
