@@ -2,7 +2,8 @@
 
 Verbs: propulsion, bemt, surrogate-fit, solve, sweep, ablation.  Each takes
 --config <json> plus verb-specific flags and an optional --out path.  Exit
-codes: 0 success, 2 config error, 3 power-budget infeasibility.  The
+codes: 0 success, 2 config error (one ``config error:`` line, including
+users too close for zero forcing), 3 power-budget infeasibility.  The
 environment variable HPP_SEED overrides any configured seed (useful in CI).
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from . import bemt as bemt_mod
 from . import harness, propulsion
+from .beamforming import ConditioningError
 from .channel import load_scenario, scenario_from_dict
 from .config import (
     Atmosphere,
@@ -52,14 +54,29 @@ def _read_json(path, keys=None) -> dict:
     return cfg
 
 
-def _positive(name: str, value) -> float:
+def _positive(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a finite float above zero (or equal to it with ``zero_ok``)."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if not (math.isfinite(x) and x > 0.0):
-        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+    if not (math.isfinite(x) and (x > 0.0 or (zero_ok and x == 0.0))):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ConfigError(f"{name} must be a finite {kind} number, got {value!r}")
     return x
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _required(cfg: dict, key: str, what: str):
+    if key not in cfg:
+        raise ConfigError(f"{what} config needs '{key}'")
+    return cfg[key]
 
 
 def _atmosphere(altitude) -> Atmosphere:
@@ -72,12 +89,10 @@ def _atmosphere(altitude) -> Atmosphere:
 def _seeds(raw, default=(0,)) -> list[int]:
     env = os.environ.get("HPP_SEED")
     if env is not None:
-        return [int(env)]
+        return [_integer("HPP_SEED", env)]
     if raw is None:
         return list(default)
-    if isinstance(raw, list):
-        return [int(s) for s in raw]
-    return [int(raw)]
+    return [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -150,14 +165,17 @@ def _budget_from_config(cfg: dict) -> tuple[float, object]:
     """(RF budget, ledger) from an explicit value or the propulsion chain."""
     if "platform" in cfg:
         geom = platform_from_dict(cfg["platform"])
-        ledger = ledger_from_dict(cfg["ledger"])
+        ledger = ledger_from_dict(_required(cfg, "ledger", "solve"))
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
-        v0 = float(cfg.get("v0_mps", 10.0))
-        p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
+        v0 = _positive("v0_mps", cfg.get("v0_mps", 10.0))
+        try:
+            p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
+        except propulsion.SurrogateRangeError as exc:
+            raise ConfigError(str(exc)) from exc
         return rf_budget(ledger, p_prop), ledger
     if "ledger" not in cfg or "p_tot_w" not in cfg:
         raise ConfigError("solve config needs 'p_tot_w' and 'ledger', or a 'platform' block")
-    return float(cfg["p_tot_w"]), ledger_from_dict(cfg["ledger"])
+    return _positive("p_tot_w", cfg["p_tot_w"], zero_ok=True), ledger_from_dict(cfg["ledger"])
 
 
 def _scenario_from_config(cfg: dict, base: Path):
@@ -174,14 +192,15 @@ def _cmd_solve(args) -> int:
     scenario = _scenario_from_config(cfg, Path(args.config).parent)
     p_tot, ledger = _budget_from_config(cfg)
     backend = cfg.get("backend", "numeric")
+    if backend not in ("numeric", "mlp"):
+        raise ConfigError(f"backend must be 'numeric' or 'mlp', got {backend!r}")
     bf = scenario_beamformer(scenario)
+    train_cfg = None
     if backend == "mlp":
         from .neuro import TrainConfig
 
-        seed = _seeds(cfg.get("seed"), default=(0,))[0]
-        sol = q3e(scenario, bf, p_tot, ledger, cfg=TrainConfig(seed=seed), backend="mlp")
-    else:
-        sol = q3e(scenario, bf, p_tot, ledger, backend="numeric")
+        train_cfg = TrainConfig(seed=_seeds(cfg.get("seed"), default=(0,))[0])
+    sol = q3e(scenario, bf, p_tot, ledger, cfg=train_cfg, backend=backend)
     doc = solution_to_dict(sol)
     doc["p_tot_w"] = p_tot
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
@@ -201,19 +220,27 @@ def _cmd_sweep(args) -> int:
         if geom is None:
             raise ConfigError("airspeed sweep needs a 'platform' block")
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
-        table = harness.run_airspeed_sweep(
-            geom, atm, grid, legacy_eta_p=float(cfg.get("legacy_eta_p", 0.73))
-        )
+        grid = [_positive("grid", v0) for v0 in grid]
+        try:
+            table = harness.run_airspeed_sweep(
+                geom, atm, grid, legacy_eta_p=float(cfg.get("legacy_eta_p", 0.73))
+            )
+        except propulsion.SurrogateRangeError as exc:
+            raise ConfigError(str(exc)) from exc
     elif kind == "rf_budget":
         keys = ("kind", "grid", *_SCENARIO_KEYS, "ledger", "backends", "seeds")
         reject_unknown_keys(cfg, keys, f"config {args.config}")
         scenario = _scenario_from_config(cfg, Path(args.config).parent)
-        ledger = ledger_from_dict(cfg["ledger"])
+        ledger = ledger_from_dict(_required(cfg, "ledger", "rf_budget sweep"))
+        backends = tuple(cfg.get("backends", harness.BUDGET_BACKENDS))
+        unknown = sorted(set(backends) - set(harness.BUDGET_BACKENDS))
+        if unknown:
+            raise ConfigError(f"unknown backend(s) {', '.join(map(repr, unknown))}")
         table = harness.run_budget_sweep(
             scenario,
             ledger,
-            grid,
-            backends=tuple(cfg.get("backends", harness.BUDGET_BACKENDS)),
+            [_positive("grid", p_tot, zero_ok=True) for p_tot in grid],
+            backends=backends,
             seeds=_seeds(cfg.get("seeds")),
         )
     else:
@@ -230,18 +257,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablation(args) -> int:
     cfg = _read_json(args.config, (*_SCENARIO_KEYS, "ledger", "p_tot_w", "seeds", "max_epochs"))
     scenario = _scenario_from_config(cfg, Path(args.config).parent)
-    ledger = ledger_from_dict(cfg["ledger"])
+    ledger = ledger_from_dict(_required(cfg, "ledger", "ablation"))
+    p_tot = _positive("p_tot_w", _required(cfg, "p_tot_w", "ablation"), zero_ok=True)
     env = os.environ.get("HPP_SEED")
-    if env is not None:  # keep the >= 10 seeds the ablation needs
-        seeds = list(range(int(env), int(env) + 10))
+    if env is not None:  # keep the seed count the ablation needs
+        first = _integer("HPP_SEED", env)
+        seeds = list(range(first, first + harness.ABLATION_MIN_SEEDS))
     else:
-        seeds = [int(s) for s in cfg.get("seeds", range(10))]
+        seeds = [_integer("seeds", s) for s in cfg.get("seeds", range(harness.ABLATION_MIN_SEEDS))]
     table = harness.run_ablation(
-        scenario,
-        ledger,
-        float(cfg["p_tot_w"]),
-        seeds=seeds,
-        max_epochs=int(cfg.get("max_epochs", 2000)),
+        scenario, ledger, p_tot, seeds=seeds, max_epochs=_integer("max_epochs", cfg.get("max_epochs", 2000))
     )
     _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
@@ -296,7 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ConditioningError) as exc:  # a config error, or co-located users
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetInfeasibleError as exc:

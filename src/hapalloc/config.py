@@ -177,16 +177,25 @@ def rf_budget(ledger: PowerLedger, p_prop_w: float) -> float:
     return numerator / ledger.xi
 
 
+def comm_power(rf_spent: float, ledger: PowerLedger) -> float:
+    """Communication power drawn for an RF transmit spend: xi * spend plus static power.
+
+    The one place the formula is written; every solver's EE denominator is
+    this value.
+    """
+    return ledger.xi * rf_spent + static_comm_power(ledger)
+
+
 def total_comm_power(p, w_norms_sq, ledger: PowerLedger) -> float:
     """Total communication power for beams b_k = p_k w_k.
 
-    xi * sum_k p_k^2 ||w_k||^2 plus the static circuit term.
+    ``comm_power`` of the RF spend sum_k p_k^2 ||w_k||^2.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(w_norms_sq, dtype=float)
     if p.shape != c.shape:
         raise ValueError("coefficient and beam-norm vectors must have equal length")
-    return ledger.xi * float(np.sum(c * p * p)) + static_comm_power(ledger)
+    return comm_power(float(np.sum(c * p * p)), ledger)
 
 
 def platform_from_dict(d: dict) -> PlatformGeometry:
@@ -200,7 +209,7 @@ def platform_from_dict(d: dict) -> PlatformGeometry:
         )
     except KeyError as exc:
         raise ConfigError(f"platform config missing key: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid platform config: {exc}") from exc
 
 
@@ -218,7 +227,7 @@ def ledger_from_dict(d: dict) -> PowerLedger:
         )
     except KeyError as exc:
         raise ConfigError(f"ledger config missing key: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ledger config: {exc}") from exc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,42 +19,16 @@ import numpy as np
 from . import propulsion
 from .beamforming import ZfBeamformer
 from .channel import Scenario
-from .config import Atmosphere, PlatformGeometry, PowerLedger
-from .q3e import Q3eSolution, q3e, baseline_max_sum_rate, baseline_qos_only, scenario_beamformer
+from .config import Atmosphere, ConfigError, PlatformGeometry, PowerLedger
+from .q3e import baseline_max_sum_rate, baseline_qos_only, q3e, scenario_beamformer, stage2_problem
 
 AIRSPEED_HEADERS = ["v0_mps", "t_n", "cdv", "re", "eta_hat", "p_prop_w", "p_prop_legacy_w"]
 BUDGET_HEADERS = ["p_tot_w", "backend", "satisfaction", "ee_bps_per_w", "rf_spent_w"]
 ABLATION_HEADERS = ["variant", "feasibility_pct", "mean_overshoot_w", "mean_ee_bps_per_w"]
 
 BUDGET_BACKENDS = ("q3e-numeric", "q3e-mlp", "max-sum-rate", "qos-only")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep request: grid kind, grid values, backends, and seeds."""
-
-    kind: str  # "airspeed" or "rf_budget"
-    grid: tuple[float, ...]
-    scenario_ref: str = ""
-    backends: tuple[str, ...] = BUDGET_BACKENDS
-    seeds: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        if self.kind not in ("airspeed", "rf_budget"):
-            raise ValueError(f"unknown sweep kind {self.kind!r}")
-        g = np.asarray(self.grid, dtype=float)
-        if len(g) == 0 or (len(g) > 1 and not np.all(np.diff(g) > 0)):
-            raise ValueError("grid must be non-empty and strictly increasing")
-        if not self.backends:
-            raise ValueError("at least one backend required")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point's metrics, keyed per backend for budget sweeps."""
-
-    x: float
-    metrics: dict
+ABLATION_MIN_SEEDS = 10
+ABLATION_ANNEAL_EVERY = 30  # epochs between halvings of the barrier weight
 
 
 @dataclass(frozen=True)
@@ -189,25 +163,12 @@ def run_budget_sweep(
     )
 
 
-def budget_sweep_rows(table: ReportTable) -> list[SweepRow]:
-    """Group a budget-sweep table back into one SweepRow per grid point."""
-    by_x: dict[float, dict] = {}
-    for p_tot, backend, sat, ee, rf in table.rows:
-        by_x.setdefault(p_tot, {})[backend] = {
-            "satisfaction_ratio": sat,
-            "ee_bps_per_w": ee,
-            "rf_spent_w": rf,
-        }
-    return [SweepRow(x=x, metrics=m) for x, m in by_x.items()]
-
-
 def run_ablation(
     scenario: Scenario,
     ledger: PowerLedger,
     p_tot: float,
     seeds,
     max_epochs: int = 2000,
-    anneal_every: int = 30,
 ) -> ReportTable:
     """Train the neural backend with and without its safety modules.
 
@@ -217,32 +178,18 @@ def run_ablation(
     the RF budget, the mean budget overshoot in watts, and the mean EE over
     the feasible runs.
 
-    The barrier weight anneals faster than the early-stopping patience here
-    so every variant keeps improving past its first stall; in particular the
-    weakening barrier lets the unprojected variant escape toward its true
-    (infeasible) optimum instead of being held at the budget by the barrier
-    wall alone.
+    The barrier weight anneals every ``ABLATION_ANNEAL_EVERY`` epochs, faster
+    than the early-stopping patience, so every variant keeps improving past
+    its first stall; in particular the weakening barrier lets the unprojected
+    variant escape toward its true (infeasible) optimum instead of being held
+    at the budget by the barrier wall alone.
     """
     from . import neuro
-    from .beamforming import RateModel, min_power_coefficients
-    from .q3e import (
-        _full_qos_problem,
-        _partial_qos_problem,
-        feasibility_partition,
-    )
 
     seeds = [int(s) for s in seeds]
-    if len(seeds) < 10:
-        raise ValueError("ablation needs at least 10 seeds")
-    bf = scenario_beamformer(scenario)
-    model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
-    p_min = min_power_coefficients(scenario.qos_rates(), model)
-    partition = feasibility_partition(p_min, bf.w_norms_sq, p_tot)
-    problem = (
-        _full_qos_problem(partition, bf, model, ledger)
-        if partition.full_feasible
-        else _partial_qos_problem(partition, bf, model, ledger)
-    )
+    if len(seeds) < ABLATION_MIN_SEEDS:
+        raise ConfigError(f"ablation needs at least {ABLATION_MIN_SEEDS} seeds, got {len(seeds)}")
+    problem = stage2_problem(scenario, scenario_beamformer(scenario), p_tot, ledger)
 
     variants = [
         ("full", True, True),
@@ -258,13 +205,11 @@ def run_ablation(
                 max_epochs=max_epochs,
                 project_scaling=scaling,
                 use_soft_loss=soft,
-                anneal_every=anneal_every,
+                anneal_every=ABLATION_ANNEAL_EVERY,
             )
             net = neuro.train(problem, cfg)
             p = neuro.trained_coefficients(net, problem, scaling=scaling)
-            spent = problem.pinned_spend + float(
-                np.sum(problem.w_norms_sq[problem.free] * p[problem.free] ** 2)
-            )
+            spent = float(np.sum(problem.w_norms_sq * p**2))  # rf_spent's (c * p) * p can differ in the last bit
             ok = spent <= p_tot * (1.0 + 1e-9) + 1e-12
             feasible.append(ok)
             excess = max(0.0, spent - p_tot)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import static_comm_power
+from .config import ConfigError, comm_power
 from .q3e import BarrierConfig, PowerProblem, project_capped
 
 DEFAULT_HIDDEN = (64, 64, 32, 32)
@@ -109,10 +109,14 @@ class TrainConfig:
     use_soft_loss: bool = True  # False: drop the barrier terms (ablation)
 
     def __post_init__(self):
-        if not (0 < self.patience < self.max_epochs):
-            raise ValueError("require 0 < patience < max_epochs")
+        if self.patience <= 0:
+            raise ConfigError(f"patience must be positive, got {self.patience}")
+        if self.max_epochs <= self.patience:
+            raise ConfigError(
+                f"max_epochs ({self.max_epochs}) must exceed the early-stopping patience ({self.patience})"
+            )
         if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+            raise ConfigError("step size must be positive")
 
 
 def init_network(layer_widths, seed: int = 0) -> MlpNetwork:
@@ -209,68 +213,31 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 
 
 # ---------------------------------------------------------------------------
-# barrier losses
+# barrier loss
 # ---------------------------------------------------------------------------
-
-
-def _safe_log(x: float, eps: float) -> float:
-    return math.log(max(x, eps))
-
-
-def loss_full_qos(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    """Negative EE plus barriers on the per-user floors and the budget slack.
-
-    Every log argument is evaluated as ln(max(x, eps)) so the loss stays
-    finite when a slack touches zero.
-    """
-    p = np.asarray(p, dtype=float)
-    eps = barrier.epsilon
-    ee = problem.objective(p)
-    slack = problem.budget - problem.rf_spent(p)
-    logs = sum(_safe_log(pk - mk + eps, eps) for pk, mk in zip(p, problem.p_min))
-    logs += _safe_log(slack + eps, eps)
-    return -ee - barrier.lambda_ * logs
-
-
-def loss_partial_qos(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    """Negative leftover-user EE plus a barrier on the residual-budget slack.
-
-    Pinned users are read from the problem, not from ``p``, so the loss
-    depends only on the free coordinates.
-    """
-    p = np.asarray(p, dtype=float)
-    eps = barrier.epsilon
-    q = problem.assemble(p[problem.free])
-    ee = problem.objective(q)
-    free_spend = float(np.sum(problem.w_norms_sq[problem.free] * q[problem.free] ** 2))
-    slack = problem.budget - free_spend
-    return -ee - barrier.lambda_ * _safe_log(slack + eps, eps)
-
-
-def instance_loss(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, barrier)
 
 
 def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
     """EE, barrier loss and d(loss)/dp at ``p``, sharing rates and spends.
 
-    ``p_free`` is ``p[problem.free]``.  The arithmetic is that of
-    ``PowerProblem.objective``/``objective_gradient`` and of
-    ``loss_full_qos``/``loss_partial_qos`` with barrier weight ``lam``, except
-    that the per-user log terms are summed in one vector call, so the loss
-    may differ from those references in the last bits.  The gradient is zero
-    on pinned coordinates.  Returns (EE, loss, gradient, free users' spend).
+    ``p_free`` is ``p[problem.free]``.  The loss is the negative EE minus
+    ``lam`` times the log-barrier terms, each log argument floored at ``eps``:
+    under full QoS one per user on p_k - p_min,k and one on the budget slack;
+    under partial QoS one on the free users' budget slack.  EE and its
+    gradient use the arithmetic of ``PowerProblem.objective`` and
+    ``objective_gradient``.  The gradient is zero on pinned coordinates.
+    Returns (EE, loss, gradient, free users' spend).
     """
     m = problem.rate_model
     c = problem.w_norms_sq
     gp2 = m.gammas * p * p
     rates = m.bw_hz * np.log2(1.0 + gp2 / m.n0_w)
     rf = float((c * p * p).sum())
-    denom = problem.ledger.xi * rf + static_comm_power(problem.ledger)
-    numer = float(rates[problem.objective_users].sum())
+    denom = comm_power(rf, problem.ledger)
+    numer = float(rates[problem.free].sum())
     ee = numer / denom if denom > 0.0 else 0.0
     d_numer = np.where(
-        problem.objective_users,
+        problem.free,
         2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + gp2)),
         0.0,
     )
@@ -292,12 +259,6 @@ def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: flo
             grad += lam * 2.0 * c * p / slack
     grad[~problem.free] = 0.0
     return ee, -ee - lam * logs, grad, free_spend
-
-
-def _loss_gradient(p: np.ndarray, problem: PowerProblem, barrier: BarrierConfig) -> np.ndarray:
-    """Analytic d(loss)/dp; zero on pinned coordinates."""
-    p = np.asarray(p, dtype=float)
-    return _evaluate(p, p[problem.free], problem, barrier.lambda_, barrier.epsilon)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +318,7 @@ def _ee_scale(problem: PowerProblem) -> float:
 
 def _step(net: MlpNetwork, problem: PowerProblem, features: np.ndarray, lam: float, eps: float,
           scaling: bool, grads_w, grads_b):
-    """One full-instance pass, shared by ``train`` and ``training_loss_and_grads``.
+    """One full-instance pass: what ``train`` runs each epoch.
 
     Forward pass, projection, one evaluation of EE, loss and d(loss)/dp at
     the projected point, then backprop into the gradient views ``grads_w``
@@ -463,58 +424,6 @@ def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool =
         problem.budget, scaling,
     )
     return problem.assemble(p_free)
-
-
-# ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-
-def training_loss_and_grads(net: MlpNetwork, problem: PowerProblem, barrier: BarrierConfig):
-    """Full-pipeline loss (forward, project, barrier loss) and its parameter grads.
-
-    The grads come from the same step that ``train`` runs each epoch; the
-    loss is the reference ``instance_loss`` at the projected point, so a
-    finite-difference check compares the two independently written forms.
-    """
-    grads_w, grads_b = _layer_views(np.zeros_like(net.params), net.layer_widths)
-    _, p, _, _, _ = _step(
-        net, problem, problem_features(problem), barrier.lambda_, barrier.epsilon, True, grads_w, grads_b
-    )
-    return instance_loss(p, problem, barrier), grads_w, grads_b
-
-
-def gradient_check(net: MlpNetwork, loss_and_grads, sample: int = 100, seed: int = 0) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    ``loss_and_grads(net)`` must return (loss, weight grads, bias grads).
-    A random sample of parameters is perturbed by +-1e-6 (scaled by the
-    parameter magnitude) and the analytic gradient compared against the
-    central difference; the worst relative error over the sample is
-    returned, with the analytic magnitude floored at 1e-12.
-    """
-    _, grads_w, grads_b = loss_and_grads(net)
-    params = [(("w", i), net.weights[i]) for i in range(len(net.weights))]
-    params += [(("b", i), net.biases[i]) for i in range(len(net.biases))]
-    flat = [(tag, arr, j) for tag, arr in params for j in range(arr.size)]
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(flat), size=min(sample, len(flat)), replace=False)
-
-    worst = 0.0
-    for idx in picks:
-        (kind, layer), arr, j = flat[idx]
-        orig = arr.flat[j]
-        h = 1e-6 * max(1.0, abs(orig))
-        arr.flat[j] = orig + h
-        lp, _, _ = loss_and_grads(net)
-        arr.flat[j] = orig - h
-        lm, _, _ = loss_and_grads(net)
-        arr.flat[j] = orig
-        fd = (lp - lm) / (2.0 * h)
-        analytic = (grads_w if kind == "w" else grads_b)[layer].flat[j]
-        err = abs(analytic - fd) / max(abs(analytic), 1e-12)
-        worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

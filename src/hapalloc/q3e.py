@@ -8,7 +8,11 @@ on the resulting feasible face: over all coefficients when every user fits
 (satisfied users stay pinned at their minimum coefficients and their spend
 still counts in the communication power).
 
-The numeric backend is projected gradient ascent on the exact EE objective
+``stage2_problem`` runs stage 1 and builds the stage-2 ``PowerProblem``;
+every solver, baseline and the ablation start from it, and
+``_solution_from`` turns any coefficient vector into a ``Q3eSolution``
+(communication power from ``config.comm_power``, EE over all users).  The
+numeric backend is projected gradient ascent on the exact EE objective
 using the capped-simplex projector below; the barrier-augmented losses are
 used only by the neural backend (see ``neuro``).
 """
@@ -16,7 +20,6 @@ used only by the neural backend (see ``neuro``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,17 +31,23 @@ from .beamforming import (
     zf_beamformer,
 )
 from .channel import Scenario
-from .config import PowerLedger, static_comm_power
+from .config import PowerLedger, comm_power
+
+
+_MAX_ITERS = 5000  # projected-gradient iterations per start
+_STEP_TOLERANCE = 1e-9  # stop a start once a step gains less EE than this, relatively
 
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """Barrier weight and numeric-solver halting parameters."""
+    """Log-barrier weight and slack floor of the neural backend's training loss.
+
+    The numeric solver uses no barrier; its iteration cap and stopping
+    tolerance are the module constants above.
+    """
 
     lambda_: float = 1e-2
     epsilon: float = 1e-6  # slack floor inside the log terms
-    max_iters: int = 5000
-    step_tolerance: float = 1e-9  # relative EE improvement threshold
 
     def __post_init__(self):
         if self.lambda_ < 0 or self.epsilon <= 0:
@@ -74,12 +83,12 @@ class Q3eSolution:
 
 @dataclass(frozen=True)
 class PowerProblem:
-    """One EE-maximization instance on a fixed feasibility partition.
+    """One EE-maximization instance on the feasible face stage 1 leaves.
 
-    ``free`` users are optimized; the rest sit pinned at their minimum
-    coefficients with spend ``pinned_spend``.  The EE numerator covers
-    ``objective_users`` (everyone for full satisfaction, only the free
-    users otherwise), while communication power always counts all spend.
+    Built by ``stage2_problem``.  ``free`` users are optimized and make up
+    the EE numerator (everyone for full satisfaction); the rest, the
+    satisfied set in the partial regime, sit pinned at their minimum
+    coefficients.  Communication power always counts all spend.
     """
 
     rate_model: RateModel
@@ -87,20 +96,15 @@ class PowerProblem:
     p_min: np.ndarray
     budget: float  # budget available to the free users, W
     ledger: PowerLedger
-    free: np.ndarray  # bool mask of optimized users
-    objective_users: np.ndarray  # bool mask for the EE numerator
+    free: np.ndarray  # bool mask of optimized users, also the EE numerator's users
     lower_bound: np.ndarray  # per-user floor for the free users
     pinned_p: np.ndarray  # coefficients of non-free users (0 where free)
-    full_qos: bool = True  # True: all users bounded below by p_min (barrier on each)
+    satisfied_set: tuple[int, ...]  # stage 1's QoS-satisfied users, cheapest first
+    full_qos: bool  # True: all users bounded below by p_min (barrier on each)
 
     @property
     def n_users(self) -> int:
         return len(self.w_norms_sq)
-
-    @property
-    def pinned_spend(self) -> float:
-        c = self.w_norms_sq
-        return float(np.sum(c[~self.free] * self.pinned_p[~self.free] ** 2))
 
     def assemble(self, p_free: np.ndarray) -> np.ndarray:
         p = self.pinned_p.copy()
@@ -111,24 +115,24 @@ class PowerProblem:
         return float(np.sum(self.w_norms_sq * p * p))
 
     def comm_power(self, p: np.ndarray) -> float:
-        return self.ledger.xi * self.rf_spent(p) + static_comm_power(self.ledger)
+        return comm_power(self.rf_spent(p), self.ledger)
 
     def objective(self, p: np.ndarray) -> float:
-        """EE restricted to the objective users, bps/W."""
+        """EE restricted to the free users, bps/W."""
         rates = surrogate_rates(p, self.rate_model)
         d = self.comm_power(p)
         if d <= 0.0:
             return 0.0
-        return float(np.sum(rates[self.objective_users])) / d
+        return float(np.sum(rates[self.free])) / d
 
     def objective_gradient(self, p: np.ndarray) -> np.ndarray:
         m = self.rate_model
         c = self.w_norms_sq
         rates = surrogate_rates(p, m)
-        numer = float(np.sum(rates[self.objective_users]))
+        numer = float(np.sum(rates[self.free]))
         denom = self.comm_power(p)
         d_numer = np.where(
-            self.objective_users,
+            self.free,
             2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + m.gammas * p * p)),
             0.0,
         )
@@ -167,6 +171,43 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
     )
 
 
+def stage2_problem(
+    scenario: Scenario, beamformer: ZfBeamformer, p_tot: float, ledger: PowerLedger
+) -> PowerProblem:
+    """Stage 1 for a scenario, and the stage-2 problem on the face it leaves.
+
+    Stage 1 is the per-user minimum coefficients and the greedy satisfiable
+    set (``feasibility_partition``).  When every user fits (full QoS), all
+    coefficients are optimized above their minima on the whole budget;
+    otherwise (partial QoS) the satisfied users are pinned at their minima
+    and the others share the residual budget from zero up.
+    """
+    model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
+    p_min = min_power_coefficients(scenario.qos_rates(), model)
+    partition = feasibility_partition(p_min, beamformer.w_norms_sq, p_tot)
+    k = len(partition.p_min)
+    free = np.ones(k, dtype=bool)
+    pinned = np.zeros(k)
+    if partition.full_feasible:
+        budget, lower = partition.p_tot, partition.p_min.copy()
+    else:
+        free[list(partition.satisfied_set)] = False
+        pinned[~free] = partition.p_min[~free]
+        budget, lower = partition.residual_budget, np.zeros(k)
+    return PowerProblem(
+        rate_model=model,
+        w_norms_sq=np.asarray(beamformer.w_norms_sq, dtype=float),
+        p_min=partition.p_min,
+        budget=budget,
+        ledger=ledger,
+        free=free,
+        lower_bound=lower,
+        pinned_p=pinned,
+        satisfied_set=partition.satisfied_set,
+        full_qos=partition.full_feasible,
+    )
+
+
 def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
     """Project raw coefficients onto {p >= mask, sum c_k p_k^2 <= budget}.
 
@@ -200,17 +241,21 @@ def _project_free(problem: PowerProblem, p_free: np.ndarray) -> np.ndarray:
     )
 
 
-def _ascend(problem: PowerProblem, starts: Sequence[np.ndarray], cfg: BarrierConfig):
-    """Projected gradient ascent with backtracking line search, multi-start."""
+def _ascend(problem: PowerProblem) -> Q3eSolution:
+    """Projected gradient ascent with backtracking line search, multi-start.
+
+    Returns the solution at the best start's end point; its ``iterations``
+    diagnostic counts the iterations of all starts.
+    """
     best_p = None
     best_val = -np.inf
     total_iters = 0
-    for start in starts:
+    for start in _numeric_starts(problem):
         p_free = _project_free(problem, np.asarray(start, dtype=float))
         p = problem.assemble(p_free)
         val = problem.objective(p)
         step = 1.0
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             total_iters += 1
             grad = problem.objective_gradient(p)[problem.free]
             gnorm = float(np.linalg.norm(grad))
@@ -231,64 +276,32 @@ def _ascend(problem: PowerProblem, starts: Sequence[np.ndarray], cfg: BarrierCon
             rel = (cand_val - val) / max(abs(val), 1e-300)
             p, val = cand, cand_val
             step = max(t * gnorm * 2.0, 1e-12)
-            if rel < cfg.step_tolerance:
+            if rel < _STEP_TOLERANCE:
                 break
         if val > best_val:
             best_val, best_p = val, p
-    return best_p, best_val, total_iters
+    rates = surrogate_rates(best_p, problem.rate_model)
+    diag = {"iterations": total_iters, "backend": "numeric"}
+    return _solution_from(
+        best_p, rates, problem.rf_spent(best_p), problem.ledger, problem.satisfied_set, "numeric", diag
+    )
 
 
-def _solution_from(problem: PowerProblem, p: np.ndarray, q_set, tag: str, diag: dict) -> Q3eSolution:
-    rates = surrogate_rates(p, problem.rate_model)
-    rf = problem.rf_spent(p)
-    p_com = problem.ledger.xi * rf + static_comm_power(problem.ledger)
-    ee = float(np.sum(rates)) / p_com if p_com > 0 else 0.0
+def _solution_from(p, rates, rf: float, ledger: PowerLedger, q_set, tag: str, diag: dict) -> Q3eSolution:
+    """Solution record for coefficients ``p`` with RF spend ``rf``.
+
+    EE is every user's rate over the communication power, 0 when that power is 0.
+    """
+    p_com = comm_power(rf, ledger)
     return Q3eSolution(
         p=p,
         q_set=tuple(sorted(int(i) for i in q_set)),
         rates=rates,
-        ee=ee,
+        ee=float(np.sum(rates)) / p_com if p_com > 0 else 0.0,
         p_com=p_com,
         rf_spent=rf,
         solver_tag=tag,
         diagnostics=diag,
-    )
-
-
-def _full_qos_problem(partition, beamformer, rate_model, ledger) -> PowerProblem:
-    k = len(partition.p_min)
-    free = np.ones(k, dtype=bool)
-    return PowerProblem(
-        rate_model=rate_model,
-        w_norms_sq=np.asarray(beamformer.w_norms_sq, dtype=float),
-        p_min=partition.p_min,
-        budget=partition.p_tot,
-        ledger=ledger,
-        free=free,
-        objective_users=np.ones(k, dtype=bool),
-        lower_bound=partition.p_min.copy(),
-        pinned_p=np.zeros(k),
-        full_qos=True,
-    )
-
-
-def _partial_qos_problem(partition, beamformer, rate_model, ledger) -> PowerProblem:
-    k = len(partition.p_min)
-    free = np.ones(k, dtype=bool)
-    free[list(partition.satisfied_set)] = False
-    pinned = np.zeros(k)
-    pinned[~free] = partition.p_min[~free]
-    return PowerProblem(
-        rate_model=rate_model,
-        w_norms_sq=np.asarray(beamformer.w_norms_sq, dtype=float),
-        p_min=partition.p_min,
-        budget=partition.residual_budget,
-        ledger=ledger,
-        free=free,
-        objective_users=free.copy(),
-        lower_bound=np.zeros(k),
-        pinned_p=pinned,
-        full_qos=False,
     )
 
 
@@ -317,42 +330,22 @@ def _equal_headroom(p_base: np.ndarray, c: np.ndarray, budget: float) -> np.ndar
     return p_base + delta / np.sqrt(c)
 
 
-def solve_full_qos(
-    partition: FeasibilityPartition,
-    beamformer: ZfBeamformer,
-    rate_model: RateModel,
-    ledger: PowerLedger,
-    cfg: BarrierConfig | None = None,
-) -> Q3eSolution:
+def solve_full_qos(problem: PowerProblem) -> Q3eSolution:
     """Maximize system EE with every user held at or above its QoS minimum."""
-    if not partition.full_feasible:
+    if not problem.full_qos:
         raise ValueError("full-satisfaction solver requires a fully feasible partition")
-    cfg = cfg or BarrierConfig()
-    problem = _full_qos_problem(partition, beamformer, rate_model, ledger)
-    p, _, iters = _ascend(problem, _numeric_starts(problem), cfg)
-    diag = {"iterations": iters, "backend": "numeric"}
-    return _solution_from(problem, p, range(problem.n_users), "numeric", diag)
+    return _ascend(problem)
 
 
-def solve_partial_qos(
-    partition: FeasibilityPartition,
-    beamformer: ZfBeamformer,
-    rate_model: RateModel,
-    ledger: PowerLedger,
-    cfg: BarrierConfig | None = None,
-) -> Q3eSolution:
+def solve_partial_qos(problem: PowerProblem) -> Q3eSolution:
     """Maximize leftover-user EE on the residual budget, satisfied users pinned.
 
     The EE numerator covers only the users outside the satisfied set; the
     pinned users' spend still counts in the communication power.
     """
-    if partition.full_feasible:
+    if problem.full_qos:
         raise ValueError("partial-satisfaction solver requires an infeasible partition")
-    cfg = cfg or BarrierConfig()
-    problem = _partial_qos_problem(partition, beamformer, rate_model, ledger)
-    p, _, iters = _ascend(problem, _numeric_starts(problem), cfg)
-    diag = {"iterations": iters, "backend": "numeric"}
-    return _solution_from(problem, p, partition.satisfied_set, "numeric", diag)
+    return _ascend(problem)
 
 
 def q3e(
@@ -366,39 +359,33 @@ def q3e(
     """Two-stage allocation: maximize satisfied users, then energy efficiency.
 
     ``backend`` selects the stage-2 optimizer: "numeric" (projected gradient
-    ascent) or "mlp" (the constrained-trained network from ``neuro``; ``cfg``
-    may then be a ``neuro.TrainConfig``).
+    ascent, no ``cfg``) or "mlp" (the constrained-trained network from
+    ``neuro``; ``cfg`` is a ``neuro.TrainConfig``, or None for its defaults).
     """
-    model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
-    p_min = min_power_coefficients(scenario.qos_rates(), model)
-    partition = feasibility_partition(p_min, beamformer.w_norms_sq, p_tot)
-
-    if backend == "numeric":
-        bcfg = cfg if isinstance(cfg, BarrierConfig) else BarrierConfig()
-        if partition.full_feasible:
-            return solve_full_qos(partition, beamformer, model, ledger, bcfg)
-        return solve_partial_qos(partition, beamformer, model, ledger, bcfg)
     if backend == "mlp":
         from . import neuro  # deferred: neuro depends on this module
 
-        problem = (
-            _full_qos_problem(partition, beamformer, model, ledger)
-            if partition.full_feasible
-            else _partial_qos_problem(partition, beamformer, model, ledger)
-        )
-        tcfg = cfg if isinstance(cfg, neuro.TrainConfig) else neuro.TrainConfig()
-        net = neuro.train(problem, tcfg)
-        p_free = _project_free(problem, neuro.mlp_forward(net, neuro.problem_features(problem))[problem.free])
-        p = problem.assemble(p_free)
-        q = range(problem.n_users) if partition.full_feasible else partition.satisfied_set
-        diag = {
-            "backend": "mlp",
-            "iterations": net.log.stopped_epoch,
-            "best_epoch": net.log.best_epoch,
-            "max_budget_overshoot": net.log.max_budget_overshoot,
-        }
-        return _solution_from(problem, p, q, "mlp", diag)
-    raise ValueError(f"unknown backend {backend!r}; expected 'numeric' or 'mlp'")
+        cfg = neuro.TrainConfig() if cfg is None else cfg
+        if not isinstance(cfg, neuro.TrainConfig):
+            raise TypeError(f"mlp backend cfg must be a neuro.TrainConfig, not {type(cfg).__name__}")
+    elif backend != "numeric":
+        raise ValueError(f"unknown backend {backend!r}; expected 'numeric' or 'mlp'")
+    elif cfg is not None:
+        raise TypeError("the numeric backend takes no cfg")
+
+    problem = stage2_problem(scenario, beamformer, p_tot, ledger)
+    if backend == "numeric":
+        return (solve_full_qos if problem.full_qos else solve_partial_qos)(problem)
+    net = neuro.train(problem, cfg)
+    p = neuro.trained_coefficients(net, problem)
+    diag = {
+        "backend": "mlp",
+        "iterations": net.log.stopped_epoch,
+        "best_epoch": net.log.best_epoch,
+        "max_budget_overshoot": net.log.max_budget_overshoot,
+    }
+    rates = surrogate_rates(p, problem.rate_model)
+    return _solution_from(p, rates, problem.rf_spent(p), ledger, problem.satisfied_set, "mlp", diag)
 
 
 def baseline_max_sum_rate(
@@ -408,7 +395,8 @@ def baseline_max_sum_rate(
 
     In x_k = p_k^2 the problem is concave with one linear constraint; the
     KKT solution is x_k = max(0, 1/(nu c_k ln 2) - N_0/gamma_k) with the
-    water level nu bisected until the budget is met.
+    water level nu bisected until the budget is met.  The reported spend is
+    sum_k c_k x_k.
     """
     model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
@@ -432,13 +420,7 @@ def baseline_max_sum_rate(
     p = np.sqrt(x)
     rates = surrogate_rates(p, model)
     q = [k for k in range(len(p)) if rates[k] >= scenario.qos_rates()[k] * (1.0 - 1e-12)]
-    rf = float(np.sum(c * x))
-    p_com = ledger.xi * rf + static_comm_power(ledger)
-    ee = float(np.sum(rates)) / p_com if p_com > 0 else 0.0
-    return Q3eSolution(
-        p=p, q_set=tuple(q), rates=rates, ee=ee, p_com=p_com, rf_spent=rf,
-        solver_tag="max_sum_rate", diagnostics={},
-    )
+    return _solution_from(p, rates, float(np.sum(c * x)), ledger, q, "max_sum_rate", {})
 
 
 def baseline_qos_only(
@@ -450,23 +432,15 @@ def baseline_qos_only(
     leftover budget is spent on the satisfied users with equal headroom
     delta/sqrt(c_k) so the budget is consumed exactly.
     """
-    model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
-    p_min = min_power_coefficients(scenario.qos_rates(), model)
-    c = np.asarray(beamformer.w_norms_sq, dtype=float)
-    partition = feasibility_partition(p_min, c, p_tot)
-    q = list(partition.satisfied_set)
-    p = np.zeros_like(p_min)
+    problem = stage2_problem(scenario, beamformer, p_tot, ledger)
+    c = problem.w_norms_sq
+    q = problem.satisfied_set
+    p = np.zeros(problem.n_users)
     if q:
         idx = np.array(q, dtype=int)
-        p[idx] = _equal_headroom(p_min[idx], c[idx], p_tot)
-    rates = surrogate_rates(p, model)
-    rf = float(np.sum(c * p * p))
-    p_com = ledger.xi * rf + static_comm_power(ledger)
-    ee = float(np.sum(rates)) / p_com if p_com > 0 else 0.0
-    return Q3eSolution(
-        p=p, q_set=tuple(sorted(q)), rates=rates, ee=ee, p_com=p_com, rf_spent=rf,
-        solver_tag="qos_only", diagnostics={},
-    )
+        p[idx] = _equal_headroom(problem.p_min[idx], c[idx], p_tot)
+    rates = surrogate_rates(p, problem.rate_model)
+    return _solution_from(p, rates, problem.rf_spent(p), ledger, q, "qos_only", {})
 
 
 def solution_to_dict(sol: Q3eSolution) -> dict:

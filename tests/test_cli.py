@@ -282,6 +282,102 @@ class TestConfigKeys:
             assert run_cli(verb, "--config", cfg, *rest, "--out", tmp_path / f"{i}.out") == EXIT_OK, verb
 
 
+def co_located(scenario: dict) -> dict:
+    """The scenario with its second user moved onto the first one's direction."""
+    users = [dict(u) for u in scenario["users"]]
+    users[1].update(theta_x_deg=users[0]["theta_x_deg"], theta_y_deg=users[0]["theta_y_deg"])
+    return {**scenario, "users": users}
+
+
+def without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def budget_sweep_config() -> dict:
+    """The shipped budget sweep, cut to one cheap grid point and backend."""
+    return {**shipped("sweep_budget.json"), "grid": [150], "backends": ["qos-only"],
+            "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")}
+
+
+def explicit_budget_solve_config(**overrides) -> dict:
+    doc = {"scenario_path": str(CONFIG_DIR / "scenario_sweep.json"),
+           "ledger": shipped("platform.json")["ledger"], "p_tot_w": 150.0}
+    return {**doc, **overrides}
+
+
+class TestStudyConfigErrors:
+    """Bad study configs exit 2 with one line naming the problem, never a traceback."""
+
+    def test_ablation_with_too_few_seeds(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": [0, 1, 2]})
+        assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
+        assert "at least 10 seeds, got 3" in one_line_config_error(capsys)
+
+    def test_ablation_epochs_within_the_patience(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "max_epochs": 2})
+        assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
+        assert "max_epochs (2) must exceed the early-stopping patience (50)" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("verb, doc, key", [
+        ("sweep", without(budget_sweep_config(), "ledger"), "ledger"),
+        ("ablation", without(shipped("ablation.json"), "ledger"), "ledger"),
+        ("ablation", without(shipped("ablation.json"), "p_tot_w"), "p_tot_w"),
+        ("solve", without(shipped("solve.json"), "ledger"), "ledger"),
+    ])
+    def test_missing_key_is_named(self, verb, doc, key, tmp_path, capsys):
+        if "scenario_path" in doc:
+            doc["scenario_path"] = str(CONFIG_DIR / doc["scenario_path"])
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert f"needs '{key}'" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("doc, name", [
+        ({**shipped("solve.json"), "v0_mps": float("nan")}, "v0_mps"),
+        ({**shipped("solve.json"), "v0_mps": 0.5}, "below surrogate fit floor"),
+        (explicit_budget_solve_config(p_tot_w=-5), "p_tot_w"),
+        (explicit_budget_solve_config(p_tot_w=float("nan")), "p_tot_w"),
+    ])
+    def test_solve_rejects_a_bad_airspeed_or_budget(self, doc, name, tmp_path, capsys):
+        doc["scenario_path"] = str(CONFIG_DIR / "scenario_sweep.json")
+        assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
+        assert name in one_line_config_error(capsys)
+
+    def test_budget_sweep_rejects_a_negative_budget(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {**budget_sweep_config(), "grid": [100, -5]})
+        assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
+        assert "grid must be a finite non-negative number, got -5" in one_line_config_error(capsys)
+
+    def test_airspeed_sweep_below_the_surrogate_range(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("sweep_airspeed.json"), "grid": [0.5, 5]})
+        assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
+        assert "below surrogate fit floor" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
+    def test_co_located_users(self, verb, tmp_path, capsys):
+        scenario = json.loads((CONFIG_DIR / "scenario_sweep.json").read_text())
+        doc = {
+            "solve": explicit_budget_solve_config(),
+            "sweep": budget_sweep_config(),
+            "ablation": shipped("ablation.json"),
+        }[verb]
+        doc = {**without(doc, "scenario_path"), "scenario": co_located(doc.get("scenario", scenario))}
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert "user directions are (nearly) collinear" in one_line_config_error(capsys)
+
+    def test_unknown_backend_is_named(self, tmp_path, capsys):
+        solve = write_json(tmp_path / "s.json", explicit_budget_solve_config(backend="annealing"))
+        assert run_cli("solve", "--config", solve) == EXIT_CONFIG
+        assert "'annealing'" in one_line_config_error(capsys)
+        sweep = write_json(tmp_path / "b.json", {**budget_sweep_config(), "backends": ["qos-only", "greedy"]})
+        assert run_cli("sweep", "--config", sweep) == EXIT_CONFIG
+        assert "unknown backend(s) 'greedy'" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("seeds", [["x"], [float("inf")]])
+    def test_non_integer_seed(self, seeds, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": seeds * 10})
+        assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
+        assert "seeds must be an integer" in one_line_config_error(capsys)
+
+
 class TestSeedOverride:
     def test_hpp_seed_env(self, tmp_path, monkeypatch):
         from hapalloc.cli import _seeds

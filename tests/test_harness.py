@@ -3,35 +3,40 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import reference_ledger, sweep_scenario
-from hapalloc.config import PlatformGeometry, isa_properties
+from conftest import ablation_config, reference_ledger, sweep_scenario
+from hapalloc.channel import scenario_from_dict
+from hapalloc.config import PlatformGeometry, isa_properties, ledger_from_dict
 from hapalloc.harness import (
+    ABLATION_ANNEAL_EVERY,
     AIRSPEED_HEADERS,
     BUDGET_HEADERS,
     ReportTable,
-    SweepSpec,
-    budget_sweep_rows,
     emit_report,
     parse_csv,
+    run_ablation,
     run_airspeed_sweep,
     run_budget_sweep,
     table_to_csv,
     table_to_svg,
 )
+from hapalloc.neuro import TrainConfig
+from hapalloc.q3e import q3e, scenario_beamformer, stage2_problem
 
 GEOM = PlatformGeometry(140.0, 34.0, 85000.0, 1.12, 0.85)
 ATM = isa_properties(20000.0)
 LEDGER = reference_ledger()
 
 
-class TestSweepSpec:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="airspeed", grid=(3.0, 2.0))
-        with pytest.raises(ValueError):
-            SweepSpec(kind="orbit", grid=(1.0,))
-        with pytest.raises(ValueError):
-            SweepSpec(kind="rf_budget", grid=(1.0, 2.0), backends=())
+def budget_sweep_rows(table: ReportTable) -> dict[float, dict[str, dict[str, float]]]:
+    """A budget-sweep table as {budget: {backend: metrics}}, in grid order."""
+    by_x: dict[float, dict] = {}
+    for p_tot, backend, sat, ee, rf in table.rows:
+        by_x.setdefault(p_tot, {})[backend] = {
+            "satisfaction_ratio": sat,
+            "ee_bps_per_w": ee,
+            "rf_spent_w": rf,
+        }
+    return by_x
 
 
 class TestAirspeedSweep:
@@ -63,10 +68,10 @@ class TestBudgetSweep:
         assert list(table.headers) == BUDGET_HEADERS
         assert len(table.rows) == 9  # 3 grid points x 3 backends
         rows = budget_sweep_rows(table)
-        assert [r.x for r in rows] == [80.0, 150.0, 300.0]
-        for r in rows:
+        assert list(rows) == [80.0, 150.0, 300.0]
+        for metrics in rows.values():
             for b in self.BACKENDS:
-                assert 0.0 <= r.metrics[b]["satisfaction_ratio"] <= 1.0
+                assert 0.0 <= metrics[b]["satisfaction_ratio"] <= 1.0
 
     def test_csv_is_byte_deterministic(self):
         sc = sweep_scenario()
@@ -77,10 +82,8 @@ class TestBudgetSweep:
     def test_mlp_backend_runs(self):
         sc = sweep_scenario()
         table = run_budget_sweep(sc, LEDGER, [150.0], backends=("q3e-numeric", "q3e-mlp"), seeds=(0,))
-        rows = budget_sweep_rows(table)
-        assert rows[0].metrics["q3e-mlp"]["satisfaction_ratio"] == rows[0].metrics[
-            "q3e-numeric"
-        ]["satisfaction_ratio"]
+        metrics = budget_sweep_rows(table)[150.0]
+        assert metrics["q3e-mlp"]["satisfaction_ratio"] == metrics["q3e-numeric"]["satisfaction_ratio"]
 
 
 class TestEmitReport:
@@ -139,8 +142,31 @@ class TestEmitReport:
 
 class TestAblationStructure:
     def test_requires_enough_seeds(self):
-        from hapalloc.harness import run_ablation
-
         sc = sweep_scenario()
         with pytest.raises(ValueError):
             run_ablation(sc, LEDGER, 100.0, seeds=range(3))
+
+    def test_full_row_equals_mlp_resolves(self):
+        # the full variant trains exactly what q3e(backend="mlp") trains, so
+        # its row must equal one computed from q3e's own solutions
+        doc = ablation_config()
+        sc = scenario_from_dict(doc["scenario"])
+        ledger = ledger_from_dict(doc["ledger"])
+        p_tot = float(doc["p_tot_w"])
+        seeds = range(10)
+        table = run_ablation(sc, ledger, p_tot, seeds=seeds, max_epochs=60)
+        bf = scenario_beamformer(sc)
+        problem = stage2_problem(sc, bf, p_tot, ledger)
+        feasible, overshoot, ees = [], [], []
+        for seed in seeds:
+            cfg = TrainConfig(seed=seed, max_epochs=60, anneal_every=ABLATION_ANNEAL_EVERY)
+            sol = q3e(sc, bf, p_tot, ledger, cfg=cfg, backend="mlp")
+            ok = sol.rf_spent <= p_tot * (1.0 + 1e-9) + 1e-12
+            feasible.append(ok)
+            excess = max(0.0, sol.rf_spent - p_tot)
+            overshoot.append(0.0 if excess <= p_tot * 1e-12 else excess)
+            if ok:
+                ees.append(problem.objective(sol.p))
+        want = ["full", 100.0 * float(np.mean(feasible)), float(np.mean(overshoot)), float(np.mean(ees))]
+        assert table.rows[0] == want
+        assert want[1] == 100.0

@@ -3,17 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import neuro_oracle as oracle
 from conftest import golden_section_max, random_scenario, reference_ledger
 from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import static_comm_power
-from hapalloc.q3e import (
-    BarrierConfig,
-    _full_qos_problem,
-    _partial_qos_problem,
-    feasibility_partition,
-    scenario_beamformer,
-)
+from hapalloc.harness import ABLATION_ANNEAL_EVERY
+from hapalloc.q3e import BarrierConfig, scenario_beamformer, stage2_problem
 
 LEDGER = reference_ledger()
 
@@ -27,11 +23,11 @@ def build_problem(k=2, seed=0, budget_mult=2.0, partial=False):
     if partial:
         order = np.argsort(costs)
         budget = float(costs[order[0]] + 0.4 * costs[order[1]])
-        part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-        return sc, _partial_qos_problem(part, bf, model, LEDGER)
-    budget = float(np.sum(costs)) * budget_mult
-    part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-    return sc, _full_qos_problem(part, bf, model, LEDGER)
+    else:
+        budget = float(np.sum(costs)) * budget_mult
+    problem = stage2_problem(sc, bf, budget, LEDGER)
+    assert problem.full_qos is not partial
+    return sc, problem
 
 
 class TestMlpForward:
@@ -81,7 +77,7 @@ class TestLosses:
         _, prob = build_problem(k=3, seed=10)
         bar = BarrierConfig(lambda_=0.0)
         p = prob.p_min * 1.4
-        assert neuro.loss_full_qos(p, prob, bar) == pytest.approx(-prob.objective(p), rel=1e-14)
+        assert oracle.loss_full_qos(p, prob, bar) == pytest.approx(-prob.objective(p), rel=1e-14)
 
     def test_loss_finite_on_the_budget_surface(self):
         _, prob = build_problem(k=2, seed=11)
@@ -89,34 +85,34 @@ class TestLosses:
         from hapalloc.q3e import project_capped
 
         p = project_capped(prob.p_min * 100.0, prob.p_min, prob.w_norms_sq, prob.budget)
-        loss = neuro.loss_full_qos(p, prob, bar)
+        loss = oracle.loss_full_qos(p, prob, bar)
         assert np.isfinite(loss)
 
     def test_full_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=12)
         bar = BarrierConfig(lambda_=1e5)
         p = prob.p_min * 1.5  # strictly interior point
-        grad = neuro._loss_gradient(p, prob, bar)
+        grad = oracle.loss_gradient(p, prob, bar)
         for i in range(3):
             h = 1e-6 * max(1.0, abs(p[i]))
             up, dn = p.copy(), p.copy()
             up[i] += h
             dn[i] -= h
-            fd = (neuro.loss_full_qos(up, prob, bar) - neuro.loss_full_qos(dn, prob, bar)) / (2 * h)
+            fd = (oracle.loss_full_qos(up, prob, bar) - oracle.loss_full_qos(dn, prob, bar)) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
 
     def test_partial_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=13, partial=True)
         bar = BarrierConfig(lambda_=1e5)
         p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
-        grad = neuro._loss_gradient(p, prob, bar)
+        grad = oracle.loss_gradient(p, prob, bar)
         for i in np.flatnonzero(prob.free):
             h = 1e-6 * max(1.0, abs(p[i]))
             up, dn = p.copy(), p.copy()
             up[i] += h
             dn[i] -= h
             fd = (
-                neuro.loss_partial_qos(up, prob, bar) - neuro.loss_partial_qos(dn, prob, bar)
+                oracle.loss_partial_qos(up, prob, bar) - oracle.loss_partial_qos(dn, prob, bar)
             ) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
 
@@ -124,11 +120,11 @@ class TestLosses:
         _, prob = build_problem(k=3, seed=14, partial=True)
         bar = BarrierConfig(lambda_=0.3)
         p = np.where(prob.free, 0.1, prob.pinned_p)
-        base = neuro.loss_partial_qos(p, prob, bar)
+        base = oracle.loss_partial_qos(p, prob, bar)
         for i in np.flatnonzero(~prob.free):
             q = p.copy()
             q[i] += 1.7
-            assert neuro.loss_partial_qos(q, prob, bar) == base
+            assert oracle.loss_partial_qos(q, prob, bar) == base
 
     def test_shared_evaluation_matches_the_references(self):
         for partial in (False, True):
@@ -140,7 +136,7 @@ class TestLosses:
                 p = prob.p_min * 1.3
             ee, loss, grad, spend = neuro._evaluate(p, p[prob.free], prob, bar.lambda_, bar.epsilon)
             assert ee == prob.objective(p)
-            assert loss == pytest.approx(neuro.instance_loss(p, prob, bar), rel=1e-12)
+            assert loss == pytest.approx(oracle.instance_loss(p, prob, bar), rel=1e-12)
             assert spend == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
             unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, bar.epsilon)[2]
             assert np.array_equal(unbarriered, -prob.objective_gradient(p))
@@ -149,7 +145,7 @@ class TestLosses:
         _, prob = build_problem(k=2, seed=15, partial=True)
         bar = BarrierConfig(lambda_=0.0)
         p = np.where(prob.free, 0.15, prob.pinned_p)
-        assert neuro.loss_partial_qos(p, prob, bar) == pytest.approx(
+        assert oracle.loss_partial_qos(p, prob, bar) == pytest.approx(
             -prob.objective(p), rel=1e-14
         )
 
@@ -198,7 +194,7 @@ class TestTrain:
         bar = BarrierConfig(
             lambda_=cfg.barrier.lambda_ * neuro._ee_scale(prob), epsilon=cfg.barrier.epsilon
         )
-        _, grads_w, grads_b = neuro.training_loss_and_grads(start, prob, bar)
+        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, bar)
         net = neuro.train(prob, cfg)
         assert net.log.best_epoch == 2  # the returned checkpoint is the one after one update
         for p0, g, p1 in zip(
@@ -236,15 +232,12 @@ class TestTrain:
 
         cfg_doc = ablation_config()
         sc = scenario_from_dict(cfg_doc["scenario"])
-        bf = scenario_beamformer(sc)
-        model = RateModel(sc.bw_hz, sc.n0_w, sc.gammas())
-        p_min = min_power_coefficients(sc.qos_rates(), model)
-        part = feasibility_partition(p_min, bf.w_norms_sq, cfg_doc["p_tot_w"])
-        prob = _full_qos_problem(part, bf, model, LEDGER)
+        prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
+        assert prob.full_qos
         violations = 0
         for seed in range(20):
             cfg = neuro.TrainConfig(
-                seed=seed, max_epochs=2000, project_scaling=False, anneal_every=30
+                seed=seed, max_epochs=2000, project_scaling=False, anneal_every=ABLATION_ANNEAL_EVERY
             )
             net = neuro.train(prob, cfg)
             p = neuro.trained_coefficients(net, prob, scaling=False)
@@ -276,8 +269,8 @@ class TestGradientCheck:
             cfg = neuro.TrainConfig(seed=seed, hidden=(16, 8))
             net = neuro.network_for(prob, cfg)
             bar = BarrierConfig(lambda_=1e4)
-            err = neuro.gradient_check(
-                net, lambda n: neuro.training_loss_and_grads(n, prob, bar), sample=100, seed=seed
+            err = oracle.gradient_check(
+                net, lambda n: oracle.training_loss_and_grads(n, prob, bar), sample=100, seed=seed
             )
             worst = max(worst, err)
         assert worst < 1e-4
@@ -288,20 +281,20 @@ class TestGradientCheck:
         bar = BarrierConfig(lambda_=1e4)
 
         def corrupted(n):
-            loss, gw, gb = neuro.training_loss_and_grads(n, prob, bar)
+            loss, gw, gb = oracle.training_loss_and_grads(n, prob, bar)
             gw = [g.copy() for g in gw]
             gw[0][0, 0] += 1.0 + abs(gw[0][0, 0])
             return loss, gw, gb
 
-        err = neuro.gradient_check(net, corrupted, sample=10**9, seed=0)
+        err = oracle.gradient_check(net, corrupted, sample=10**9, seed=0)
         assert err > 1e-2
 
     def test_minimal_network_is_extra_precise(self):
         _, prob = build_problem(k=2, seed=42)
         net = neuro.init_network((3 * 2 + 1, 2), seed=0)
         bar = BarrierConfig(lambda_=1e4)
-        err = neuro.gradient_check(
-            net, lambda n: neuro.training_loss_and_grads(n, prob, bar), sample=10**9, seed=0
+        err = oracle.gradient_check(
+            net, lambda n: oracle.training_loss_and_grads(n, prob, bar), sample=10**9, seed=0
         )
         assert err < 1e-6
 

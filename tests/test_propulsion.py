@@ -12,7 +12,6 @@ from hapalloc.propulsion import (
     hull_drag_coefficient,
     parse_samples_csv,
     propulsion_power,
-    propulsion_power_expanded,
     read_samples_csv,
     reference_coeffs,
     reference_samples,
@@ -20,6 +19,7 @@ from hapalloc.propulsion import (
     surrogate_efficiency,
     write_samples_csv,
 )
+from propulsion_oracle import propulsion_power_expanded
 
 ATM_20KM = isa_properties(20000.0)
 

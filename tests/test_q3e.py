@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import golden_section_max, random_scenario, reference_ledger
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
-from hapalloc.config import PowerLedger, static_comm_power
+from hapalloc.config import PowerLedger, comm_power, static_comm_power, total_comm_power
 from hapalloc.q3e import (
     BarrierConfig,
     baseline_max_sum_rate,
@@ -17,6 +19,7 @@ from hapalloc.q3e import (
     solution_to_dict,
     solve_full_qos,
     solve_partial_qos,
+    stage2_problem,
 )
 
 LEDGER = reference_ledger()
@@ -130,8 +133,7 @@ class TestSolveFullQos:
             sc = random_scenario(1, seed=60 + seed)
             bf, model, p_min = scenario_problem(sc)
             budget = float(bf.w_norms_sq[0] * p_min[0] ** 2 * (1.5 + seed))
-            part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-            sol = solve_full_qos(part, bf, model, LEDGER)
+            sol = solve_full_qos(stage2_problem(sc, bf, budget, LEDGER))
             oracle = golden_section_max(
                 lambda p: full_ee(sc, bf, [p]),
                 p_min[0],
@@ -143,8 +145,7 @@ class TestSolveFullQos:
         sc = random_scenario(3, seed=71)
         bf, model, p_min = scenario_problem(sc)
         budget = float(np.sum(bf.w_norms_sq * p_min**2))
-        part = feasibility_partition(p_min, bf.w_norms_sq, budget)
-        sol = solve_full_qos(part, bf, model, LEDGER)
+        sol = solve_full_qos(stage2_problem(sc, bf, budget, LEDGER))
         assert np.allclose(sol.p, p_min, atol=1e-9)
 
     def test_three_user_grid_oracle(self):
@@ -152,8 +153,7 @@ class TestSolveFullQos:
         bf, model, p_min = scenario_problem(sc)
         c = bf.w_norms_sq
         budget = float(np.sum(c * p_min**2)) * 2.0
-        part = feasibility_partition(p_min, c, budget)
-        sol = solve_full_qos(part, bf, model, LEDGER)
+        sol = solve_full_qos(stage2_problem(sc, bf, budget, LEDGER))
         best = 0.0
         n = 60
         for i in np.linspace(p_min[0], np.sqrt(budget / c[0]), n):
@@ -170,10 +170,9 @@ class TestSolveFullQos:
 
     def test_requires_feasible_partition(self):
         sc = random_scenario(2, seed=73)
-        bf, model, p_min = scenario_problem(sc)
-        part = feasibility_partition(p_min, bf.w_norms_sq, 0.0)
+        bf = scenario_beamformer(sc)
         with pytest.raises(ValueError):
-            solve_full_qos(part, bf, model, LEDGER)
+            solve_full_qos(stage2_problem(sc, bf, 0.0, LEDGER))
 
 
 class TestSolvePartialQos:
@@ -182,12 +181,12 @@ class TestSolvePartialQos:
         costs = bf.w_norms_sq * p_min**2
         order = np.argsort(costs)
         budget = float(costs[order[0]] + frac * costs[order[1]])
-        return bf, model, p_min, feasibility_partition(p_min, bf.w_norms_sq, budget)
+        return bf, model, p_min, feasibility_partition(p_min, bf.w_norms_sq, budget), budget
 
     def test_single_free_user_matches_oracle(self):
         sc = random_scenario(2, seed=81)
-        bf, model, p_min, part = self._tight_partition(sc)
-        sol = solve_partial_qos(part, bf, model, LEDGER)
+        bf, model, p_min, part, budget = self._tight_partition(sc)
+        sol = solve_partial_qos(stage2_problem(sc, bf, budget, LEDGER))
         free = [k for k in range(2) if k not in part.satisfied_set][0]
         pin = part.satisfied_set[0]
         c = bf.w_norms_sq
@@ -212,8 +211,9 @@ class TestSolvePartialQos:
         bf, model, p_min = scenario_problem(sc)
         costs = bf.w_norms_sq * p_min**2
         order = np.argsort(costs)
-        part = feasibility_partition(p_min, bf.w_norms_sq, float(costs[order[0]]))
-        sol = solve_partial_qos(part, bf, model, LEDGER)
+        budget = float(costs[order[0]])
+        part = feasibility_partition(p_min, bf.w_norms_sq, budget)
+        sol = solve_partial_qos(stage2_problem(sc, bf, budget, LEDGER))
         free = [k for k in range(2) if k not in part.satisfied_set][0]
         assert sol.p[free] == 0.0
         assert sol.rates[free] == 0.0
@@ -225,7 +225,7 @@ class TestSolvePartialQos:
         budget = float(np.min(c * p_min**2)) * 0.5
         part = feasibility_partition(p_min, c, budget)
         assert part.satisfied_set == ()
-        sol = solve_partial_qos(part, bf, model, LEDGER)
+        sol = solve_partial_qos(stage2_problem(sc, bf, budget, LEDGER))
         best = 0.0
         n = 80
         for i in np.linspace(0.0, np.sqrt(budget / c[0]), n):
@@ -282,6 +282,16 @@ class TestQ3eOrchestrator:
         bf = scenario_beamformer(sc)
         with pytest.raises(ValueError):
             q3e(sc, bf, 10.0, LEDGER, backend="annealing")
+
+    def test_cfg_must_fit_the_backend(self):
+        from hapalloc.neuro import TrainConfig
+
+        sc = random_scenario(2, seed=95)
+        bf = scenario_beamformer(sc)
+        with pytest.raises(TypeError):
+            q3e(sc, bf, 10.0, LEDGER, cfg=BarrierConfig(), backend="mlp")
+        with pytest.raises(TypeError):
+            q3e(sc, bf, 10.0, LEDGER, cfg=TrainConfig(), backend="numeric")
 
     def test_export_schema(self):
         sc = random_scenario(2, seed=96)
@@ -381,16 +391,14 @@ class TestArgmaxInvariance:
         bf, model, p_min = scenario_problem(sc)
         no_static = PowerLedger(9000.0, 0, 0, 0, 0, 0, 2.0, 0)
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 1.8
-        base = solve_full_qos(
-            feasibility_partition(p_min, bf.w_norms_sq, budget), bf, model, no_static
-        )
+        base = solve_full_qos(stage2_problem(sc, bf, budget, no_static))
         for c in (2.0, 3.0):
             scaled_bf = type(bf)(
                 w_columns=bf.w_columns, w_norms_sq=c * bf.w_norms_sq, gram_condition=1.0
             )
             part = feasibility_partition(p_min, scaled_bf.w_norms_sq, c * budget)
             assert sorted(part.satisfied_set) == [0, 1, 2]
-            sol = solve_full_qos(part, scaled_bf, model, no_static)
+            sol = solve_full_qos(stage2_problem(sc, scaled_bf, c * budget, no_static))
             assert np.allclose(sol.rates, base.rates, rtol=1e-9)
             assert sol.ee == pytest.approx(base.ee / c, rel=1e-9)
 
@@ -403,3 +411,47 @@ class TestArgmaxInvariance:
             scaled = feasibility_partition(p_min, c * bf.w_norms_sq, c * budget)
             assert scaled.satisfied_set == base.satisfied_set
             assert scaled.order_g == base.order_g
+
+
+def greedy_prefix(costs, p_tot: float) -> tuple[int, ...]:
+    """Cheapest-first (ties by index) users whose running cost total fits the budget."""
+    q, total = [], 0.0
+    for k in sorted(range(len(costs)), key=lambda k: (costs[k], k)):
+        total += costs[k]
+        if total > p_tot:
+            break
+        q.append(k)
+    return tuple(sorted(q))
+
+
+class TestSolutionProperties:
+    """What every solver's solution record must keep, over random K and both regimes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(2, 16),
+        seed=st.integers(0, 10_000),
+        full=st.booleans(),
+        frac=st.floats(0.02, 0.98),
+    )
+    def test_comm_power_ee_budget_and_satisfied_set(self, k, seed, full, frac):
+        sc = random_scenario(k, seed=seed)
+        bf, model, p_min = scenario_problem(sc)
+        c = bf.w_norms_sq
+        costs = c * p_min**2
+        # below the full QoS cost, or comfortably above it
+        p_tot = float(np.sum(costs)) * (1.0 + 2.0 * frac if full else frac)
+        assert stage2_problem(sc, bf, p_tot, LEDGER).full_qos is full
+        numeric = q3e(sc, bf, p_tot, LEDGER)
+        qos_only = baseline_qos_only(sc, bf, p_tot, LEDGER)
+        max_rate = baseline_max_sum_rate(sc, bf, p_tot, LEDGER)
+        for sol in (numeric, qos_only, max_rate):
+            assert sol.p_com == comm_power(sol.rf_spent, LEDGER)
+            assert sol.ee == float(np.sum(sol.rates)) / sol.p_com
+            assert sol.rf_spent <= p_tot * (1.0 + 1e-9)
+        for sol in (numeric, qos_only):
+            assert sol.p_com == total_comm_power(sol.p, c, LEDGER)
+            assert sol.q_set == greedy_prefix(costs, p_tot)
+        # the water-filling spend is sum c_k x_k with p_k = sqrt(x_k), equal to
+        # sum c_k p_k^2 up to rounding
+        assert max_rate.p_com == pytest.approx(total_comm_power(max_rate.p, c, LEDGER), rel=1e-12)
