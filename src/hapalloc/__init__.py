@@ -9,7 +9,6 @@ from .config import (
     isa_properties,
     rf_budget,
     static_comm_power,
-    total_comm_power,
 )
 from .propulsion import (
     EfficiencySample,
@@ -22,14 +21,7 @@ from .propulsion import (
     reynolds,
     surrogate_efficiency,
 )
-from .beamforming import (
-    RateModel,
-    ZfBeamformer,
-    energy_efficiency,
-    min_power_coefficient,
-    surrogate_rate,
-    zf_beamformer,
-)
+from .beamforming import RateModel, ZfBeamformer, zf_beamformer
 from .channel import ArrayGeometry, Scenario, UserLink, mean_channel_power, upa_response
 from .q3e import (
     BarrierConfig,
@@ -55,7 +47,6 @@ __all__ = [
     "isa_properties",
     "static_comm_power",
     "rf_budget",
-    "total_comm_power",
     "EfficiencySample",
     "SurrogateCoeffs",
     "reynolds",
@@ -73,9 +64,6 @@ __all__ = [
     "ZfBeamformer",
     "RateModel",
     "zf_beamformer",
-    "surrogate_rate",
-    "min_power_coefficient",
-    "energy_efficiency",
     "BarrierConfig",
     "FeasibilityPartition",
     "Q3eSolution",

@@ -74,33 +74,14 @@ def zf_beamformer(steering) -> ZfBeamformer:
     return ZfBeamformer(w_columns=w, w_norms_sq=norms_sq, gram_condition=cond)
 
 
-def surrogate_rate(p: float, gamma: float, model: RateModel) -> float:
-    """Deterministic rate bound B_w log2(1 + gamma p^2 / N_0), in bps."""
-    if p < 0:
-        raise ValueError("power coefficient must be >= 0")
-    return model.bw_hz * np.log2(1.0 + gamma * p * p / model.n0_w)
-
-
 def surrogate_rates(p, model: RateModel) -> np.ndarray:
-    """Vectorized surrogate rate over all users."""
+    """Per-user rate bound B_w log2(1 + gamma_k p_k^2 / N_0), in bps."""
     p = np.asarray(p, dtype=float)
     return model.bw_hz * np.log2(1.0 + model.gammas * p * p / model.n0_w)
 
 
-def min_power_coefficient(qos_bps: float, gamma: float, model: RateModel) -> float:
-    """Smallest coefficient meeting a QoS rate: sqrt(N_0 (2^(r/B) - 1) / gamma)."""
-    if qos_bps < 0:
-        raise ValueError("QoS rate must be >= 0")
-    return float(np.sqrt(model.n0_w * (2.0 ** (qos_bps / model.bw_hz) - 1.0) / gamma))
-
-
 def min_power_coefficients(qos_bps, model: RateModel) -> np.ndarray:
+    """Smallest coefficients meeting the QoS rates: sqrt(N_0 (2^(r_k/B) - 1) / gamma_k)."""
     q = np.asarray(qos_bps, dtype=float)
     return np.sqrt(model.n0_w * (2.0**(q / model.bw_hz) - 1.0) / model.gammas)
 
-
-def energy_efficiency(rates_bps, p_com_w: float) -> float:
-    """Sum rate over total communication power, bps/W."""
-    if p_com_w <= 0:
-        raise ValueError("communication power must be positive")
-    return float(np.sum(rates_bps)) / p_com_w

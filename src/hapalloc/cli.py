@@ -92,7 +92,19 @@ def _seeds(raw, default=(0,)) -> list[int]:
         return [_integer("HPP_SEED", env)]
     if raw is None:
         return list(default)
-    return [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
+    seeds = [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
+    if not seeds:
+        raise ConfigError("seeds must list at least one seed")
+    return seeds
+
+
+def _increasing_grid(grid, zero_ok: bool = False) -> list[float]:
+    """The sweep grid's values, each checked, then checked to strictly increase."""
+    values = [_positive("grid", x, zero_ok) for x in grid]
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            raise ConfigError(f"sweep grid must be strictly increasing, got {b!r} after {a!r}")
+    return values
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -146,7 +158,13 @@ def _cmd_bemt(args) -> int:
 def _cmd_surrogate_fit(args) -> int:
     cfg = _read_json(args.config, ("samples_csv",)) if args.config else {}
     if "samples_csv" in cfg:
-        samples = propulsion.read_samples_csv(cfg["samples_csv"])
+        path = cfg["samples_csv"]
+        if not isinstance(path, str):
+            raise ConfigError(f"samples_csv must be a path, got {path!r}")
+        try:
+            samples = propulsion.read_samples_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read samples {path}: {exc}") from exc
     else:
         samples = propulsion.reference_samples()
     try:
@@ -220,11 +238,12 @@ def _cmd_sweep(args) -> int:
         if geom is None:
             raise ConfigError("airspeed sweep needs a 'platform' block")
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
-        grid = [_positive("grid", v0) for v0 in grid]
+        grid = _increasing_grid(grid)
+        legacy_eta_p = _positive("legacy_eta_p", cfg.get("legacy_eta_p", 0.73))
+        if legacy_eta_p > 1.0:
+            raise ConfigError(f"legacy_eta_p must be in (0, 1], got {legacy_eta_p!r}")
         try:
-            table = harness.run_airspeed_sweep(
-                geom, atm, grid, legacy_eta_p=float(cfg.get("legacy_eta_p", 0.73))
-            )
+            table = harness.run_airspeed_sweep(geom, atm, grid, legacy_eta_p=legacy_eta_p)
         except propulsion.SurrogateRangeError as exc:
             raise ConfigError(str(exc)) from exc
     elif kind == "rf_budget":
@@ -232,15 +251,14 @@ def _cmd_sweep(args) -> int:
         reject_unknown_keys(cfg, keys, f"config {args.config}")
         scenario = _scenario_from_config(cfg, Path(args.config).parent)
         ledger = ledger_from_dict(_required(cfg, "ledger", "rf_budget sweep"))
-        backends = tuple(cfg.get("backends", harness.BUDGET_BACKENDS))
-        unknown = sorted(set(backends) - set(harness.BUDGET_BACKENDS))
+        backends = cfg.get("backends", list(harness.BUDGET_BACKENDS))
+        if not isinstance(backends, list) or not backends:
+            raise ConfigError(f"'backends' must be a non-empty list, got {backends!r}")
+        unknown = [b for b in backends if b not in harness.BUDGET_BACKENDS]
         if unknown:
             raise ConfigError(f"unknown backend(s) {', '.join(map(repr, unknown))}")
         table = harness.run_budget_sweep(
-            scenario,
-            ledger,
-            [_positive("grid", p_tot, zero_ok=True) for p_tot in grid],
-            backends=backends,
+            scenario, ledger, _increasing_grid(grid, zero_ok=True), backends=tuple(backends),
             seeds=_seeds(cfg.get("seeds")),
         )
     else:
@@ -264,7 +282,10 @@ def _cmd_ablation(args) -> int:
         first = _integer("HPP_SEED", env)
         seeds = list(range(first, first + harness.ABLATION_MIN_SEEDS))
     else:
-        seeds = [_integer("seeds", s) for s in cfg.get("seeds", range(harness.ABLATION_MIN_SEEDS))]
+        seeds = cfg.get("seeds", list(range(harness.ABLATION_MIN_SEEDS)))
+        if not isinstance(seeds, list):
+            raise ConfigError(f"ablation 'seeds' must be a list, got {seeds!r}")
+        seeds = [_integer("seeds", s) for s in seeds]
     table = harness.run_ablation(
         scenario, ledger, p_tot, seeds=seeds, max_epochs=_integer("max_epochs", cfg.get("max_epochs", 2000))
     )

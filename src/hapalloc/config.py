@@ -186,18 +186,6 @@ def comm_power(rf_spent: float, ledger: PowerLedger) -> float:
     return ledger.xi * rf_spent + static_comm_power(ledger)
 
 
-def total_comm_power(p, w_norms_sq, ledger: PowerLedger) -> float:
-    """Total communication power for beams b_k = p_k w_k.
-
-    ``comm_power`` of the RF spend sum_k p_k^2 ||w_k||^2.
-    """
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(w_norms_sq, dtype=float)
-    if p.shape != c.shape:
-        raise ValueError("coefficient and beam-norm vectors must have equal length")
-    return comm_power(float(np.sum(c * p * p)), ledger)
-
-
 def platform_from_dict(d: dict) -> PlatformGeometry:
     try:
         return PlatformGeometry(
@@ -249,5 +237,8 @@ def load_platform_config(path: str | Path) -> tuple[PlatformGeometry, PowerLedge
     reject_unknown_keys(raw, ("platform", "ledger", "altitude_m"), f"platform config {path}")
     geom = platform_from_dict(raw["platform"])
     ledger = ledger_from_dict(raw["ledger"])
-    altitude = float(raw.get("altitude_m", 20000.0))
+    try:
+        altitude = float(raw.get("altitude_m", 20000.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"platform config {path}: altitude_m must be a number, got {raw['altitude_m']!r}") from exc
     return geom, ledger, altitude

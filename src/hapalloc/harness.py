@@ -237,23 +237,6 @@ def table_to_csv(table: ReportTable) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> ReportTable:
-    reader = csv.reader(io.StringIO(text))
-    headers = tuple(next(reader))
-    rows = []
-    for raw in reader:
-        if not raw:
-            continue
-        row = []
-        for cell in raw:
-            try:
-                row.append(float(cell))
-            except ValueError:
-                row.append(cell)
-        rows.append(row)
-    return ReportTable(headers=headers, rows=rows)
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 

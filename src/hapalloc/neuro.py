@@ -14,10 +14,8 @@ max(p, m) passes no gradient on the clamped side (subgradient convention).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +23,9 @@ from .config import ConfigError, comm_power
 from .q3e import BarrierConfig, PowerProblem, project_capped
 
 DEFAULT_HIDDEN = (64, 64, 32, 32)
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 class TrainingError(RuntimeError):
@@ -64,10 +65,6 @@ class MlpNetwork:
     def __post_init__(self):
         self.weights, self.biases = _layer_views(self.params, self.layer_widths)
 
-    @property
-    def parameter_count(self) -> int:
-        return self.params.size
-
 
 def _param_count(widths) -> int:
     return sum(w_in * w_out + w_out for w_in, w_out in zip(widths[:-1], widths[1:]))
@@ -98,9 +95,6 @@ class TrainConfig:
     max_epochs: int = 2000
     patience: int = 50
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
     barrier: BarrierConfig = field(default_factory=BarrierConfig)
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
@@ -354,7 +348,7 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     net = network_for(problem, cfg)
     features = problem_features(problem)
     ee_scale = _ee_scale(problem)
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
 
     grads = np.zeros_like(net.params)
     grads_w, grads_b = _layer_views(grads, net.layer_widths)
@@ -398,7 +392,7 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
         np.divide(m1, 1.0 - b1**epoch, out=step)  # m_hat
         np.divide(v1, 1.0 - b2**epoch, out=tmp)  # v_hat
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.eps_adam
+        tmp += ADAM_EPS
         step *= cfg.step_size
         step /= tmp
         net.params -= step
@@ -425,33 +419,3 @@ def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool =
     )
     return problem.assemble(p_free)
 
-
-# ---------------------------------------------------------------------------
-# checkpoint I/O
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "hapalloc-mlp/1"
-
-
-def save_checkpoint(net: MlpNetwork, path: str | Path) -> None:
-    """Write layer shapes plus row-major weights as versioned JSON (bit-exact)."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "layer_widths": list(net.layer_widths),
-        "weights": [w.ravel().tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_checkpoint(path: str | Path) -> MlpNetwork:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-    net = _zero_network(doc["layer_widths"])
-    if not len(doc["weights"]) == len(doc["biases"]) == len(net.weights):
-        raise ValueError("checkpoint layer count does not match its layer widths")
-    for w, b, w_doc, b_doc in zip(net.weights, net.biases, doc["weights"], doc["biases"]):
-        w[...] = np.array(w_doc, dtype=float).reshape(w.shape)
-        b[...] = np.array(b_doc, dtype=float).reshape(b.shape)
-    return net

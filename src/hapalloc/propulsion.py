@@ -10,7 +10,7 @@ propeller and motor efficiencies.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +34,8 @@ _BETA_TOL = 1e-8
 
 
 class SurrogateRangeError(ValueError):
-    """Airspeed outside the fitted surrogate's valid range."""
+    """Airspeed outside the model's range: below the surrogate's fit floor,
+    outside its (0, 1) efficiency band, or so high that the power overflows."""
 
 
 class SurrogateFitError(ValueError):
@@ -49,8 +50,8 @@ class EfficiencySample:
     eta_p: float  # propeller efficiency, dimensionless
 
     def __post_init__(self):
-        if self.v0 <= 0:
-            raise ValueError("sample airspeed must be positive")
+        if not (0.0 < self.v0 < np.inf):
+            raise ValueError("sample airspeed must be finite and positive")
         if not (0.0 < self.eta_p < 1.0):
             raise ValueError("sample efficiency must be in (0, 1)")
 
@@ -137,8 +138,9 @@ def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoe
     beta alone is searched: a coarse bracketing scan over [0.05, 3] followed
     by golden-section refinement to 1e-8.
 
-    Raises SurrogateFitError with fewer than 4 samples or when all sample
-    airspeeds coincide.
+    Raises SurrogateFitError with fewer than 4 samples, when all sample
+    airspeeds coincide, or when the smallest is so small that v0**-beta
+    overflows.
     """
     if len(samples) < 4:
         raise SurrogateFitError(f"need at least 4 samples, got {len(samples)}")
@@ -146,6 +148,8 @@ def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoe
     eta = np.array([s.eta_p for s in samples], dtype=float)
     if np.ptp(v0) == 0.0:
         raise SurrogateFitError("all samples share one airspeed; beta unidentifiable")
+    if v0.min() < np.finfo(float).max ** (-1.0 / _BETA_SEARCH_HI):  # v0**-beta would overflow
+        raise SurrogateFitError(f"sample airspeed {v0.min()} m/s is too small to fit: v0**-beta overflows")
 
     # Coarse scan brackets the SSE minimum so golden-section sees a unimodal slice.
     grid = np.linspace(_BETA_SEARCH_LO, _BETA_SEARCH_HI, 60)
@@ -188,7 +192,10 @@ def propulsion_power(
     """Propulsion power T * v0 / (eta_p(v0) * eta_m) at airspeed v0, in watts."""
     drag = aerodynamic_drag(atm, geom, v0)
     eta_p = surrogate_efficiency(coeffs, v0)
-    return drag * v0 / (eta_p * geom.motor_eff_etam)
+    power = drag * v0 / (eta_p * geom.motor_eff_etam)
+    if not math.isfinite(power):
+        raise SurrogateRangeError(f"propulsion power is not finite at v0={v0} m/s")
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +206,17 @@ SAMPLE_CSV_HEADER = ["v0_mps", "eta_p"]
 
 
 def read_samples_csv(path: str | Path) -> list[EfficiencySample]:
-    """Read an efficiency sample set from CSV with header ``v0_mps,eta_p``."""
+    """Read an efficiency sample set from CSV with header ``v0_mps,eta_p``.
+
+    Raises ValueError on another header, a row that is not two numbers, or
+    a sample outside the valid range.
+    """
     with open(path, newline="") as fh:
-        return _parse_samples(fh)
-
-
-def parse_samples_csv(text: str) -> list[EfficiencySample]:
-    return _parse_samples(io.StringIO(text))
-
-
-def _parse_samples(fh) -> list[EfficiencySample]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != SAMPLE_CSV_HEADER:
-        raise ValueError(f"expected header {SAMPLE_CSV_HEADER}, got {header}")
-    return [EfficiencySample(v0=float(row[0]), eta_p=float(row[1])) for row in reader if row]
-
-
-def write_samples_csv(path: str | Path, samples: list[EfficiencySample]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_CSV_HEADER)
-        for s in samples:
-            writer.writerow([repr(s.v0), repr(s.eta_p)])
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SAMPLE_CSV_HEADER:
+            raise ValueError(f"expected header {SAMPLE_CSV_HEADER}, got {header}")
+        return [EfficiencySample(v0=float(v0), eta_p=float(eta)) for v0, eta in filter(None, reader)]
 
 
 def reference_samples(noise_sigma: float = 2e-3, seed: int = 7) -> list[EfficiencySample]:

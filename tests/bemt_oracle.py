@@ -4,18 +4,27 @@ This is the per-station solver that ``hapalloc.bemt`` replaced with its array
 solver.  It evaluates the same formulas in the same order with ``math`` on
 Python floats, one radius at a time, so the array solver must reproduce its
 results bit for bit.  The spec's callables are called on scalars and their
-results cast to float.
+results cast to float.  It also holds the closed-form induction balance
+``axial_induction``, the analytic test propeller ``default_test_propeller``,
+and ``write_spec_dir``, which samples a spec onto the spec-directory tables
+that ``hapalloc.bemt.load_spec_dir`` reads.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from hapalloc.bemt import (
+    GEOMETRY_CSV_HEADER,
     KP_FLOOR,
+    POLAR_CSV_HEADER,
     PropellerOperatingPoint,
+    PropellerSpec,
     SectionConvergenceError,
     SectionError,
     SectionState,
@@ -45,6 +54,22 @@ def _zero_loading_state(spec, r, phi0):
         cl=cl,
         cd=cd,
     )
+
+
+def axial_induction(sigma: float, phi: float, c_l: float, c_d: float, k_p: float) -> float:
+    """Axial induction factor from the blade-element/momentum balance.
+
+    a = (4 K_p sin^2(phi) / (sigma [c_l cos(phi) - c_d sin(phi)]) - 1)^-1.
+    Raises SectionError when the section force is non-propulsive
+    (c_l cos(phi) <= c_d sin(phi)) or the balance degenerates.
+    """
+    force = c_l * math.cos(phi) - c_d * math.sin(phi)
+    if force <= 0.0:
+        raise SectionError("non-propulsive section: c_l cos(phi) <= c_d sin(phi)")
+    ratio = 4.0 * k_p * math.sin(phi) ** 2 / (sigma * force)
+    if ratio == 1.0:
+        raise SectionError("momentum balance degenerate (ratio exactly 1)")
+    return 1.0 / (ratio - 1.0)
 
 
 def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
@@ -201,3 +226,47 @@ def propeller_performance(spec, v0, n_s, atm, n_nodes: int = 101) -> PropellerOp
     return PropellerOperatingPoint(
         v0=v0, n_s=n_s, thrust=thrust, shaft_power=power, eta_p=thrust * v0 / power
     )
+
+
+def default_test_propeller() -> PropellerSpec:
+    """Three-blade 3 m test propeller with analytic section properties.
+
+    Linear chord taper 0.35 -> 0.12 m and linear twist 35 -> 12 deg over
+    r in [0.3, 3] m, thin-airfoil style polar c_l = 2 pi sin(a) cos(a),
+    c_d = 0.008 + 0.01 a^2.  This is a test fixture: only blade count and
+    tip radius correspond to the reference platform's propellers.
+    """
+    r_hub, r_tip = 0.3, 3.0
+
+    def chord_fn(r):
+        t = (r - r_hub) / (r_tip - r_hub)
+        return 0.35 + (0.12 - 0.35) * t
+
+    def pitch_fn(r):
+        t = (r - r_hub) / (r_tip - r_hub)
+        return np.radians(35.0 + (12.0 - 35.0) * t)
+
+    def polar(alpha):
+        return 2.0 * np.pi * np.sin(alpha) * np.cos(alpha), 0.008 + 0.01 * np.square(alpha)
+
+    return PropellerSpec(
+        n_blades=3, r_hub=r_hub, r_tip=r_tip, chord_fn=chord_fn, pitch_fn=pitch_fn, polar=polar
+    )
+
+
+def write_spec_dir(path: str | Path, spec: PropellerSpec, n_geom: int = 28, n_polar: int = 36) -> None:
+    """Sample a spec's closures onto tables and write the directory format."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "propeller.json").write_text(json.dumps({"n_blades": spec.n_blades}) + "\n")
+    with open(path / "geometry.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GEOMETRY_CSV_HEADER)
+        for r in np.linspace(spec.r_hub, spec.r_tip, n_geom):
+            writer.writerow([f"{r:.6f}", f"{spec.chord_fn(r):.6f}", f"{math.degrees(spec.pitch_fn(r)):.6f}"])
+    with open(path / "polar.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(POLAR_CSV_HEADER)
+        for a in np.linspace(math.radians(-15.0), math.radians(20.0), n_polar):
+            cl, cd = spec.polar(a)
+            writer.writerow([f"{math.degrees(a):.6f}", f"{cl:.8f}", f"{cd:.8f}"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hapalloc.channel import ArrayGeometry, Scenario, UserLink, mean_channel_power
-from hapalloc.config import PlatformGeometry, PowerLedger
+from hapalloc.config import PlatformGeometry, PowerLedger, comm_power
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -38,6 +38,15 @@ def reference_ledger(p_hap: float = 9000.0) -> PowerLedger:
         p_hap=p_hap, p_payload=100.0, p_standby=100.0,
         p_rfc=0.338, p_lo=0.005, p_bb=0.2, xi=2.0, n_t=144,
     )
+
+
+def total_comm_power(p, w_norms_sq, ledger: PowerLedger) -> float:
+    """``comm_power`` of the RF spend sum_k p_k^2 ||w_k||^2 of beams b_k = p_k w_k."""
+    p = np.asarray(p, dtype=float)
+    c = np.asarray(w_norms_sq, dtype=float)
+    if p.shape != c.shape:
+        raise ValueError("coefficient and beam-norm vectors must have equal length")
+    return comm_power(float(np.sum(c * p * p)), ledger)
 
 
 def spread_angles(k: int, rng: np.random.Generator, min_sep: float = 0.25):

@@ -11,7 +11,9 @@ import time
 import numpy as np
 import pytest
 
+import bemt_oracle
 import neuro_oracle as oracle
+from channel_oracle import ergodic_rate_mc, sample_rician
 from conftest import (
     ablation_config,
     golden_section_max,
@@ -26,7 +28,7 @@ from hapalloc.beamforming import (
     surrogate_rates,
     zf_beamformer,
 )
-from hapalloc.channel import ergodic_rate_mc, sample_rician, upa_response
+from hapalloc.channel import upa_response
 from hapalloc.config import PlatformGeometry, isa_properties, static_comm_power
 from hapalloc.harness import run_ablation, run_budget_sweep
 from hapalloc.propulsion import (
@@ -145,7 +147,7 @@ def test_criterion_03_superlinear_growth_substitute():
 
 
 def test_criterion_04_bemt_internal_consistency():
-    spec = bemt.default_test_propeller()
+    spec = bemt_oracle.default_test_propeller()
     worst_resid = 0.0
     for v0, n_s in ((5.0, 12.0), (10.0, 12.0), (15.0, 12.0)):
         for r in np.linspace(spec.r_hub, spec.r_tip, 150):
@@ -153,7 +155,7 @@ def test_criterion_04_bemt_internal_consistency():
             if st.k_p < bemt.KP_FLOOR:
                 continue
             phi = math.atan2(v0 * (1 + st.a_a), 2 * math.pi * n_s * st.r)
-            resid = abs(bemt.axial_induction(st.sigma, phi, st.cl, st.cd, st.k_p) - st.a_a)
+            resid = abs(bemt_oracle.axial_induction(st.sigma, phi, st.cl, st.cd, st.k_p) - st.a_a)
             worst_resid = max(worst_resid, resid)
     assert worst_resid < 1e-6
 
@@ -361,7 +363,6 @@ def test_criterion_12_monte_carlo_validation():
         assert np.mean(np.abs(g) ** 2) == pytest.approx(gamma, rel=0.02)
 
     from conftest import REFERENCE_ARRAY
-    from hapalloc.beamforming import surrogate_rate
     from hapalloc.channel import UserLink
 
     rng = np.random.default_rng(12)
@@ -375,7 +376,7 @@ def test_criterion_12_monte_carlo_validation():
         p = float(rng.uniform(0.02, 0.5))
         n0 = 2.2e-11
         model = RateModel(1e7, n0, np.array([gamma]))
-        bound = surrogate_rate(p, gamma, model)
+        bound = surrogate_rates([p], model)[0]
         mc, se = ergodic_rate_mc(REFERENCE_ARRAY, link, [p * v], 1e7, n0, draws=4000, seed=500 + i)
         assert mc <= bound + 3.0 * se
     report(12, "Rician mean power within 2% at 1e5 draws; deterministic rate bound "

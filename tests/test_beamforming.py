@@ -1,19 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, reference_ledger
 from hapalloc.beamforming import (
     ConditioningError,
     RateModel,
-    energy_efficiency,
-    min_power_coefficient,
     min_power_coefficients,
-    surrogate_rate,
     surrogate_rates,
     zf_beamformer,
 )
+from hapalloc.config import PowerLedger, static_comm_power
+from hapalloc.q3e import _solution_from
 
 MODEL = RateModel(bw_hz=1e7, n0_w=2.01e-13, gammas=np.array([1.852e-10]))
+NO_STATIC = PowerLedger(p_hap=1e3, p_payload=0.0, p_standby=0.0, p_rfc=0.0, p_lo=0.0, p_bb=0.0, xi=1.0, n_t=0)
 
 
 class TestZfBeamformer:
@@ -66,78 +68,74 @@ class TestZfBeamformer:
 
 class TestSurrogateRate:
     def test_zero_power(self):
-        assert surrogate_rate(0.0, 1.852e-10, MODEL) == 0.0
+        assert surrogate_rates([0.0], MODEL)[0] == 0.0
 
     def test_seven_snr_is_three_bits(self):
         p = np.sqrt(7.0 * MODEL.n0_w / 1.852e-10)
-        assert surrogate_rate(p, 1.852e-10, MODEL) == pytest.approx(30e6, rel=1e-12)
+        assert surrogate_rates([p], MODEL)[0] == pytest.approx(30e6, rel=1e-12)
 
     def test_reference_value(self):
-        assert surrogate_rate(0.1, 1.852e-10, MODEL) == pytest.approx(33524662.2093, rel=1e-9)
+        assert surrogate_rates([0.1], MODEL)[0] == pytest.approx(33524662.2093, rel=1e-9)
 
     def test_strictly_increasing(self):
-        rates = [surrogate_rate(p, 1.852e-10, MODEL) for p in np.linspace(0.0, 1.0, 50)]
-        assert all(b > a for a, b in zip(rates, rates[1:]))
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            surrogate_rate(-0.1, 1.852e-10, MODEL)
+        rates = surrogate_rates(np.linspace(0.0, 1.0, 50), MODEL)
+        assert np.all(np.diff(rates) > 0)
 
 
 class TestMinPowerCoefficient:
     def test_zero_target(self):
-        assert min_power_coefficient(0.0, 1.852e-10, MODEL) == 0.0
+        assert min_power_coefficients([0.0], MODEL)[0] == 0.0
 
     def test_reference_value(self):
-        got = min_power_coefficient(30e6, 1.852e-10, MODEL)
+        got = min_power_coefficients([30e6], MODEL)[0]
         assert got == pytest.approx(0.087161873687, rel=1e-9)
 
     def test_round_trip_through_rate(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            qos = float(rng.uniform(1e6, 1.2e8))
-            gamma = float(rng.uniform(1e-11, 1e-9))
-            p = min_power_coefficient(qos, gamma, MODEL)
-            assert surrogate_rate(p, gamma, MODEL) == pytest.approx(qos, rel=1e-9)
+        qos = rng.uniform(1e6, 1.2e8, 100)
+        model = RateModel(MODEL.bw_hz, MODEL.n0_w, rng.uniform(1e-11, 1e-9, 100))
+        p = min_power_coefficients(qos, model)
+        assert surrogate_rates(p, model) == pytest.approx(qos, rel=1e-9)
 
     def test_gamma_scaling(self):
-        base = min_power_coefficient(30e6, 1.852e-10, MODEL)
-        assert min_power_coefficient(30e6, 2 * 1.852e-10, MODEL) == pytest.approx(
-            base / np.sqrt(2.0), rel=1e-12
-        )
+        base = min_power_coefficients([30e6], MODEL)[0]
+        doubled = RateModel(MODEL.bw_hz, MODEL.n0_w, np.array([2 * 1.852e-10]))
+        assert min_power_coefficients([30e6], doubled)[0] == pytest.approx(base / np.sqrt(2.0), rel=1e-12)
 
     def test_monotone_in_target(self):
-        qs = np.linspace(0.0, 9e7, 40)
-        ps = [min_power_coefficient(float(q), 1.852e-10, MODEL) for q in qs]
-        assert all(b > a for a, b in zip(ps, ps[1:]))
+        ps = min_power_coefficients(np.linspace(0.0, 9e7, 40), MODEL)
+        assert np.all(np.diff(ps) > 0)
 
     def test_vectorized_variant_agrees(self):
+        # against the closed form sqrt(N_0 (2^(r/B) - 1) / gamma), one user at a time
         model = RateModel(1e7, 2.01e-13, np.array([1.852e-10, 3.7e-10]))
         got = min_power_coefficients(np.array([30e6, 60e6]), model)
-        want = [
-            min_power_coefficient(30e6, 1.852e-10, model),
-            min_power_coefficient(60e6, 3.7e-10, model),
-        ]
+        want = [math.sqrt(2.01e-13 * (2.0 ** (q / 1e7) - 1.0) / g) for q, g in ((30e6, 1.852e-10), (60e6, 3.7e-10))]
         assert np.allclose(got, want, rtol=1e-14)
 
 
 class TestEnergyEfficiency:
+    """EE as every solution record computes it: sum rate over communication power, bps/W."""
+
+    def _ee(self, rates, rf_w, ledger=NO_STATIC):
+        rates = np.asarray(rates, dtype=float)
+        return _solution_from(np.zeros(rates.size), rates, rf_w, ledger, (), "test", {}).ee
+
     def test_zero_rates(self):
-        assert energy_efficiency(np.zeros(4), 100.0) == 0.0
+        assert self._ee(np.zeros(4), 100.0) == 0.0
 
     def test_reference_order_of_magnitude(self):
         # 300 Mbps over 100 W -> 3 Mbps/W
-        assert energy_efficiency(np.array([1e8, 1e8, 1e8]), 100.0) == pytest.approx(3e6)
+        assert self._ee([1e8, 1e8, 1e8], 100.0) == pytest.approx(3e6)
 
     def test_linearity(self):
         rates = np.array([1e7, 3e7])
-        assert energy_efficiency(2 * rates, 50.0) == pytest.approx(
-            2 * energy_efficiency(rates, 50.0)
-        )
+        assert self._ee(2 * rates, 50.0) == pytest.approx(2 * self._ee(rates, 50.0))
 
-    def test_positive_power_required(self):
-        with pytest.raises(ValueError):
-            energy_efficiency(np.ones(2), 0.0)
+    def test_zero_comm_power_gives_zero_ee(self):
+        assert self._ee(np.ones(2), 0.0) == 0.0
+        # static circuit power alone keeps the denominator positive
+        assert self._ee([1e8], 0.0, reference_ledger()) == pytest.approx(1e8 / static_comm_power(reference_ledger()))
 
 
 class TestRateModelValidation:

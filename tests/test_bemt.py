@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bemt_oracle as oracle
+from bemt_oracle import axial_induction, default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
 from hapalloc import bemt
 from hapalloc.bemt import (
@@ -14,13 +15,10 @@ from hapalloc.bemt import (
     PropellerSpec,
     SectionConvergenceError,
     SectionError,
-    axial_induction,
-    default_test_propeller,
     load_spec_dir,
     propeller_performance,
     solve_section,
     tip_loss,
-    write_spec_dir,
 )
 from hapalloc.config import isa_properties
 

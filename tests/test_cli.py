@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bemt_oracle import default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
-from hapalloc import bemt
 from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from hapalloc.config import isa_properties, load_platform_config, rf_budget
 from hapalloc.propulsion import propulsion_power, reference_coeffs
@@ -65,7 +70,7 @@ class TestPropulsionVerb:
 class TestBemtVerb:
     def test_runs_on_spec_dir(self, tmp_path, capsys):
         spec_dir = tmp_path / "prop"
-        bemt.write_spec_dir(spec_dir, bemt.default_test_propeller())
+        write_spec_dir(spec_dir, default_test_propeller())
         code = run_cli("bemt", "--spec", spec_dir, "--v0", "10", "--ns", "12")
         assert code == EXIT_OK
         out = capsys.readouterr().out.splitlines()
@@ -112,10 +117,10 @@ class TestSurrogateFitVerb:
         assert int(n) == 25
 
     def test_custom_samples(self, tmp_path, capsys):
-        from hapalloc.propulsion import reference_samples, write_samples_csv
+        from hapalloc.propulsion import reference_samples
 
         csv_path = tmp_path / "s.csv"
-        write_samples_csv(csv_path, reference_samples(seed=3))
+        csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in reference_samples(seed=3)))
         cfg = tmp_path / "fit.json"
         cfg.write_text(json.dumps({"samples_csv": str(csv_path)}))
         assert run_cli("surrogate-fit", "--config", cfg) == EXIT_OK
@@ -387,3 +392,121 @@ class TestSeedOverride:
         monkeypatch.delenv("HPP_SEED")
         assert _seeds([1, 2, 3]) == [1, 2, 3]
         assert _seeds(None, default=(7,)) == [7]
+
+
+class TestValueConfigErrors:
+    """Values of the right key but the wrong kind exit 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("grid", [[10, 5], [5, 5], [1e200, 1e201]])
+    def test_airspeed_sweep_grid(self, grid, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("sweep_airspeed.json"), "grid": grid})
+        assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
+        one_line_config_error(capsys)
+
+    def test_budget_sweep_grid_not_increasing(self, tmp_path, capsys):
+        doc = {**budget_sweep_config(), "grid": [400, 70], "backends": ["q3e-numeric", "qos-only"]}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert "strictly increasing, got 70.0 after 400.0" in one_line_config_error(capsys)
+
+    def test_propulsion_power_overflow(self, capsys):
+        assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", "1e200") == EXIT_CONFIG
+        assert "not finite" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("eta", ["x", 0, -1, 1.5, None])
+    def test_legacy_efficiency_outside_the_unit_interval(self, eta, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("sweep_airspeed.json"), "legacy_eta_p": eta})
+        assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
+        assert "legacy_eta_p" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("altitude", ["abc", None])
+    def test_platform_altitude_not_a_number(self, altitude, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", {**shipped("platform.json"), "altitude_m": altitude})
+        assert run_cli("propulsion", "--config", cfg, "--v0", "10") == EXIT_CONFIG
+        assert "altitude_m" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("text", [None, "speed,eff\n1.0,0.5\n", "v0_mps,eta_p\n1.0,1.2\n",
+                                      "v0_mps,eta_p\n1.0,0.5,3\n", "v0_mps,eta_p\nnan,0.5\n"])
+    def test_surrogate_fit_samples(self, text, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        cfg = write_json(tmp_path / "fit.json", {"samples_csv": str(csv_path)})
+        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
+        assert "cannot read samples" in one_line_config_error(capsys)
+
+    def test_surrogate_fit_sample_airspeed_too_small_to_fit(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("v0_mps,eta_p\n1e-300,0.5\n2,0.6\n3,0.6\n4,0.7\n")
+        cfg = write_json(tmp_path / "fit.json", {"samples_csv": str(csv_path)})
+        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
+        assert "too small to fit" in one_line_config_error(capsys)
+
+    def test_surrogate_fit_samples_path_not_a_string(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "fit.json", {"samples_csv": ["s.csv"]})
+        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
+        assert "samples_csv" in one_line_config_error(capsys)
+
+    def test_empty_seed_list(self, tmp_path, capsys):
+        sweep = write_json(tmp_path / "b.json", {**budget_sweep_config(), "backends": ["q3e-mlp"], "seeds": []})
+        assert run_cli("sweep", "--config", sweep) == EXIT_CONFIG
+        assert "at least one seed" in one_line_config_error(capsys)
+        solve = write_json(tmp_path / "s.json", explicit_budget_solve_config(backend="mlp", seed=[]))
+        assert run_cli("solve", "--config", solve) == EXIT_CONFIG
+        assert "at least one seed" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("backends", ["qos-only", [], {"qos-only": 1}])
+    def test_backends_not_a_list_of_names(self, backends, tmp_path, capsys):
+        doc = {**budget_sweep_config(), "backends": backends}
+        code = run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc), "--svg", tmp_path / "b.svg")
+        assert code == EXIT_CONFIG
+        assert "'backends' must be a non-empty list" in one_line_config_error(capsys)
+
+    def test_backend_name_not_a_string(self, tmp_path, capsys):
+        doc = {**budget_sweep_config(), "backends": [["qos-only"], 3]}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert "unknown backend(s) ['qos-only'], 3" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("seeds", [5, "0123456789"])
+    def test_ablation_seeds_not_a_list(self, seeds, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": seeds, "max_epochs": 51})
+        assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
+        assert "'seeds' must be a list" in one_line_config_error(capsys)
+
+
+GRID_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -0.0, -5, 1, 25, 150, float("nan"), float("inf"), float("-inf")]),
+    st.integers(-1000, 1000),
+)
+GRIDS = st.one_of(st.lists(GRID_VALUES, max_size=5), st.lists(GRID_VALUES, max_size=5).map(sorted))
+
+
+def run_in_process(doc: dict) -> tuple[int, str]:
+    """(exit code, stderr) of ``hapalloc sweep`` on ``doc``, with stdout discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(cfg)])
+    return code, err.getvalue()
+
+
+class TestSweepGridProperty:
+    """Any grid list gives exit 0, or exit 2 with one line; never a traceback."""
+
+    def check(self, doc):
+        code, err = run_in_process(doc)
+        assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
+        if code == EXIT_CONFIG:
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @given(grid=GRIDS)
+    @settings(max_examples=80, deadline=None)
+    def test_airspeed_sweep(self, grid):
+        self.check({**shipped("sweep_airspeed.json"), "grid": grid})
+
+    @given(grid=GRIDS)
+    @settings(max_examples=60, deadline=None)
+    def test_budget_sweep(self, grid):
+        self.check({**budget_sweep_config(), "grid": grid})

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import total_comm_power
 from hapalloc.config import (
     Atmosphere,
     BudgetInfeasibleError,
@@ -13,7 +14,6 @@ from hapalloc.config import (
     load_platform_config,
     rf_budget,
     static_comm_power,
-    total_comm_power,
 )
 
 

@@ -1,0 +1,67 @@
+"""The public surface of ``hapalloc`` and the boundary of ``src/``."""
+
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+import hapalloc
+from hapalloc import neuro
+
+PACKAGE_DIR = Path(hapalloc.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+FORBIDDEN_IMPORTS = {"tests", "perfbench", "hypothesis", "scipy", "mpmath"}
+
+# public names that tests alone called, now deleted or moved to tests/
+REMOVED = {
+    "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT"],
+    "harness": ["parse_csv"],
+    "propulsion": ["write_samples_csv", "parse_samples_csv"],
+    "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
+    "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
+    "bemt": ["axial_induction", "write_spec_dir"],
+    "config": ["total_comm_power"],
+}
+
+
+def imported_modules(path: Path):
+    """Every module name an ``import`` or ``from ... import`` in the file names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_every_exported_name_resolves():
+    for name in hapalloc.__all__:
+        assert getattr(hapalloc, name, None) is not None, name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_src_imports_no_test_benchmark_or_oracle_code(module):
+    for name in imported_modules(PACKAGE_DIR / f"{module}.py"):
+        parts = [p for p in name.split(".") if p]
+        assert not FORBIDDEN_IMPORTS.intersection(parts[:1]), (module, name)
+        assert not any(p.endswith("_oracle") for p in parts), (module, name)
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(f"hapalloc.{module}")
+    for name in REMOVED[module]:
+        assert not hasattr(mod, name), name
+        assert not hasattr(hapalloc, name), name
+
+
+def test_adam_settings_are_constants_not_train_config_fields():
+    fields = {f.name for f in dataclasses.fields(neuro.TrainConfig)}
+    assert not fields & {"beta1", "beta2", "eps_adam"}
+    assert (neuro.ADAM_BETA1, neuro.ADAM_BETA2, neuro.ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+
+def test_no_package_data():
+    assert not (PACKAGE_DIR / "data").exists()

@@ -10,14 +10,12 @@ from hapalloc.propulsion import (
     aerodynamic_drag,
     fit_inverse_power_surrogate,
     hull_drag_coefficient,
-    parse_samples_csv,
     propulsion_power,
     read_samples_csv,
     reference_coeffs,
     reference_samples,
     reynolds,
     surrogate_efficiency,
-    write_samples_csv,
 )
 from propulsion_oracle import propulsion_power_expanded
 
@@ -226,20 +224,33 @@ class TestPropulsionPower:
         assert p25 / p10 > 2.5**2.5
 
 
+def write_samples(path, header, rows):
+    path.write_text("\n".join([header, *(f"{v0!r},{eta!r}" for v0, eta in rows)]) + "\n")
+    return path
+
+
 class TestSampleCsv:
     def test_round_trip(self, tmp_path):
         samples = reference_samples()
-        path = tmp_path / "samples.csv"
-        write_samples_csv(path, samples)
+        path = write_samples(tmp_path / "samples.csv", "v0_mps,eta_p", [(s.v0, s.eta_p) for s in samples])
         back = read_samples_csv(path)
         assert [(s.v0, s.eta_p) for s in back] == [(s.v0, s.eta_p) for s in samples]
 
-    def test_header_enforced(self):
+    def test_header_enforced(self, tmp_path):
         with pytest.raises(ValueError):
-            parse_samples_csv("speed,eff\n1.0,0.5\n")
+            read_samples_csv(write_samples(tmp_path / "s.csv", "speed,eff", [(1.0, 0.5)]))
+
+    def test_row_of_three_fields_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("v0_mps,eta_p\n1.0,0.5,7\n")
+        with pytest.raises(ValueError):
+            read_samples_csv(path)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             EfficiencySample(v0=-1.0, eta_p=0.5)
         with pytest.raises(ValueError):
             EfficiencySample(v0=1.0, eta_p=1.2)
+        for v0 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                EfficiencySample(v0=v0, eta_p=0.5)

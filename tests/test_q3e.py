@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_section_max, random_scenario, reference_ledger
+from conftest import golden_section_max, random_scenario, reference_ledger, total_comm_power
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
-from hapalloc.config import PowerLedger, comm_power, static_comm_power, total_comm_power
+from hapalloc.config import PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
     BarrierConfig,
     baseline_max_sum_rate,
