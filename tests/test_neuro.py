@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,23 @@ class TestTrain:
             numeric = q3e(sc, bf, budget, LEDGER, backend="numeric")
             learned = q3e(sc, bf, budget, LEDGER, cfg=neuro.TrainConfig(seed=i), backend="mlp")
             assert learned.ee >= 0.95 * numeric.ee
+
+
+class TestCheckpointIo:
+    def test_loaded_network_owns_a_bit_exact_flat_buffer(self, tmp_path):
+        # a network rebuilt from dumped parameters gets its own flat buffer and views into it
+        _, prob = build_problem(k=3, seed=51, partial=True)
+        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=120, patience=30))
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"layer_widths": list(net.layer_widths),
+                                    "params": net.params.tolist()}))
+        doc = json.loads(path.read_text())
+        back = neuro.MlpNetwork(layer_widths=tuple(doc["layer_widths"]),
+                                params=np.asarray(doc["params"], dtype=float))
+        assert back.params.tobytes() == net.params.tobytes()
+        back.biases[0][0] += 1.0
+        assert back.params.tobytes() != net.params.tobytes()
+        assert not np.shares_memory(back.params, net.params)
 
 
 class TestGradientCheck:
