@@ -9,6 +9,10 @@ Conventions: the zero-induction inflow angle is phi0 = atan(v0 / (2 pi n_s r)),
 the induced inflow angle is phi = atan(v0 (1 + a) / (2 pi n_s r)), and the
 tip-loss factor is evaluated at phi0.  Sections where the tip-loss factor
 underflows contribute zero loading (removable singularity at the tip).
+
+All stations of an operating point are solved together as arrays: a damped
+fixed point on the induction factor, then, for the stations it does not
+settle, Chandrupatla's bracketing root-finder on the inflow angle.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ KP_FLOOR = 1e-6  # below this the section is treated as unloaded tip boundary
 _FIXED_POINT_TOL = 1e-6
 _MAX_ITERS = 200
 _RELAXATION = 0.5
+_ROOT_WIDTH = 1e-15  # a root-finder bracket stops once narrower than this
 
 
 class SectionError(RuntimeError):
@@ -149,28 +154,40 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, x.tolist(), repeat(2)), float, x.size)
 
 
-def _bisect(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Bisect fn(x, idx) on the brackets [lo, hi] of stations idx in lockstep.
+def _find_root(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Chandrupatla's bracketing root-finder on fn(x, idx) over [lo, hi], stations idx in lockstep.
 
-    A bracket stops at an exact zero or once narrower than 1e-15, and
-    returns its midpoint after at most 200 halvings.
+    Each step takes the inverse quadratic interpolation through the last
+    three points where that is safe, else the bracket midpoint, and keeps
+    every new point at least half the stop width inside the bracket
+    (Chandrupatla, Adv. Eng. Softw. 28(3), 1997; the method of scipy's
+    ``elementwise.find_root``).  A bracket stops at an exact zero or once
+    narrower than ``_ROOT_WIDTH``, after at most 200 steps, and returns its
+    end with the smaller |fn|.
     """
     root = np.empty_like(lo)
     pos = np.arange(lo.size)  # where each live bracket's root goes
-    lo_positive = fn(lo, idx) > 0  # lo only moves to points of the same sign
+    x1, f1, x2, f2 = lo, fn(lo, idx), hi, fn(hi, idx)  # x1 is the newest point
+    x3, f3, t = x2, f2, np.full(lo.size, 0.5)
     for _ in range(200):
         if not pos.size:
             return root
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid, idx)
-        stop = (fm == 0.0) | (hi - lo < 1e-15)
+        x = x1 + t * (x2 - x1)
+        f = fn(x, idx)
+        same = (f > 0) == (f1 > 0)  # x replaces x1; else x1 becomes the far end
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        stop = (f1 == 0.0) | (f2 == 0.0) | (np.abs(x2 - x1) < _ROOT_WIDTH)
         if stop.any():
-            root[pos[stop]] = mid[stop]
-            pos, idx, lo, hi, lo_positive, mid, fm = (x[~stop] for x in (pos, idx, lo, hi, lo_positive, mid, fm))
-        same = (fm > 0) == lo_positive
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    root[pos] = 0.5 * (lo + hi)
+            root[pos[stop]] = np.where(np.abs(f1) <= np.abs(f2), x1, x2)[stop]
+            pos, idx, x1, f1, x2, f2, x3, f3 = (v[~stop] for v in (pos, idx, x1, f1, x2, f2, x3, f3))
+        xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        iqi = (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi)  # false on nan, so inf ends bisect
+        t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t_min = 0.5 * _ROOT_WIDTH / np.abs(x2 - x1)
+        t = np.clip(np.where(iqi, t, 0.5), t_min, 1.0 - t_min)
+    root[pos] = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
     return root
 
 
@@ -187,11 +204,16 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
 
     omega_r = 2.0 * math.pi * n_s * r
     phi0 = _each(math.atan2, np.full(r.size, v0), omega_r)
-    k_p = np.array([tip_loss(spec.n_blades, x, spec.r_tip, p) for x, p in zip(r.tolist(), phi0.tolist())])
+    # phi0 rounds to 0 or pi/2 once v0 / (2 pi n_s r) under- or overflows
+    edge = ~((0.0 < phi0) & (phi0 < math.pi / 2))
+    errors = {
+        i: SectionError("zero-induction inflow angle at 0 or pi/2", float(r[i])) for i in np.flatnonzero(edge).tolist()
+    }
+    k_p = np.array([0.0 if e else tip_loss(spec.n_blades, x, spec.r_tip, p)
+                    for x, p, e in zip(r.tolist(), phi0.tolist(), edge.tolist())])
     loaded = ~(k_p < KP_FLOOR)
     theta = spec.pitch_fn(r)
     sigma = spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r)
-    errors: dict[int, SectionError] = {}
 
     def section_at(phi, idx):
         """(c_l, c_d, sin phi, section force) of stations idx at inflow angles phi."""
@@ -227,7 +249,7 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
         ratio = ratio_at(sin_phi, force, act)
         a_new = 1.0 / (ratio - 1.0)
         res = np.abs(a_new - a_act)
-        # leaving the propulsive branch hands the station over to bisection
+        # leaving the propulsive branch hands the station over to root-finding
         live = ~(force <= 0.0) & ~(ratio <= 1.0 + 1e-12)
         residual[act[live]] = res[live]
         done = live & (res < _FIXED_POINT_TOL)
@@ -239,7 +261,7 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
         prev_residual[act] = res
         a[act] = a_act + _RELAXATION * (a_new - a_act)
 
-    # Robust path: bisection on the inflow-angle residual.  The momentum
+    # Robust path: root-finding on the inflow-angle residual.  The momentum
     # ratio is monotone increasing in phi and the section force monotone
     # decreasing, so the propulsive branch lives on (phi_pole, phi_zero)
     # where ratio crosses 1 and the force crosses 0 respectively, and the
@@ -263,17 +285,17 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     capped = section_at(phi_cap, todo)[3] >= 0.0
     not_converged(todo[capped])
     todo, phi_cap = todo[~capped], phi_cap[~capped]
-    phi_zero = _bisect(lambda phi, idx: section_at(phi, idx)[3], phi0[todo], phi_cap, todo)
+    phi_zero = _find_root(lambda phi, idx: section_at(phi, idx)[3], phi0[todo], phi_cap, todo)
 
     phi_lo = phi0[todo]
     pole = ~(ratio_minus_one(phi_lo, todo) > 0.0)
-    phi_lo[pole] = _bisect(ratio_minus_one, phi_lo[pole], phi_zero[pole], todo[pole]) + 1e-12
+    phi_lo[pole] = _find_root(ratio_minus_one, phi_lo[pole], phi_zero[pole], todo[pole]) + 1e-12
 
     phi_hi = phi_zero - 1e-12
     bracketed = (residual_fn(phi_lo, todo) > 0.0) & (residual_fn(phi_hi, todo) < 0.0)
     not_converged(todo[~bracketed])
     todo = todo[bracketed]
-    phi_star = _bisect(residual_fn, phi_lo[bracketed], phi_hi[bracketed], todo)
+    phi_star = _find_root(residual_fn, phi_lo[bracketed], phi_hi[bracketed], todo)
     phi[todo] = phi_star
     a_a[todo] = _each(math.tan, phi_star) * omega_r[todo] / v0 - 1.0
     cl[todo], cd[todo], _, _ = section_at(phi_star, todo)
@@ -288,11 +310,12 @@ def solve_section(spec: PropellerSpec, v0: float, n_s: float, r: float) -> Secti
     """Solve the coupled inflow-angle/induction fixed point at radius r.
 
     Damped fixed-point iteration (relaxation 0.5, tolerance 1e-6, at most
-    200 iterations) with a bisection fallback on the scalar residual in the
-    inflow angle when the iteration oscillates or leaves the propulsive
-    regime.  Sections with a vanishing tip-loss factor return the unloaded
-    tip boundary state instead of evaluating the (singular) balance.  This
-    is the one-station case of the solver ``propeller_performance`` uses.
+    200 iterations); when the iteration oscillates or leaves the propulsive
+    regime, a bracketing root-finder (Chandrupatla's method) on the residual
+    in the inflow angle takes over.  Sections with a vanishing tip-loss
+    factor return the unloaded tip boundary state instead of evaluating the
+    (singular) balance.  This is the one-station case of the solver
+    ``propeller_performance`` uses.
     """
     if not (spec.r_hub <= r <= spec.r_tip):
         raise ValueError(f"radius {r} outside blade span [{spec.r_hub}, {spec.r_tip}]")

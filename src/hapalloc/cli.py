@@ -142,7 +142,7 @@ def _cmd_bemt(args) -> int:
                           "via flags or the JSON config")
     try:
         spec = bemt_mod.load_spec_dir(spec_dir)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load propeller spec {spec_dir}: {exc}") from exc
     v0, n_s = _positive("--v0/v0_mps", v0), _positive("--ns/ns_rps", n_s)
     atm = _atmosphere(altitude)

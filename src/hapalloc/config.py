@@ -8,6 +8,7 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,9 @@ class PowerLedger:
     n_t: int  # antenna (= RF chain) count
 
     def __post_init__(self):
+        for name in ("p_hap", "p_payload", "p_standby", "p_rfc", "p_lo", "p_bb", "xi", "n_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("p_hap", "p_payload", "p_standby", "p_rfc", "p_lo", "p_bb"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -215,7 +219,7 @@ def ledger_from_dict(d: dict) -> PowerLedger:
         )
     except KeyError as exc:
         raise ConfigError(f"ledger config missing key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"invalid ledger config: {exc}") from exc
 
 

@@ -395,8 +395,9 @@ def baseline_max_sum_rate(
 
     In x_k = p_k^2 the problem is concave with one linear constraint; the
     KKT solution is x_k = max(0, 1/(nu c_k ln 2) - N_0/gamma_k) with the
-    water level nu bisected until the budget is met.  The reported spend is
-    sum_k c_k x_k.
+    water level nu bisected until the budget is met.  The allocation is the
+    one at the bracket's feasible end, so the reported spend sum_k c_k x_k
+    never exceeds ``p_tot``.
     """
     model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
@@ -406,17 +407,16 @@ def baseline_max_sum_rate(
         x = np.maximum(0.0, 1.0 / (nu * c * np.log(2.0)) - floor)
         return float(np.sum(c * x)), x
 
-    x = np.zeros_like(c)
+    x = np.zeros_like(c)  # feasible if no water level tried is
     if p_tot > 0:
         lo, hi = 1e-30, 1e30
         for _ in range(200):
             nu = np.sqrt(lo * hi)
-            s, x = spend(nu)
+            s, x_nu = spend(nu)
             if s > p_tot:
                 lo = nu
             else:
-                hi = nu
-        _, x = spend(np.sqrt(lo * hi))
+                hi, x = nu, x_nu
     p = np.sqrt(x)
     rates = surrogate_rates(p, model)
     q = [k for k in range(len(p)) if rates[k] >= scenario.qos_rates()[k] * (1.0 - 1e-12)]

@@ -2,10 +2,13 @@
 
 This is the per-station solver that ``hapalloc.bemt`` replaced with its array
 solver.  It evaluates the same formulas in the same order with ``math`` on
-Python floats, one radius at a time, so the array solver must reproduce its
-results bit for bit.  The spec's callables are called on scalars and their
-results cast to float.  It also holds the closed-form induction balance
-``axial_induction``, the analytic test propeller ``default_test_propeller``,
+Python floats, one radius at a time.  The array solver must reproduce its
+errors, unloaded tips and fixed-point stations bit for bit; where both fall
+back to a root-finder (bisection here, Chandrupatla's method there), the
+roots agree to within the 1e-15 bracket width.  The spec's callables are
+called on scalars and their results cast to float.  It also holds the
+closed-form induction balance ``axial_induction``, the inflow-angle residual
+``inflow_residual``, the analytic test propeller ``default_test_propeller``,
 and ``write_spec_dir``, which samples a spec onto the spec-directory tables
 that ``hapalloc.bemt.load_spec_dir`` reads.
 """
@@ -160,15 +163,7 @@ def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
         phi_lo = pole + 1e-12
 
     def residual_fn(phi):
-        _, _, _, force = section_at(phi)
-        if force <= 0.0:
-            return -math.inf
-        rat = ratio_at(phi, force)
-        if rat <= 1.0:
-            return math.inf
-        a_alg = 1.0 / (rat - 1.0)
-        a_kin = math.tan(phi) * omega_r / v0 - 1.0
-        return a_alg - a_kin
+        return inflow_residual(spec, v0, n_s, r, phi)
 
     phi_hi = phi_zero - 1e-12
     if not (residual_fn(phi_lo) > 0.0 and residual_fn(phi_hi) < 0.0):
@@ -176,6 +171,25 @@ def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
     phi_star = bisect(residual_fn, phi_lo, phi_hi)
     a_star = math.tan(phi_star) * omega_r / v0 - 1.0
     return build_state(a_star, phi_star)
+
+
+def inflow_residual(spec, v0: float, n_s: float, r: float, phi: float) -> float:
+    """The inflow-angle residual a_alg(phi) - a_kin(phi) at radius r that the root-finders bracket.
+
+    It is +inf below the momentum pole and -inf past the force zero, and
+    falls through zero at the propulsive root that ``solve_section`` bisects.
+    """
+    omega_r = 2.0 * math.pi * n_s * r
+    k_p = tip_loss(spec.n_blades, r, spec.r_tip, math.atan2(v0, omega_r))
+    sigma = spec.n_blades * float(spec.chord_fn(r)) / (2.0 * math.pi * r)
+    cl, cd = _polar(spec, float(spec.pitch_fn(r)) - phi)
+    force = cl * math.cos(phi) - cd * math.sin(phi)
+    if force <= 0.0:
+        return -math.inf
+    rat = 4.0 * k_p * math.sin(phi) ** 2 / (sigma * force)
+    if rat <= 1.0:
+        return math.inf
+    return 1.0 / (rat - 1.0) - (math.tan(phi) * omega_r / v0 - 1.0)
 
 
 def _loading(state: SectionState, chord: float) -> tuple[float, float]:

@@ -215,13 +215,39 @@ class TestPropellerPerformance:
             propeller_performance(SPEC, 10.0, 5.0, ATM)
 
 
+# The array solver finds phi* with Chandrupatla's method and the oracle bisects;
+# both stop inside a bracket narrower than 1e-15 around the same sign change,
+# so their roots agree to within two such widths (4e-15 leaves a margin for
+# rounding in the residual).  What is computed from phi* then agrees to 1e-13
+# relative; everything else (errors, unloaded tips, fixed-point stations) is
+# compared bit for bit.
+PHI_ATOL = 4e-15
+OUTPUT_RTOL = 1e-13
+
+
 def outcome(solver, spec, v0, n_s):
-    """(None, repr of T, P, eta) or (error type, message); equal reprs are equal bits."""
+    """(None, (T, P, eta)) or (error type, message)."""
     try:
         op = solver(spec, v0, n_s, ATM)
     except SectionError as exc:
         return type(exc), str(exc)
-    return None, repr((op.thrust, op.shaft_power, op.eta_p))
+    return None, (op.thrust, op.shaft_power, op.eta_p)
+
+
+def assert_same_outcome(got, want):
+    """The same error class and message, or T, P and eta within OUTPUT_RTOL of the oracle's."""
+    if got[0] is None and want[0] is None:
+        assert got[1] == pytest.approx(want[1], rel=OUTPUT_RTOL, abs=0.0)
+    else:
+        assert got == want
+
+
+def root_finder_stations(spec, v0, n_s, radii, want):
+    """Indices of the loaded stations the oracle solved by bisection, not by the fixed point."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MAX_ITERS", 0)  # with no fixed-point iterations every loaded station bisects
+        bisected = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
+    return [i for i, (w, b) in enumerate(zip(want, bisected)) if w.k_p >= KP_FLOOR and w == b]
 
 
 class TestArraySolverMatchesScalarOracle:
@@ -232,27 +258,48 @@ class TestArraySolverMatchesScalarOracle:
     def test_operating_point_is_bit_identical(self, spec_name, v0, n_s):
         spec = SPECS[spec_name]
         got = outcome(propeller_performance, spec, v0, n_s)
-        assert got == outcome(oracle.propeller_performance, spec, v0, n_s)
+        assert_same_outcome(got, outcome(oracle.propeller_performance, spec, v0, n_s))
         assert got[0] is None
 
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
-    def test_stations_are_bit_identical_on_both_paths(self, spec_name, monkeypatch):
+    def test_stations_are_bit_identical_on_both_paths(self, spec_name):
         spec = SPECS[spec_name]
         v0, n_s = 15.0, 12.0
         radii = oracle.stations(spec)
         want = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
         batch = bemt._solve_stations(spec, v0, n_s, np.array(radii))
+        # the one-station path is the batch path bit for bit
+        assert repr([astuple(solve_section(spec, v0, n_s, r)) for r in radii]) == repr(
+            list(zip(*(getattr(batch, f.name).tolist() for f in fields(batch))))
+        )
+        rooted = root_finder_stations(spec, v0, n_s, radii, want)
+        exact = [i for i in range(len(radii)) if i not in rooted]
         for f in fields(batch):
-            assert repr(getattr(batch, f.name).tolist()) == repr([getattr(w, f.name) for w in want]), f.name
-        assert [repr(astuple(solve_section(spec, v0, n_s, r))) for r in radii] == [
-            repr(astuple(w)) for w in want
-        ]
-        # with no fixed-point iterations every loaded station would come from bisection
-        monkeypatch.setattr(oracle, "_MAX_ITERS", 0)
-        bisected = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
-        from_fixed_point = sum(a != b for a, b in zip(want, bisected))
+            got = getattr(batch, f.name)
+            assert repr(got[exact].tolist()) == repr([getattr(want[i], f.name) for i in exact]), f.name
+            ref = np.array([getattr(want[i], f.name) for i in rooted])
+            if f.name in ("phi", "alpha"):
+                np.testing.assert_allclose(got[rooted], ref, rtol=0.0, atol=PHI_ATOL, err_msg=f.name)
+            else:
+                np.testing.assert_allclose(got[rooted], ref, rtol=OUTPUT_RTOL, atol=0.0, err_msg=f.name)
         loaded = sum(w.k_p >= KP_FLOOR for w in want)
+        from_fixed_point = loaded - len(rooted)
         assert 0 < from_fixed_point < loaded
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("v0, n_s", [(15.0, 12.0), (4.0, 9.0), (22.0, 25.0)])
+    def test_root_is_certified_by_a_sign_change(self, spec_name, v0, n_s):
+        # the residual is 0 at phi*, or changes sign across [phi* - 1e-15, phi* + 1e-15]
+        spec = SPECS[spec_name]
+        radii = oracle.stations(spec)
+        want = [oracle.solve_section(spec, v0, n_s, r) for r in radii]
+        batch = bemt._solve_stations(spec, v0, n_s, np.array(radii))
+        rooted = root_finder_stations(spec, v0, n_s, radii, want)
+        assert len(rooted) > len(radii) // 2
+        for i in rooted:
+            phi, r = float(batch.phi[i]), radii[i]
+            below, at, above = (oracle.inflow_residual(spec, v0, n_s, r, x) for x in (phi - 1e-15, phi, phi + 1e-15))
+            assert at == 0.0 or below > 0.0 > above, (r, below, at, above)
 
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_infeasible_point_raises_the_same_error(self, spec_name):
@@ -284,8 +331,8 @@ class TestArraySolverMatchesScalarOracle:
     def test_propulsive_region_is_bit_identical(self, spec_name, v0, advance):
         spec = SPECS[spec_name]
         n_s = v0 / (advance * 2.0 * spec.r_tip)
-        got = outcome(propeller_performance, spec, v0, n_s)
-        assert got == outcome(oracle.propeller_performance, spec, v0, n_s)
+        assert_same_outcome(outcome(propeller_performance, spec, v0, n_s),
+                            outcome(oracle.propeller_performance, spec, v0, n_s))
 
 
 class TestSpecDirIo:

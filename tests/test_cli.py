@@ -100,6 +100,18 @@ class TestBemtVerb:
         assert code == EXIT_CONFIG
         assert "altitude" in one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("v0, n_s", [("1e308", "10"), ("10", "1e308"), ("10", "1e-300")])
+    def test_inflow_angle_at_zero_or_right_angle_is_config_error(self, v0, n_s, capsys):
+        # v0 / (2 pi n_s r) over- or underflows, so the zero-induction angle rounds to pi/2 or 0
+        code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", v0, "--ns", n_s)
+        assert code == EXIT_CONFIG
+        assert "zero-induction inflow angle at 0 or pi/2" in one_line_config_error(capsys)
+
+    def test_spec_dir_not_a_path_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {"spec_dir": 5, "v0_mps": 10, "ns_rps": 12})
+        assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
+        assert "cannot load propeller spec 5" in one_line_config_error(capsys)
+
     def test_non_numeric_speed_in_config_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {"spec_dir": str(CONFIG_DIR / "propeller"),
                                                "v0_mps": "fast", "ns_rps": 12})
@@ -345,6 +357,18 @@ class TestStudyConfigErrors:
         doc["scenario_path"] = str(CONFIG_DIR / "scenario_sweep.json")
         assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
         assert name in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["p_hap", "p_payload", "p_standby", "p_rfc", "p_lo", "p_bb", "xi", "n_t"])
+    @pytest.mark.parametrize("verb", ["solve", "propulsion"])
+    def test_non_finite_ledger_value(self, verb, field, value, tmp_path, capsys):
+        if verb == "solve":
+            doc, extra = {**shipped("solve.json"), "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")}, []
+        else:
+            doc, extra = shipped("platform.json"), ["--v0", "10"]
+        doc["ledger"][field] = value
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc), *extra) == EXIT_CONFIG
+        assert "invalid ledger config" in one_line_config_error(capsys)
 
     def test_budget_sweep_rejects_a_negative_budget(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {**budget_sweep_config(), "grid": [100, -5]})

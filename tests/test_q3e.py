@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_section_max, random_scenario, reference_ledger, total_comm_power
+from conftest import golden_section_max, random_scenario, reference_ledger, sweep_scenario, total_comm_power
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
@@ -344,6 +344,18 @@ class TestBaselineMaxSumRate:
         sol = baseline_max_sum_rate(sc, bf, 1e6, LEDGER)
         spends = bf.w_norms_sq * sol.p**2
         assert np.max(spends) / np.min(spends) < 1.001
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_budget=st.floats(-300.0, 9.0),
+        k=st.integers(2, 32),
+        seed=st.integers(0, 10_000),
+        shipped=st.booleans(),
+    )
+    def test_spend_never_exceeds_the_budget(self, log_budget, k, seed, shipped):
+        sc = sweep_scenario() if shipped else random_scenario(k, seed=seed)
+        p_tot = 10.0**log_budget
+        assert baseline_max_sum_rate(sc, scenario_beamformer(sc), p_tot, LEDGER).rf_spent <= p_tot
 
 
 class TestBaselineQosOnly:
