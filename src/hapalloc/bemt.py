@@ -10,9 +10,10 @@ the induced inflow angle is phi = atan(v0 (1 + a) / (2 pi n_s r)), and the
 tip-loss factor is evaluated at phi0.  Sections where the tip-loss factor
 underflows contribute zero loading (removable singularity at the tip).
 
-All stations of an operating point are solved together as arrays: a damped
-fixed point on the induction factor, then, for the stations it does not
-settle, Chandrupatla's bracketing root-finder on the inflow angle.
+All stations of an operating point are solved together as arrays, each by
+one bracketed root-find in the inflow angle (Chandrupatla's method) on the
+residual between the blade-element and the kinematic induction factor, after
+Ning, Wind Energy 17(9), 2014.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ import numpy as np
 from .config import Atmosphere, isa_properties
 
 KP_FLOOR = 1e-6  # below this the section is treated as unloaded tip boundary
-_FIXED_POINT_TOL = 1e-6
-_MAX_ITERS = 200
-_RELAXATION = 0.5
 _ROOT_WIDTH = 1e-15  # a root-finder bracket stops once narrower than this
 
 
@@ -45,13 +43,10 @@ class SectionError(RuntimeError):
 
 
 class SectionConvergenceError(SectionError):
-    """The induction fixed point failed to converge."""
+    """The inflow-angle residual has no propulsive root to bracket."""
 
-    def __init__(self, r: float, residual: float):
-        self.residual = residual
-        super().__init__(
-            f"induction iteration did not converge (last residual {residual:.3e})", r
-        )
+    def __init__(self, r: float):
+        super().__init__("no propulsive root of the inflow-angle residual", r)
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ def _find_root(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarra
     return root
 
 
-# a step also evaluates stations its masks discard, which may divide by zero
+# the residual also evaluates the branches its masks discard, which may divide by zero
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -> SectionState:
     """``solve_section`` at every radius in ``r``, in lockstep under per-station masks.
@@ -221,10 +216,7 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
         sin_phi = np.sin(phi)
         return cl, cd, sin_phi, cl * np.cos(phi) - cd * sin_phi
 
-    def ratio_at(sin_phi, force, idx):
-        return 4.0 * k_p[idx] * _sq(sin_phi) / (sigma[idx] * force)
-
-    # Unloaded stations keep the zero-induction state; loaded ones start there.
+    # Unloaded stations keep the zero-induction state.
     phi = phi0.copy()
     a_a = np.zeros(r.size)
     cl, cd, _, force0 = section_at(phi0, slice(None))
@@ -232,70 +224,24 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     for i in np.flatnonzero(nonpropulsive).tolist():
         errors[i] = SectionError("non-propulsive section at zero induction", float(r[i]))
 
-    # Fast path: damped iteration on the induction factor.  Convergence is
-    # declared on the residual at the current iterate, so the returned state
-    # satisfies the balance equation to the tolerance by construction.
-    a = np.zeros(r.size)
-    residual = np.full(r.size, math.inf)
-    prev_residual = np.full(r.size, math.inf)
-    solved = ~loaded | nonpropulsive
-    act = np.flatnonzero(~solved)
-    for _ in range(_MAX_ITERS):
-        if not act.size:
-            break
-        a_act = a[act]
-        phi_act = _each(math.atan2, v0 * (1.0 + a_act), omega_r[act])
-        cl_act, cd_act, sin_phi, force = section_at(phi_act, act)
-        ratio = ratio_at(sin_phi, force, act)
-        a_new = 1.0 / (ratio - 1.0)
-        res = np.abs(a_new - a_act)
-        # leaving the propulsive branch hands the station over to root-finding
-        live = ~(force <= 0.0) & ~(ratio <= 1.0 + 1e-12)
-        residual[act[live]] = res[live]
-        done = live & (res < _FIXED_POINT_TOL)
-        hit = act[done]
-        phi[hit], a_a[hit], cl[hit], cd[hit] = phi_act[done], a_act[done], cl_act[done], cd_act[done]
-        solved[hit] = True
-        go = live & ~done & ~(res > 0.999 * prev_residual[act])  # else not contracting
-        act, a_act, a_new, res = act[go], a_act[go], a_new[go], res[go]
-        prev_residual[act] = res
-        a[act] = a_act + _RELAXATION * (a_new - a_act)
-
-    # Robust path: root-finding on the inflow-angle residual.  The momentum
-    # ratio is monotone increasing in phi and the section force monotone
-    # decreasing, so the propulsive branch lives on (phi_pole, phi_zero)
-    # where ratio crosses 1 and the force crosses 0 respectively, and the
-    # residual a_alg(phi) - a_kin(phi) falls from +inf to negative there.
-    def not_converged(idx):
-        errors.update((i, SectionConvergenceError(float(r[i]), float(residual[i]))) for i in idx.tolist())
-
-    def ratio_minus_one(phi, idx):
-        _, _, sin_phi, force = section_at(phi, idx)
-        return np.where(force <= 0.0, math.inf, ratio_at(sin_phi, force, idx) - 1.0)
-
+    # Root-finding on the inflow-angle residual a_alg(phi) - a_kin(phi).  The
+    # momentum ratio is monotone increasing in phi and the section force
+    # monotone decreasing, so the residual is +inf below the momentum pole
+    # (ratio <= 1), -inf past the force zero, and falls through zero once in
+    # between: [phi0, phi_cap] brackets the propulsive root.
     def residual_fn(phi, idx):
         _, _, sin_phi, force = section_at(phi, idx)
-        rat = ratio_at(sin_phi, force, idx)
+        rat = 4.0 * k_p[idx] * _sq(sin_phi) / (sigma[idx] * force)
         a_alg = 1.0 / (rat - 1.0)
         a_kin = _each(math.tan, phi) * omega_r[idx] / v0 - 1.0
         return np.where(force <= 0.0, -math.inf, np.where(rat <= 1.0, math.inf, a_alg - a_kin))
 
-    todo = np.flatnonzero(~solved)
+    todo = np.flatnonzero(loaded & ~nonpropulsive)
     phi_cap = np.full(todo.size, math.pi / 2 - 1e-9)
-    capped = section_at(phi_cap, todo)[3] >= 0.0
-    not_converged(todo[capped])
-    todo, phi_cap = todo[~capped], phi_cap[~capped]
-    phi_zero = _find_root(lambda phi, idx: section_at(phi, idx)[3], phi0[todo], phi_cap, todo)
-
-    phi_lo = phi0[todo]
-    pole = ~(ratio_minus_one(phi_lo, todo) > 0.0)
-    phi_lo[pole] = _find_root(ratio_minus_one, phi_lo[pole], phi_zero[pole], todo[pole]) + 1e-12
-
-    phi_hi = phi_zero - 1e-12
-    bracketed = (residual_fn(phi_lo, todo) > 0.0) & (residual_fn(phi_hi, todo) < 0.0)
-    not_converged(todo[~bracketed])
+    bracketed = (section_at(phi_cap, todo)[3] < 0.0) & (residual_fn(phi0[todo], todo) > 0.0)
+    errors.update((i, SectionConvergenceError(float(r[i]))) for i in todo[~bracketed].tolist())
     todo = todo[bracketed]
-    phi_star = _find_root(residual_fn, phi_lo[bracketed], phi_hi[bracketed], todo)
+    phi_star = _find_root(residual_fn, phi0[todo], phi_cap[bracketed], todo)
     phi[todo] = phi_star
     a_a[todo] = _each(math.tan, phi_star) * omega_r[todo] / v0 - 1.0
     cl[todo], cd[todo], _, _ = section_at(phi_star, todo)
@@ -307,15 +253,15 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
 
 
 def solve_section(spec: PropellerSpec, v0: float, n_s: float, r: float) -> SectionState:
-    """Solve the coupled inflow-angle/induction fixed point at radius r.
+    """Solve the coupled inflow-angle/induction balance at radius r.
 
-    Damped fixed-point iteration (relaxation 0.5, tolerance 1e-6, at most
-    200 iterations); when the iteration oscillates or leaves the propulsive
-    regime, a bracketing root-finder (Chandrupatla's method) on the residual
-    in the inflow angle takes over.  Sections with a vanishing tip-loss
-    factor return the unloaded tip boundary state instead of evaluating the
-    (singular) balance.  This is the one-station case of the solver
-    ``propeller_performance`` uses.
+    A bracketing root-finder (Chandrupatla's method) finds the inflow angle
+    in [phi0, pi/2 - 1e-9] where the blade-element induction factor equals
+    the kinematic one; the bracket closes below 1e-15 rad.  A section with no
+    sign change there raises ``SectionConvergenceError``.  Sections with a
+    vanishing tip-loss factor return the unloaded tip boundary state instead
+    of evaluating the (singular) balance.  This is the one-station case of
+    the solver ``propeller_performance`` uses.
     """
     if not (spec.r_hub <= r <= spec.r_tip):
         raise ValueError(f"radius {r} outside blade span [{spec.r_hub}, {spec.r_tip}]")

@@ -36,6 +36,8 @@ class ArrayGeometry:
             raise ValueError("element counts must be >= 1")
         if self.spacing_x <= 0 or self.spacing_y <= 0 or self.carrier_hz <= 0:
             raise ValueError("spacings and carrier frequency must be positive")
+        if not all(np.isfinite(2.0 * np.pi * self.carrier_hz * d) for d in (self.spacing_x, self.spacing_y)):
+            raise ValueError("steering phase 2 pi f_c spacing is not finite")
 
     @property
     def n_t(self) -> int:
@@ -166,6 +168,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         a = raw["array"]
         fc = float(a["fc_hz"])
+        if not fc > 0:
+            raise ValueError(f"carrier frequency must be positive, got {fc!r}")
         lam = SPEED_OF_LIGHT / fc
         spacing = float(a.get("spacing_wavelengths", 0.5)) * lam
         arr = ArrayGeometry(
@@ -189,7 +193,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 )
             )
         return Scenario(array=arr, users=tuple(users), bw_hz=bw, n0_w=n0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: nx * ny past float range
         raise ConfigError(f"invalid scenario config: {exc}") from exc
 
 

@@ -198,7 +198,10 @@ def _budget_from_config(cfg: dict) -> tuple[float, object]:
 
 def _scenario_from_config(cfg: dict, base: Path):
     if "scenario_path" in cfg:
-        return load_scenario(base / cfg["scenario_path"])
+        path = cfg["scenario_path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"scenario_path must be a path, got {path!r}")
+        return load_scenario(base / path)
     if "scenario" not in cfg:
         raise ConfigError("config needs 'scenario' or 'scenario_path'")
     return scenario_from_dict(cfg["scenario"])

@@ -2,15 +2,17 @@
 
 This is the per-station solver that ``hapalloc.bemt`` replaced with its array
 solver.  It evaluates the same formulas in the same order with ``math`` on
-Python floats, one radius at a time.  The array solver must reproduce its
-errors, unloaded tips and fixed-point stations bit for bit; where both fall
-back to a root-finder (bisection here, Chandrupatla's method there), the
-roots agree to within the 1e-15 bracket width.  The spec's callables are
-called on scalars and their results cast to float.  It also holds the
-closed-form induction balance ``axial_induction``, the inflow-angle residual
-``inflow_residual``, the analytic test propeller ``default_test_propeller``,
-and ``write_spec_dir``, which samples a spec onto the spec-directory tables
-that ``hapalloc.bemt.load_spec_dir`` reads.
+Python floats, one radius at a time, and builds its bracket independently:
+it bisects for the force zero and the momentum pole first and then bisects
+the inflow residual between them, where the array solver runs one
+Chandrupatla root-find over [phi0, pi/2 - 1e-9].  The array solver must
+reproduce its errors and unloaded tips bit for bit; the roots agree to
+within the 1e-15 bracket width.  The spec's callables are called on scalars
+and their results cast to float.  It also holds the closed-form induction
+balance ``axial_induction``, the inflow-angle residual ``inflow_residual``,
+the analytic test propeller ``default_test_propeller``, and
+``write_spec_dir``, which samples a spec onto the spec-directory tables that
+``hapalloc.bemt.load_spec_dir`` reads.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ from hapalloc.bemt import (
     SectionState,
     tip_loss,
 )
-
-_FIXED_POINT_TOL = 1e-6
-_MAX_ITERS = 200
-_RELAXATION = 0.5
 
 
 def _polar(spec, alpha):
@@ -76,7 +74,7 @@ def axial_induction(sigma: float, phi: float, c_l: float, c_d: float, k_p: float
 
 
 def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
-    """Damped induction fixed point, then bisection on the inflow angle."""
+    """Bisection on the inflow angle between the momentum pole and the force zero."""
     if v0 <= 0 or n_s <= 0:
         raise ValueError("airspeed and rotational speed must be positive")
     if not (spec.r_hub <= r <= spec.r_tip):
@@ -111,26 +109,6 @@ def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
             r=r, phi=phi, alpha=alpha, a_a=a, sigma=sigma, k_p=k_p, cl=cl, cd=cd
         )
 
-    a = 0.0
-    residual = math.inf
-    prev_residual = math.inf
-    for _ in range(_MAX_ITERS):
-        phi = math.atan2(v0 * (1.0 + a), omega_r)
-        _, _, _, force = section_at(phi)
-        if force <= 0.0:
-            break
-        ratio = ratio_at(phi, force)
-        if ratio <= 1.0 + 1e-12:
-            break
-        a_new = 1.0 / (ratio - 1.0)
-        residual = abs(a_new - a)
-        if residual < _FIXED_POINT_TOL:
-            return build_state(a, phi)
-        if residual > 0.999 * prev_residual:
-            break
-        prev_residual = residual
-        a += _RELAXATION * (a_new - a)
-
     def bisect(fn, lo, hi, iters=200):
         flo = fn(lo)
         for _ in range(iters):
@@ -147,7 +125,7 @@ def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
     phi_cap = math.pi / 2 - 1e-9
     _, _, _, force_cap = section_at(phi_cap)
     if force_cap >= 0.0:
-        raise SectionConvergenceError(r, residual)
+        raise SectionConvergenceError(r)
     phi_zero = bisect(lambda p: section_at(p)[3], phi0, phi_cap)
 
     def ratio_minus_one(phi):
@@ -167,7 +145,7 @@ def solve_section(spec, v0: float, n_s: float, r: float) -> SectionState:
 
     phi_hi = phi_zero - 1e-12
     if not (residual_fn(phi_lo) > 0.0 and residual_fn(phi_hi) < 0.0):
-        raise SectionConvergenceError(r, residual)
+        raise SectionConvergenceError(r)
     phi_star = bisect(residual_fn, phi_lo, phi_hi)
     a_star = math.tan(phi_star) * omega_r / v0 - 1.0
     return build_state(a_star, phi_star)

@@ -496,6 +496,29 @@ class TestValueConfigErrors:
         assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
         assert "'seeds' must be a list" in one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("path", [None, 3])
+    @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
+    def test_scenario_path_not_a_string(self, verb, path, tmp_path, capsys):
+        doc = {
+            "solve": explicit_budget_solve_config(),
+            "sweep": budget_sweep_config(),
+            "ablation": without(shipped("ablation.json"), "scenario"),
+        }[verb]
+        cfg = write_json(tmp_path / "c.json", {**doc, "scenario_path": path})
+        assert run_cli(verb, "--config", cfg) == EXIT_CONFIG
+        assert f"scenario_path must be a path, got {path!r}" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("array, message", [
+        ({"fc_hz": 0}, "carrier frequency must be positive, got 0.0"),
+        ({"fc_hz": 1e308}, "steering phase 2 pi f_c spacing is not finite"),
+        ({"nx": 1e308}, "int too large to convert to float"),
+    ])
+    def test_scenario_array_out_of_range(self, array, message, tmp_path, capsys):
+        doc = {**shipped("ablation.json"), "max_epochs": 51}
+        doc["scenario"]["array"].update(array)
+        assert run_cli("ablation", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
+        assert f"invalid scenario config: {message}" in one_line_config_error(capsys)
+
 
 GRID_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_section_max, random_scenario, reference_ledger, sweep_scenario, total_comm_power
@@ -392,6 +392,16 @@ class TestBaselineQosOnly:
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 1.4
         sol = baseline_qos_only(sc, bf, budget, LEDGER)
         assert sol.rf_spent == pytest.approx(budget, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(budget=st.floats(5e307, float(np.finfo(float).max)))
+    @example(budget=1.7e308)
+    def test_spend_is_finite_and_within_a_budget_near_the_float_maximum(self, budget):
+        # the closed-form headroom's discriminant overflows here; the spend must not
+        sc = sweep_scenario()
+        sol = baseline_qos_only(sc, scenario_beamformer(sc), budget, LEDGER)
+        assert len(sol.q_set) == sc.n_users
+        assert budget * (1.0 - 1e-12) <= sol.rf_spent <= budget
 
 
 class TestArgmaxInvariance:
