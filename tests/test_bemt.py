@@ -241,6 +241,18 @@ def assert_same_outcome(got, want):
         assert got == want
 
 
+def assert_roots_change_sign(spec, v0, n_s):
+    """At every loaded station the residual is 0 at phi*, or changes sign across [phi* - 1e-15, phi* + 1e-15]."""
+    radii = oracle.stations(spec)
+    batch = bemt._solve_stations(spec, v0, n_s, np.array(radii))
+    rooted = np.flatnonzero(batch.k_p >= KP_FLOOR).tolist()
+    assert len(rooted) > len(radii) // 2
+    for i in rooted:
+        phi, r = float(batch.phi[i]), radii[i]
+        below, at, above = (oracle.inflow_residual(spec, v0, n_s, r, x) for x in (phi - 1e-15, phi, phi + 1e-15))
+        assert at == 0.0 or below > 0.0 > above, (r, below, at, above)
+
+
 class TestArraySolverMatchesScalarOracle:
     """The lockstep array solver against the per-station scalar solver in tests/bemt_oracle.py."""
 
@@ -274,24 +286,20 @@ class TestArraySolverMatchesScalarOracle:
             else:
                 np.testing.assert_allclose(got[rooted], ref, rtol=OUTPUT_RTOL, atol=0.0, err_msg=f.name)
 
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("v0, n_s", [(15.0, 12.0), (4.0, 9.0), (22.0, 25.0)])
+    def test_root_is_certified_by_a_sign_change(self, spec_name, v0, n_s):
+        assert_roots_change_sign(SPECS[spec_name], v0, n_s)
+
     @given(
         spec_name=st.sampled_from(sorted(SPECS)),
         v0=st.floats(1.0, 30.0),
         advance=st.floats(0.02, 0.18),
     )
     @settings(max_examples=15, deadline=None)
-    def test_root_is_certified_by_a_sign_change(self, spec_name, v0, advance):
-        # at every loaded station the residual is 0 at phi*, or changes sign across [phi* - 1e-15, phi* + 1e-15]
+    def test_root_is_certified_by_a_sign_change_anywhere(self, spec_name, v0, advance):
         spec = SPECS[spec_name]
-        n_s = v0 / (advance * 2.0 * spec.r_tip)
-        radii = oracle.stations(spec)
-        batch = bemt._solve_stations(spec, v0, n_s, np.array(radii))
-        rooted = np.flatnonzero(batch.k_p >= KP_FLOOR).tolist()
-        assert len(rooted) > len(radii) // 2
-        for i in rooted:
-            phi, r = float(batch.phi[i]), radii[i]
-            below, at, above = (oracle.inflow_residual(spec, v0, n_s, r, x) for x in (phi - 1e-15, phi, phi + 1e-15))
-            assert at == 0.0 or below > 0.0 > above, (r, below, at, above)
+        assert_roots_change_sign(spec, v0, v0 / (advance * 2.0 * spec.r_tip))
 
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     def test_infeasible_point_raises_the_same_error(self, spec_name):
