@@ -330,7 +330,9 @@ def _equal_headroom(p_base: np.ndarray, c: np.ndarray, budget: float) -> np.ndar
     if not np.isfinite(delta):
         # b * b or 4 a c0 overflowed near the float maximum: solve in units of
         # sqrt(budget), and shrink delta by a few ulps per user so that the
-        # rounding of the spend cannot take it over the budget
+        # rounding of the spend cannot take it over the budget. Temporary: this
+        # form is right at every budget, and replaces the one above (which can
+        # overshoot by 2 ulps) when the exact stage 2 moves the outputs anyway
         root = np.sqrt(budget)
         b, c0 = b / root, c0 / budget
         delta = root * (-b + np.sqrt(b * b - 4.0 * a * c0)) / (2.0 * a) * (1.0 - 8.0 * a * np.finfo(float).eps)

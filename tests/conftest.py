@@ -19,6 +19,22 @@ REFERENCE_ARRAY = ArrayGeometry.half_wavelength(12, 12, CARRIER_HZ)
 REFERENCE_GAMMA = mean_channel_power(REFERENCE_ARRAY, 3.0, 3.0, 20000.0)
 KAPPA_12DB = 10.0 ** 1.2
 
+TESTS_DIR = Path(__file__).resolve().parent
+
+# Every warning raised while a test in this directory runs fails that test, so
+# an overflow or a NaN is caught instead of printed. The one exception: hypothesis
+# imports libcst to print a failing example as a patch, and libcst warns on import.
+WARNINGS_AS_ERRORS = pytest.mark.filterwarnings(
+    "error",
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
+)
+
+
+def pytest_collection_modifyitems(items) -> None:
+    for item in items:
+        if item.path.is_relative_to(TESTS_DIR):
+            item.add_marker(WARNINGS_AS_ERRORS)
+
 
 @pytest.fixture
 def platform() -> PlatformGeometry:
