@@ -24,7 +24,6 @@ from .propulsion import (
 from .beamforming import RateModel, ZfBeamformer, zf_beamformer
 from .channel import ArrayGeometry, Scenario, UserLink, mean_channel_power, upa_response
 from .q3e import (
-    BarrierConfig,
     FeasibilityPartition,
     Q3eSolution,
     baseline_max_sum_rate,
@@ -64,7 +63,6 @@ __all__ = [
     "ZfBeamformer",
     "RateModel",
     "zf_beamformer",
-    "BarrierConfig",
     "FeasibilityPartition",
     "Q3eSolution",
     "feasibility_partition",

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Atmosphere, isa_properties
+from .config import Atmosphere, as_integer, isa_properties
 
 KP_FLOOR = 1e-6  # below this the section is treated as unloaded tip boundary
 _ROOT_WIDTH = 1e-15  # a root-finder bracket stops once narrower than this
@@ -315,6 +315,8 @@ def propeller_performance(
     power = float(math.pi * n_s * atm.rho * v0 * v0 * spec.n_blades * _simpson(f_power, h))
     if power <= 0.0:
         raise SectionError("non-positive integrated shaft power")
+    if not (math.isfinite(thrust) and math.isfinite(power)):
+        raise SectionError("integrated thrust or shaft power is not finite")
     return PropellerOperatingPoint(
         v0=v0, n_s=n_s, thrust=thrust, shaft_power=power, eta_p=thrust * v0 / power
     )
@@ -352,7 +354,7 @@ def load_spec_dir(path: str | Path) -> PropellerSpec:
     geom = _read_csv(path / "geometry.csv", GEOMETRY_CSV_HEADER)
     polar = _read_csv(path / "polar.csv", POLAR_CSV_HEADER)
     return PropellerSpec.from_tables(
-        n_blades=int(meta["n_blades"]),
+        n_blades=as_integer("n_blades", meta["n_blades"]),
         r=geom[:, 0],
         chord=geom[:, 1],
         pitch_rad=np.radians(geom[:, 2]),

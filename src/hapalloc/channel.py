@@ -10,15 +10,17 @@ fading; the Monte Carlo check of the rate model lives with the tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, as_integer
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
+MAX_ARRAY_ELEMENTS = 4096  # largest planar array (64 x 64) a scenario may configure
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("element counts must be >= 1")
+        if float(self.n_t) > MAX_ARRAY_ELEMENTS:  # float() overflows past the float range
+            raise ValueError(f"array of {self.n_x} x {self.n_y} elements exceeds {MAX_ARRAY_ELEMENTS}")
         if self.spacing_x <= 0 or self.spacing_y <= 0 or self.carrier_hz <= 0:
             raise ValueError("spacings and carrier frequency must be positive")
         if not all(np.isfinite(2.0 * np.pi * self.carrier_hz * d) for d in (self.spacing_x, self.spacing_y)):
@@ -71,12 +75,10 @@ class UserLink:
     u_y: float = field(init=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("mean channel power must be positive")
-        if self.kappa < 0:
-            raise ValueError("Rician factor must be >= 0")
-        if self.qos_rate < 0:
-            raise ValueError("QoS rate must be >= 0")
+        if not (math.isfinite(self.theta_x) and math.isfinite(self.theta_y) and 0.0 < self.gamma < math.inf
+                and 0.0 <= self.kappa < math.inf and 0.0 <= self.qos_rate < math.inf):
+            raise ValueError("user angles must be finite, the mean channel power finite and positive, "
+                             "and the Rician factor and QoS rate finite and >= 0")
         ux, uy = spatial_angles(self.theta_x, self.theta_y)
         object.__setattr__(self, "u_x", float(ux))
         object.__setattr__(self, "u_y", float(uy))
@@ -136,8 +138,8 @@ class Scenario:
     def __post_init__(self):
         if not self.users:
             raise ValueError("scenario needs at least one user")
-        if self.bw_hz <= 0 or self.n0_w <= 0:
-            raise ValueError("bandwidth and noise power must be positive")
+        if not (0.0 < self.bw_hz < math.inf and 0.0 < self.n0_w < math.inf):
+            raise ValueError("bandwidth and noise power must be finite and positive")
 
     @property
     def n_users(self) -> int:
@@ -173,7 +175,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         lam = SPEED_OF_LIGHT / fc
         spacing = float(a.get("spacing_wavelengths", 0.5)) * lam
         arr = ArrayGeometry(
-            n_x=int(a["nx"]), n_y=int(a["ny"]), spacing_x=spacing, spacing_y=spacing, carrier_hz=fc
+            n_x=as_integer("nx", a["nx"]), n_y=as_integer("ny", a["ny"]),
+            spacing_x=spacing, spacing_y=spacing, carrier_hz=fc,
         )
         bw = float(raw["bw_hz"])
         altitude = float(raw.get("altitude_m", 20000.0))

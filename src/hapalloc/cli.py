@@ -3,8 +3,9 @@
 Verbs: propulsion, bemt, surrogate-fit, solve, sweep, ablation.  Each takes
 --config <json> plus verb-specific flags and an optional --out path.  Exit
 codes: 0 success, 2 config error (one ``config error:`` line, including
-users too close for zero forcing), 3 power-budget infeasibility.  The
-environment variable HPP_SEED overrides any configured seed (useful in CI).
+users too close for zero forcing, an RF budget whose rates or communication
+power overflow, and a neural training that diverges), 3 power-budget
+infeasibility.  Seeds come from the config only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .config import (
     Atmosphere,
     BudgetInfeasibleError,
     ConfigError,
+    as_integer,
     isa_properties,
     ledger_from_dict,
     load_platform_config,
@@ -31,7 +32,8 @@ from .config import (
     reject_unknown_keys,
     rf_budget,
 )
-from .q3e import q3e, scenario_beamformer, solution_to_dict
+from .neuro import TrainConfig, TrainingError
+from .q3e import check_stage2_range, q3e, scenario_beamformer, solution_to_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,7 +70,7 @@ def _positive(name: str, value, zero_ok: bool = False) -> float:
 
 def _integer(name: str, value) -> int:
     try:
-        return int(value)
+        return as_integer(name, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
@@ -87,9 +89,6 @@ def _atmosphere(altitude) -> Atmosphere:
 
 
 def _seeds(raw, default=(0,)) -> list[int]:
-    env = os.environ.get("HPP_SEED")
-    if env is not None:
-        return [_integer("HPP_SEED", env)]
     if raw is None:
         return list(default)
     seeds = [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
@@ -216,11 +215,8 @@ def _cmd_solve(args) -> int:
     if backend not in ("numeric", "mlp"):
         raise ConfigError(f"backend must be 'numeric' or 'mlp', got {backend!r}")
     bf = scenario_beamformer(scenario)
-    train_cfg = None
-    if backend == "mlp":
-        from .neuro import TrainConfig
-
-        train_cfg = TrainConfig(seed=_seeds(cfg.get("seed"), default=(0,))[0])
+    check_stage2_range(scenario, bf, p_tot, ledger)
+    train_cfg = TrainConfig(seed=_seeds(cfg.get("seed"), default=(0,))[0]) if backend == "mlp" else None
     sol = q3e(scenario, bf, p_tot, ledger, cfg=train_cfg, backend=backend)
     doc = solution_to_dict(sol)
     doc["p_tot_w"] = p_tot
@@ -280,15 +276,10 @@ def _cmd_ablation(args) -> int:
     scenario = _scenario_from_config(cfg, Path(args.config).parent)
     ledger = ledger_from_dict(_required(cfg, "ledger", "ablation"))
     p_tot = _positive("p_tot_w", _required(cfg, "p_tot_w", "ablation"), zero_ok=True)
-    env = os.environ.get("HPP_SEED")
-    if env is not None:  # keep the seed count the ablation needs
-        first = _integer("HPP_SEED", env)
-        seeds = list(range(first, first + harness.ABLATION_MIN_SEEDS))
-    else:
-        seeds = cfg.get("seeds", list(range(harness.ABLATION_MIN_SEEDS)))
-        if not isinstance(seeds, list):
-            raise ConfigError(f"ablation 'seeds' must be a list, got {seeds!r}")
-        seeds = [_integer("seeds", s) for s in seeds]
+    seeds = cfg.get("seeds", list(range(harness.ABLATION_MIN_SEEDS)))
+    if not isinstance(seeds, list):
+        raise ConfigError(f"ablation 'seeds' must be a list, got {seeds!r}")
+    seeds = [_integer("seeds", s) for s in seeds]
     table = harness.run_ablation(
         scenario, ledger, p_tot, seeds=seeds, max_epochs=_integer("max_epochs", cfg.get("max_epochs", 2000))
     )
@@ -345,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ConditioningError) as exc:  # a config error, or co-located users
+    except (ConfigError, ConditioningError, TrainingError) as exc:  # bad config, co-located users, divergence
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetInfeasibleError as exc:

@@ -190,6 +190,13 @@ def comm_power(rf_spent: float, ledger: PowerLedger) -> float:
     return ledger.xi * rf_spent + static_comm_power(ledger)
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; a value with a fractional part (12.7) is a ValueError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def platform_from_dict(d: dict) -> PlatformGeometry:
     try:
         return PlatformGeometry(
@@ -215,7 +222,7 @@ def ledger_from_dict(d: dict) -> PowerLedger:
             p_lo=float(d["p_lo"]),
             p_bb=float(d["p_bb"]),
             xi=float(d["xi"]),
-            n_t=int(d["n_t"]),
+            n_t=as_integer("n_t", d["n_t"]),
         )
     except KeyError as exc:
         raise ConfigError(f"ledger config missing key: {exc}") from exc

@@ -20,7 +20,7 @@ from . import propulsion
 from .beamforming import ZfBeamformer
 from .channel import Scenario
 from .config import Atmosphere, ConfigError, PlatformGeometry, PowerLedger
-from .q3e import baseline_max_sum_rate, baseline_qos_only, q3e, scenario_beamformer, stage2_problem
+from .q3e import baseline_max_sum_rate, baseline_qos_only, check_stage2_range, q3e, scenario_beamformer, stage2_problem
 
 AIRSPEED_HEADERS = ["v0_mps", "t_n", "cdv", "re", "eta_hat", "p_prop_w", "p_prop_legacy_w"]
 BUDGET_HEADERS = ["p_tot_w", "backend", "satisfaction", "ee_bps_per_w", "rf_spent_w"]
@@ -125,12 +125,15 @@ def run_budget_sweep(
 ) -> ReportTable:
     """Per-backend satisfaction ratio and EE over an RF-budget grid.
 
-    Rows come out in grid-then-backend order.  Raises if the lexicographic
-    solver's satisfaction ratio ever decreases along the grid, or if the
-    sum-rate baseline ever satisfies more users.
+    Rows come out in grid-then-backend order.  Raises ConfigError for a
+    budget out of range (``check_stage2_range``), and AssertionError if the
+    lexicographic solver's satisfaction ratio ever decreases along the grid,
+    or if the sum-rate baseline ever satisfies more users.
     """
     bf = scenario_beamformer(scenario)
     grid = [float(x) for x in grid]
+    for p_tot in grid:
+        check_stage2_range(scenario, bf, p_tot, ledger)
 
     results = [
         {b: _solve_backend(b, scenario, bf, p_tot, ledger, seeds) for b in backends} for p_tot in grid
@@ -189,7 +192,9 @@ def run_ablation(
     seeds = [int(s) for s in seeds]
     if len(seeds) < ABLATION_MIN_SEEDS:
         raise ConfigError(f"ablation needs at least {ABLATION_MIN_SEEDS} seeds, got {len(seeds)}")
-    problem = stage2_problem(scenario, scenario_beamformer(scenario), p_tot, ledger)
+    bf = scenario_beamformer(scenario)
+    check_stage2_range(scenario, bf, p_tot, ledger)
+    problem = stage2_problem(scenario, bf, p_tot, ledger)
 
     variants = [
         ("full", True, True),

@@ -8,8 +8,12 @@ loss is the negative EE objective plus log-barrier terms on the constraint
 slacks.  Optimization is Adam with early stopping on the true (barrier-free)
 EE of the projected output, and the best checkpoint is returned.
 
-Gradients flow through the projector's smooth scaling branch; the clamp
-max(p, m) passes no gradient on the clamped side (subgradient convention).
+The EE, its gradient and the projector's budget scaling are ``q3e``'s
+(``PowerProblem.ee_and_gradient``, ``q3e._scale_to_budget``); this module
+adds the barrier terms, the projector's Jacobian-vector product and the
+backward pass through the network.  Gradients flow through the projector's
+smooth scaling branch; the clamp max(p, m) passes no gradient on the
+clamped side (subgradient convention).
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, comm_power
-from .q3e import BarrierConfig, PowerProblem, project_capped
+from .config import ConfigError
+from .q3e import PowerProblem, _scale_to_budget, project_capped
 
 DEFAULT_HIDDEN = (64, 64, 32, 32)
+BARRIER_WEIGHT = 1e-2  # initial log-barrier weight, in units of the instance's EE scale
+BARRIER_EPS = 1e-6  # slack floor inside the log terms
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate
 ADAM_BETA2 = 0.999  # decay of the second-moment estimate
 ADAM_EPS = 1e-8  # added to the root of the second moment
@@ -33,7 +39,8 @@ class TrainingError(RuntimeError):
 
     def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss at epoch {epoch}: the neural backend diverged "
+                         "(a step size, budget or scenario value out of its range)")
 
 
 @dataclass
@@ -85,18 +92,12 @@ def _layer_views(flat: np.ndarray, layer_widths) -> tuple[list[np.ndarray], list
     return weights, biases
 
 
-def _zero_network(layer_widths) -> MlpNetwork:
-    widths = tuple(int(w) for w in layer_widths)
-    return MlpNetwork(layer_widths=widths, params=np.zeros(_param_count(widths)))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 2000
     patience: int = 50
     step_size: float = 1e-3
     seed: int = 0
-    barrier: BarrierConfig = field(default_factory=BarrierConfig)
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
     anneal_every: int = 200  # halve the barrier weight this often
     project_scaling: bool = True  # False: clamp only, no budget rescale (ablation)
@@ -111,11 +112,14 @@ class TrainConfig:
             )
         if self.step_size <= 0:
             raise ConfigError("step size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seed}")
 
 
 def init_network(layer_widths, seed: int = 0) -> MlpNetwork:
     """Symmetric uniform fan-in initialization, seeded for determinism."""
-    net = _zero_network(layer_widths)
+    widths = tuple(int(w) for w in layer_widths)
+    net = MlpNetwork(layer_widths=widths, params=np.zeros(_param_count(widths)))
     rng = np.random.default_rng(seed)
     for w, b in zip(net.weights, net.biases):
         bound = 1.0 / math.sqrt(w.shape[0])
@@ -212,31 +216,18 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 
 
 def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
-    """EE, barrier loss and d(loss)/dp at ``p``, sharing rates and spends.
+    """EE, barrier loss and d(loss)/dp at ``p``.
 
     ``p_free`` is ``p[problem.free]``.  The loss is the negative EE minus
     ``lam`` times the log-barrier terms, each log argument floored at ``eps``:
     under full QoS one per user on p_k - p_min,k and one on the budget slack;
     under partial QoS one on the free users' budget slack.  EE and its
-    gradient use the arithmetic of ``PowerProblem.objective`` and
-    ``objective_gradient``.  The gradient is zero on pinned coordinates.
-    Returns (EE, loss, gradient, free users' spend).
+    gradient are ``PowerProblem.ee_and_gradient``'s.  The gradient is zero
+    on pinned coordinates.  Returns (EE, loss, gradient, free users' spend).
     """
-    m = problem.rate_model
     c = problem.w_norms_sq
-    gp2 = m.gammas * p * p
-    rates = m.bw_hz * np.log2(1.0 + gp2 / m.n0_w)
-    rf = float((c * p * p).sum())
-    denom = comm_power(rf, problem.ledger)
-    numer = float(rates[problem.free].sum())
-    ee = numer / denom if denom > 0.0 else 0.0
-    d_numer = np.where(
-        problem.free,
-        2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + gp2)),
-        0.0,
-    )
-    d_denom = 2.0 * problem.ledger.xi * c * p
-    grad = -((d_numer * denom - numer * d_denom) / (denom * denom))
+    ee, grad, rf = problem.ee_and_gradient(p)
+    np.negative(grad, out=grad)
     free_spend = float((c[problem.free] * p_free**2).sum())
     if problem.full_qos:
         x = p - problem.p_min + eps
@@ -251,7 +242,7 @@ def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: flo
         logs = math.log(max(slack, eps))
         if lam > 0 and slack > eps:
             grad += lam * 2.0 * c * p / slack
-    grad[~problem.free] = 0.0
+            grad[~problem.free] = 0.0
     return ee, -ee - lam * logs, grad, free_spend
 
 
@@ -260,11 +251,13 @@ def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: flo
 # ---------------------------------------------------------------------------
 
 
-def _project_with_grad(p_tilde, mask, c, budget, scaling: bool):
-    """Project and return a closure mapping d(loss)/dp back to d(loss)/dp_tilde."""
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    mask = np.asarray(mask, dtype=float)
-    c = np.asarray(c, dtype=float)
+def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: bool):
+    """Project the free users' entries of ``p_tilde``.
+
+    Returns the projected coefficients and a closure mapping d(loss)/dp back to d(loss)/dp_tilde.
+    """
+    mask, c, budget = problem.lower_bound[problem.free], problem.w_norms_sq[problem.free], problem.budget
+    p_tilde = p_tilde[problem.free]
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
     p_hat = np.maximum(p_tilde, mask)
     p_0 = float((c * p_hat * p_hat).sum())
@@ -277,10 +270,7 @@ def _project_with_grad(p_tilde, mask, c, budget, scaling: bool):
         return p, backward
 
     p_m = float((c * mask * mask).sum())
-    alpha = (budget - p_m) / (p_0 - p_m)
-    alpha = min(1.0, max(0.0, alpha))
-    sq = mask * mask + alpha * (p_hat * p_hat - mask * mask)
-    p = np.sqrt(sq)
+    p, alpha = _scale_to_budget(p_hat, mask, budget, p_0, p_m)
 
     def backward(d_p):
         safe_p = np.where(p > 0.0, p, 1.0)
@@ -321,9 +311,7 @@ def _step(net: MlpNetwork, problem: PowerProblem, features: np.ndarray, lam: flo
     """
     free = problem.free
     p_tilde, cache = _forward_trace(net, features)
-    p_free, proj_backward = _project_with_grad(
-        p_tilde[free], problem.lower_bound[free], problem.w_norms_sq[free], problem.budget, scaling
-    )
+    p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling)
     p = problem.assemble(p_free)
     ee, loss, d_p, free_spend = _evaluate(p, p_free, problem, lam, eps)
     d_p_tilde = np.zeros(p_tilde.shape)
@@ -363,7 +351,7 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     best_params = None
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        lam = cfg.barrier.lambda_ * 0.5 ** ((epoch - 1) // cfg.anneal_every)
+        lam = BARRIER_WEIGHT * 0.5 ** ((epoch - 1) // cfg.anneal_every)
         if not cfg.use_soft_loss:
             lam = 0.0
 
@@ -371,7 +359,7 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
             p_tilde, _, val, loss, free_spend = _step(
-                net, problem, features, lam * ee_scale, cfg.barrier.epsilon,
+                net, problem, features, lam * ee_scale, BARRIER_EPS,
                 cfg.project_scaling, grads_w, grads_b,
             )
         if not (np.isfinite(p_tilde).all() and math.isfinite(loss)):
@@ -412,10 +400,5 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
     """Projected coefficient vector produced by a trained network."""
     p_tilde = mlp_forward(net, problem_features(problem))
-    free = problem.free
-    p_free, _ = _project_with_grad(
-        p_tilde[free], problem.lower_bound[free], problem.w_norms_sq[free],
-        problem.budget, scaling,
-    )
-    return problem.assemble(p_free)
+    return problem.assemble(_project_with_grad(problem, p_tilde, scaling)[0])
 

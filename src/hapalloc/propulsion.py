@@ -193,8 +193,8 @@ def propulsion_power(
     drag = aerodynamic_drag(atm, geom, v0)
     eta_p = surrogate_efficiency(coeffs, v0)
     power = drag * v0 / (eta_p * geom.motor_eff_etam)
-    if not math.isfinite(power):
-        raise SurrogateRangeError(f"propulsion power is not finite at v0={v0} m/s")
+    if not (math.isfinite(power) and power > 0.0):
+        raise SurrogateRangeError(f"propulsion power is not finite and positive at v0={v0} m/s, got {power!r} W")
     return power
 
 

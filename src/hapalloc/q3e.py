@@ -12,9 +12,12 @@ still counts in the communication power).
 every solver, baseline and the ablation start from it, and
 ``_solution_from`` turns any coefficient vector into a ``Q3eSolution``
 (communication power from ``config.comm_power``, EE over all users).  The
-numeric backend is projected gradient ascent on the exact EE objective
-using the capped-simplex projector below; the barrier-augmented losses are
-used only by the neural backend (see ``neuro``).
+stage-2 arithmetic of both backends is written here once: the free-user EE
+(``PowerProblem.objective``), its gradient (``PowerProblem.ee_and_gradient``)
+and the capped-simplex projector's budget scaling (``_scale_to_budget``).
+The numeric backend is projected gradient ascent on that EE; the neural
+backend (``neuro``) trains through the same EE gradient and scaling step and
+adds only its barrier terms and the projector's Jacobian.
 """
 
 from __future__ import annotations
@@ -31,27 +34,11 @@ from .beamforming import (
     zf_beamformer,
 )
 from .channel import Scenario
-from .config import PowerLedger, comm_power
+from .config import ConfigError, PowerLedger, comm_power
 
 
 _MAX_ITERS = 5000  # projected-gradient iterations per start
 _STEP_TOLERANCE = 1e-9  # stop a start once a step gains less EE than this, relatively
-
-
-@dataclass(frozen=True)
-class BarrierConfig:
-    """Log-barrier weight and slack floor of the neural backend's training loss.
-
-    The numeric solver uses no barrier; its iteration cap and stopping
-    tolerance are the module constants above.
-    """
-
-    lambda_: float = 1e-2
-    epsilon: float = 1e-6  # slack floor inside the log terms
-
-    def __post_init__(self):
-        if self.lambda_ < 0 or self.epsilon <= 0:
-            raise ValueError("barrier weight must be >= 0 and epsilon > 0")
 
 
 @dataclass(frozen=True)
@@ -112,34 +99,27 @@ class PowerProblem:
         return p
 
     def rf_spent(self, p: np.ndarray) -> float:
-        return float(np.sum(self.w_norms_sq * p * p))
+        return float((self.w_norms_sq * p * p).sum())
 
-    def comm_power(self, p: np.ndarray) -> float:
-        return comm_power(self.rf_spent(p), self.ledger)
+    def _ee_terms(self, p: np.ndarray) -> tuple[float, float, float]:
+        """The free users' rate sum, the RF spend and the communication power at ``p``."""
+        rf = self.rf_spent(p)
+        return float(surrogate_rates(p, self.rate_model)[self.free].sum()), rf, comm_power(rf, self.ledger)
 
     def objective(self, p: np.ndarray) -> float:
-        """EE restricted to the free users, bps/W."""
-        rates = surrogate_rates(p, self.rate_model)
-        d = self.comm_power(p)
-        if d <= 0.0:
-            return 0.0
-        return float(np.sum(rates[self.free])) / d
+        """EE restricted to the free users, bps/W; 0 when the communication power is 0."""
+        numer, _, denom = self._ee_terms(p)
+        return numer / denom if denom > 0.0 else 0.0
 
-    def objective_gradient(self, p: np.ndarray) -> np.ndarray:
+    def ee_and_gradient(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """``objective`` at ``p``, its gradient in ``p`` (zero on pinned users) and the RF spend."""
         m = self.rate_model
-        c = self.w_norms_sq
-        rates = surrogate_rates(p, m)
-        numer = float(np.sum(rates[self.free]))
-        denom = self.comm_power(p)
-        d_numer = np.where(
-            self.free,
-            2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + m.gammas * p * p)),
-            0.0,
-        )
-        d_denom = 2.0 * self.ledger.xi * c * p
+        numer, rf, denom = self._ee_terms(p)
+        d_numer = 2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + m.gammas * p * p))
+        d_denom = 2.0 * self.ledger.xi * self.w_norms_sq * p
         grad = (d_numer * denom - numer * d_denom) / (denom * denom)
         grad[~self.free] = 0.0
-        return grad
+        return (numer / denom if denom > 0.0 else 0.0), grad, rf
 
 
 def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartition:
@@ -208,6 +188,29 @@ def stage2_problem(
     )
 
 
+def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: float, ledger: PowerLedger) -> None:
+    """Raise ConfigError if the minimum coefficients, or any term of ``PowerProblem.ee_and_gradient``, overflow.
+
+    On the feasible set each term is bounded by its value with every user at
+    its own ceiling sqrt(p_tot / c_k), the rate derivative by its peak
+    B sqrt(gamma_k / N_0) / ln 2.
+    """
+    m = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
+    c = np.asarray(beamformer.w_norms_sq, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(min_power_coefficients(scenario.qos_rates(), m)).all():
+            raise ConfigError("a QoS rate is out of range: its minimum coefficient N_0 (2^(r/B) - 1) / gamma overflows")
+        p_max = np.sqrt(p_tot) / np.sqrt(c)
+        numer = float(np.sum(surrogate_rates(p_max, m)))
+        denom = comm_power(p_tot, ledger)
+        d_numer = m.bw_hz * np.sqrt(m.gammas / m.n0_w) / np.log(2.0)
+        d_denom = 2.0 * ledger.xi * c * p_max
+        terms = [numer, denom * denom, 2.0 * m.bw_hz * m.gammas * p_max, d_numer * denom, numer * d_denom]
+    if not all(np.isfinite(t).all() for t in terms):
+        raise ConfigError(f"RF budget {p_tot!r} W is out of range: a rate or the communication power it allows "
+                          "overflows (check the budget, bandwidth, noise, channel and ledger values)")
+
+
 def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
     """Project raw coefficients onto {p >= mask, sum c_k p_k^2 <= budget}.
 
@@ -227,9 +230,14 @@ def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
     p_0 = float(np.sum(c * p_hat * p_hat))
     if p_0 <= p_tot:
         return p_hat
-    alpha = (p_tot - p_m) / (p_0 - p_m)
-    alpha = min(1.0, max(0.0, alpha))
-    return np.sqrt(m * m + alpha * (p_hat * p_hat - m * m))
+    return _scale_to_budget(p_hat, m, p_tot, p_0, p_m)[0]
+
+
+def _scale_to_budget(p_hat, mask, budget: float, p_0: float, p_m: float) -> tuple[np.ndarray, float]:
+    """The projector's scaling step: squared coefficients interpolated from ``mask`` (cost ``p_m``)
+    to ``p_hat`` (cost ``p_0``) by alpha = (budget - p_m) / (p_0 - p_m) in [0, 1]; returns (point, alpha)."""
+    alpha = min(1.0, max(0.0, (budget - p_m) / (p_0 - p_m)))
+    return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
 
 def _project_free(problem: PowerProblem, p_free: np.ndarray) -> np.ndarray:
@@ -257,7 +265,7 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
         step = 1.0
         for _ in range(_MAX_ITERS):
             total_iters += 1
-            grad = problem.objective_gradient(p)[problem.free]
+            grad = problem.ee_and_gradient(p)[1][problem.free]
             gnorm = float(np.linalg.norm(grad))
             if gnorm == 0.0:
                 break

@@ -13,54 +13,54 @@ import math
 import numpy as np
 
 from hapalloc import neuro
-from hapalloc.q3e import BarrierConfig, PowerProblem
+from hapalloc.q3e import PowerProblem
+
+EPS = neuro.BARRIER_EPS
 
 
 def _safe_log(x: float, eps: float) -> float:
     return math.log(max(x, eps))
 
 
-def loss_full_qos(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    """Negative EE plus barriers on the per-user floors and the budget slack.
+def loss_full_qos(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
+    """Negative EE plus ``lam`` times barriers on the per-user floors and the budget slack.
 
     Every log argument is evaluated as ln(max(x, eps)) so the loss stays
     finite when a slack touches zero.
     """
     p = np.asarray(p, dtype=float)
-    eps = barrier.epsilon
     ee = problem.objective(p)
     slack = problem.budget - problem.rf_spent(p)
     logs = sum(_safe_log(pk - mk + eps, eps) for pk, mk in zip(p, problem.p_min))
     logs += _safe_log(slack + eps, eps)
-    return -ee - barrier.lambda_ * logs
+    return -ee - lam * logs
 
 
-def loss_partial_qos(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    """Negative leftover-user EE plus a barrier on the residual-budget slack.
+def loss_partial_qos(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
+    """Negative leftover-user EE plus ``lam`` times a barrier on the residual-budget slack.
 
     Pinned users are read from the problem, not from ``p``, so the loss
     depends only on the free coordinates.
     """
     p = np.asarray(p, dtype=float)
-    eps = barrier.epsilon
     q = problem.assemble(p[problem.free])
     ee = problem.objective(q)
     free_spend = float(np.sum(problem.w_norms_sq[problem.free] * q[problem.free] ** 2))
     slack = problem.budget - free_spend
-    return -ee - barrier.lambda_ * _safe_log(slack + eps, eps)
+    return -ee - lam * _safe_log(slack + eps, eps)
 
 
-def instance_loss(p, problem: PowerProblem, barrier: BarrierConfig) -> float:
-    return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, barrier)
+def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
+    return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, lam, eps)
 
 
-def loss_gradient(p, problem: PowerProblem, barrier: BarrierConfig) -> np.ndarray:
+def loss_gradient(p, problem: PowerProblem, lam: float, eps: float = EPS) -> np.ndarray:
     """The trainer's analytic d(loss)/dp; zero on pinned coordinates."""
     p = np.asarray(p, dtype=float)
-    return neuro._evaluate(p, p[problem.free], problem, barrier.lambda_, barrier.epsilon)[2]
+    return neuro._evaluate(p, p[problem.free], problem, lam, eps)[2]
 
 
-def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, barrier: BarrierConfig):
+def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float, eps: float = EPS):
     """Full-pipeline loss (forward, project, barrier loss) and its parameter grads.
 
     The grads come from the same step that ``neuro.train`` runs each epoch;
@@ -69,10 +69,9 @@ def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, barrie
     """
     grads_w, grads_b = neuro._layer_views(np.zeros_like(net.params), net.layer_widths)
     _, p, _, _, _ = neuro._step(
-        net, problem, neuro.problem_features(problem), barrier.lambda_, barrier.epsilon, True,
-        grads_w, grads_b,
+        net, problem, neuro.problem_features(problem), lam, eps, True, grads_w, grads_b,
     )
-    return instance_loss(p, problem, barrier), grads_w, grads_b
+    return instance_loss(p, problem, lam, eps), grads_w, grads_b
 
 
 def gradient_check(net: neuro.MlpNetwork, loss_and_grads, sample: int = 100, seed: int = 0) -> float:

@@ -40,7 +40,6 @@ from hapalloc.propulsion import (
     surrogate_efficiency,
 )
 from hapalloc.q3e import (
-    BarrierConfig,
     feasibility_partition,
     project_capped,
     q3e,
@@ -281,15 +280,15 @@ def test_criterion_09_gradient_check_with_negative_control():
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 2.0
         problem = stage2_problem(sc, bf, budget, LEDGER)
         net = neuro.network_for(problem, neuro.TrainConfig(seed=seed, hidden=(16, 8)))
-        bar = BarrierConfig(lambda_=1e4)
+        lam = 1e4
         err = oracle.gradient_check(
-            net, lambda n: oracle.training_loss_and_grads(n, problem, bar), sample=100, seed=seed
+            net, lambda n: oracle.training_loss_and_grads(n, problem, lam), sample=100, seed=seed
         )
         worst = max(worst, err)
     assert worst < 1e-4
 
     def corrupted(n):
-        loss, gw, gb = oracle.training_loss_and_grads(n, problem, bar)
+        loss, gw, gb = oracle.training_loss_and_grads(n, problem, lam)
         gw = [g.copy() for g in gw]
         gw[0][0, 0] += 1.0 + abs(gw[0][0, 0])
         return loss, gw, gb

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -407,17 +408,6 @@ class TestStudyConfigErrors:
         assert "seeds must be an integer" in one_line_config_error(capsys)
 
 
-class TestSeedOverride:
-    def test_hpp_seed_env(self, tmp_path, monkeypatch):
-        from hapalloc.cli import _seeds
-
-        monkeypatch.setenv("HPP_SEED", "42")
-        assert _seeds([1, 2, 3]) == [42]
-        monkeypatch.delenv("HPP_SEED")
-        assert _seeds([1, 2, 3]) == [1, 2, 3]
-        assert _seeds(None, default=(7,)) == [7]
-
-
 class TestValueConfigErrors:
     """Values of the right key but the wrong kind exit 2 with one line, never a traceback."""
 
@@ -519,6 +509,48 @@ class TestValueConfigErrors:
         assert run_cli("ablation", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
         assert f"invalid scenario config: {message}" in one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("nx, ny, message", [
+        (1e308, 1, "exceeds 4096"),
+        (65, 64, "array of 65 x 64 elements exceeds 4096"),
+        (12.7, 12, "nx must be an integer, got 12.7"),
+    ])
+    def test_array_element_counts(self, nx, ny, message, tmp_path, capsys):
+        doc = {**shipped("ablation.json"), "max_epochs": 51}
+        doc["scenario"]["array"].update(nx=nx, ny=ny)
+        assert run_cli("ablation", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
+        assert message in one_line_config_error(capsys)
+
+    def test_fractional_counts_are_not_truncated(self, tmp_path, capsys):
+        doc = shipped("platform.json")
+        doc["ledger"]["n_t"] = 144.5
+        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+        assert "n_t must be an integer, got 144.5" in one_line_config_error(capsys)
+        spec = tmp_path / "prop"
+        write_spec_dir(spec, default_test_propeller())
+        write_json(spec / "propeller.json", {"n_blades": 2.5})
+        assert run_cli("bemt", "--spec", spec, "--v0", "10", "--ns", "12") == EXIT_CONFIG
+        assert "n_blades must be an integer, got 2.5" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("key", ["p_tot_w", "bw_hz"])
+    def test_ablation_value_that_overflows_the_rates_or_power(self, key, tmp_path, capsys):
+        doc = {**shipped("ablation.json"), "max_epochs": 51}
+        (doc if key == "p_tot_w" else doc["scenario"])[key] = 1e308
+        assert run_cli("ablation", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
+        assert "is out of range" in one_line_config_error(capsys)
+
+    def test_budget_sweep_budget_that_overflows_the_rates(self, tmp_path, capsys):
+        # the rates overflow and the EE of the qos-only baseline was written as nan
+        doc = {**without(budget_sweep_config(), "scenario_path"), "scenario": shipped("ablation.json")["scenario"],
+               "grid": [1e308]}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert "RF budget 1e+308 W is out of range" in one_line_config_error(capsys)
+
+    def test_airspeed_sweep_hull_too_long_for_a_finite_reynolds_number(self, tmp_path, capsys):
+        doc = shipped("sweep_airspeed.json")
+        doc["platform"]["l"] = 1e308
+        assert run_cli("sweep", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
+        assert "propulsion power is not finite and positive" in one_line_config_error(capsys)
+
 
 GRID_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -557,3 +589,172 @@ class TestSweepGridProperty:
     @settings(max_examples=60, deadline=None)
     def test_budget_sweep(self, grid):
         self.check({**budget_sweep_config(), "grid": grid})
+
+
+REMOVE = "<removed>"  # fuzz value: delete the key instead of setting it
+FUZZ_VALUES = (None, "x", -1, 0, 1e308, float("nan"), float("inf"), [], {}, REMOVE)
+
+
+def key_paths(doc, prefix=()):
+    """The path of every key of a JSON document, keys of objects inside lists included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        path = (*prefix, key)
+        if isinstance(doc, dict):
+            yield path
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path)
+
+
+def mutated(doc, path, value):
+    """A deep copy of ``doc`` with the key at ``path`` set to ``value``, or removed for REMOVE."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    owner = doc
+    for part in parents:
+        owner = owner[part]
+    if value == REMOVE:
+        del owner[key]
+    else:
+        owner[key] = value
+    return doc
+
+
+def samples_config(tmp: Path) -> dict:
+    from hapalloc.propulsion import reference_samples
+
+    csv_path = tmp / "samples.csv"
+    csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in reference_samples()))
+    return {"samples_csv": str(csv_path)}
+
+
+def scenario_config(tmp: Path, scenario: dict) -> dict:
+    """The shipped budget sweep on ``scenario``, cut to two grid points."""
+    path = write_json(tmp / "scenario.json", scenario)
+    return {**shipped("sweep_budget.json"), "grid": [150, 300], "scenario_path": str(path)}
+
+
+# (verb, shipped document, argv from a config path and the scratch directory, base document from it)
+FUZZ_TARGETS = {
+    "propulsion": ("platform.json", lambda cfg, tmp: ["propulsion", "--config", cfg, "--v0", "10"], None),
+    "bemt-spec": (
+        "propeller/propeller.json",
+        lambda cfg, tmp: ["bemt", "--spec", cfg.parent, "--v0", "10", "--ns", "12"],
+        None,
+    ),
+    "bemt": (
+        {"spec_dir": str(CONFIG_DIR / "propeller"), "v0_mps": 10.0, "ns_rps": 12.0, "altitude_m": 20000.0},
+        lambda cfg, tmp: ["bemt", "--config", cfg],
+        None,
+    ),
+    "surrogate-fit": (None, lambda cfg, tmp: ["surrogate-fit", "--config", cfg], samples_config),
+    "solve": (
+        {**shipped("solve.json"), "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")},
+        lambda cfg, tmp: ["solve", "--config", cfg],
+        None,
+    ),
+    "sweep-airspeed": ("sweep_airspeed.json", lambda cfg, tmp: ["sweep", "--config", cfg], None),
+    "sweep-budget": (
+        {**shipped("sweep_budget.json"), "grid": [150, 300],
+         "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")},
+        lambda cfg, tmp: ["sweep", "--config", cfg],
+        None,
+    ),
+    "scenario": ("scenario_sweep.json", lambda cfg, tmp: ["sweep", "--config", cfg], None),
+    "ablation": (
+        {**shipped("ablation.json"), "max_epochs": 51},
+        lambda cfg, tmp: ["ablation", "--config", cfg],
+        None,
+    ),
+}
+
+
+def fuzz_base(target: str, tmp: Path) -> dict:
+    doc, _, build = FUZZ_TARGETS[target]
+    if build is not None:
+        return build(tmp)
+    return shipped(doc) if isinstance(doc, str) else doc
+
+
+def run_fuzz_case(target: str, path, value) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the verb of ``target`` with one key of its config fuzzed."""
+    doc, argv, _ = FUZZ_TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg_doc = mutated(fuzz_base(target, tmp), path, value)
+        if target == "bemt-spec":
+            spec = tmp / "propeller"
+            spec.mkdir()
+            for f in ("geometry.csv", "polar.csv"):
+                (spec / f).write_text((CONFIG_DIR / "propeller" / f).read_text())
+            cfg = write_json(spec / "propeller.json", cfg_doc)
+        elif target == "scenario":
+            cfg = write_json(tmp / "sweep.json", scenario_config(tmp, cfg_doc))
+        else:
+            cfg = write_json(tmp / "config.json", cfg_doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv(cfg, tmp)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def numbers_in(text: str) -> list[float]:
+    """Every number in a verb's output: a JSON document's numbers, or the CSV cells that parse as floats.
+
+    The one cell left out is an ablation variant's mean EE when none of its
+    runs is feasible: the mean of no runs, written as nan.
+    """
+    if text.startswith("{"):
+        def walk(x):
+            if isinstance(x, dict):
+                return [n for v in x.values() for n in walk(v)]
+            if isinstance(x, list):
+                return [n for v in x for n in walk(v)]
+            return [float(x)] if isinstance(x, (int, float)) and not isinstance(x, bool) else []
+
+        return walk(json.loads(text))
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    numbers = []
+    for row in rows:
+        cells = dict(zip(header, row))
+        if cells.get("feasibility_pct") == "0.0":
+            assert cells.pop("mean_ee_bps_per_w") == "nan", row
+        for cell in cells.values():
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+    return numbers
+
+
+def check_fuzz_case(target: str, path, value) -> None:
+    code, out, err = run_fuzz_case(target, path, value)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE), (code, err)
+    if code == EXIT_OK:
+        assert out and all(math.isfinite(x) for x in numbers_in(out)), out
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err, err
+
+
+def fuzz_cases(target: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = list(key_paths(fuzz_base(target, Path(tmp))))
+    return st.tuples(st.sampled_from(paths), st.sampled_from(FUZZ_VALUES))
+
+
+class TestConfigFuzzProperty:
+    """One key of a shipped config set to a bad value, or removed: exit 0 with finite
+    numbers, or exit 2 or 3 with one stderr line; never a traceback."""
+
+    @pytest.mark.parametrize("target, examples", [
+        ("propulsion", 200), ("bemt-spec", 10), ("bemt", 40), ("surrogate-fit", 10), ("solve", 200),
+        ("sweep-airspeed", 100), ("sweep-budget", 150), ("scenario", 200), ("ablation", 60),
+    ])
+    def test_verb(self, target, examples):
+        @given(case=fuzz_cases(target))
+        @settings(max_examples=examples, deadline=None, derandomize=True)
+        def check(case):
+            check_fuzz_case(target, *case)
+
+        check()

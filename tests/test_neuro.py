@@ -9,7 +9,7 @@ from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import static_comm_power
 from hapalloc.harness import ABLATION_ANNEAL_EVERY
-from hapalloc.q3e import BarrierConfig, scenario_beamformer, stage2_problem
+from hapalloc.q3e import scenario_beamformer, stage2_problem
 
 LEDGER = reference_ledger()
 
@@ -73,77 +73,77 @@ class TestMlpForward:
 class TestLosses:
     def test_zero_barrier_weight_is_negative_ee(self):
         _, prob = build_problem(k=3, seed=10)
-        bar = BarrierConfig(lambda_=0.0)
+        lam = 0.0
         p = prob.p_min * 1.4
-        assert oracle.loss_full_qos(p, prob, bar) == pytest.approx(-prob.objective(p), rel=1e-14)
+        assert oracle.loss_full_qos(p, prob, lam) == pytest.approx(-prob.objective(p), rel=1e-14)
 
     def test_loss_finite_on_the_budget_surface(self):
         _, prob = build_problem(k=2, seed=11)
-        bar = BarrierConfig(lambda_=0.5)
+        lam = 0.5
         from hapalloc.q3e import project_capped
 
         p = project_capped(prob.p_min * 100.0, prob.p_min, prob.w_norms_sq, prob.budget)
-        loss = oracle.loss_full_qos(p, prob, bar)
+        loss = oracle.loss_full_qos(p, prob, lam)
         assert np.isfinite(loss)
 
     def test_full_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=12)
-        bar = BarrierConfig(lambda_=1e5)
+        lam = 1e5
         p = prob.p_min * 1.5  # strictly interior point
-        grad = oracle.loss_gradient(p, prob, bar)
+        grad = oracle.loss_gradient(p, prob, lam)
         for i in range(3):
             h = 1e-6 * max(1.0, abs(p[i]))
             up, dn = p.copy(), p.copy()
             up[i] += h
             dn[i] -= h
-            fd = (oracle.loss_full_qos(up, prob, bar) - oracle.loss_full_qos(dn, prob, bar)) / (2 * h)
+            fd = (oracle.loss_full_qos(up, prob, lam) - oracle.loss_full_qos(dn, prob, lam)) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
 
     def test_partial_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=13, partial=True)
-        bar = BarrierConfig(lambda_=1e5)
+        lam = 1e5
         p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
-        grad = oracle.loss_gradient(p, prob, bar)
+        grad = oracle.loss_gradient(p, prob, lam)
         for i in np.flatnonzero(prob.free):
             h = 1e-6 * max(1.0, abs(p[i]))
             up, dn = p.copy(), p.copy()
             up[i] += h
             dn[i] -= h
             fd = (
-                oracle.loss_partial_qos(up, prob, bar) - oracle.loss_partial_qos(dn, prob, bar)
+                oracle.loss_partial_qos(up, prob, lam) - oracle.loss_partial_qos(dn, prob, lam)
             ) / (2 * h)
             assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
 
     def test_partial_loss_ignores_pinned_coordinates(self):
         _, prob = build_problem(k=3, seed=14, partial=True)
-        bar = BarrierConfig(lambda_=0.3)
+        lam = 0.3
         p = np.where(prob.free, 0.1, prob.pinned_p)
-        base = oracle.loss_partial_qos(p, prob, bar)
+        base = oracle.loss_partial_qos(p, prob, lam)
         for i in np.flatnonzero(~prob.free):
             q = p.copy()
             q[i] += 1.7
-            assert oracle.loss_partial_qos(q, prob, bar) == base
+            assert oracle.loss_partial_qos(q, prob, lam) == base
 
     def test_shared_evaluation_matches_the_references(self):
         for partial in (False, True):
             _, prob = build_problem(k=3, seed=16, partial=partial)
-            bar = BarrierConfig(lambda_=0.3)
+            lam = 0.3
             if partial:
                 p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
             else:
                 p = prob.p_min * 1.3
-            ee, loss, grad, spend = neuro._evaluate(p, p[prob.free], prob, bar.lambda_, bar.epsilon)
+            ee, loss, grad, spend = neuro._evaluate(p, p[prob.free], prob, lam, neuro.BARRIER_EPS)
             assert ee == prob.objective(p)
-            assert loss == pytest.approx(oracle.instance_loss(p, prob, bar), rel=1e-12)
+            assert loss == pytest.approx(oracle.instance_loss(p, prob, lam), rel=1e-12)
             assert spend == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, bar.epsilon)[2]
-            assert np.array_equal(unbarriered, -prob.objective_gradient(p))
+            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, neuro.BARRIER_EPS)[2]
+            assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):
         _, prob = build_problem(k=2, seed=15, partial=True)
-        bar = BarrierConfig(lambda_=0.0)
+        lam = 0.0
         p = np.where(prob.free, 0.15, prob.pinned_p)
-        assert oracle.loss_partial_qos(p, prob, bar) == pytest.approx(
+        assert oracle.loss_partial_qos(p, prob, lam) == pytest.approx(
             -prob.objective(p), rel=1e-14
         )
 
@@ -189,10 +189,8 @@ class TestTrain:
         _, prob = build_problem(k=3, seed=12)
         cfg = neuro.TrainConfig(seed=0, max_epochs=2, patience=1)
         start = neuro.network_for(prob, cfg)
-        bar = BarrierConfig(
-            lambda_=cfg.barrier.lambda_ * neuro._ee_scale(prob), epsilon=cfg.barrier.epsilon
-        )
-        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, bar)
+        lam = neuro.BARRIER_WEIGHT * neuro._ee_scale(prob)
+        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, lam, neuro.BARRIER_EPS)
         net = neuro.train(prob, cfg)
         assert net.log.best_epoch == 2  # the returned checkpoint is the one after one update
         for p0, g, p1 in zip(
@@ -287,9 +285,9 @@ class TestGradientCheck:
             _, prob = build_problem(k=2, seed=30 + seed)
             cfg = neuro.TrainConfig(seed=seed, hidden=(16, 8))
             net = neuro.network_for(prob, cfg)
-            bar = BarrierConfig(lambda_=1e4)
+            lam = 1e4
             err = oracle.gradient_check(
-                net, lambda n: oracle.training_loss_and_grads(n, prob, bar), sample=100, seed=seed
+                net, lambda n: oracle.training_loss_and_grads(n, prob, lam), sample=100, seed=seed
             )
             worst = max(worst, err)
         assert worst < 1e-4
@@ -297,10 +295,10 @@ class TestGradientCheck:
     def test_sabotaged_gradient_is_detected(self):
         _, prob = build_problem(k=2, seed=41)
         net = neuro.network_for(prob, neuro.TrainConfig(seed=0, hidden=(16, 8)))
-        bar = BarrierConfig(lambda_=1e4)
+        lam = 1e4
 
         def corrupted(n):
-            loss, gw, gb = oracle.training_loss_and_grads(n, prob, bar)
+            loss, gw, gb = oracle.training_loss_and_grads(n, prob, lam)
             gw = [g.copy() for g in gw]
             gw[0][0, 0] += 1.0 + abs(gw[0][0, 0])
             return loss, gw, gb
@@ -311,9 +309,9 @@ class TestGradientCheck:
     def test_minimal_network_is_extra_precise(self):
         _, prob = build_problem(k=2, seed=42)
         net = neuro.init_network((3 * 2 + 1, 2), seed=0)
-        bar = BarrierConfig(lambda_=1e4)
+        lam = 1e4
         err = oracle.gradient_check(
-            net, lambda n: oracle.training_loss_and_grads(n, prob, bar), sample=10**9, seed=0
+            net, lambda n: oracle.training_loss_and_grads(n, prob, lam), sample=10**9, seed=0
         )
         assert err < 1e-6
 

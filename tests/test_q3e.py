@@ -9,7 +9,6 @@ from conftest import golden_section_max, random_scenario, reference_ledger, swee
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
-    BarrierConfig,
     baseline_max_sum_rate,
     baseline_qos_only,
     feasibility_partition,
@@ -125,6 +124,31 @@ class TestProjectCapped:
                 assert spend == pytest.approx(budget, rel=1e-9)
             again = project_capped(out, mask, c, budget)
             assert np.allclose(again, out, atol=1e-12)
+
+
+class TestEeAndGradient:
+    """The one EE gradient both backends use, against central differences of ``objective``."""
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_matches_objective_and_finite_differences(self, partial):
+        sc = random_scenario(4, seed=17)
+        bf, _, p_min = scenario_problem(sc)
+        costs = np.sort(bf.w_norms_sq * p_min**2)
+        budget = float(costs[0] + 0.5 * costs[1]) if partial else 1.6 * float(np.sum(costs))
+        prob = stage2_problem(sc, bf, budget, LEDGER)
+        assert prob.full_qos is not partial
+        p = np.where(prob.free, 1.3 * np.maximum(prob.p_min, 0.1 * np.sqrt(budget / bf.w_norms_sq)), prob.pinned_p)
+        ee, grad, rf = prob.ee_and_gradient(p)
+        assert ee == prob.objective(p)
+        assert rf == prob.rf_spent(p)
+        assert np.all(grad[~prob.free] == 0.0)
+        for i in np.flatnonzero(prob.free):
+            h = 1e-6 * p[i]
+            up, dn = p.copy(), p.copy()
+            up[i] += h
+            dn[i] -= h
+            fd = (prob.objective(up) - prob.objective(dn)) / (2.0 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9 * abs(ee) / p[i])
 
 
 class TestSolveFullQos:
@@ -289,7 +313,7 @@ class TestQ3eOrchestrator:
         sc = random_scenario(2, seed=95)
         bf = scenario_beamformer(sc)
         with pytest.raises(TypeError):
-            q3e(sc, bf, 10.0, LEDGER, cfg=BarrierConfig(), backend="mlp")
+            q3e(sc, bf, 10.0, LEDGER, cfg={"max_epochs": 100}, backend="mlp")
         with pytest.raises(TypeError):
             q3e(sc, bf, 10.0, LEDGER, cfg=TrainConfig(), backend="numeric")
 
