@@ -28,9 +28,10 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Atmosphere, as_integer, isa_properties
+from .config import Atmosphere, as_integer
 
 KP_FLOOR = 1e-6  # below this the section is treated as unloaded tip boundary
+N_NODES = 101  # spanwise quadrature stations (odd, as composite Simpson needs)
 _ROOT_WIDTH = 1e-15  # a root-finder bracket stops once narrower than this
 
 
@@ -277,30 +278,19 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return acc * h / 3.0
 
 
-def propeller_performance(
-    spec: PropellerSpec,
-    v0: float,
-    n_s: float,
-    atm: Atmosphere | None = None,
-    n_nodes: int = 101,
-) -> PropellerOperatingPoint:
+def propeller_performance(spec: PropellerSpec, v0: float, n_s: float, atm: Atmosphere) -> PropellerOperatingPoint:
     """Integrate sectional loading into thrust, shaft power, and efficiency.
 
-    Composite Simpson quadrature over ``n_nodes`` spanwise stations (odd
-    count required).  Stations cluster toward the tip via the substitution
+    Composite Simpson quadrature over ``N_NODES`` spanwise stations.
+    Stations cluster toward the tip via the substitution
     r = R - (R - r0) u^2: the tip-loss factor varies like sqrt(R - r) there,
     and the transform restores a smooth integrand so node doubling converges
     fast.  Section errors propagate: a blade that is partly outside the
     propulsive regime has no valid operating point.
     """
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("Simpson quadrature needs an odd node count >= 3")
-    if atm is None:
-        atm = isa_properties(20000.0)
-
     span = spec.r_tip - spec.r_hub
-    u = np.linspace(0.0, 1.0, n_nodes)  # u = 0 at the tip, 1 at the hub
-    h = 1.0 / (n_nodes - 1)
+    u = np.linspace(0.0, 1.0, N_NODES)  # u = 0 at the tip, 1 at the hub
+    h = 1.0 / (N_NODES - 1)
     r = np.minimum(np.maximum(spec.r_tip - span * u * u, spec.r_hub), spec.r_tip)  # roundoff guard
     st = _solve_stations(spec, v0, n_s, r)
     sin_phi = np.sin(st.phi)

@@ -20,6 +20,8 @@ from .config import ConfigError, as_integer
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
+NOISE_FIGURE_DB = 7.0  # receiver noise figure
+NOISE_TEMP_K = 290.0  # receiver reference temperature
 MAX_ARRAY_ELEMENTS = 4096  # largest planar array (64 x 64) a scenario may configure
 
 
@@ -116,9 +118,9 @@ def mean_channel_power(arr: ArrayGeometry, g_tx_db: float, g_rx_db: float, altit
     return g_lin * arr.n_t * fs * fs
 
 
-def thermal_noise_floor(bw_hz: float, noise_figure_db: float = 7.0, temp_k: float = 290.0) -> float:
+def thermal_noise_floor(bw_hz: float) -> float:
     """Receiver noise power: k_B T B raised by the noise figure."""
-    return BOLTZMANN * temp_k * bw_hz * 10.0 ** (noise_figure_db / 10.0)
+    return BOLTZMANN * NOISE_TEMP_K * bw_hz * 10.0 ** (NOISE_FIGURE_DB / 10.0)
 
 
 # ---------------------------------------------------------------------------

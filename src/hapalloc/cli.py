@@ -123,7 +123,7 @@ def _cmd_propulsion(args) -> int:
         raise ConfigError("propulsion needs --v0 (m/s)")
     v0 = _positive("--v0", args.v0)
     try:
-        table = harness.run_airspeed_sweep(geom, atm, [v0], propulsion.reference_coeffs())
+        table = harness.run_airspeed_sweep(geom, atm, [v0])
     except propulsion.SurrogateRangeError as exc:
         raise ConfigError(str(exc)) from exc
     _write_or_print(harness.table_to_csv(table), args.out)
@@ -264,10 +264,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep 'kind' must be 'airspeed' or 'rf_budget'")
     _write_or_print(harness.table_to_csv(table), args.out)
     if args.svg:
-        try:
-            harness.emit_report(table, "svg", args.svg)
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
+        _write_or_print(harness.table_to_svg(table), args.svg)
     return EXIT_OK
 
 

@@ -49,16 +49,16 @@ def run_airspeed_sweep(
     geom: PlatformGeometry,
     atm: Atmosphere,
     grid,
-    coeffs: propulsion.SurrogateCoeffs | None = None,
     legacy_eta_p: float = 0.73,
 ) -> ReportTable:
     """Propulsion columns over an airspeed grid, plus the fixed-efficiency model.
 
-    The legacy column uses a constant propeller efficiency, for side-by-side
-    deviation against the airspeed-dependent surrogate.  Raises if the
-    surrogate-model power is not strictly increasing along the grid.
+    The surrogate column uses ``propulsion.reference_coeffs()``, the legacy
+    column a constant propeller efficiency, for side-by-side deviation
+    against the airspeed-dependent surrogate.  Raises if the surrogate-model
+    power is not strictly increasing along the grid.
     """
-    coeffs = coeffs or propulsion.reference_coeffs()
+    coeffs = propulsion.reference_coeffs()
     rows = []
     prev_power = -np.inf
     for v0 in grid:

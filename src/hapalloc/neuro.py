@@ -26,12 +26,15 @@ import numpy as np
 from .config import ConfigError
 from .q3e import PowerProblem, _scale_to_budget, project_capped
 
-DEFAULT_HIDDEN = (64, 64, 32, 32)
+HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
+PATIENCE = 50  # epochs without a new best EE before training stops
+STEP_SIZE = 1e-3  # Adam step size
 BARRIER_WEIGHT = 1e-2  # initial log-barrier weight, in units of the instance's EE scale
 BARRIER_EPS = 1e-6  # slack floor inside the log terms
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate
 ADAM_BETA2 = 0.999  # decay of the second-moment estimate
 ADAM_EPS = 1e-8  # added to the root of the second moment
+_EXPM1_MAX = 700.0  # np.expm1 overflows just above 709.78
 
 
 class TrainingError(RuntimeError):
@@ -95,23 +98,16 @@ def _layer_views(flat: np.ndarray, layer_widths) -> tuple[list[np.ndarray], list
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 2000
-    patience: int = 50
-    step_size: float = 1e-3
     seed: int = 0
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
     anneal_every: int = 200  # halve the barrier weight this often
     project_scaling: bool = True  # False: clamp only, no budget rescale (ablation)
     use_soft_loss: bool = True  # False: drop the barrier terms (ablation)
 
     def __post_init__(self):
-        if self.patience <= 0:
-            raise ConfigError(f"patience must be positive, got {self.patience}")
-        if self.max_epochs <= self.patience:
+        if self.max_epochs <= PATIENCE:
             raise ConfigError(
-                f"max_epochs ({self.max_epochs}) must exceed the early-stopping patience ({self.patience})"
+                f"max_epochs ({self.max_epochs}) must exceed the early-stopping patience ({PATIENCE})"
             )
-        if self.step_size <= 0:
-            raise ConfigError("step size must be positive")
         if self.seed < 0:
             raise ConfigError(f"seeds must be non-negative, got {self.seed}")
 
@@ -130,6 +126,15 @@ def init_network(layer_widths, seed: int = 0) -> MlpNetwork:
 
 def _softplus(z):
     return np.logaddexp(0.0, z)
+
+
+def _softplus_inverse(y: np.ndarray) -> np.ndarray:
+    """z with softplus(z) = y > 0: log(expm1(y)), or y + log1p(-exp(-y)) above
+    ``_EXPM1_MAX``, where expm1 would overflow."""
+    z = y + np.log1p(-np.exp(-y))
+    small = y <= _EXPM1_MAX
+    z[small] = np.log(np.expm1(y[small]))
+    return z
 
 
 def _forward_trace(net: MlpNetwork, x: np.ndarray):
@@ -194,7 +199,7 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
     vanishes.  Starting mid-slack keeps the interior barrier wall effective.
     """
     k = problem.n_users
-    net = init_network((3 * k + 1, *cfg.hidden, k), seed=cfg.seed)
+    net = init_network((3 * k + 1, *HIDDEN, k), seed=cfg.seed)
     targets = np.maximum(problem.lower_bound, 0.0).astype(float)
     free = problem.free
     n_free = max(int(np.sum(free)), 1)
@@ -206,7 +211,7 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
     targets = np.maximum(targets, 1e-3)
     y = np.sqrt(targets)  # want softplus(z) = sqrt(target) exactly
     net.weights[-1][:] = 0.0  # zero output head makes the start point exact
-    net.biases[-1][:] = np.log(np.expm1(y))
+    net.biases[-1][:] = _softplus_inverse(y)
     return net
 
 
@@ -216,34 +221,33 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 
 
 def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
-    """EE, barrier loss and d(loss)/dp at ``p``.
+    """EE and d(loss)/dp at ``p``.
 
     ``p_free`` is ``p[problem.free]``.  The loss is the negative EE minus
     ``lam`` times the log-barrier terms, each log argument floored at ``eps``:
     under full QoS one per user on p_k - p_min,k and one on the budget slack;
-    under partial QoS one on the free users' budget slack.  EE and its
-    gradient are ``PowerProblem.ee_and_gradient``'s.  The gradient is zero
-    on pinned coordinates.  Returns (EE, loss, gradient, free users' spend).
+    under partial QoS one on the free users' budget slack.  Only its gradient
+    is computed: with every log argument floored, the loss at a finite ``p``
+    is finite exactly when the EE is, which is all ``train`` checks.  EE and
+    its gradient are ``PowerProblem.ee_and_gradient``'s.  The gradient is
+    zero on pinned coordinates.  Returns (EE, gradient, free users' spend).
     """
     c = problem.w_norms_sq
     ee, grad, rf = problem.ee_and_gradient(p)
     np.negative(grad, out=grad)
     free_spend = float((c[problem.free] * p_free**2).sum())
-    if problem.full_qos:
+    if lam > 0 and problem.full_qos:
         x = p - problem.p_min + eps
+        grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
         slack = problem.budget - rf + eps
-        logs = float(np.log(np.maximum(x, eps)).sum()) + math.log(max(slack, eps))
-        if lam > 0:
-            grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-            if slack > eps:
-                grad += lam * 2.0 * c * p / slack
-    else:
+        if slack > eps:
+            grad += lam * 2.0 * c * p / slack
+    elif lam > 0:
         slack = problem.budget - free_spend + eps
-        logs = math.log(max(slack, eps))
-        if lam > 0 and slack > eps:
+        if slack > eps:
             grad += lam * 2.0 * c * p / slack
             grad[~problem.free] = 0.0
-    return ee, -ee - lam * logs, grad, free_spend
+    return ee, grad, free_spend
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +308,27 @@ def _step(net: MlpNetwork, problem: PowerProblem, features: np.ndarray, lam: flo
           scaling: bool, grads_w, grads_b):
     """One full-instance pass: what ``train`` runs each epoch.
 
-    Forward pass, projection, one evaluation of EE, loss and d(loss)/dp at
-    the projected point, then backprop into the gradient views ``grads_w``
-    and ``grads_b``.  Returns the raw output, the projected coefficients of
-    all users, the EE, the loss and the free users' spend.
+    Forward pass, projection, one evaluation of EE and d(loss)/dp at the
+    projected point, then backprop into the gradient views ``grads_w`` and
+    ``grads_b``.  Returns the raw output, the projected coefficients of all
+    users, the EE and the free users' spend.
     """
     free = problem.free
     p_tilde, cache = _forward_trace(net, features)
     p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling)
     p = problem.assemble(p_free)
-    ee, loss, d_p, free_spend = _evaluate(p, p_free, problem, lam, eps)
+    ee, d_p, free_spend = _evaluate(p, p_free, problem, lam, eps)
     d_p_tilde = np.zeros(p_tilde.shape)
     d_p_tilde[free] = proj_backward(d_p[free])
     _backward(net, cache, d_p_tilde, grads_w, grads_b)
-    return p_tilde, p, ee, loss, free_spend
+    return p_tilde, p, ee, free_spend
 
 
 def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     """Optimize the network on one instance with in-loop feasibility projection.
 
     Each epoch is one full-instance step: forward pass, projection, barrier
-    loss, Adam update.  The barrier weight is halved every ``anneal_every``
+    loss gradient, Adam update.  The barrier weight is halved every ``anneal_every``
     epochs and internally rescaled by the instance's EE magnitude so the
     configured weight is unit-free.  Early stopping tracks the barrier-free
     EE of the projected output and the best checkpoint is returned.
@@ -358,11 +362,11 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
         # divergence is detected explicitly below, so transient overflow in a
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
-            p_tilde, _, val, loss, free_spend = _step(
+            p_tilde, _, val, free_spend = _step(
                 net, problem, features, lam * ee_scale, BARRIER_EPS,
                 cfg.project_scaling, grads_w, grads_b,
             )
-        if not (np.isfinite(p_tilde).all() and math.isfinite(loss)):
+        if not (np.isfinite(p_tilde).all() and math.isfinite(val)):
             raise TrainingError(epoch)
         log.max_budget_overshoot = max(log.max_budget_overshoot, free_spend - problem.budget)
         if val > best_val:
@@ -381,11 +385,11 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
         np.divide(v1, 1.0 - b2**epoch, out=tmp)  # v_hat
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        step *= cfg.step_size
+        step *= STEP_SIZE
         step /= tmp
         net.params -= step
 
-        if epoch - best_epoch >= cfg.patience:
+        if epoch - best_epoch >= PATIENCE:
             break
 
     if best_params is not None:

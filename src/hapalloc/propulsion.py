@@ -24,6 +24,10 @@ REFERENCE_COEFFS_C = 0.73
 REFERENCE_COEFFS_ALPHA = 0.2
 REFERENCE_COEFFS_BETA = 0.45
 
+# The synthetic reference samples: that surrogate plus seeded Gaussian noise.
+REFERENCE_NOISE_SIGMA = 2e-3
+REFERENCE_SAMPLES_SEED = 7
+
 # Fit-range floor: the surrogate diverges as v0 -> 0 and the sample grid
 # starts at 1 m/s, so evaluation below 1 m/s is rejected.
 V0_FLOOR = 1.0
@@ -219,15 +223,16 @@ def read_samples_csv(path: str | Path) -> list[EfficiencySample]:
         return [EfficiencySample(v0=float(v0), eta_p=float(eta)) for v0, eta in filter(None, reader)]
 
 
-def reference_samples(noise_sigma: float = 2e-3, seed: int = 7) -> list[EfficiencySample]:
+def reference_samples() -> list[EfficiencySample]:
     """Synthetic 25-point sample set on v0 = 1..25 m/s.
 
-    Generated from the reference surrogate plus seeded Gaussian noise of the
-    stated sigma; stands in for the proprietary CFD sample table so the full
-    fitting workflow stays exercisable.
+    Generated from the reference surrogate plus Gaussian noise of sigma
+    ``REFERENCE_NOISE_SIGMA``, seeded with ``REFERENCE_SAMPLES_SEED``; stands
+    in for the proprietary CFD sample table so the full fitting workflow
+    stays exercisable.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(REFERENCE_SAMPLES_SEED)
     v0 = np.arange(1.0, 26.0)
     coeffs = reference_coeffs()
-    eta = coeffs.c - coeffs.alpha * v0 ** (-coeffs.beta) + noise_sigma * rng.standard_normal(25)
+    eta = coeffs.c - coeffs.alpha * v0 ** (-coeffs.beta) + REFERENCE_NOISE_SIGMA * rng.standard_normal(25)
     return [EfficiencySample(v0=float(v), eta_p=float(e)) for v, e in zip(v0, eta)]

@@ -1,9 +1,9 @@
 """Reference barrier losses and a finite-difference gradient check for ``hapalloc.neuro``.
 
-``neuro._evaluate`` computes the training loss and its gradient in one
-vectorized pass.  The losses here are written independently, one log term
-at a time, so the tests can compare the two forms, and ``gradient_check``
-compares backprop through the whole pipeline against central differences.
+``neuro._evaluate`` computes the training loss's gradient in one vectorized
+pass, without the loss itself.  The losses here are written one log term at
+a time, and ``gradient_check`` compares backprop through the whole pipeline
+against central differences of them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> flo
 def loss_gradient(p, problem: PowerProblem, lam: float, eps: float = EPS) -> np.ndarray:
     """The trainer's analytic d(loss)/dp; zero on pinned coordinates."""
     p = np.asarray(p, dtype=float)
-    return neuro._evaluate(p, p[problem.free], problem, lam, eps)[2]
+    return neuro._evaluate(p, p[problem.free], problem, lam, eps)[1]
 
 
 def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float, eps: float = EPS):
@@ -68,7 +68,7 @@ def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: f
     finite-difference check compares the two independently written forms.
     """
     grads_w, grads_b = neuro._layer_views(np.zeros_like(net.params), net.layer_widths)
-    _, p, _, _, _ = neuro._step(
+    _, p, _, _ = neuro._step(
         net, problem, neuro.problem_features(problem), lam, eps, True, grads_w, grads_b,
     )
     return instance_loss(p, problem, lam, eps), grads_w, grads_b

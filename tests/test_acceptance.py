@@ -145,7 +145,7 @@ def test_criterion_03_superlinear_growth_substitute():
               f"{2.5**2.5:.2f}; efficiency endpoints 0.53 / 0.6830")
 
 
-def test_criterion_04_bemt_internal_consistency():
+def test_criterion_04_bemt_internal_consistency(monkeypatch):
     spec = bemt_oracle.default_test_propeller()
     worst_resid = 0.0
     for v0, n_s in ((5.0, 12.0), (10.0, 12.0), (15.0, 12.0)):
@@ -158,8 +158,9 @@ def test_criterion_04_bemt_internal_consistency():
             worst_resid = max(worst_resid, resid)
     assert worst_resid < 1e-6
 
-    base = bemt.propeller_performance(spec, 10.0, 12.0, ATM, n_nodes=101)
-    fine = bemt.propeller_performance(spec, 10.0, 12.0, ATM, n_nodes=201)
+    base = bemt.propeller_performance(spec, 10.0, 12.0, ATM)
+    monkeypatch.setattr(bemt, "N_NODES", 201)
+    fine = bemt.propeller_performance(spec, 10.0, 12.0, ATM)
     dt = abs(base.thrust - fine.thrust) / base.thrust
     dp = abs(base.shaft_power - fine.shaft_power) / base.shaft_power
     assert dt < 1e-3 and dp < 1e-3
@@ -270,7 +271,8 @@ def test_criterion_08_solver_versus_oracle():
               f"{worst_mlp:.2e} (< 5%) over 20 instances ({elapsed:.0f}s)")
 
 
-def test_criterion_09_gradient_check_with_negative_control():
+def test_criterion_09_gradient_check_with_negative_control(monkeypatch):
+    monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
     worst = 0.0
     for seed in range(10):
         sc = random_scenario(2, seed=400 + seed)
@@ -279,7 +281,7 @@ def test_criterion_09_gradient_check_with_negative_control():
         p_min = min_power_coefficients(sc.qos_rates(), model)
         budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 2.0
         problem = stage2_problem(sc, bf, budget, LEDGER)
-        net = neuro.network_for(problem, neuro.TrainConfig(seed=seed, hidden=(16, 8)))
+        net = neuro.network_for(problem, neuro.TrainConfig(seed=seed))
         lam = 1e4
         err = oracle.gradient_check(
             net, lambda n: oracle.training_loss_and_grads(n, problem, lam), sample=100, seed=seed

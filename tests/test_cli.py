@@ -129,11 +129,13 @@ class TestSurrogateFitVerb:
         assert float(beta) == pytest.approx(0.45, abs=0.1)
         assert int(n) == 25
 
-    def test_custom_samples(self, tmp_path, capsys):
-        from hapalloc.propulsion import reference_samples
+    def test_custom_samples(self, tmp_path, capsys, monkeypatch):
+        from hapalloc import propulsion
 
+        monkeypatch.setattr(propulsion, "REFERENCE_SAMPLES_SEED", 3)
         csv_path = tmp_path / "s.csv"
-        csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in reference_samples(seed=3)))
+        rows = "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in propulsion.reference_samples())
+        csv_path.write_text("v0_mps,eta_p\n" + rows)
         cfg = tmp_path / "fit.json"
         cfg.write_text(json.dumps({"samples_csv": str(csv_path)}))
         assert run_cli("surrogate-fit", "--config", cfg) == EXIT_OK
@@ -263,7 +265,7 @@ class TestOutputPath:
         code = run_cli("sweep", "--config", CONFIG_DIR / "sweep_airspeed.json",
                        "--out", tmp_path / "a.csv", "--svg", svg)
         assert code == EXIT_CONFIG
-        assert "cannot write report" in one_line_config_error(capsys)
+        assert "cannot write output" in one_line_config_error(capsys)
 
 
 class TestConfigKeys:
@@ -537,6 +539,17 @@ class TestValueConfigErrors:
         (doc if key == "p_tot_w" else doc["scenario"])[key] = 1e308
         assert run_cli("ablation", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
         assert "is out of range" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("p_tot_w", [1e14, 1e17, 1e20])
+    def test_mlp_solve_far_above_the_shipped_budget(self, p_tot_w, tmp_path, capsys):
+        # the network's start bias log(expm1(y)) overflowed and printed a RuntimeWarning
+        doc = explicit_budget_solve_config(backend="mlp", p_tot_w=p_tot_w)
+        code = run_cli("solve", "--config", write_json(tmp_path / "s.json", doc))
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert code in (EXIT_CONFIG, EXIT_INFEASIBLE) and err.count("\n") == 1, err
 
     def test_budget_sweep_budget_that_overflows_the_rates(self, tmp_path, capsys):
         # the rates overflow and the EE of the qos-only baseline was written as nan

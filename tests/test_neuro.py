@@ -132,11 +132,10 @@ class TestLosses:
                 p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
             else:
                 p = prob.p_min * 1.3
-            ee, loss, grad, spend = neuro._evaluate(p, p[prob.free], prob, lam, neuro.BARRIER_EPS)
+            ee, grad, spend = neuro._evaluate(p, p[prob.free], prob, lam, neuro.BARRIER_EPS)
             assert ee == prob.objective(p)
-            assert loss == pytest.approx(oracle.instance_loss(p, prob, lam), rel=1e-12)
             assert spend == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, neuro.BARRIER_EPS)[2]
+            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, neuro.BARRIER_EPS)[1]
             assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):
@@ -164,7 +163,7 @@ class TestTrain:
 
     def test_training_is_deterministic(self):
         _, prob = build_problem(k=2, seed=21)
-        cfg = neuro.TrainConfig(seed=3, max_epochs=200, patience=40)
+        cfg = neuro.TrainConfig(seed=3, max_epochs=200)
         a = neuro.train(prob, cfg)
         b = neuro.train(prob, cfg)
         for wa, wb in zip(a.weights, b.weights):
@@ -174,20 +173,21 @@ class TestTrain:
 
     def test_every_projected_iterate_is_feasible(self):
         _, prob = build_problem(k=3, seed=22, budget_mult=1.2)
-        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=400, patience=60))
+        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=400))
         assert net.log.max_budget_overshoot <= 1e-9
 
     def test_early_stopping_within_patience(self):
         _, prob = build_problem(k=2, seed=23)
-        cfg = neuro.TrainConfig(seed=0, max_epochs=2000, patience=50)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=2000)
         net = neuro.train(prob, cfg)
-        assert net.log.stopped_epoch - net.log.best_epoch <= cfg.patience
+        assert net.log.stopped_epoch - net.log.best_epoch <= neuro.PATIENCE
         assert net.log.stopped_epoch <= cfg.max_epochs
 
-    def test_first_update_is_one_adam_step_on_the_checked_gradient(self):
+    def test_first_update_is_one_adam_step_on_the_checked_gradient(self, monkeypatch):
         # the gradient that TestGradientCheck verifies is the one training applies
+        monkeypatch.setattr(neuro, "PATIENCE", 1)
         _, prob = build_problem(k=3, seed=12)
-        cfg = neuro.TrainConfig(seed=0, max_epochs=2, patience=1)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=2)
         start = neuro.network_for(prob, cfg)
         lam = neuro.BARRIER_WEIGHT * neuro._ee_scale(prob)
         _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, lam, neuro.BARRIER_EPS)
@@ -199,12 +199,12 @@ class TestTrain:
             b1, b2 = neuro.ADAM_BETA1, neuro.ADAM_BETA2
             m = (1.0 - b1) * g
             v = (1.0 - b2) * g * g
-            step = cfg.step_size * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + neuro.ADAM_EPS)
+            step = neuro.STEP_SIZE * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + neuro.ADAM_EPS)
             assert np.array_equal(p1, p0 - step)
 
     def test_trained_networks_share_no_buffers(self):
         _, prob = build_problem(k=2, seed=21)
-        cfg = neuro.TrainConfig(seed=3, max_epochs=200, patience=40)
+        cfg = neuro.TrainConfig(seed=3, max_epochs=200)
         a = neuro.train(prob, cfg)
         b = neuro.train(prob, cfg)
         assert not np.shares_memory(a.params, b.params)
@@ -219,9 +219,10 @@ class TestTrain:
         assert np.array_equal(b.params, before)
         assert not np.array_equal(a.params, before)
 
-    def test_divergent_training_raises(self):
+    def test_divergent_training_raises(self, monkeypatch):
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
         _, prob = build_problem(k=2, seed=24)
-        cfg = neuro.TrainConfig(seed=0, step_size=1e25, max_epochs=50, patience=10)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=60)
         with pytest.raises(neuro.TrainingError):
             neuro.train(prob, cfg)
 
@@ -265,7 +266,7 @@ class TestCheckpointIo:
     def test_loaded_network_owns_a_bit_exact_flat_buffer(self, tmp_path):
         # a network rebuilt from dumped parameters gets its own flat buffer and views into it
         _, prob = build_problem(k=3, seed=51, partial=True)
-        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=120, patience=30))
+        net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=120))
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"layer_widths": list(net.layer_widths),
                                     "params": net.params.tolist()}))
@@ -279,11 +280,12 @@ class TestCheckpointIo:
 
 
 class TestGradientCheck:
-    def test_backprop_matches_finite_differences(self):
+    def test_backprop_matches_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
         worst = 0.0
         for seed in range(10):
             _, prob = build_problem(k=2, seed=30 + seed)
-            cfg = neuro.TrainConfig(seed=seed, hidden=(16, 8))
+            cfg = neuro.TrainConfig(seed=seed)
             net = neuro.network_for(prob, cfg)
             lam = 1e4
             err = oracle.gradient_check(
@@ -292,9 +294,10 @@ class TestGradientCheck:
             worst = max(worst, err)
         assert worst < 1e-4
 
-    def test_sabotaged_gradient_is_detected(self):
+    def test_sabotaged_gradient_is_detected(self, monkeypatch):
+        monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
         _, prob = build_problem(k=2, seed=41)
-        net = neuro.network_for(prob, neuro.TrainConfig(seed=0, hidden=(16, 8)))
+        net = neuro.network_for(prob, neuro.TrainConfig(seed=0))
         lam = 1e4
 
         def corrupted(n):

@@ -3,12 +3,13 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import hapalloc
-from hapalloc import neuro
+from hapalloc import bemt, channel, harness, neuro, propulsion
 
 PACKAGE_DIR = Path(hapalloc.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -16,7 +17,7 @@ FORBIDDEN_IMPORTS = {"tests", "perfbench", "hypothesis", "scipy", "mpmath"}
 
 # public names that tests alone called, now deleted or moved to tests/
 REMOVED = {
-    "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT"],
+    "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT", "DEFAULT_HIDDEN"],
     "harness": ["parse_csv"],
     "propulsion": ["write_samples_csv", "parse_samples_csv"],
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
@@ -24,6 +25,14 @@ REMOVED = {
     "bemt": ["axial_induction", "write_spec_dir"],
     "config": ["total_comm_power"],
 }
+
+# parameters that only tests set to another value, now module constants
+REMOVED_PARAMETERS = [
+    (bemt.propeller_performance, {"n_nodes"}),
+    (harness.run_airspeed_sweep, {"coeffs"}),
+    (channel.thermal_noise_floor, {"noise_figure_db", "temp_k"}),
+    (propulsion.reference_samples, {"noise_sigma", "seed"}),
+]
 
 
 def imported_modules(path: Path):
@@ -59,8 +68,16 @@ def test_removed_names_are_gone(module):
 
 def test_adam_settings_are_constants_not_train_config_fields():
     fields = {f.name for f in dataclasses.fields(neuro.TrainConfig)}
-    assert not fields & {"beta1", "beta2", "eps_adam"}
+    assert fields == {"seed", "max_epochs", "anneal_every", "project_scaling", "use_soft_loss"}
     assert (neuro.ADAM_BETA1, neuro.ADAM_BETA2, neuro.ADAM_EPS) == (0.9, 0.999, 1e-8)
+    assert (neuro.HIDDEN, neuro.PATIENCE, neuro.STEP_SIZE) == ((64, 64, 32, 32), 50, 1e-3)
+    assert bemt.N_NODES == 101
+    assert (channel.NOISE_FIGURE_DB, channel.NOISE_TEMP_K) == (7.0, 290.0)
+    assert (propulsion.REFERENCE_NOISE_SIGMA, propulsion.REFERENCE_SAMPLES_SEED) == (2e-3, 7)
+    for fn, removed in REMOVED_PARAMETERS:
+        assert not removed & set(inspect.signature(fn).parameters), fn.__qualname__
+    atm = inspect.signature(bemt.propeller_performance).parameters["atm"]
+    assert atm.default is inspect.Parameter.empty
 
 
 def test_no_package_data():

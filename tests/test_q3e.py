@@ -330,11 +330,11 @@ class TestQ3eOrchestrator:
 
         sc = random_scenario(2, seed=96)
         bf = scenario_beamformer(sc)
-        cfg = neuro.TrainConfig(seed=0, max_epochs=300, patience=40)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=300)
         sol = q3e(sc, bf, 50.0, LEDGER, cfg=cfg, backend="mlp")
         diag = sol.diagnostics
         assert 0 < diag["best_epoch"] <= diag["iterations"] <= cfg.max_epochs
-        assert diag["iterations"] - diag["best_epoch"] <= cfg.patience
+        assert diag["iterations"] - diag["best_epoch"] <= neuro.PATIENCE
         assert 0.0 <= diag["max_budget_overshoot"] <= 1e-9
         assert solution_to_dict(sol)["iterations"] == diag["iterations"]
 
