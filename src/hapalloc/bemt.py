@@ -295,7 +295,10 @@ def propeller_performance(spec: PropellerSpec, v0: float, n_s: float, atm: Atmos
     st = _solve_stations(spec, v0, n_s, r)
     sin_phi = np.sin(st.phi)
     cos_phi = np.cos(st.phi)
-    common = spec.chord_fn(r) * _sq(1.0 + st.a_a) / _sq(sin_phi)
+    try:
+        common = spec.chord_fn(r) * _sq(1.0 + st.a_a) / _sq(sin_phi)
+    except OverflowError as exc:  # Python's pow raises where a float square would overflow
+        raise SectionError("sectional loading overflows: the airspeed is too small for the rotational speed") from exc
     loaded = ~(st.k_p < KP_FLOOR)  # unloaded tip boundary stations carry no loading
     jacobian = 2.0 * span * u
     f_thrust = np.where(loaded, (st.cl * cos_phi - st.cd * sin_phi) * common, 0.0) * jacobian

@@ -201,19 +201,27 @@ def run_ablation(
         ("no-soft-loss", True, False),
         ("no-scale", False, True),
     ]
+    cfgs = [
+        neuro.TrainConfig(
+            seed=seed,
+            max_epochs=max_epochs,
+            project_scaling=scaling,
+            use_soft_loss=soft,
+            anneal_every=ABLATION_ANNEAL_EVERY,
+        )
+        for _, scaling, soft in variants
+        for seed in seeds
+    ]
+    trained = {
+        i: neuro.trained_coefficients(net, problem, scaling=cfgs[i].project_scaling)
+        for i, net in neuro.train_many(problem, cfgs)
+    }
+    coefficients = iter([trained[i] for i in range(len(cfgs))])
     rows = []
-    for name, scaling, soft in variants:
+    for name, _, _ in variants:
         feasible, overshoot, ees = [], [], []
-        for seed in seeds:
-            cfg = neuro.TrainConfig(
-                seed=seed,
-                max_epochs=max_epochs,
-                project_scaling=scaling,
-                use_soft_loss=soft,
-                anneal_every=ABLATION_ANNEAL_EVERY,
-            )
-            net = neuro.train(problem, cfg)
-            p = neuro.trained_coefficients(net, problem, scaling=scaling)
+        for _ in seeds:
+            p = next(coefficients)
             spent = float(np.sum(problem.w_norms_sq * p**2))  # rf_spent's (c * p) * p can differ in the last bit
             ok = spent <= p_tot * (1.0 + 1e-9) + 1e-12
             feasible.append(ok)

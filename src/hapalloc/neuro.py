@@ -14,11 +14,16 @@ adds the barrier terms, the projector's Jacobian-vector product and the
 backward pass through the network.  Gradients flow through the projector's
 smooth scaling branch; the clamp max(p, m) passes no gradient on the
 clamped side (subgradient convention).
+
+Trainings of one instance run in a pool (``train_many``): their networks are
+rows of stacked arrays, and each row reproduces a lone training bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +34,7 @@ from .q3e import PowerProblem, _scale_to_budget, project_capped
 HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
 PATIENCE = 50  # epochs without a new best EE before training stops
 STEP_SIZE = 1e-3  # Adam step size
+POOL_SLOTS = 4  # configurations train_many trains side by side (slot count measured in CHANGES.md)
 BARRIER_WEIGHT = 1e-2  # initial log-barrier weight, in units of the instance's EE scale
 BARRIER_EPS = 1e-6  # slack floor inside the log terms
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate
@@ -40,10 +46,10 @@ _EXPM1_MAX = 700.0  # np.expm1 overflows just above 709.78
 class TrainingError(RuntimeError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, epoch: int):
-        self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}: the neural backend diverged "
-                         "(a step size, budget or scenario value out of its range)")
+    def __init__(self, epoch: int, seed: int):
+        self.epoch, self.seed = epoch, seed
+        super().__init__(f"non-finite loss at epoch {epoch} of the training with seed {seed}: the neural backend "
+                         "diverged (check the RF budget and the scenario's and ledger's values, or try another seed)")
 
 
 @dataclass
@@ -81,16 +87,21 @@ def _param_count(widths) -> int:
 
 
 def _layer_views(flat: np.ndarray, layer_widths) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into a buffer laid out like ``MlpNetwork.params``."""
+    """Per-layer weight and bias views into a buffer laid out like ``MlpNetwork.params``.
+
+    A 2-D ``flat`` holds one such buffer per row; its views are stacks of
+    weights (rows, in, out) and biases (rows, out).
+    """
     widths = tuple(layer_widths)
-    if flat.shape != (_param_count(widths),):
+    if flat.shape[-1:] != (_param_count(widths),) or flat.ndim > 2:
         raise ValueError(f"flat buffer of shape {flat.shape} does not fit layer widths {widths}")
+    lead = flat.shape[:-1]
     weights, biases = [], []
     at = 0
     for w_in, w_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[at:at + w_in * w_out].reshape(w_in, w_out))
+        weights.append(flat[..., at:at + w_in * w_out].reshape(*lead, w_in, w_out))
         at += w_in * w_out
-        biases.append(flat[at:at + w_out])
+        biases.append(flat[..., at:at + w_out])
         at += w_out
     return weights, biases
 
@@ -137,18 +148,18 @@ def _softplus_inverse(y: np.ndarray) -> np.ndarray:
     return z
 
 
-def _forward_trace(net: MlpNetwork, x: np.ndarray):
-    """Forward pass returning the raw coefficients and the activation cache."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.layer_widths[0],):
-        raise ValueError(
-            f"feature length {x.shape} does not match input width {net.layer_widths[0]}"
-        )
-    pre, post = [], [x]
+def _forward_trace(weights, biases, x: np.ndarray):
+    """Forward pass of a stack of networks (``_layer_views`` of stacked rows) on one feature vector.
+
+    Returns the raw coefficients, one row per network, and the activation
+    cache.  Each layer is one batched ``np.matmul``: a vector-matrix product
+    per network, the same product a lone network makes.
+    """
     h = x
-    n_layers = len(net.weights)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+    pre, post = [], [x]
+    n_layers = len(weights)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(h[..., None, :], w)[:, 0] + b
         pre.append(z)
         h = np.maximum(z, 0.0) if i < n_layers - 1 else z
         post.append(h)
@@ -159,20 +170,30 @@ def _forward_trace(net: MlpNetwork, x: np.ndarray):
 
 def mlp_forward(net: MlpNetwork, features) -> np.ndarray:
     """Raw nonnegative power coefficients for one instance's features."""
-    p_tilde, _ = _forward_trace(net, features)
-    return p_tilde
+    x = np.asarray(features, dtype=float)
+    if x.shape != (net.layer_widths[0],):
+        raise ValueError(
+            f"feature length {x.shape} does not match input width {net.layer_widths[0]}"
+        )
+    p_tilde, _ = _forward_trace(*_layer_views(net.params[None], net.layer_widths), x)
+    return p_tilde[0]
 
 
-def _backward(net: MlpNetwork, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
-    """Backprop from d(loss)/d(p_tilde) into per-layer weight/bias gradient views."""
+def _backward(weights, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
+    """Backprop from d(loss)/d(p_tilde), one row per network, into stacked gradient views.
+
+    The weight gradients are outer products, written by ``np.einsum``.  It
+    writes +0.0 where a product is -0.0; Adam's moments, and so the
+    parameters, come out the same either way.
+    """
     pre, post, sp = cache
     sigmoid = 1.0 / (1.0 + np.exp(-pre[-1]))
     delta = d_p_tilde * 2.0 * sp * sigmoid  # through the squared softplus
-    for i in range(len(net.weights) - 1, -1, -1):
-        np.multiply(post[i][:, None], delta, out=grads_w[i])  # outer product
+    for i in range(len(weights) - 1, -1, -1):
+        np.einsum("si,sj->sij" if post[i].ndim == 2 else "i,sj->sij", post[i], delta, out=grads_w[i])
         grads_b[i][...] = delta
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = np.matmul(delta[:, None, :], weights[i].transpose(0, 2, 1))[:, 0] * (pre[i - 1] > 0.0)
 
 
 def problem_features(problem: PowerProblem) -> np.ndarray:
@@ -220,33 +241,53 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
-    """EE and d(loss)/dp at ``p``.
+_ALL = slice(None)
 
-    ``p_free`` is ``p[problem.free]``.  The loss is the negative EE minus
-    ``lam`` times the log-barrier terms, each log argument floored at ``eps``:
-    under full QoS one per user on p_k - p_min,k and one on the budget slack;
-    under partial QoS one on the free users' budget slack.  Only its gradient
-    is computed: with every log argument floored, the loss at a finite ``p``
-    is finite exactly when the EE is, which is all ``train`` checks.  EE and
-    its gradient are ``PowerProblem.ee_and_gradient``'s.  The gradient is
-    zero on pinned coordinates.  Returns (EE, gradient, free users' spend).
+
+def _rows(mask: np.ndarray):
+    """An index of the rows where ``mask`` holds: None if none, ``_ALL`` if all (views, not gathers)."""
+    flags = mask.tolist()
+    if all(flags):
+        return _ALL
+    return mask if any(flags) else None
+
+
+def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, eps: float):
+    """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` the rows' barrier weights.
+
+    A row's loss is its negative EE minus its ``lam`` times the log-barrier
+    terms, each log argument floored at ``eps``: under full QoS one per user
+    on p_k - p_min,k and one on the budget slack; under partial QoS one on
+    the free users' budget slack.  Only its gradient is computed: with every
+    log argument floored, the loss at a finite ``p`` is finite exactly when
+    the EE is, which is all training checks.  EE and its gradient are
+    ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
+    coordinates.  Returns per-row EE, gradient and free users' spend.
     """
     c = problem.w_norms_sq
     ee, grad, rf = problem.ee_and_gradient(p)
     np.negative(grad, out=grad)
-    free_spend = float((c[problem.free] * p_free**2).sum())
-    if lam > 0 and problem.full_qos:
+    free_spend = (c[problem.free] * p.compress(problem.free, axis=1) ** 2).sum(axis=1)
+    rows = _rows(lam > 0)
+    if rows is None:
+        return ee, grad, free_spend
+    g, p, lam = grad[rows], p[rows], lam[rows][:, None]
+    if problem.full_qos:
         x = p - problem.p_min + eps
-        grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-        slack = problem.budget - rf + eps
-        if slack > eps:
-            grad += lam * 2.0 * c * p / slack
-    elif lam > 0:
-        slack = problem.budget - free_spend + eps
-        if slack > eps:
-            grad += lam * 2.0 * c * p / slack
-            grad[~problem.free] = 0.0
+        g -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
+        slack = problem.budget - rf[rows] + eps
+    else:
+        slack = problem.budget - free_spend[rows] + eps
+    wall = _rows(slack > eps)
+    if wall is not None:
+        g_wall = g[wall]
+        g_wall += lam[wall] * 2.0 * c * p[wall] / slack[wall][:, None]
+        if not problem.full_qos:
+            g_wall[:, ~problem.free] = 0.0
+        if wall is not _ALL:  # a gather: write it back
+            g[wall] = g_wall
+    if rows is not _ALL:
+        grad[rows] = g
     return ee, grad, free_spend
 
 
@@ -255,35 +296,40 @@ def _evaluate(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: flo
 # ---------------------------------------------------------------------------
 
 
-def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: bool):
-    """Project the free users' entries of ``p_tilde``.
+def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.ndarray):
+    """Project the free users' entries of each row of ``p_tilde`` (slots, users).
 
-    Returns the projected coefficients and a closure mapping d(loss)/dp back to d(loss)/dp_tilde.
+    A row is rescaled onto the budget only where ``scaling`` (one flag per
+    row) is set and its clamped point overspends.  Returns the projected
+    free coefficients and a closure mapping d(loss)/dp back to d(loss)/dp_tilde.
     """
     mask, c, budget = problem.lower_bound[problem.free], problem.w_norms_sq[problem.free], problem.budget
-    p_tilde = p_tilde[problem.free]
+    p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
-    p_hat = np.maximum(p_tilde, mask)
-    p_0 = float((c * p_hat * p_hat).sum())
-    if not scaling or p_0 <= budget:
-        p = p_hat
+    p = np.maximum(p_tilde, mask)
+    p_0 = (c * p * p).sum(axis=1)
+    rows = _rows(scaling & ~(p_0 <= budget))
+    if rows is None:
+        return p, lambda d_p: d_p * clamped
 
-        def backward(d_p):
-            return d_p * clamped
-
-        return p, backward
-
+    p_hat, p_0 = p[rows], p_0[rows]
     p_m = float((c * mask * mask).sum())
-    p, alpha = _scale_to_budget(p_hat, mask, budget, p_0, p_m)
+    p_s, alpha = _scale_to_budget(p_hat, mask, budget, p_0, p_m)
+    p = p.copy()
+    p[rows] = p_s
+    p_0 = p_0[:, None]
 
     def backward(d_p):
-        safe_p = np.where(p > 0.0, p, 1.0)
+        d = d_p * clamped
+        d_p = d_p[rows]
+        safe_p = np.where(p_s > 0.0, p_s, 1.0)
         # diagonal term: dp_k/dp_hat_k at fixed alpha
-        diag = np.where(p > 0.0, alpha * p_hat / safe_p, math.sqrt(alpha))
+        diag = np.where(p_s > 0.0, alpha * p_hat / safe_p, np.sqrt(alpha))
         # coupling through alpha's dependence on every clamped coefficient
-        s = float(np.where(p > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0).sum())
+        s = np.where(p_s > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0).sum(axis=1)
         d_alpha = -2.0 * alpha * c * p_hat / (p_0 - p_m)
-        return (d_p * diag + s * d_alpha) * clamped
+        d[rows] = (d_p * diag + s[:, None] * d_alpha) * clamped[rows]
+        return d
 
     return p, backward
 
@@ -304,105 +350,175 @@ def _ee_scale(problem: PowerProblem) -> float:
     return ref if ref > 0 else 1.0
 
 
-def _step(net: MlpNetwork, problem: PowerProblem, features: np.ndarray, lam: float, eps: float,
-          scaling: bool, grads_w, grads_b):
-    """One full-instance pass: what ``train`` runs each epoch.
+def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, eps: float,
+          scaling: np.ndarray, grads_w, grads_b):
+    """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
 
-    Forward pass, projection, one evaluation of EE and d(loss)/dp at the
-    projected point, then backprop into the gradient views ``grads_w`` and
-    ``grads_b``.  Returns the raw output, the projected coefficients of all
-    users, the EE and the free users' spend.
+    ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
+    2-D buffer); ``lam`` and ``scaling`` hold each slot's barrier weight and
+    projector flag.  Forward pass, projection, one evaluation of EE and
+    d(loss)/dp at the projected point, then backprop into the stacked
+    gradient views ``grads_w`` and ``grads_b``.  Returns, per slot, the raw
+    output, the projected coefficients of all users, the EE and the free
+    users' spend.
     """
     free = problem.free
-    p_tilde, cache = _forward_trace(net, features)
+    p_tilde, cache = _forward_trace(weights, biases, features)
     p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling)
-    p = problem.assemble(p_free)
-    ee, d_p, free_spend = _evaluate(p, p_free, problem, lam, eps)
+    p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
+    p[:, free] = p_free
+    ee, d_p, free_spend = _evaluate(p, problem, lam, eps)
     d_p_tilde = np.zeros(p_tilde.shape)
-    d_p_tilde[free] = proj_backward(d_p[free])
-    _backward(net, cache, d_p_tilde, grads_w, grads_b)
+    d_p_tilde[:, free] = proj_backward(d_p.compress(free, axis=1))
+    _backward(weights, cache, d_p_tilde, grads_w, grads_b)
     return p_tilde, p, ee, free_spend
 
 
-def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
-    """Optimize the network on one instance with in-loop feasibility projection.
+@dataclass
+class _Slot:
+    """A configuration in the pool: its position in ``train_many``'s list and its progress."""
+
+    index: int
+    cfg: TrainConfig
+    net: MlpNetwork  # holds the best checkpoint
+    epoch: int = 0
+    log: TrainingLog = field(default_factory=TrainingLog)
+
+    def barrier_weight(self, ee_scale: float) -> float:
+        """This epoch's barrier weight: halved every ``anneal_every`` epochs, in units of ``ee_scale``."""
+        if not self.cfg.use_soft_loss:
+            return 0.0
+        return BARRIER_WEIGHT * 0.5 ** ((self.epoch - 1) // self.cfg.anneal_every) * ee_scale
+
+
+def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
+    """Train one network per configuration on one instance; yields (position in ``cfgs``, network) pairs.
 
     Each epoch is one full-instance step: forward pass, projection, barrier
-    loss gradient, Adam update.  The barrier weight is halved every ``anneal_every``
-    epochs and internally rescaled by the instance's EE magnitude so the
-    configured weight is unit-free.  Early stopping tracks the barrier-free
-    EE of the projected output and the best checkpoint is returned.
+    loss gradient, Adam update.  The barrier weight is halved every
+    ``anneal_every`` epochs and internally rescaled by the instance's EE
+    magnitude so the configured weight is unit-free.  Early stopping tracks
+    the barrier-free EE of the projected output and the best checkpoint is
+    returned.
 
-    Adam runs on the flat parameter buffer: each of its elementwise
-    operations is one call over all layers at once.
+    Up to ``POOL_SLOTS`` configurations train side by side.  Their parameters,
+    gradients and Adam moments are rows of stacked arrays, so one set of
+    numpy calls runs an epoch of every slot.  Each slot keeps its own epoch
+    count, barrier weight and early stopping; when its configuration stops,
+    the next configuration takes the row.  A row sees exactly the
+    floating-point operations of a lone training (the batched products are
+    one vector-matrix product per row, sums run along C-ordered rows, and
+    Adam's bias corrections are per-slot Python powers), so every network and
+    its ``TrainingLog`` are bit-identical to training that configuration alone.
+
+    Networks are yielded as their trainings stop, so the pool holds at most
+    ``POOL_SLOTS`` of them.  Once the configurations before the first one in
+    ``cfgs`` that diverges have been yielded, raises the ``TrainingError``
+    that configuration raises when trained alone.
     """
-    cfg = cfg or TrainConfig()
-    net = network_for(problem, cfg)
+    cfgs = list(cfgs)
+    if not cfgs:
+        return
     features = problem_features(problem)
     ee_scale = _ee_scale(problem)
+    widths = (len(features), *HIDDEN, problem.n_users)
+    capacity = min(POOL_SLOTS, len(cfgs))
+    params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
     b1, b2 = ADAM_BETA1, ADAM_BETA2
 
-    grads = np.zeros_like(net.params)
-    grads_w, grads_b = _layer_views(grads, net.layer_widths)
-    m1 = np.zeros_like(net.params)
-    v1 = np.zeros_like(net.params)
-    step = np.empty_like(net.params)
-    tmp = np.empty_like(net.params)
-
-    log = TrainingLog()
-    best_val = -np.inf
-    best_epoch = 0
-    best_params = None
-    epoch = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        lam = BARRIER_WEIGHT * 0.5 ** ((epoch - 1) // cfg.anneal_every)
-        if not cfg.use_soft_loss:
-            lam = 0.0
+    queue = deque(enumerate(cfgs))
+    slots: list[_Slot] = []
+    failure: _Slot | None = None  # the diverged slot earliest in ``cfgs``
+    view_rows = -1
+    while queue or slots:
+        while queue and len(slots) < capacity:
+            index, cfg = queue.popleft()
+            row = len(slots)
+            slot = _Slot(index, cfg, network_for(problem, cfg))
+            params[row] = slot.net.params
+            m1[row] = 0.0
+            v1[row] = 0.0
+            slots.append(slot)
+            view_rows = -1
+        n = len(slots)
+        if n != view_rows:
+            weights, biases = _layer_views(params[:n], widths)
+            grads_w, grads_b = _layer_views(grads[:n], widths)
+            scaling = np.array([slot.cfg.project_scaling for slot in slots])
+            view_rows = n
+        for slot in slots:
+            slot.epoch += 1
+        lam = np.array([slot.barrier_weight(ee_scale) for slot in slots])
 
         # divergence is detected explicitly below, so transient overflow in a
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
             p_tilde, _, val, free_spend = _step(
-                net, problem, features, lam * ee_scale, BARRIER_EPS,
-                cfg.project_scaling, grads_w, grads_b,
+                weights, biases, problem, features, lam, BARRIER_EPS, scaling, grads_w, grads_b,
             )
-        if not (np.isfinite(p_tilde).all() and math.isfinite(val)):
-            raise TrainingError(epoch)
-        log.max_budget_overshoot = max(log.max_budget_overshoot, free_spend - problem.budget)
-        if val > best_val:
-            best_val = val
-            best_epoch = epoch
-            best_params = net.params.copy()
+        finite = (np.isfinite(p_tilde).all(axis=1) & np.isfinite(val)).tolist()
+        overshoot = (free_spend - problem.budget).tolist()
+        val = val.tolist()
 
-        m1 *= b1
-        np.multiply(grads, 1.0 - b1, out=tmp)
-        m1 += tmp
-        v1 *= b2
-        np.multiply(grads, 1.0 - b2, out=tmp)
-        tmp *= grads
-        v1 += tmp
-        np.divide(m1, 1.0 - b1**epoch, out=step)  # m_hat
-        np.divide(v1, 1.0 - b2**epoch, out=tmp)  # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        step *= STEP_SIZE
-        step /= tmp
-        net.params -= step
+        done = []
+        for row, slot in enumerate(slots):
+            log = slot.log
+            if not finite[row]:
+                if failure is None or slot.index < failure.index:
+                    failure = slot
+                done.append(row)
+                continue
+            log.max_budget_overshoot = max(log.max_budget_overshoot, overshoot[row])
+            if val[row] > log.best_ee:
+                log.best_ee, log.best_epoch = val[row], slot.epoch
+                slot.net.params[:] = params[row]
+            if slot.epoch - log.best_epoch >= PATIENCE or slot.epoch == slot.cfg.max_epochs:
+                log.stopped_epoch = slot.epoch
+                slot.net.log = log
+                done.append(row)
+        if failure is not None:  # configurations after the first divergence in cfgs need not train on
+            queue = deque(item for item in queue if item[0] < failure.index)
+            done = [row for row, slot in enumerate(slots) if row in done or slot.index > failure.index]
+        for row in reversed(done):  # fill each freed row from the last one
+            if slots[row].net.log is not None:
+                yield slots[row].index, slots[row].net
+            last = len(slots) - 1
+            if row != last:
+                for a in (params, grads, m1, v1):
+                    a[row] = a[last]
+                slots[row] = slots[last]
+            slots.pop()
+            view_rows = -1
 
-        if epoch - best_epoch >= PATIENCE:
-            break
+        n = len(slots)
+        if n == 0:
+            continue
+        p_n, g, m, v, t = params[:n], grads[:n], m1[:n], v1[:n], tmp[:n]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=t)
+        m += t
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=t)
+        t *= g
+        v += t
+        np.divide(m, np.array([1.0 - b1**slot.epoch for slot in slots])[:, None], out=g)  # m_hat, in g's buffer
+        np.divide(v, np.array([1.0 - b2**slot.epoch for slot in slots])[:, None], out=t)  # v_hat
+        np.sqrt(t, out=t)
+        t += ADAM_EPS
+        g *= STEP_SIZE
+        g /= t
+        p_n -= g
 
-    if best_params is not None:
-        net.params[:] = best_params
-    log.best_epoch = best_epoch
-    log.stopped_epoch = epoch
-    log.best_ee = best_val
-    net.log = log
-    return net
+    if failure is not None:
+        raise TrainingError(failure.epoch, failure.cfg.seed)
+
+
+def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
+    """Optimize the network on one instance with in-loop feasibility projection: a pool of one."""
+    return next(train_many(problem, [cfg or TrainConfig()]))[1]
 
 
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
     """Projected coefficient vector produced by a trained network."""
     p_tilde = mlp_forward(net, problem_features(problem))
-    return problem.assemble(_project_with_grad(problem, p_tilde, scaling)[0])
-
+    return problem.assemble(_project_with_grad(problem, p_tilde[None], np.array([scaling]))[0][0])

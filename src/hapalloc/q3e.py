@@ -101,8 +101,16 @@ class PowerProblem:
     def rf_spent(self, p: np.ndarray) -> float:
         return float((self.w_norms_sq * p * p).sum())
 
-    def _ee_terms(self, p: np.ndarray) -> tuple[float, float, float]:
-        """The free users' rate sum, the RF spend and the communication power at ``p``."""
+    def _ee_terms(self, p: np.ndarray):
+        """The free users' rate sum, the RF spend and the communication power at ``p``; per row of a 2-D ``p``.
+
+        A row sum adds in a 1-D sum's order only over a C-ordered row:
+        ``compress`` gives one, ``p[:, free]`` a column-major copy.
+        """
+        if p.ndim == 2:
+            rf = (self.w_norms_sq * p * p).sum(axis=1)
+            numer = surrogate_rates(p, self.rate_model).compress(self.free, axis=1).sum(axis=1)
+            return numer, rf, comm_power(rf, self.ledger)
         rf = self.rf_spent(p)
         return float(surrogate_rates(p, self.rate_model)[self.free].sum()), rf, comm_power(rf, self.ledger)
 
@@ -111,13 +119,22 @@ class PowerProblem:
         numer, _, denom = self._ee_terms(p)
         return numer / denom if denom > 0.0 else 0.0
 
-    def ee_and_gradient(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """``objective`` at ``p``, its gradient in ``p`` (zero on pinned users) and the RF spend."""
+    def ee_and_gradient(self, p: np.ndarray):
+        """``objective`` at ``p``, its gradient in ``p`` (zero on pinned users) and the RF spend.
+
+        A 2-D ``p`` is a stack of coefficient vectors, one per row; EE and
+        spend are then arrays with one entry per row.
+        """
         m = self.rate_model
         numer, rf, denom = self._ee_terms(p)
+        rows = p.ndim == 2
+        numer_k, denom_k = (numer[:, None], denom[:, None]) if rows else (numer, denom)  # broadcast over users
         d_numer = 2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + m.gammas * p * p))
         d_denom = 2.0 * self.ledger.xi * self.w_norms_sq * p
-        grad = (d_numer * denom - numer * d_denom) / (denom * denom)
+        grad = (d_numer * denom_k - numer_k * d_denom) / (denom_k * denom_k)
+        if rows:
+            grad[:, ~self.free] = 0.0
+            return np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0.0), grad, rf
         grad[~self.free] = 0.0
         return (numer / denom if denom > 0.0 else 0.0), grad, rf
 
@@ -233,10 +250,18 @@ def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
     return _scale_to_budget(p_hat, m, p_tot, p_0, p_m)[0]
 
 
-def _scale_to_budget(p_hat, mask, budget: float, p_0: float, p_m: float) -> tuple[np.ndarray, float]:
+def _scale_to_budget(p_hat, mask, budget: float, p_0, p_m: float):
     """The projector's scaling step: squared coefficients interpolated from ``mask`` (cost ``p_m``)
-    to ``p_hat`` (cost ``p_0``) by alpha = (budget - p_m) / (p_0 - p_m) in [0, 1]; returns (point, alpha)."""
-    alpha = min(1.0, max(0.0, (budget - p_m) / (p_0 - p_m)))
+    to ``p_hat`` (cost ``p_0``) by alpha = (budget - p_m) / (p_0 - p_m) in [0, 1]; returns (point, alpha).
+
+    A 2-D ``p_hat`` is scaled row by row, with one cost in ``p_0`` per row and
+    one alpha per row.
+    """
+    ratio = (budget - p_m) / (p_0 - p_m)
+    if isinstance(ratio, float):
+        alpha = min(1.0, max(0.0, ratio))
+    else:  # one alpha per row, as a column; a NaN ratio gives 0, as max(0.0, nan) does
+        alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[:, None]
     return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
 

@@ -558,6 +558,12 @@ class TestValueConfigErrors:
         assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
         assert "RF budget 1e+308 W is out of range" in one_line_config_error(capsys)
 
+    def test_bemt_airspeed_too_small_for_a_finite_loading(self, tmp_path, capsys):
+        # the axial induction at 1e-300 m/s overflows the sectional loading's square
+        doc = {"spec_dir": str(CONFIG_DIR / "propeller"), "v0_mps": 1e-300, "ns_rps": 12.0}
+        assert run_cli("bemt", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert "sectional loading overflows" in one_line_config_error(capsys)
+
     def test_airspeed_sweep_hull_too_long_for_a_finite_reynolds_number(self, tmp_path, capsys):
         doc = shipped("sweep_airspeed.json")
         doc["platform"]["l"] = 1e308
@@ -605,7 +611,7 @@ class TestSweepGridProperty:
 
 
 REMOVE = "<removed>"  # fuzz value: delete the key instead of setting it
-FUZZ_VALUES = (None, "x", -1, 0, 1e308, float("nan"), float("inf"), [], {}, REMOVE)
+FUZZ_VALUES = (None, "x", -1, 0, 1e308, float("nan"), float("inf"), [], {}, REMOVE, 1e-300, 1e30, -1e30)
 
 
 def key_paths(doc, prefix=()):

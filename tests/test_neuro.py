@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neuro_oracle as oracle
 from conftest import golden_section_max, random_scenario, reference_ledger
@@ -132,10 +135,10 @@ class TestLosses:
                 p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
             else:
                 p = prob.p_min * 1.3
-            ee, grad, spend = neuro._evaluate(p, p[prob.free], prob, lam, neuro.BARRIER_EPS)
-            assert ee == prob.objective(p)
-            assert spend == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p, p[prob.free], prob, 0.0, neuro.BARRIER_EPS)[1]
+            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), neuro.BARRIER_EPS)
+            assert ee[0] == prob.objective(p)
+            assert spend[0] == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
+            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), neuro.BARRIER_EPS)[1][0]
             assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):
@@ -222,9 +225,13 @@ class TestTrain:
     def test_divergent_training_raises(self, monkeypatch):
         monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
         _, prob = build_problem(k=2, seed=24)
-        cfg = neuro.TrainConfig(seed=0, max_epochs=60)
-        with pytest.raises(neuro.TrainingError):
+        cfg = neuro.TrainConfig(seed=7, max_epochs=60)
+        with pytest.raises(neuro.TrainingError) as err:
             neuro.train(prob, cfg)
+        # the message names what a user can change, not the step size no config sets
+        assert err.value.seed == 7
+        assert "seed 7" in str(err.value) and "budget" in str(err.value)
+        assert "step size" not in str(err.value)
 
     def test_unprojected_training_violates_tight_budget(self):
         # with the rescaling off, most seeds end beyond the budget
@@ -235,12 +242,12 @@ class TestTrain:
         sc = scenario_from_dict(cfg_doc["scenario"])
         prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
         assert prob.full_qos
+        cfgs = [
+            neuro.TrainConfig(seed=seed, max_epochs=2000, project_scaling=False, anneal_every=ABLATION_ANNEAL_EVERY)
+            for seed in range(20)
+        ]
         violations = 0
-        for seed in range(20):
-            cfg = neuro.TrainConfig(
-                seed=seed, max_epochs=2000, project_scaling=False, anneal_every=ABLATION_ANNEAL_EVERY
-            )
-            net = neuro.train(prob, cfg)
+        for _, net in neuro.train_many(prob, cfgs):
             p = neuro.trained_coefficients(net, prob, scaling=False)
             if prob.rf_spent(p) > cfg_doc["p_tot_w"] * (1 + 1e-9):
                 violations += 1
@@ -260,6 +267,104 @@ class TestTrain:
             numeric = q3e(sc, bf, budget, LEDGER, backend="numeric")
             learned = q3e(sc, bf, budget, LEDGER, cfg=neuro.TrainConfig(seed=i), backend="mlp")
             assert learned.ee >= 0.95 * numeric.ee
+
+
+def lone_error(problem, cfgs) -> neuro.TrainingError | None:
+    """The error of the first configuration in ``cfgs`` whose lone training diverges."""
+    for cfg in cfgs:
+        try:
+            oracle.train_alone(problem, cfg)
+        except neuro.TrainingError as exc:
+            return exc
+    return None
+
+
+def pooled(problem, cfgs, width: int) -> list[neuro.MlpNetwork]:
+    """``train_many``'s networks in ``cfgs``' order, trained in a pool of ``width`` slots."""
+    with mock.patch.object(neuro, "POOL_SLOTS", width):
+        nets = dict(neuro.train_many(problem, cfgs))
+    assert sorted(nets) == list(range(len(cfgs)))
+    return [nets[i] for i in range(len(cfgs))]
+
+
+train_configs = st.builds(
+    neuro.TrainConfig,
+    max_epochs=st.integers(51, 300),
+    seed=st.integers(0, 2**16),
+    anneal_every=st.integers(1, 300),
+    project_scaling=st.booleans(),
+    use_soft_loss=st.booleans(),
+)
+
+
+class TestTrainMany:
+    """A pool of trainings must reproduce each configuration's lone training bit for bit."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        scenario_seed=st.integers(0, 10_000),
+        full=st.booleans(),
+        frac=st.floats(0.05, 0.95),
+        cfgs=st.lists(train_configs, min_size=1, max_size=8),
+    )
+    def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, frac, cfgs):
+        sc = random_scenario(k, seed=scenario_seed)
+        bf = scenario_beamformer(sc)
+        p_min = min_power_coefficients(sc.qos_rates(), RateModel(sc.bw_hz, sc.n0_w, sc.gammas()))
+        total = float(np.sum(bf.w_norms_sq * p_min**2))
+        prob = stage2_problem(sc, bf, total * (1.0 + 2.0 * frac if full else frac), LEDGER)
+        assert prob.full_qos is full
+        lone = [oracle.train_alone(prob, cfg) for cfg in cfgs]
+        for width in sorted({1, 2, neuro.POOL_SLOTS}):
+            for alone, net in zip(lone, pooled(prob, cfgs, width)):
+                assert net.params.tobytes() == alone.params.tobytes()
+                assert net.log == alone.log
+                assert net.layer_widths == alone.layer_widths
+
+    def test_the_shipped_ablation_trains_as_it_does_alone(self):
+        # nine users: numpy sums eight or more terms pairwise, so here a row sum
+        # taken in another order than the lone 1-D sum would show
+        from conftest import ablation_config
+        from hapalloc.channel import scenario_from_dict
+
+        cfg_doc = ablation_config()
+        sc = scenario_from_dict(cfg_doc["scenario"])
+        prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
+        cfgs = [
+            neuro.TrainConfig(seed=seed, max_epochs=300, project_scaling=scaling, use_soft_loss=soft,
+                              anneal_every=ABLATION_ANNEAL_EVERY)
+            for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(3)
+        ]
+        for alone, net in zip([oracle.train_alone(prob, cfg) for cfg in cfgs], pooled(prob, cfgs, neuro.POOL_SLOTS)):
+            assert net.params.tobytes() == alone.params.tobytes()
+            assert net.log == alone.log
+
+    @pytest.mark.parametrize("width", [1, 2, neuro.POOL_SLOTS])
+    def test_raises_the_error_of_the_first_diverging_config_in_list_order(self, monkeypatch, width):
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
+        _, prob = build_problem(k=2, seed=24)
+        # alone, the clamp-only config diverges at an earlier epoch than the projected one
+        cfgs = [neuro.TrainConfig(seed=3, max_epochs=60), neuro.TrainConfig(seed=4, max_epochs=60, project_scaling=False)]
+        first, later = (lone_error(prob, [cfg]) for cfg in cfgs)
+        assert later.epoch < first.epoch
+        expected = lone_error(prob, cfgs)
+        with mock.patch.object(neuro, "POOL_SLOTS", width):
+            with pytest.raises(neuro.TrainingError) as err:
+                dict(neuro.train_many(prob, cfgs))
+        assert (err.value.epoch, err.value.seed, str(err.value)) == (expected.epoch, expected.seed, str(expected))
+        assert err.value.seed == 3
+
+    def test_an_empty_list_trains_nothing(self):
+        _, prob = build_problem(k=2, seed=21)
+        assert list(neuro.train_many(prob, [])) == []
+
+    def test_networks_come_out_as_their_trainings_stop(self):
+        _, prob = build_problem(k=2, seed=21)
+        cfgs = [neuro.TrainConfig(seed=0, max_epochs=300), neuro.TrainConfig(seed=1, max_epochs=60)]
+        with mock.patch.object(neuro, "POOL_SLOTS", 2):
+            order = [i for i, _ in neuro.train_many(prob, cfgs)]
+        assert order == [1, 0]
 
 
 class TestCheckpointIo:

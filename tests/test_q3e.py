@@ -125,6 +125,30 @@ class TestProjectCapped:
             again = project_capped(out, mask, c, budget)
             assert np.allclose(again, out, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        users=st.lists(
+            st.tuples(
+                st.floats(0.5, 3.0),  # beam cost c_k
+                st.one_of(st.just(0.0), st.floats(0.0, 0.8)),  # floor
+                st.floats(-0.5, 3.0),  # raw coefficient
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        headroom=st.floats(0.05, 2.0),
+    )
+    def test_feasibility_equality_and_idempotence_property(self, users, headroom):
+        c, mask, raw = (np.array(column) for column in zip(*users))
+        budget = float(np.sum(c * mask**2) * (1.0 + headroom) + 1e-6)
+        out = project_capped(raw, mask, c, budget)
+        spend = float(np.sum(c * out**2))
+        assert np.all(out >= mask - 1e-12)
+        assert spend <= budget * (1.0 + 1e-12)
+        if float(np.sum(c * np.maximum(raw, mask) ** 2)) > budget:
+            assert spend == pytest.approx(budget, rel=1e-9)
+        assert np.allclose(project_capped(out, mask, c, budget), out, atol=1e-12)
+
 
 class TestEeAndGradient:
     """The one EE gradient both backends use, against central differences of ``objective``."""
