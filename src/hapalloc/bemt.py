@@ -22,7 +22,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -86,6 +85,8 @@ class PropellerSpec:
         cd = np.asarray(cd, float)
         if np.any(chord <= 0):
             raise ValueError("chord must be positive along the span")
+        if not (np.all(np.diff(r) > 0) and np.all(np.diff(alpha) > 0)):
+            raise ValueError("table radii and angles of attack must strictly increase")
 
         def chord_fn(x):
             return np.interp(x, r, chord)
@@ -129,25 +130,15 @@ class PropellerOperatingPoint:
     eta_p: float
 
 
-def tip_loss(n_b: int, r: float, r_tip: float, phi0: float) -> float:
-    """Prandtl tip-loss factor (2/pi) acos(exp(-N_b (R - r) / (2 r sin phi0)))."""
-    if not (0.0 < r <= r_tip):
+def tip_loss(n_b: int, r: float | np.ndarray, r_tip: float, phi0: float | np.ndarray) -> float | np.ndarray:
+    """Prandtl tip-loss factor (2/pi) acos(exp(-N_b (R - r) / (2 r sin phi0))), elementwise in r and phi0."""
+    r, phi0 = np.asarray(r, float), np.asarray(phi0, float)
+    if not np.all((0.0 < r) & (r <= r_tip)):
         raise ValueError("require 0 < r <= r_tip")
-    if not (0.0 < phi0 < math.pi / 2):
+    if not np.all((0.0 < phi0) & (phi0 < math.pi / 2)):
         raise ValueError("inflow angle must be in (0, pi/2)")
-    arg = -n_b * (r_tip - r) / (2.0 * r * math.sin(phi0))
-    return (2.0 / math.pi) * math.acos(math.exp(arg))
-
-
-# numpy's vector atan2, tan and square round differently from ``math`` and from
-# Python's ``x ** 2`` (libm pow) on some inputs; these run per element so every
-# station matches a scalar evaluation of the same formulas bit for bit.
-def _each(fn, *args: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
-
-
-def _sq(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(pow, x.tolist(), repeat(2)), float, x.size)
+    arg = -n_b * (r_tip - r) / (2.0 * r * np.sin(phi0))
+    return (2.0 / math.pi) * np.arccos(np.exp(arg))
 
 
 def _find_root(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -199,14 +190,13 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
         raise ValueError("airspeed and rotational speed must be positive")
 
     omega_r = 2.0 * math.pi * n_s * r
-    phi0 = _each(math.atan2, np.full(r.size, v0), omega_r)
+    phi0 = np.arctan2(v0, omega_r)
     # phi0 rounds to 0 or pi/2 once v0 / (2 pi n_s r) under- or overflows
     edge = ~((0.0 < phi0) & (phi0 < math.pi / 2))
-    errors = {
-        i: SectionError("zero-induction inflow angle at 0 or pi/2", float(r[i])) for i in np.flatnonzero(edge).tolist()
-    }
-    k_p = np.array([0.0 if e else tip_loss(spec.n_blades, x, spec.r_tip, p)
-                    for x, p, e in zip(r.tolist(), phi0.tolist(), edge.tolist())])
+    errors = {i: SectionError("zero-induction inflow angle at 0 or pi/2", float(r[i]))
+              for i in np.flatnonzero(edge).tolist()}
+    k_p = np.zeros(r.size)
+    k_p[~edge] = tip_loss(spec.n_blades, r[~edge], spec.r_tip, phi0[~edge])
     loaded = ~(k_p < KP_FLOOR)
     theta = spec.pitch_fn(r)
     sigma = spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r)
@@ -232,9 +222,9 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     # between: [phi0, phi_cap] brackets the propulsive root.
     def residual_fn(phi, idx):
         _, _, sin_phi, force = section_at(phi, idx)
-        rat = 4.0 * k_p[idx] * _sq(sin_phi) / (sigma[idx] * force)
+        rat = 4.0 * k_p[idx] * sin_phi**2 / (sigma[idx] * force)
         a_alg = 1.0 / (rat - 1.0)
-        a_kin = _each(math.tan, phi) * omega_r[idx] / v0 - 1.0
+        a_kin = np.tan(phi) * omega_r[idx] / v0 - 1.0
         return np.where(force <= 0.0, -math.inf, np.where(rat <= 1.0, math.inf, a_alg - a_kin))
 
     todo = np.flatnonzero(loaded & ~nonpropulsive)
@@ -244,7 +234,7 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     todo = todo[bracketed]
     phi_star = _find_root(residual_fn, phi0[todo], phi_cap[bracketed], todo)
     phi[todo] = phi_star
-    a_a[todo] = _each(math.tan, phi_star) * omega_r[todo] / v0 - 1.0
+    a_a[todo] = np.tan(phi_star) * omega_r[todo] / v0 - 1.0
     cl[todo], cd[todo], _, _ = section_at(phi_star, todo)
 
     if errors:
@@ -295,11 +285,11 @@ def propeller_performance(spec: PropellerSpec, v0: float, n_s: float, atm: Atmos
     st = _solve_stations(spec, v0, n_s, r)
     sin_phi = np.sin(st.phi)
     cos_phi = np.cos(st.phi)
-    try:
-        common = spec.chord_fn(r) * _sq(1.0 + st.a_a) / _sq(sin_phi)
-    except OverflowError as exc:  # Python's pow raises where a float square would overflow
-        raise SectionError("sectional loading overflows: the airspeed is too small for the rotational speed") from exc
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        common = spec.chord_fn(r) * (1.0 + st.a_a) ** 2 / sin_phi**2
     loaded = ~(st.k_p < KP_FLOOR)  # unloaded tip boundary stations carry no loading
+    if not np.isfinite(common[loaded]).all():
+        raise SectionError("sectional loading overflows: the airspeed is too small for the rotational speed")
     jacobian = 2.0 * span * u
     f_thrust = np.where(loaded, (st.cl * cos_phi - st.cd * sin_phi) * common, 0.0) * jacobian
     f_power = np.where(loaded, (st.cl * sin_phi + st.cd * cos_phi) * common * r, 0.0) * jacobian

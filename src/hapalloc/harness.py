@@ -222,7 +222,7 @@ def run_ablation(
         feasible, overshoot, ees = [], [], []
         for _ in seeds:
             p = next(coefficients)
-            spent = float(np.sum(problem.w_norms_sq * p**2))  # rf_spent's (c * p) * p can differ in the last bit
+            spent = problem.rf_spent(p)
             ok = spent <= p_tot * (1.0 + 1e-9) + 1e-12
             feasible.append(ok)
             excess = max(0.0, spent - p_tot)

@@ -2,17 +2,18 @@
 
 This is the per-station solver that ``hapalloc.bemt`` replaced with its array
 solver.  It evaluates the same formulas in the same order with ``math`` on
-Python floats, one radius at a time, and builds its bracket independently:
-it bisects for the force zero and the momentum pole first and then bisects
-the inflow residual between them, where the array solver runs one
-Chandrupatla root-find over [phi0, pi/2 - 1e-9].  The array solver must
-reproduce its errors and unloaded tips bit for bit; the roots agree to
-within the 1e-15 bracket width.  The spec's callables are called on scalars
-and their results cast to float.  It also holds the closed-form induction
-balance ``axial_induction``, the inflow-angle residual ``inflow_residual``,
-the analytic test propeller ``default_test_propeller``, and
-``write_spec_dir``, which samples a spec onto the spec-directory tables that
-``hapalloc.bemt.load_spec_dir`` reads.
+Python floats, one radius at a time (the array solver uses numpy ufuncs), and
+builds its bracket independently: it bisects for the force zero and the
+momentum pole first and then bisects the inflow residual between them, where
+the array solver runs one Chandrupatla root-find over [phi0, pi/2 - 1e-9].
+The array solver must reproduce its errors and unloaded tips exactly; the
+roots agree to within the 1e-15 bracket width.  The spec's callables are
+called on scalars and their results cast to float.  From ``hapalloc.bemt``
+it takes only constants, types and errors.  It also holds its own scalar
+Prandtl ``tip_loss``, the closed-form induction balance ``axial_induction``,
+the inflow-angle residual ``inflow_residual``, the analytic test propeller
+``default_test_propeller``, and ``write_spec_dir``, which samples a spec onto
+the spec-directory tables that ``hapalloc.bemt.load_spec_dir`` reads.
 """
 
 from __future__ import annotations
@@ -33,8 +34,17 @@ from hapalloc.bemt import (
     SectionConvergenceError,
     SectionError,
     SectionState,
-    tip_loss,
 )
+
+
+def tip_loss(n_b: int, r: float, r_tip: float, phi0: float) -> float:
+    """Prandtl tip-loss factor (2/pi) acos(exp(-N_b (R - r) / (2 r sin phi0))) at one station."""
+    if not (0.0 < r <= r_tip):
+        raise ValueError("require 0 < r <= r_tip")
+    if not (0.0 < phi0 < math.pi / 2):
+        raise ValueError("inflow angle must be in (0, pi/2)")
+    arg = -n_b * (r_tip - r) / (2.0 * r * math.sin(phi0))
+    return (2.0 / math.pi) * math.acos(math.exp(arg))
 
 
 def _polar(spec, alpha):

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bemt_oracle
 import neuro_oracle as oracle
@@ -210,6 +212,24 @@ def test_criterion_06_greedy_optimality_certificate():
     assert elapsed < 30.0
     report(6, f"greedy prefix matches brute-force max cardinality on 200 instances "
               f"({elapsed:.1f}s)")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # costs on a 1/64 grid, so every subset sum is exact and no tie hangs on summation order
+    costs=st.lists(st.integers(3, 320).map(lambda n: n / 64.0), min_size=1, max_size=8),
+    fraction=st.floats(0.0, 1.2),
+)
+def test_criterion_06_greedy_optimality_property(costs, fraction):
+    k = len(costs)
+    budget = fraction * sum(costs)
+    part = feasibility_partition(np.ones(k), np.array(costs), budget)
+    best = max(
+        r for r in range(k + 1)
+        for sub in itertools.combinations(costs, r)
+        if sum(sub) <= budget
+    )
+    assert len(part.satisfied_set) == best
 
 
 def test_criterion_07_projector_contract():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -112,6 +113,14 @@ class TestBemtVerb:
         cfg = write_json(tmp_path / "b.json", {"spec_dir": 5, "v0_mps": 10, "ns_rps": 12})
         assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
         assert "cannot load propeller spec 5" in one_line_config_error(capsys)
+        # a spec directory whose radii do not increase cannot be loaded either
+        spec_dir = tmp_path / "prop"
+        shutil.copytree(CONFIG_DIR / "propeller", spec_dir)
+        rows = (spec_dir / "geometry.csv").read_text().splitlines()
+        rows[3], rows[4] = rows[4], rows[3]
+        (spec_dir / "geometry.csv").write_text("\n".join(rows) + "\n")
+        assert run_cli("bemt", "--spec", spec_dir, "--v0", "10", "--ns", "12") == EXIT_CONFIG
+        assert "strictly increase" in one_line_config_error(capsys)
 
     def test_non_numeric_speed_in_config_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {"spec_dir": str(CONFIG_DIR / "propeller"),

@@ -312,6 +312,20 @@ class TestQ3eOrchestrator:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 6
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=5),
+    )
+    def test_satisfied_count_monotone_in_budget_property(self, k, seed, fractions):
+        sc = random_scenario(k, seed=seed)
+        bf, model, p_min = scenario_problem(sc)
+        total = float(np.sum(bf.w_norms_sq * p_min**2))
+        counts = [len(q3e(sc, bf, f * total, LEDGER).q_set) for f in sorted(fractions) + [1.5]]
+        assert counts == sorted(counts)
+        assert counts[-1] == k
+
     def test_solution_invariants(self):
         sc = random_scenario(4, seed=94)
         bf, model, p_min = scenario_problem(sc)
