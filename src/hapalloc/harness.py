@@ -20,7 +20,16 @@ from . import propulsion
 from .beamforming import ZfBeamformer
 from .channel import Scenario
 from .config import Atmosphere, ConfigError, PlatformGeometry, PowerLedger
-from .q3e import baseline_max_sum_rate, baseline_qos_only, check_stage2_range, q3e, scenario_beamformer, stage2_problem
+from .q3e import (
+    Q3eSolution,
+    _mlp_solution,
+    baseline_max_sum_rate,
+    baseline_qos_only,
+    check_stage2_range,
+    q3e,
+    scenario_beamformer,
+    stage2_problem,
+)
 
 AIRSPEED_HEADERS = ["v0_mps", "t_n", "cdv", "re", "eta_hat", "p_prop_w", "p_prop_legacy_w"]
 BUDGET_HEADERS = ["p_tot_w", "backend", "satisfaction", "ee_bps_per_w", "rf_spent_w"]
@@ -85,35 +94,61 @@ def run_airspeed_sweep(
     )
 
 
-def _solve_backend(
-    backend: str,
-    scenario: Scenario,
-    bf: ZfBeamformer,
-    p_tot: float,
-    ledger: PowerLedger,
-    seeds,
-) -> tuple[float, float, float]:
-    """(satisfaction, mean EE, mean RF spend) for one backend at one budget."""
-    k = scenario.n_users
-    if backend == "q3e-numeric":
-        sols = [q3e(scenario, bf, p_tot, ledger, backend="numeric")]
-    elif backend == "q3e-mlp":
-        from .neuro import TrainConfig  # deferred import keeps baseline paths light
+def _distinct(what: str, values) -> list:
+    """``values`` as a list; raises ConfigError naming the first value that repeats."""
+    values = list(values)
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{what} must not repeat, but {v!r} appears more than once")
+    return values
 
-        sols = [
-            q3e(scenario, bf, p_tot, ledger, cfg=TrainConfig(seed=int(s)), backend="mlp")
-            for s in seeds
-        ]
-    elif backend == "max-sum-rate":
-        sols = [baseline_max_sum_rate(scenario, bf, p_tot, ledger)]
-    elif backend == "qos-only":
-        sols = [baseline_qos_only(scenario, bf, p_tot, ledger)]
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+
+def _means(sols: list[Q3eSolution], k: int) -> tuple[float, float, float]:
+    """(satisfaction, mean EE, mean RF spend) of one backend's solutions at one budget, in list order."""
     sat = float(np.mean([len(s.q_set) / k for s in sols]))
     ee = float(np.mean([s.ee for s in sols]))
     rf = float(np.mean([s.rf_spent for s in sols]))
     return sat, ee, rf
+
+
+def _solve_backend(
+    backend: str, scenario: Scenario, bf: ZfBeamformer, p_tot: float, ledger: PowerLedger
+) -> Q3eSolution:
+    """One non-neural backend's solution at one budget."""
+    if backend == "q3e-numeric":
+        return q3e(scenario, bf, p_tot, ledger, backend="numeric")
+    if backend == "max-sum-rate":
+        return baseline_max_sum_rate(scenario, bf, p_tot, ledger)
+    if backend == "qos-only":
+        return baseline_qos_only(scenario, bf, p_tot, ledger)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def _mlp_solutions(scenario: Scenario, bf: ZfBeamformer, ledger: PowerLedger, grid, seeds) -> list[list[Q3eSolution]]:
+    """The q3e-mlp backend's solutions, one per seed in seed order, at each budget of ``grid``.
+
+    Each solution is what ``q3e(backend="mlp")`` returns for its budget and
+    seed.  Each run of consecutive budgets whose stage-2 problems share a
+    face (``PowerProblem.shares_face``) trains in one ``neuro.train_many``
+    pool, jobs in budget-then-seed order, so a diverging training raises the
+    error of the first diverging (budget, seed) in grid order.
+    """
+    from .neuro import TrainConfig, train_many  # deferred import keeps baseline paths light
+
+    problems = [stage2_problem(scenario, bf, p_tot, ledger) for p_tot in grid]
+    cfgs = [TrainConfig(seed=s) for s in seeds]
+    sols: list[list] = [[None] * len(cfgs) for _ in problems]
+    start = 0
+    while start < len(problems):
+        stop = start + 1
+        while stop < len(problems) and problems[stop].shares_face(problems[start]):
+            stop += 1
+        jobs = [(problems[i], cfg) for i in range(start, stop) for cfg in cfgs]
+        for j, net in train_many(jobs):
+            i, s = divmod(j, len(cfgs))
+            sols[start + i][s] = _mlp_solution(problems[start + i], net)
+        start = stop
+    return sols
 
 
 def run_budget_sweep(
@@ -125,18 +160,28 @@ def run_budget_sweep(
 ) -> ReportTable:
     """Per-backend satisfaction ratio and EE over an RF-budget grid.
 
-    Rows come out in grid-then-backend order.  Raises ConfigError for a
-    budget out of range (``check_stage2_range``), and AssertionError if the
-    lexicographic solver's satisfaction ratio ever decreases along the grid,
-    or if the sum-rate baseline ever satisfies more users.
+    Rows come out in grid-then-backend order; q3e-mlp averages over
+    ``seeds``.  Raises ConfigError for a budget out of range
+    (``check_stage2_range``) or a repeated backend or seed, and
+    AssertionError if the lexicographic solver's satisfaction ratio ever
+    decreases along the grid, or if the sum-rate baseline ever satisfies
+    more users.
     """
+    backends = _distinct("sweep backends", backends)
+    seeds = _distinct("sweep seeds", (int(s) for s in seeds))
     bf = scenario_beamformer(scenario)
     grid = [float(x) for x in grid]
     for p_tot in grid:
         check_stage2_range(scenario, bf, p_tot, ledger)
 
+    k = scenario.n_users
+    mlp = _mlp_solutions(scenario, bf, ledger, grid, seeds) if "q3e-mlp" in backends else None
     results = [
-        {b: _solve_backend(b, scenario, bf, p_tot, ledger, seeds) for b in backends} for p_tot in grid
+        {
+            b: _means(mlp[i] if b == "q3e-mlp" else [_solve_backend(b, scenario, bf, p_tot, ledger)], k)
+            for b in backends
+        }
+        for i, p_tot in enumerate(grid)
     ]
 
     rows = []
@@ -189,7 +234,7 @@ def run_ablation(
     """
     from . import neuro
 
-    seeds = [int(s) for s in seeds]
+    seeds = _distinct("ablation seeds", (int(s) for s in seeds))
     if len(seeds) < ABLATION_MIN_SEEDS:
         raise ConfigError(f"ablation needs at least {ABLATION_MIN_SEEDS} seeds, got {len(seeds)}")
     bf = scenario_beamformer(scenario)
@@ -214,7 +259,7 @@ def run_ablation(
     ]
     trained = {
         i: neuro.trained_coefficients(net, problem, scaling=cfgs[i].project_scaling)
-        for i, net in neuro.train_many(problem, cfgs)
+        for i, net in neuro.train_many((problem, cfg) for cfg in cfgs)
     }
     coefficients = iter([trained[i] for i in range(len(cfgs))])
     rows = []

@@ -15,8 +15,11 @@ backward pass through the network.  Gradients flow through the projector's
 smooth scaling branch; the clamp max(p, m) passes no gradient on the
 clamped side (subgradient convention).
 
-Trainings of one instance run in a pool (``train_many``): their networks are
-rows of stacked arrays, and each row reproduces a lone training bit for bit.
+Trainings run in a pool (``train_many``): their networks are rows of stacked
+arrays, and each row reproduces a lone training bit for bit.  A pool's
+problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
+in budget, so one pool serves several configurations of one instance or one
+instance at several budgets.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def _softplus_inverse(y: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(weights, biases, x: np.ndarray):
-    """Forward pass of a stack of networks (``_layer_views`` of stacked rows) on one feature vector.
+    """Forward pass of a stack of networks (``_layer_views`` of stacked rows), one feature vector per row of ``x``.
 
     Returns the raw coefficients, one row per network, and the activation
     cache.  Each layer is one batched ``np.matmul``: a vector-matrix product
@@ -175,7 +178,7 @@ def mlp_forward(net: MlpNetwork, features) -> np.ndarray:
         raise ValueError(
             f"feature length {x.shape} does not match input width {net.layer_widths[0]}"
         )
-    p_tilde, _ = _forward_trace(*_layer_views(net.params[None], net.layer_widths), x)
+    p_tilde, _ = _forward_trace(*_layer_views(net.params[None], net.layer_widths), x[None])
     return p_tilde[0]
 
 
@@ -190,7 +193,7 @@ def _backward(weights, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
     sigmoid = 1.0 / (1.0 + np.exp(-pre[-1]))
     delta = d_p_tilde * 2.0 * sp * sigmoid  # through the squared softplus
     for i in range(len(weights) - 1, -1, -1):
-        np.einsum("si,sj->sij" if post[i].ndim == 2 else "i,sj->sij", post[i], delta, out=grads_w[i])
+        np.einsum("si,sj->sij", post[i], delta, out=grads_w[i])
         grads_b[i][...] = delta
         if i > 0:
             delta = np.matmul(delta[:, None, :], weights[i].transpose(0, 2, 1))[:, 0] * (pre[i - 1] > 0.0)
@@ -244,6 +247,26 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 _ALL = slice(None)
 
 
+@dataclass(frozen=True)
+class _Face:
+    """What the problems of a pool share, with the constants its epochs read.
+
+    ``problem`` is any problem of the face; the pool's problems differ from it
+    only in ``budget``, which the pool holds per row and nothing here reads.
+    """
+
+    problem: PowerProblem
+    pinned: bool  # some user is pinned
+    c_free: np.ndarray  # the free users' beam costs
+    mask: np.ndarray  # the free users' floors: the projector's clamp
+    p_m: float  # the mask's cost
+
+    @classmethod
+    def of(cls, problem: PowerProblem) -> _Face:
+        c_free, mask = problem.w_norms_sq[problem.free], problem.lower_bound[problem.free]
+        return cls(problem, not problem.free.all(), c_free, mask, float((c_free * mask * mask).sum()))
+
+
 def _rows(mask: np.ndarray):
     """An index of the rows where ``mask`` holds: None if none, ``_ALL`` if all (views, not gathers)."""
     flags = mask.tolist()
@@ -252,8 +275,9 @@ def _rows(mask: np.ndarray):
     return mask if any(flags) else None
 
 
-def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, eps: float):
-    """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` the rows' barrier weights.
+def _evaluate(p: np.ndarray, face: _Face, lam: np.ndarray, budget: np.ndarray, eps: float):
+    """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
+    weights and budgets.
 
     A row's loss is its negative EE minus its ``lam`` times the log-barrier
     terms, each log argument floored at ``eps``: under full QoS one per user
@@ -264,25 +288,25 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, eps: float)
     ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
     coordinates.  Returns per-row EE, gradient and free users' spend.
     """
-    c = problem.w_norms_sq
+    problem = face.problem
     ee, grad, rf = problem.ee_and_gradient(p)
     np.negative(grad, out=grad)
-    free_spend = (c[problem.free] * p.compress(problem.free, axis=1) ** 2).sum(axis=1)
+    free_spend = (face.c_free * (p.compress(problem.free, axis=1) if face.pinned else p) ** 2).sum(axis=1)
     rows = _rows(lam > 0)
     if rows is None:
         return ee, grad, free_spend
-    g, p, lam = grad[rows], p[rows], lam[rows][:, None]
+    g, p, lam, budget = grad[rows], p[rows], lam[rows][:, None], budget[rows]
     if problem.full_qos:
         x = p - problem.p_min + eps
         g -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-        slack = problem.budget - rf[rows] + eps
+        slack = budget - rf[rows] + eps
     else:
-        slack = problem.budget - free_spend[rows] + eps
+        slack = budget - free_spend[rows] + eps
     wall = _rows(slack > eps)
     if wall is not None:
         g_wall = g[wall]
-        g_wall += lam[wall] * 2.0 * c * p[wall] / slack[wall][:, None]
-        if not problem.full_qos:
+        g_wall += lam[wall] * 2.0 * problem.w_norms_sq * p[wall] / slack[wall][:, None]
+        if face.pinned:
             g_wall[:, ~problem.free] = 0.0
         if wall is not _ALL:  # a gather: write it back
             g[wall] = g_wall
@@ -296,15 +320,17 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, eps: float)
 # ---------------------------------------------------------------------------
 
 
-def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.ndarray):
+def _project_with_grad(face: _Face, p_tilde: np.ndarray, scaling: np.ndarray, budget: np.ndarray):
     """Project the free users' entries of each row of ``p_tilde`` (slots, users).
 
-    A row is rescaled onto the budget only where ``scaling`` (one flag per
-    row) is set and its clamped point overspends.  Returns the projected
-    free coefficients and a closure mapping d(loss)/dp back to d(loss)/dp_tilde.
+    A row is rescaled onto its entry of ``budget`` only where ``scaling`` (one
+    flag per row) is set and its clamped point overspends.  Returns the
+    projected free coefficients and a closure mapping d(loss)/dp back to
+    d(loss)/dp_tilde.
     """
-    mask, c, budget = problem.lower_bound[problem.free], problem.w_norms_sq[problem.free], problem.budget
-    p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
+    mask, c, p_m = face.mask, face.c_free, face.p_m
+    if face.pinned:
+        p_tilde = p_tilde.compress(face.problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
     p = np.maximum(p_tilde, mask)
     p_0 = (c * p * p).sum(axis=1)
@@ -313,8 +339,7 @@ def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.n
         return p, lambda d_p: d_p * clamped
 
     p_hat, p_0 = p[rows], p_0[rows]
-    p_m = float((c * mask * mask).sum())
-    p_s, alpha = _scale_to_budget(p_hat, mask, budget, p_0, p_m)
+    p_s, alpha = _scale_to_budget(p_hat, mask, budget[rows], p_0, p_m)
     p = p.copy()
     p[rows] = p_s
     p_0 = p_0[:, None]
@@ -350,49 +375,55 @@ def _ee_scale(problem: PowerProblem) -> float:
     return ref if ref > 0 else 1.0
 
 
-def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, eps: float,
+def _step(weights, biases, face: _Face, features: np.ndarray, lam: np.ndarray, budget: np.ndarray, eps: float,
           scaling: np.ndarray, grads_w, grads_b):
     """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
 
     ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
-    2-D buffer); ``lam`` and ``scaling`` hold each slot's barrier weight and
-    projector flag.  Forward pass, projection, one evaluation of EE and
-    d(loss)/dp at the projected point, then backprop into the stacked
-    gradient views ``grads_w`` and ``grads_b``.  Returns, per slot, the raw
-    output, the projected coefficients of all users, the EE and the free
-    users' spend.
+    2-D buffer); ``features``, ``lam``, ``budget`` and ``scaling`` hold each
+    slot's feature vector, barrier weight, budget and projector flag.
+    Forward pass, projection, one evaluation of EE and d(loss)/dp at the
+    projected point, then backprop into the stacked gradient views
+    ``grads_w`` and ``grads_b``.  Returns, per slot, the raw output, the
+    projected coefficients of all users, the EE and the free users' spend.
     """
-    free = problem.free
+    free = face.problem.free
     p_tilde, cache = _forward_trace(weights, biases, features)
-    p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling)
-    p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
-    p[:, free] = p_free
-    ee, d_p, free_spend = _evaluate(p, problem, lam, eps)
-    d_p_tilde = np.zeros(p_tilde.shape)
-    d_p_tilde[:, free] = proj_backward(d_p.compress(free, axis=1))
+    p_free, proj_backward = _project_with_grad(face, p_tilde, scaling, budget)
+    p = p_free  # with no user pinned, every user is free
+    if face.pinned:
+        p = np.repeat(face.problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
+        p[:, free] = p_free
+    ee, d_p, free_spend = _evaluate(p, face, lam, budget, eps)
+    if face.pinned:
+        d_p_tilde = np.zeros(p_tilde.shape)
+        d_p_tilde[:, free] = proj_backward(d_p.compress(free, axis=1))
+    else:
+        d_p_tilde = proj_backward(d_p)
     _backward(weights, cache, d_p_tilde, grads_w, grads_b)
     return p_tilde, p, ee, free_spend
 
 
 @dataclass
 class _Slot:
-    """A configuration in the pool: its position in ``train_many``'s list and its progress."""
+    """A job in the pool: its position in ``train_many``'s list, its configuration and its progress."""
 
     index: int
     cfg: TrainConfig
     net: MlpNetwork  # holds the best checkpoint
+    ee_scale: float  # the job's problem's ``_ee_scale``
     epoch: int = 0
     log: TrainingLog = field(default_factory=TrainingLog)
 
-    def barrier_weight(self, ee_scale: float) -> float:
+    def barrier_weight(self) -> float:
         """This epoch's barrier weight: halved every ``anneal_every`` epochs, in units of ``ee_scale``."""
         if not self.cfg.use_soft_loss:
             return 0.0
-        return BARRIER_WEIGHT * 0.5 ** ((self.epoch - 1) // self.cfg.anneal_every) * ee_scale
+        return BARRIER_WEIGHT * 0.5 ** ((self.epoch - 1) // self.cfg.anneal_every) * self.ee_scale
 
 
-def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
-    """Train one network per configuration on one instance; yields (position in ``cfgs``, network) pairs.
+def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
+    """Train one network per ``(problem, cfg)`` job; yields (position in ``jobs``, network) pairs.
 
     Each epoch is one full-instance step: forward pass, projection, barrier
     loss gradient, Adam update.  The barrier weight is halved every
@@ -401,43 +432,51 @@ def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
     the barrier-free EE of the projected output and the best checkpoint is
     returned.
 
-    Up to ``POOL_SLOTS`` configurations train side by side.  Their parameters,
-    gradients and Adam moments are rows of stacked arrays, so one set of
-    numpy calls runs an epoch of every slot.  Each slot keeps its own epoch
-    count, barrier weight and early stopping; when its configuration stops,
-    the next configuration takes the row.  A row sees exactly the
-    floating-point operations of a lone training (the batched products are
-    one vector-matrix product per row, sums run along C-ordered rows, and
-    Adam's bias corrections are per-slot Python powers), so every network and
-    its ``TrainingLog`` are bit-identical to training that configuration alone.
+    The jobs' problems must share one stage-1 face (``PowerProblem.shares_face``):
+    they may differ only in budget.  Otherwise the first ``next`` raises
+    ``ValueError``.  Up to ``POOL_SLOTS`` jobs train side by side.  Their
+    parameters, gradients, Adam moments, feature vectors and budgets are
+    rows of stacked arrays, so one set of numpy calls runs an epoch of every
+    slot.  Each slot keeps its own epoch count, barrier weight and early
+    stopping; when its job stops, the next job takes the row.  A row sees
+    exactly the floating-point operations of a lone training (the batched
+    products are one vector-matrix product per row, sums run along C-ordered
+    rows, the budget enters only elementwise, and Adam's bias corrections are
+    per-slot Python powers), so every network and its ``TrainingLog`` are
+    bit-identical to training that job alone.
 
     Networks are yielded as their trainings stop, so the pool holds at most
-    ``POOL_SLOTS`` of them.  Once the configurations before the first one in
-    ``cfgs`` that diverges have been yielded, raises the ``TrainingError``
-    that configuration raises when trained alone.
+    ``POOL_SLOTS`` of them.  Once the jobs before the first one in ``jobs``
+    that diverges have been yielded, raises the ``TrainingError`` that job
+    raises when trained alone.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
+    jobs = list(jobs)
+    if not jobs:
         return
-    features = problem_features(problem)
-    ee_scale = _ee_scale(problem)
-    widths = (len(features), *HIDDEN, problem.n_users)
-    capacity = min(POOL_SLOTS, len(cfgs))
+    face = _Face.of(jobs[0][0])
+    if not all(problem.shares_face(face.problem) for problem, _ in jobs):
+        raise ValueError("train_many's problems must share one stage-1 face: they may differ only in budget")
+    widths = (3 * face.problem.n_users + 1, *HIDDEN, face.problem.n_users)
+    capacity = min(POOL_SLOTS, len(jobs))
     params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
+    features = np.zeros((capacity, widths[0]))
+    budget = np.zeros(capacity)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
 
-    queue = deque(enumerate(cfgs))
+    queue = deque(enumerate(jobs))
     slots: list[_Slot] = []
-    failure: _Slot | None = None  # the diverged slot earliest in ``cfgs``
+    failure: _Slot | None = None  # the diverged slot earliest in ``jobs``
     view_rows = -1
     while queue or slots:
         while queue and len(slots) < capacity:
-            index, cfg = queue.popleft()
+            index, (problem, cfg) = queue.popleft()
             row = len(slots)
-            slot = _Slot(index, cfg, network_for(problem, cfg))
+            slot = _Slot(index, cfg, network_for(problem, cfg), _ee_scale(problem))
             params[row] = slot.net.params
             m1[row] = 0.0
             v1[row] = 0.0
+            features[row] = problem_features(problem)
+            budget[row] = problem.budget
             slots.append(slot)
             view_rows = -1
         n = len(slots)
@@ -448,16 +487,16 @@ def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
             view_rows = n
         for slot in slots:
             slot.epoch += 1
-        lam = np.array([slot.barrier_weight(ee_scale) for slot in slots])
+        lam = np.array([slot.barrier_weight() for slot in slots])
 
         # divergence is detected explicitly below, so transient overflow in a
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
             p_tilde, _, val, free_spend = _step(
-                weights, biases, problem, features, lam, BARRIER_EPS, scaling, grads_w, grads_b,
+                weights, biases, face, features[:n], lam, budget[:n], BARRIER_EPS, scaling, grads_w, grads_b,
             )
         finite = (np.isfinite(p_tilde).all(axis=1) & np.isfinite(val)).tolist()
-        overshoot = (free_spend - problem.budget).tolist()
+        overshoot = (free_spend - budget[:n]).tolist()
         val = val.tolist()
 
         done = []
@@ -476,7 +515,7 @@ def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
                 log.stopped_epoch = slot.epoch
                 slot.net.log = log
                 done.append(row)
-        if failure is not None:  # configurations after the first divergence in cfgs need not train on
+        if failure is not None:  # jobs after the first divergence in ``jobs`` need not train on
             queue = deque(item for item in queue if item[0] < failure.index)
             done = [row for row, slot in enumerate(slots) if row in done or slot.index > failure.index]
         for row in reversed(done):  # fill each freed row from the last one
@@ -484,7 +523,7 @@ def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
                 yield slots[row].index, slots[row].net
             last = len(slots) - 1
             if row != last:
-                for a in (params, grads, m1, v1):
+                for a in (params, grads, m1, v1, features, budget):
                     a[row] = a[last]
                 slots[row] = slots[last]
             slots.pop()
@@ -515,10 +554,11 @@ def train_many(problem: PowerProblem, cfgs) -> Iterator[tuple[int, MlpNetwork]]:
 
 def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
     """Optimize the network on one instance with in-loop feasibility projection: a pool of one."""
-    return next(train_many(problem, [cfg or TrainConfig()]))[1]
+    return next(train_many([(problem, cfg or TrainConfig())]))[1]
 
 
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
     """Projected coefficient vector produced by a trained network."""
     p_tilde = mlp_forward(net, problem_features(problem))
-    return problem.assemble(_project_with_grad(problem, p_tilde[None], np.array([scaling]))[0][0])
+    p_free = _project_with_grad(_Face.of(problem), p_tilde[None], np.array([scaling]), np.array([problem.budget]))[0]
+    return problem.assemble(p_free[0])

@@ -101,6 +101,20 @@ class PowerProblem:
     def rf_spent(self, p: np.ndarray) -> float:
         return float((self.w_norms_sq * p * p).sum())
 
+    def shares_face(self, other: PowerProblem) -> bool:
+        """Whether ``other`` differs from this problem only in ``budget``: the same stage-1 face (free
+        users, regime, floors and pinned coefficients) of the same beams, rate model and ledger."""
+        if other is self:
+            return True
+        m, n = self.rate_model, other.rate_model
+        arrays = [(m.gammas, n.gammas), (self.w_norms_sq, other.w_norms_sq), (self.p_min, other.p_min),
+                  (self.free, other.free), (self.lower_bound, other.lower_bound), (self.pinned_p, other.pinned_p)]
+        return (
+            (self.full_qos, self.satisfied_set, self.ledger, m.bw_hz, m.n0_w)
+            == (other.full_qos, other.satisfied_set, other.ledger, n.bw_hz, n.n0_w)
+            and all(np.array_equal(a, b) for a, b in arrays)
+        )
+
     def _ee_terms(self, p: np.ndarray):
         """The free users' rate sum, the RF spend and the communication power at ``p``; per row of a 2-D ``p``.
 
@@ -418,7 +432,13 @@ def q3e(
     problem = stage2_problem(scenario, beamformer, p_tot, ledger)
     if backend == "numeric":
         return (solve_full_qos if problem.full_qos else solve_partial_qos)(problem)
-    net = neuro.train(problem, cfg)
+    return _mlp_solution(problem, neuro.train(problem, cfg))
+
+
+def _mlp_solution(problem: PowerProblem, net) -> Q3eSolution:
+    """The mlp backend's solution from ``net``, a ``neuro.MlpNetwork`` trained on ``problem``."""
+    from . import neuro
+
     p = neuro.trained_coefficients(net, problem)
     diag = {
         "backend": "mlp",
@@ -427,7 +447,7 @@ def q3e(
         "max_budget_overshoot": net.log.max_budget_overshoot,
     }
     rates = surrogate_rates(p, problem.rate_model)
-    return _solution_from(p, rates, problem.rf_spent(p), ledger, problem.satisfied_set, "mlp", diag)
+    return _solution_from(p, rates, problem.rf_spent(p), problem.ledger, problem.satisfied_set, "mlp", diag)
 
 
 def baseline_max_sum_rate(

@@ -60,7 +60,8 @@ def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> flo
 
 def loss_gradient(p, problem: PowerProblem, lam: float, eps: float = EPS) -> np.ndarray:
     """The trainer's analytic d(loss)/dp, evaluated as a pool of one; zero on pinned coordinates."""
-    return neuro._evaluate(np.asarray(p, dtype=float)[None], problem, np.array([lam]), eps)[1][0]
+    p = np.asarray(p, dtype=float)[None]
+    return neuro._evaluate(p, neuro._Face.of(problem), np.array([lam]), np.array([problem.budget]), eps)[1][0]
 
 
 def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float, eps: float = EPS):
@@ -75,8 +76,8 @@ def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: f
     weights, biases = neuro._layer_views(net.params[None], net.layer_widths)
     grads_w, grads_b = neuro._layer_views(grads, net.layer_widths)
     _, p, _, _ = neuro._step(
-        weights, biases, problem, neuro.problem_features(problem), np.array([lam]), eps,
-        np.array([True]), grads_w, grads_b,
+        weights, biases, neuro._Face.of(problem), neuro.problem_features(problem)[None], np.array([lam]),
+        np.array([problem.budget]), eps, np.array([True]), grads_w, grads_b,
     )
     return instance_loss(p[0], problem, lam, eps), *neuro._layer_views(grads[0], net.layer_widths)
 

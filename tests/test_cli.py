@@ -412,6 +412,21 @@ class TestStudyConfigErrors:
         assert run_cli("sweep", "--config", sweep) == EXIT_CONFIG
         assert "unknown backend(s) 'greedy'" in one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("verb, doc, message", [
+        ("ablation", {**shipped("ablation.json"), "seeds": [0] * 10, "max_epochs": 60},
+         "ablation seeds must not repeat, but 0"),
+        ("ablation", {**shipped("ablation.json"), "seeds": [*range(10), 3], "max_epochs": 60},
+         "ablation seeds must not repeat, but 3"),
+        ("sweep", {**budget_sweep_config(), "backends": ["qos-only", "qos-only"]},
+         "sweep backends must not repeat, but 'qos-only'"),
+        ("sweep", {**budget_sweep_config(), "backends": ["q3e-mlp"], "seeds": [1, 0, 1]},
+         "sweep seeds must not repeat, but 1"),
+    ])
+    def test_repeated_seed_or_backend_is_named(self, verb, doc, message, tmp_path, capsys):
+        # a repeat would count one seed twice in a mean, or write a backend's rows twice
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert f"{message} appears more than once" in one_line_config_error(capsys)
+
     @pytest.mark.parametrize("seeds", [["x"], [float("inf")]])
     def test_non_integer_seed(self, seeds, tmp_path, capsys):
         cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": seeds * 10})

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import ablation_config, reference_ledger, sweep_scenario
 from hapalloc.channel import scenario_from_dict
+from hapalloc import neuro
 from hapalloc.config import PlatformGeometry, isa_properties, ledger_from_dict
 from hapalloc.harness import (
     ABLATION_ANNEAL_EVERY,
@@ -84,6 +86,49 @@ class TestBudgetSweep:
         table = run_budget_sweep(sc, LEDGER, [150.0], backends=("q3e-numeric", "q3e-mlp"), seeds=(0,))
         metrics = budget_sweep_rows(table)[150.0]
         assert metrics["q3e-mlp"]["satisfaction_ratio"] == metrics["q3e-numeric"]["satisfaction_ratio"]
+
+
+def lone_mlp_solve(sc, bf, p_tot: float, seed: int):
+    return q3e(sc, bf, p_tot, LEDGER, cfg=TrainConfig(seed=seed), backend="mlp")
+
+
+class TestPooledBudgetSweep:
+    """The q3e-mlp column trains the budgets of one face in one pool; its rows must equal lone re-solves."""
+
+    def test_rows_equal_per_budget_mlp_resolves(self):
+        # three faces (6, 7 and all 9 users satisfied): pools of 4, 2 and 4 trainings
+        sc = sweep_scenario()
+        bf = scenario_beamformer(sc)
+        grid, seeds = [80.0, 90.0, 100.0, 250.0, 300.0], [1, 0]
+        problems = [stage2_problem(sc, bf, p_tot, LEDGER) for p_tot in grid]
+        assert [a.shares_face(b) for a, b in zip(problems, problems[1:])] == [True, False, False, True]
+        table = run_budget_sweep(sc, LEDGER, grid, backends=("q3e-numeric", "q3e-mlp"), seeds=seeds)
+        want = []
+        for p_tot in grid:
+            numeric = q3e(sc, bf, p_tot, LEDGER, backend="numeric")
+            want.append([p_tot, "q3e-numeric", len(numeric.q_set) / sc.n_users, numeric.ee, numeric.rf_spent])
+            sols = [lone_mlp_solve(sc, bf, p_tot, seed) for seed in seeds]
+            want.append([p_tot, "q3e-mlp", float(np.mean([len(s.q_set) / sc.n_users for s in sols])),
+                         float(np.mean([s.ee for s in sols])), float(np.mean([s.rf_spent for s in sols]))])
+        assert table.rows == want
+
+    def test_raises_the_error_of_the_first_diverging_budget(self, monkeypatch):
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
+        sc = sweep_scenario()
+        bf = scenario_beamformer(sc)
+        grid, seeds = [90.0, 100.0, 120.0], [0, 1]
+        lone = {}
+        for key in itertools.product(grid, seeds):
+            try:
+                lone_mlp_solve(sc, bf, *key)
+            except neuro.TrainingError as exc:
+                lone[key] = exc
+        first = lone[next(key for key in itertools.product(grid, seeds) if key in lone)]
+        # 100 W and 120 W share a pool, where a later training diverges at an earlier epoch
+        assert min(exc.epoch for exc in lone.values()) < first.epoch
+        with pytest.raises(neuro.TrainingError) as err:
+            run_budget_sweep(sc, LEDGER, grid, backends=("q3e-mlp",), seeds=seeds)
+        assert (err.value.epoch, err.value.seed, str(err.value)) == (first.epoch, first.seed, str(first))
 
 
 class TestEmitReport:

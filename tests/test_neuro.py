@@ -135,10 +135,11 @@ class TestLosses:
                 p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
             else:
                 p = prob.p_min * 1.3
-            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), neuro.BARRIER_EPS)
+            face, budget = neuro._Face.of(prob), np.array([prob.budget])
+            ee, grad, spend = neuro._evaluate(p[None], face, np.array([lam]), budget, neuro.BARRIER_EPS)
             assert ee[0] == prob.objective(p)
             assert spend[0] == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), neuro.BARRIER_EPS)[1][0]
+            unbarriered = neuro._evaluate(p[None], face, np.array([0.0]), budget, neuro.BARRIER_EPS)[1][0]
             assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):
@@ -247,7 +248,7 @@ class TestTrain:
             for seed in range(20)
         ]
         violations = 0
-        for _, net in neuro.train_many(prob, cfgs):
+        for _, net in neuro.train_many((prob, cfg) for cfg in cfgs):
             p = neuro.trained_coefficients(net, prob, scaling=False)
             if prob.rf_spent(p) > cfg_doc["p_tot_w"] * (1 + 1e-9):
                 violations += 1
@@ -269,9 +270,9 @@ class TestTrain:
             assert learned.ee >= 0.95 * numeric.ee
 
 
-def lone_error(problem, cfgs) -> neuro.TrainingError | None:
-    """The error of the first configuration in ``cfgs`` whose lone training diverges."""
-    for cfg in cfgs:
+def lone_error(jobs) -> neuro.TrainingError | None:
+    """The error of the first ``(problem, cfg)`` job whose lone training diverges."""
+    for problem, cfg in jobs:
         try:
             oracle.train_alone(problem, cfg)
         except neuro.TrainingError as exc:
@@ -279,12 +280,12 @@ def lone_error(problem, cfgs) -> neuro.TrainingError | None:
     return None
 
 
-def pooled(problem, cfgs, width: int) -> list[neuro.MlpNetwork]:
-    """``train_many``'s networks in ``cfgs``' order, trained in a pool of ``width`` slots."""
+def pooled(jobs, width: int) -> list[neuro.MlpNetwork]:
+    """``train_many``'s networks in ``jobs``' order, trained in a pool of ``width`` slots."""
     with mock.patch.object(neuro, "POOL_SLOTS", width):
-        nets = dict(neuro.train_many(problem, cfgs))
-    assert sorted(nets) == list(range(len(cfgs)))
-    return [nets[i] for i in range(len(cfgs))]
+        nets = dict(neuro.train_many(jobs))
+    assert sorted(nets) == list(range(len(jobs)))
+    return [nets[i] for i in range(len(jobs))]
 
 
 train_configs = st.builds(
@@ -305,19 +306,26 @@ class TestTrainMany:
         k=st.integers(1, 6),
         scenario_seed=st.integers(0, 10_000),
         full=st.booleans(),
-        frac=st.floats(0.05, 0.95),
+        satisfied=st.integers(0, 5),
+        fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
         cfgs=st.lists(train_configs, min_size=1, max_size=8),
     )
-    def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, frac, cfgs):
+    def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, satisfied, fracs, cfgs):
+        # the jobs' problems are one face at up to four budgets: full QoS, or partial QoS
+        # with the same cheapest users satisfied (none of them when satisfied % k is 0)
         sc = random_scenario(k, seed=scenario_seed)
         bf = scenario_beamformer(sc)
         p_min = min_power_coefficients(sc.qos_rates(), RateModel(sc.bw_hz, sc.n0_w, sc.gammas()))
-        total = float(np.sum(bf.w_norms_sq * p_min**2))
-        prob = stage2_problem(sc, bf, total * (1.0 + 2.0 * frac if full else frac), LEDGER)
-        assert prob.full_qos is full
-        lone = [oracle.train_alone(prob, cfg) for cfg in cfgs]
+        costs = np.sort(bf.w_norms_sq * p_min**2)
+        m = satisfied % k
+        budgets = [float(costs.sum()) * (1.0 + 2.0 * f) if full else float(costs[:m].sum()) + f * float(costs[m])
+                   for f in fracs]
+        problems = [stage2_problem(sc, bf, budget, LEDGER) for budget in budgets]
+        assert all(prob.full_qos is full and prob.shares_face(problems[0]) for prob in problems)
+        jobs = [(problems[i % len(problems)], cfg) for i, cfg in enumerate(cfgs)]
+        lone = [oracle.train_alone(prob, cfg) for prob, cfg in jobs]
         for width in sorted({1, 2, neuro.POOL_SLOTS}):
-            for alone, net in zip(lone, pooled(prob, cfgs, width)):
+            for alone, net in zip(lone, pooled(jobs, width)):
                 assert net.params.tobytes() == alone.params.tobytes()
                 assert net.log == alone.log
                 assert net.layer_widths == alone.layer_widths
@@ -336,7 +344,8 @@ class TestTrainMany:
                               anneal_every=ABLATION_ANNEAL_EVERY)
             for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(3)
         ]
-        for alone, net in zip([oracle.train_alone(prob, cfg) for cfg in cfgs], pooled(prob, cfgs, neuro.POOL_SLOTS)):
+        jobs = [(prob, cfg) for cfg in cfgs]
+        for alone, net in zip([oracle.train_alone(prob, cfg) for cfg in cfgs], pooled(jobs, neuro.POOL_SLOTS)):
             assert net.params.tobytes() == alone.params.tobytes()
             assert net.log == alone.log
 
@@ -345,25 +354,34 @@ class TestTrainMany:
         monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
         _, prob = build_problem(k=2, seed=24)
         # alone, the clamp-only config diverges at an earlier epoch than the projected one
-        cfgs = [neuro.TrainConfig(seed=3, max_epochs=60), neuro.TrainConfig(seed=4, max_epochs=60, project_scaling=False)]
-        first, later = (lone_error(prob, [cfg]) for cfg in cfgs)
+        jobs = [(prob, neuro.TrainConfig(seed=3, max_epochs=60)),
+                (prob, neuro.TrainConfig(seed=4, max_epochs=60, project_scaling=False))]
+        first, later = (lone_error([job]) for job in jobs)
         assert later.epoch < first.epoch
-        expected = lone_error(prob, cfgs)
+        expected = lone_error(jobs)
         with mock.patch.object(neuro, "POOL_SLOTS", width):
             with pytest.raises(neuro.TrainingError) as err:
-                dict(neuro.train_many(prob, cfgs))
+                dict(neuro.train_many(jobs))
         assert (err.value.epoch, err.value.seed, str(err.value)) == (expected.epoch, expected.seed, str(expected))
         assert err.value.seed == 3
 
+    def test_jobs_on_different_faces_are_rejected(self):
+        _, full = build_problem(k=3, seed=21)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=60)
+        for other in (build_problem(k=3, seed=21, partial=True)[1], build_problem(k=3, seed=22)[1]):
+            assert not other.shares_face(full)
+            with pytest.raises(ValueError, match="one stage-1 face"):
+                list(neuro.train_many([(full, cfg), (other, cfg)]))
+
     def test_an_empty_list_trains_nothing(self):
         _, prob = build_problem(k=2, seed=21)
-        assert list(neuro.train_many(prob, [])) == []
+        assert list(neuro.train_many([])) == []
 
     def test_networks_come_out_as_their_trainings_stop(self):
         _, prob = build_problem(k=2, seed=21)
         cfgs = [neuro.TrainConfig(seed=0, max_epochs=300), neuro.TrainConfig(seed=1, max_epochs=60)]
         with mock.patch.object(neuro, "POOL_SLOTS", 2):
-            order = [i for i, _ in neuro.train_many(prob, cfgs)]
+            order = [i for i, _ in neuro.train_many((prob, cfg) for cfg in cfgs)]
         assert order == [1, 0]
 
 
