@@ -48,7 +48,6 @@ class FeasibilityPartition:
     satisfied_set: tuple[int, ...]  # prefix of order_g, greedy order
     order_g: tuple[int, ...]  # all users, ascending min-cost order
     residual_budget: float  # W left after pinning the satisfied set
-    min_cost_per_user: np.ndarray  # ||p_min,k w_k||^2 per user, W
     full_feasible: bool
     p_min: np.ndarray  # per-user minimum coefficients
     p_tot: float  # the RF budget the partition was built for
@@ -175,7 +174,6 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
         satisfied_set=tuple(int(i) for i in order[:m]),
         order_g=tuple(int(i) for i in order),
         residual_budget=p_tot - prefix_cost,
-        min_cost_per_user=costs,
         full_feasible=(m == len(costs)),
         p_min=p_min,
         p_tot=float(p_tot),
@@ -220,7 +218,7 @@ def stage2_problem(
 
 
 def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: float, ledger: PowerLedger) -> None:
-    """Raise ConfigError if the minimum coefficients, or any term of ``PowerProblem.ee_and_gradient``, overflow.
+    """Raise ConfigError if the minimum coefficients, an ``ee_and_gradient`` term or the water level overflow.
 
     On the feasible set each term is bounded by its value with every user at
     its own ceiling sqrt(p_tot / c_k), the rate derivative by its peak
@@ -236,10 +234,11 @@ def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: floa
         denom = comm_power(p_tot, ledger)
         d_numer = m.bw_hz * np.sqrt(m.gammas / m.n0_w) / np.log(2.0)
         d_denom = 2.0 * ledger.xi * c * p_max
-        terms = [numer, denom * denom, 2.0 * m.bw_hz * m.gammas * p_max, d_numer * denom, numer * d_denom]
+        level = p_tot + float(np.sum(c * m.n0_w / m.gammas))
+        terms = [numer, denom * denom, 2.0 * m.bw_hz * m.gammas * p_max, d_numer * denom, numer * d_denom, level]
     if not all(np.isfinite(t).all() for t in terms):
-        raise ConfigError(f"RF budget {p_tot!r} W is out of range: a rate or the communication power it allows "
-                          "overflows (check the budget, bandwidth, noise, channel and ledger values)")
+        raise ConfigError(f"RF budget {p_tot!r} W is out of range: a rate, the water level or the communication "
+                          "power it allows overflows (check the budget, bandwidth, noise, channel and ledger values)")
 
 
 def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
@@ -366,24 +365,40 @@ def _numeric_starts(problem: PowerProblem) -> list[np.ndarray]:
 
 
 def _equal_headroom(p_base: np.ndarray, c: np.ndarray, budget: float) -> np.ndarray:
-    """p_k = base_k + delta / sqrt(c_k) with the total cost meeting the budget."""
-    base_cost = float(np.sum(c * p_base * p_base))
-    if budget <= base_cost or len(c) == 0:
-        return p_base.copy()
+    """p_k = base_k + delta / sqrt(c_k), spending the budget less a few ulps per user so rounding cannot exceed it.
+
+    delta = -2 c0 / (b + sqrt(b^2 - 4 a c0)) solves a delta^2 + b delta + c0 = 0
+    (a users) without cancelling at a small headroom, in units of sqrt(budget)
+    so that no term overflows.
+    """
     a = float(len(c))
-    b = 2.0 * float(np.sum(np.sqrt(c) * p_base))
-    c0 = base_cost - budget
-    delta = (-b + np.sqrt(b * b - 4.0 * a * c0)) / (2.0 * a)
-    if not np.isfinite(delta):
-        # b * b or 4 a c0 overflowed near the float maximum: solve in units of
-        # sqrt(budget), and shrink delta by a few ulps per user so that the
-        # rounding of the spend cannot take it over the budget. Temporary: this
-        # form is right at every budget, and replaces the one above (which can
-        # overshoot by 2 ulps) when the exact stage 2 moves the outputs anyway
-        root = np.sqrt(budget)
-        b, c0 = b / root, c0 / budget
-        delta = root * (-b + np.sqrt(b * b - 4.0 * a * c0)) / (2.0 * a) * (1.0 - 8.0 * a * np.finfo(float).eps)
+    budget = budget * (1.0 - 8.0 * a * np.finfo(float).eps)
+    base_cost = float(np.sum(c * p_base * p_base))
+    if budget <= base_cost or a == 0:
+        return p_base.copy()
+    root = np.sqrt(budget)
+    b = 2.0 * float(np.sum(np.sqrt(c) * p_base)) / root
+    c0 = (base_cost - budget) / budget
+    delta = root * -2.0 * c0 / (b + np.sqrt(b * b - 4.0 * a * c0))
     return p_base + delta / np.sqrt(c)
+
+
+def _water_fill(floors: np.ndarray, budget: float) -> np.ndarray:
+    """Spends y_k = max(0, level - floor_k) at the water level that spends the budget, in closed form.
+
+    With the floors sorted, the level over the m lowest is (budget + their sum)
+    / m, and the m whose level exceeds the m-th floor are active.  Both are
+    measured from the lowest floor, so that a budget far below it is not lost
+    to cancellation, and the level is shrunk by a few ulps per active user so
+    that the rounded spend stays within the budget.
+    """
+    order = np.argsort(floors, kind="stable")
+    d = floors[order] - floors[order[0]]
+    levels = (budget + np.cumsum(d)) / np.arange(1, len(d) + 1)
+    m = max(1, int(np.count_nonzero(levels > d)))
+    y = np.empty_like(d)
+    y[order] = np.maximum(0.0, levels[m - 1] * (1.0 - 8.0 * m * np.finfo(float).eps) - d)
+    return y
 
 
 def solve_full_qos(problem: PowerProblem) -> Q3eSolution:
@@ -456,33 +471,15 @@ def baseline_max_sum_rate(
     """Sum-rate maximization under the budget (water-filling), no QoS stage.
 
     In x_k = p_k^2 the problem is concave with one linear constraint; the
-    KKT solution is x_k = max(0, 1/(nu c_k ln 2) - N_0/gamma_k) with the
-    water level nu bisected until the budget is met.  The allocation is the
-    one at the bracket's feasible end, so the reported spend sum_k c_k x_k
-    never exceeds ``p_tot``.
+    KKT solution spends c_k x_k = max(0, level - c_k N_0 / gamma_k) on user k
+    (``_water_fill``).  ``q_set`` holds the users whose rate meets their QoS.
     """
     model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
-    floor = model.n0_w / model.gammas
-
-    def spend(nu):
-        x = np.maximum(0.0, 1.0 / (nu * c * np.log(2.0)) - floor)
-        return float(np.sum(c * x)), x
-
-    x = np.zeros_like(c)  # feasible if no water level tried is
-    if p_tot > 0:
-        lo, hi = 1e-30, 1e30
-        for _ in range(200):
-            nu = np.sqrt(lo * hi)
-            s, x_nu = spend(nu)
-            if s > p_tot:
-                lo = nu
-            else:
-                hi, x = nu, x_nu
-    p = np.sqrt(x)
+    p = np.sqrt(_water_fill(c * model.n0_w / model.gammas, p_tot) / c)
     rates = surrogate_rates(p, model)
     q = [k for k in range(len(p)) if rates[k] >= scenario.qos_rates()[k] * (1.0 - 1e-12)]
-    return _solution_from(p, rates, float(np.sum(c * x)), ledger, q, "max_sum_rate", {})
+    return _solution_from(p, rates, float(np.sum(c * p * p)), ledger, q, "max_sum_rate", {})
 
 
 def baseline_qos_only(
@@ -491,8 +488,9 @@ def baseline_qos_only(
     """Greedy QoS stage, then the residual spread as equal per-user headroom.
 
     Shares stage 1 with the lexicographic solver but has no EE objective:
-    leftover budget is spent on the satisfied users with equal headroom
-    delta/sqrt(c_k) so the budget is consumed exactly.
+    the satisfied users take equal headroom delta/sqrt(c_k) above their
+    minimum coefficients (``_equal_headroom``), so that the whole budget is
+    spent, to within a few ulps below it.
     """
     problem = stage2_problem(scenario, beamformer, p_tot, ledger)
     c = problem.w_norms_sq

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -242,6 +243,18 @@ class TestSweepVerb:
         lines = out.read_text().splitlines()
         assert lines[0] == "p_tot_w,backend,satisfaction,ee_bps_per_w,rf_spent_w"
         assert len(lines) == 5
+
+    def test_baselines_spend_a_large_budget_from_below(self, tmp_path):
+        # the sum-rate water level was capped at its bisection bracket (1.2984e31 W spent of
+        # either budget), and qos-only spent 1.0000000000000002e+100 of 1e100 W
+        doc = {**budget_sweep_config(), "grid": [1e40, 1e100], "backends": ["max-sum-rate", "qos-only"]}
+        out = tmp_path / "b.csv"
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc), "--out", out) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 4
+        for r in rows:
+            p_tot, spent = float(r["p_tot_w"]), float(r["rf_spent_w"])
+            assert p_tot * (1.0 - 1e-12) <= spent <= p_tot, r
 
     def test_bad_kind(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -581,6 +594,17 @@ class TestValueConfigErrors:
                "grid": [1e308]}
         assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
         assert "RF budget 1e+308 W is out of range" in one_line_config_error(capsys)
+
+    def test_budget_sweep_water_floors_that_overflow(self, tmp_path, capsys):
+        # N_0 / gamma overflows while the minimum coefficients (tiny QoS) and the rates stay
+        # finite; the sum-rate water level printed a RuntimeWarning and wrote an RF spend of nan
+        scenario = shipped("scenario_sweep.json")
+        scenario["n0_w"] = 1e10
+        scenario["users"] = [{**u, "gamma": 1e-300, "qos_mbps": 1e-6} for u in scenario["users"]]
+        doc = {**without(budget_sweep_config(), "scenario_path"), "scenario": scenario,
+               "backends": ["max-sum-rate"]}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert "RF budget 150.0 W is out of range" in one_line_config_error(capsys)
 
     def test_bemt_airspeed_too_small_for_a_finite_loading(self, tmp_path, capsys):
         # the axial induction at 1e-300 m/s overflows the sectional loading's square

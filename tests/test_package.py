@@ -10,6 +10,7 @@ import pytest
 
 import hapalloc
 from hapalloc import bemt, channel, harness, neuro, propulsion
+from hapalloc.q3e import FeasibilityPartition
 
 PACKAGE_DIR = Path(hapalloc.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -25,6 +26,9 @@ REMOVED = {
     "bemt": ["axial_induction", "write_spec_dir"],
     "config": ["total_comm_power"],
 }
+
+# dataclass fields that nothing read
+REMOVED_FIELDS = [(FeasibilityPartition, {"min_cost_per_user"})]
 
 # parameters that only tests set to another value, now module constants
 REMOVED_PARAMETERS = [
@@ -64,6 +68,11 @@ def test_removed_names_are_gone(module):
     for name in REMOVED[module]:
         assert not hasattr(mod, name), name
         assert not hasattr(hapalloc, name), name
+
+
+def test_removed_fields_are_gone():
+    for cls, removed in REMOVED_FIELDS:
+        assert not removed & {f.name for f in dataclasses.fields(cls)}, cls.__qualname__
 
 
 def test_adam_settings_are_constants_not_train_config_fields():
