@@ -478,7 +478,7 @@ def baseline_max_sum_rate(
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
     p = np.sqrt(_water_fill(c * model.n0_w / model.gammas, p_tot) / c)
     rates = surrogate_rates(p, model)
-    q = [k for k in range(len(p)) if rates[k] >= scenario.qos_rates()[k] * (1.0 - 1e-12)]
+    q = np.flatnonzero(rates >= scenario.qos_rates() * (1.0 - 1e-12))
     return _solution_from(p, rates, float(np.sum(c * p * p)), ledger, q, "max_sum_rate", {})
 
 
