@@ -19,7 +19,9 @@ Trainings run in a pool (``train_many``): their networks are rows of stacked
 arrays, and each row reproduces a lone training bit for bit.  A pool's
 problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
 in budget, so one pool serves several configurations of one instance or one
-instance at several budgets.
+instance at several budgets.  Any one of the problems stands for the face:
+an epoch reads the free users, floors and pinned coefficients from it and
+each row's budget from the pool.
 """
 
 from __future__ import annotations
@@ -224,15 +226,11 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
     """
     k = problem.n_users
     net = init_network((3 * k + 1, *HIDDEN, k), seed=cfg.seed)
-    targets = np.maximum(problem.lower_bound, 0.0).astype(float)
-    free = problem.free
-    n_free = max(int(np.sum(free)), 1)
-    mask_cost = float(np.sum(problem.w_norms_sq[free] * problem.lower_bound[free] ** 2))
-    slack = max(problem.budget - mask_cost, 0.0)
-    targets[free] = np.sqrt(
-        problem.lower_bound[free] ** 2 + 0.5 * slack / (n_free * problem.w_norms_sq[free])
-    )
-    targets = np.maximum(targets, 1e-3)
+    c, floor = problem.c_free, problem.floor
+    # the mask cost summed as c * floor**2, which rounds apart from ``floor_cost``
+    slack = max(problem.budget - float(np.sum(c * floor**2)), 0.0)
+    targets = np.full(k, 1e-3)
+    targets[problem.free] = np.maximum(np.sqrt(floor**2 + 0.5 * slack / (len(c) * c)), 1e-3)
     y = np.sqrt(targets)  # want softplus(z) = sqrt(target) exactly
     net.weights[-1][:] = 0.0  # zero output head makes the start point exact
     net.biases[-1][:] = _softplus_inverse(y)
@@ -247,26 +245,6 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 _ALL = slice(None)
 
 
-@dataclass(frozen=True)
-class _Face:
-    """What the problems of a pool share, with the constants its epochs read.
-
-    ``problem`` is any problem of the face; the pool's problems differ from it
-    only in ``budget``, which the pool holds per row and nothing here reads.
-    """
-
-    problem: PowerProblem
-    pinned: bool  # some user is pinned
-    c_free: np.ndarray  # the free users' beam costs
-    mask: np.ndarray  # the free users' floors: the projector's clamp
-    p_m: float  # the mask's cost
-
-    @classmethod
-    def of(cls, problem: PowerProblem) -> _Face:
-        c_free, mask = problem.w_norms_sq[problem.free], problem.lower_bound[problem.free]
-        return cls(problem, not problem.free.all(), c_free, mask, float((c_free * mask * mask).sum()))
-
-
 def _rows(mask: np.ndarray):
     """An index of the rows where ``mask`` holds: None if none, ``_ALL`` if all (views, not gathers)."""
     flags = mask.tolist()
@@ -275,9 +253,12 @@ def _rows(mask: np.ndarray):
     return mask if any(flags) else None
 
 
-def _evaluate(p: np.ndarray, face: _Face, lam: np.ndarray, budget: np.ndarray, eps: float):
+def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.ndarray, eps: float):
     """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
     weights and budgets.
+
+    ``problem`` is any problem of the pool's face: each row's budget is read
+    from ``budget``, never from ``problem.budget``.
 
     A row's loss is its negative EE minus its ``lam`` times the log-barrier
     terms, each log argument floored at ``eps``: under full QoS one per user
@@ -288,10 +269,9 @@ def _evaluate(p: np.ndarray, face: _Face, lam: np.ndarray, budget: np.ndarray, e
     ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
     coordinates.  Returns per-row EE, gradient and free users' spend.
     """
-    problem = face.problem
     ee, grad, rf = problem.ee_and_gradient(p)
     np.negative(grad, out=grad)
-    free_spend = (face.c_free * (p.compress(problem.free, axis=1) if face.pinned else p) ** 2).sum(axis=1)
+    free_spend = (problem.c_free * (p.compress(problem.free, axis=1) if problem.pinned else p) ** 2).sum(axis=1)
     rows = _rows(lam > 0)
     if rows is None:
         return ee, grad, free_spend
@@ -306,7 +286,7 @@ def _evaluate(p: np.ndarray, face: _Face, lam: np.ndarray, budget: np.ndarray, e
     if wall is not None:
         g_wall = g[wall]
         g_wall += lam[wall] * 2.0 * problem.w_norms_sq * p[wall] / slack[wall][:, None]
-        if face.pinned:
+        if problem.pinned:
             g_wall[:, ~problem.free] = 0.0
         if wall is not _ALL:  # a gather: write it back
             g[wall] = g_wall
@@ -320,17 +300,18 @@ def _evaluate(p: np.ndarray, face: _Face, lam: np.ndarray, budget: np.ndarray, e
 # ---------------------------------------------------------------------------
 
 
-def _project_with_grad(face: _Face, p_tilde: np.ndarray, scaling: np.ndarray, budget: np.ndarray):
-    """Project the free users' entries of each row of ``p_tilde`` (slots, users).
+def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.ndarray, budget: np.ndarray):
+    """Project the free users' entries of each row of ``p_tilde`` (slots, users) onto ``problem``'s face.
 
     A row is rescaled onto its entry of ``budget`` only where ``scaling`` (one
-    flag per row) is set and its clamped point overspends.  Returns the
+    flag per row) is set and its clamped point overspends; ``problem.budget``
+    is never read, so any problem of the pool's face serves.  Returns the
     projected free coefficients and a closure mapping d(loss)/dp back to
     d(loss)/dp_tilde.
     """
-    mask, c, p_m = face.mask, face.c_free, face.p_m
-    if face.pinned:
-        p_tilde = p_tilde.compress(face.problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
+    mask, c, p_m = problem.floor, problem.c_free, problem.floor_cost
+    if problem.pinned:
+        p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
     p = np.maximum(p_tilde, mask)
     p_0 = (c * p * p).sum(axis=1)
@@ -366,36 +347,36 @@ def _project_with_grad(face: _Face, p_tilde: np.ndarray, scaling: np.ndarray, bu
 
 def _ee_scale(problem: PowerProblem) -> float:
     """Per-instance EE scale so the default barrier weight is meaningful."""
-    c = problem.w_norms_sq[problem.free]
-    floor = problem.lower_bound[problem.free]
-    n = max(len(c), 1)
-    spread = np.sqrt(problem.budget / (n * c)) if problem.budget > 0 else floor
+    c, floor = problem.c_free, problem.floor
+    spread = np.sqrt(problem.budget / (len(c) * c)) if problem.budget > 0 else floor
     p_free = project_capped(np.maximum(spread, floor), floor, c, problem.budget)
     ref = problem.objective(problem.assemble(p_free))
     return ref if ref > 0 else 1.0
 
 
-def _step(weights, biases, face: _Face, features: np.ndarray, lam: np.ndarray, budget: np.ndarray, eps: float,
-          scaling: np.ndarray, grads_w, grads_b):
+def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, budget: np.ndarray,
+          eps: float, scaling: np.ndarray, grads_w, grads_b):
     """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
 
     ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
     2-D buffer); ``features``, ``lam``, ``budget`` and ``scaling`` hold each
     slot's feature vector, barrier weight, budget and projector flag.
+    ``problem`` is any problem of the pool's face: each slot's budget is read
+    from ``budget``, never from ``problem.budget``.
     Forward pass, projection, one evaluation of EE and d(loss)/dp at the
     projected point, then backprop into the stacked gradient views
     ``grads_w`` and ``grads_b``.  Returns, per slot, the raw output, the
     projected coefficients of all users, the EE and the free users' spend.
     """
-    free = face.problem.free
+    free = problem.free
     p_tilde, cache = _forward_trace(weights, biases, features)
-    p_free, proj_backward = _project_with_grad(face, p_tilde, scaling, budget)
+    p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling, budget)
     p = p_free  # with no user pinned, every user is free
-    if face.pinned:
-        p = np.repeat(face.problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
+    if problem.pinned:
+        p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
         p[:, free] = p_free
-    ee, d_p, free_spend = _evaluate(p, face, lam, budget, eps)
-    if face.pinned:
+    ee, d_p, free_spend = _evaluate(p, problem, lam, budget, eps)
+    if problem.pinned:
         d_p_tilde = np.zeros(p_tilde.shape)
         d_p_tilde[:, free] = proj_backward(d_p.compress(free, axis=1))
     else:
@@ -453,10 +434,10 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     jobs = list(jobs)
     if not jobs:
         return
-    face = _Face.of(jobs[0][0])
-    if not all(problem.shares_face(face.problem) for problem, _ in jobs):
+    face = jobs[0][0]  # the pool's face: only its budget differs from the other jobs' problems
+    if not all(problem.shares_face(face) for problem, _ in jobs):
         raise ValueError("train_many's problems must share one stage-1 face: they may differ only in budget")
-    widths = (3 * face.problem.n_users + 1, *HIDDEN, face.problem.n_users)
+    widths = (3 * face.n_users + 1, *HIDDEN, face.n_users)
     capacity = min(POOL_SLOTS, len(jobs))
     params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
     features = np.zeros((capacity, widths[0]))
@@ -560,5 +541,5 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
     """Projected coefficient vector produced by a trained network."""
     p_tilde = mlp_forward(net, problem_features(problem))
-    p_free = _project_with_grad(_Face.of(problem), p_tilde[None], np.array([scaling]), np.array([problem.budget]))[0]
+    p_free = _project_with_grad(problem, p_tilde[None], np.array([scaling]), np.array([problem.budget]))[0]
     return problem.assemble(p_free[0])

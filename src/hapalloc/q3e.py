@@ -1,18 +1,21 @@
 """Lexicographic QoS-then-energy-efficiency power allocation under zero forcing.
 
 Stage 1 maximizes the number of QoS-satisfied users: per-user minimum RF
-costs ||p_min,k w_k||^2 are additive, so the cheapest-first prefix that fits
-the budget is an optimal satisfied set.  Stage 2 maximizes energy efficiency
-on the resulting feasible face: over all coefficients when every user fits
-(full satisfaction), or over the leftover users and leftover budget when not
-(satisfied users stay pinned at their minimum coefficients and their spend
-still counts in the communication power).
+costs ||p_min,k w_k||^2 are additive, so the longest cheapest-first prefix
+whose spend fits the budget is an optimal satisfied set.  Stage 2 maximizes
+energy efficiency on the resulting feasible face: over all coefficients when
+every user fits (full satisfaction), or over the leftover users and leftover
+budget when not (satisfied users stay pinned at their minimum coefficients
+and their spend still counts in the communication power).
 
 ``stage2_problem`` runs stage 1 and builds the stage-2 ``PowerProblem``;
-every solver, baseline and the ablation start from it, and
-``_solution_from`` turns any coefficient vector into a ``Q3eSolution``
-(communication power from ``config.comm_power``, EE over all users).  The
-stage-2 arithmetic of both backends is written here once: the free-user EE
+every solver, baseline and the ablation start from it.  The problem stores
+only stage 2's inputs and derives the face from them once: the free and
+pinned users, and the free users' beam costs, floors and floor cost, which
+the projector and the neural backend read.  ``_solution_from`` turns any
+coefficient vector into a ``Q3eSolution`` (communication power from
+``config.comm_power``, EE over all users).  The stage-2 arithmetic of both
+backends is written here once: the free-user EE
 (``PowerProblem.objective``), its gradient (``PowerProblem.ee_and_gradient``)
 and the capped-simplex projector's budget scaling (``_scale_to_budget``).
 The numeric backend is projected gradient ascent on that EE; the neural
@@ -23,6 +26,7 @@ adds only its barrier terms and the projector's Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +49,9 @@ _STEP_TOLERANCE = 1e-9  # stop a start once a step gains less EE than this, rela
 class FeasibilityPartition:
     """Greedy satisfiable-user prefix and the leftover budget."""
 
-    satisfied_set: tuple[int, ...]  # prefix of order_g, greedy order
-    order_g: tuple[int, ...]  # all users, ascending min-cost order
+    satisfied_set: tuple[int, ...]  # users in ascending min-cost order, ties by index
     residual_budget: float  # W left after pinning the satisfied set
     full_feasible: bool
-    p_min: np.ndarray  # per-user minimum coefficients
-    p_tot: float  # the RF budget the partition was built for
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,9 @@ class Q3eSolution:
 class PowerProblem:
     """One EE-maximization instance on the feasible face stage 1 leaves.
 
-    Built by ``stage2_problem``.  ``free`` users are optimized and make up
-    the EE numerator (everyone for full satisfaction); the rest, the
-    satisfied set in the partial regime, sit pinned at their minimum
-    coefficients.  Communication power always counts all spend.
+    Built by ``stage2_problem``.  It stores only stage 2's inputs and derives
+    the face from them once, in read-only cached attributes.  Communication
+    power always counts all spend.
     """
 
     rate_model: RateModel
@@ -82,11 +82,32 @@ class PowerProblem:
     p_min: np.ndarray
     budget: float  # budget available to the free users, W
     ledger: PowerLedger
-    free: np.ndarray  # bool mask of optimized users, also the EE numerator's users
-    lower_bound: np.ndarray  # per-user floor for the free users
-    pinned_p: np.ndarray  # coefficients of non-free users (0 where free)
     satisfied_set: tuple[int, ...]  # stage 1's QoS-satisfied users, cheapest first
     full_qos: bool  # True: all users bounded below by p_min (barrier on each)
+
+    @cached_property
+    def free(self) -> np.ndarray:  # the optimized users, also the EE numerator's: all, or the unsatisfied ones
+        return self.full_qos | ~np.isin(np.arange(self.n_users), self.satisfied_set)
+
+    @cached_property
+    def pinned(self) -> bool:  # some user is pinned
+        return not self.free.all()
+
+    @cached_property
+    def pinned_p(self) -> np.ndarray:  # the pinned users' minimum coefficients, 0 where free
+        return np.where(self.free, 0.0, self.p_min)
+
+    @cached_property
+    def c_free(self) -> np.ndarray:  # the free users' beam costs
+        return self.w_norms_sq[self.free]
+
+    @cached_property
+    def floor(self) -> np.ndarray:  # the free users' floors: their minimum coefficients under full QoS, else 0
+        return self.p_min if self.full_qos else np.zeros(len(self.c_free))
+
+    @cached_property
+    def floor_cost(self) -> float:  # the floors' RF cost
+        return float((self.c_free * self.floor * self.floor).sum())
 
     @property
     def n_users(self) -> int:
@@ -101,13 +122,12 @@ class PowerProblem:
         return float((self.w_norms_sq * p * p).sum())
 
     def shares_face(self, other: PowerProblem) -> bool:
-        """Whether ``other`` differs from this problem only in ``budget``: the same stage-1 face (free
-        users, regime, floors and pinned coefficients) of the same beams, rate model and ledger."""
+        """Whether ``other`` differs from this problem only in ``budget``: the same stage-1 face (satisfied
+        set and regime) of the same beams, rate model, minimum coefficients and ledger."""
         if other is self:
             return True
         m, n = self.rate_model, other.rate_model
-        arrays = [(m.gammas, n.gammas), (self.w_norms_sq, other.w_norms_sq), (self.p_min, other.p_min),
-                  (self.free, other.free), (self.lower_bound, other.lower_bound), (self.pinned_p, other.pinned_p)]
+        arrays = [(m.gammas, n.gammas), (self.w_norms_sq, other.w_norms_sq), (self.p_min, other.p_min)]
         return (
             (self.full_qos, self.satisfied_set, self.ledger, m.bw_hz, m.n0_w)
             == (other.full_qos, other.satisfied_set, other.ledger, n.bw_hz, n.n0_w)
@@ -157,7 +177,11 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
 
     Users are ordered by ascending minimum RF cost (ties broken by index,
     so the order is deterministic); the satisfied set is the longest prefix
-    whose cumulative cost fits the budget.
+    whose spend fits the budget.  The spend is summed as
+    ``PowerProblem.rf_spent`` sums it, in index order with 0 for the other
+    users; it never falls as the prefix grows.  The search starts from the
+    prefix whose running cost total fits, which rounds apart from the spend
+    by at most a few ulps.
     """
     p_min = np.asarray(p_mins, dtype=float)
     c = np.asarray(w_norms_sq, dtype=float)
@@ -168,15 +192,21 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
     costs = c * p_min * p_min
     order = np.lexsort((np.arange(len(costs)), costs))
     cumulative = np.cumsum(costs[order])
+    rank = np.argsort(order)
+
+    def spend(n: int) -> float:  # the n cheapest users' cost, summed as PowerProblem.rf_spent sums it
+        return np.where(rank < n, costs, 0.0).sum()
+
     m = int(np.searchsorted(cumulative, p_tot, side="right"))
+    while m > 0 and spend(m) > p_tot:
+        m -= 1
+    while m < len(costs) and spend(m + 1) <= p_tot:
+        m += 1
     prefix_cost = float(cumulative[m - 1]) if m > 0 else 0.0
     return FeasibilityPartition(
         satisfied_set=tuple(int(i) for i in order[:m]),
-        order_g=tuple(int(i) for i in order),
-        residual_budget=p_tot - prefix_cost,
+        residual_budget=max(p_tot - prefix_cost, 0.0),
         full_feasible=(m == len(costs)),
-        p_min=p_min,
-        p_tot=float(p_tot),
     )
 
 
@@ -194,24 +224,12 @@ def stage2_problem(
     model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     p_min = min_power_coefficients(scenario.qos_rates(), model)
     partition = feasibility_partition(p_min, beamformer.w_norms_sq, p_tot)
-    k = len(partition.p_min)
-    free = np.ones(k, dtype=bool)
-    pinned = np.zeros(k)
-    if partition.full_feasible:
-        budget, lower = partition.p_tot, partition.p_min.copy()
-    else:
-        free[list(partition.satisfied_set)] = False
-        pinned[~free] = partition.p_min[~free]
-        budget, lower = partition.residual_budget, np.zeros(k)
     return PowerProblem(
         rate_model=model,
         w_norms_sq=np.asarray(beamformer.w_norms_sq, dtype=float),
-        p_min=partition.p_min,
-        budget=budget,
+        p_min=p_min,
+        budget=float(p_tot) if partition.full_feasible else partition.residual_budget,
         ledger=ledger,
-        free=free,
-        lower_bound=lower,
-        pinned_p=pinned,
         satisfied_set=partition.satisfied_set,
         full_qos=partition.full_feasible,
     )
@@ -279,12 +297,7 @@ def _scale_to_budget(p_hat, mask, budget: float, p_0, p_m: float):
 
 
 def _project_free(problem: PowerProblem, p_free: np.ndarray) -> np.ndarray:
-    return project_capped(
-        p_free,
-        problem.lower_bound[problem.free],
-        problem.w_norms_sq[problem.free],
-        problem.budget,
-    )
+    return project_capped(p_free, problem.floor, problem.c_free, problem.budget)
 
 
 def _ascend(problem: PowerProblem) -> Q3eSolution:
@@ -352,12 +365,10 @@ def _solution_from(p, rates, rf: float, ledger: PowerLedger, q_set, tag: str, di
 
 
 def _numeric_starts(problem: PowerProblem) -> list[np.ndarray]:
-    c = problem.w_norms_sq[problem.free]
-    floor = problem.lower_bound[problem.free]
-    n = len(c)
-    starts = [floor.copy()]
-    if n > 0 and problem.budget > 0:
-        spread = np.sqrt(problem.budget / (n * c))
+    c, floor = problem.c_free, problem.floor
+    starts = [floor]
+    if problem.budget > 0:
+        spread = np.sqrt(problem.budget / (len(c) * c))
         starts.append(np.maximum(spread, floor))
         # equal-headroom full spend above the floor (the qos-only layout)
         starts.append(_equal_headroom(floor, c, problem.budget))

@@ -61,7 +61,7 @@ def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> flo
 def loss_gradient(p, problem: PowerProblem, lam: float, eps: float = EPS) -> np.ndarray:
     """The trainer's analytic d(loss)/dp, evaluated as a pool of one; zero on pinned coordinates."""
     p = np.asarray(p, dtype=float)[None]
-    return neuro._evaluate(p, neuro._Face.of(problem), np.array([lam]), np.array([problem.budget]), eps)[1][0]
+    return neuro._evaluate(p, problem, np.array([lam]), np.array([problem.budget]), eps)[1][0]
 
 
 def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float, eps: float = EPS):
@@ -76,7 +76,7 @@ def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: f
     weights, biases = neuro._layer_views(net.params[None], net.layer_widths)
     grads_w, grads_b = neuro._layer_views(grads, net.layer_widths)
     _, p, _, _ = neuro._step(
-        weights, biases, neuro._Face.of(problem), neuro.problem_features(problem)[None], np.array([lam]),
+        weights, biases, problem, neuro.problem_features(problem)[None], np.array([lam]),
         np.array([problem.budget]), eps, np.array([True]), grads_w, grads_b,
     )
     return instance_loss(p[0], problem, lam, eps), *neuro._layer_views(grads[0], net.layer_widths)
@@ -168,7 +168,7 @@ def _evaluate_alone(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, la
 
 def _project_with_grad_alone(problem: PowerProblem, p_tilde: np.ndarray, scaling: bool):
     """Projected free coefficients and the closure mapping d(loss)/dp to d(loss)/dp_tilde."""
-    mask, c, budget = problem.lower_bound[problem.free], problem.w_norms_sq[problem.free], problem.budget
+    mask, c, budget = problem.floor, problem.c_free, problem.budget
     p_tilde = p_tilde[problem.free]
     clamped = p_tilde > mask
     p_hat = np.maximum(p_tilde, mask)

@@ -135,11 +135,11 @@ class TestLosses:
                 p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
             else:
                 p = prob.p_min * 1.3
-            face, budget = neuro._Face.of(prob), np.array([prob.budget])
-            ee, grad, spend = neuro._evaluate(p[None], face, np.array([lam]), budget, neuro.BARRIER_EPS)
+            budget = np.array([prob.budget])
+            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), budget, neuro.BARRIER_EPS)
             assert ee[0] == prob.objective(p)
             assert spend[0] == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p[None], face, np.array([0.0]), budget, neuro.BARRIER_EPS)[1][0]
+            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), budget, neuro.BARRIER_EPS)[1][0]
             assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import golden_section_max, random_scenario, reference_ledger, sweep_scenario, total_comm_power
 from q3e_oracle import max_sum_rate_bisection
+from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
@@ -49,6 +51,22 @@ def scenario_problem(sc):
     return bf, model, p_min
 
 
+def reported_spend(costs, users) -> float:
+    """The users' summed cost as ``PowerProblem.rf_spent`` sums it: in index order, 0 for everyone else."""
+    p = np.zeros(len(costs))
+    p[list(users)] = 1.0
+    return float((costs * p * p).sum())
+
+
+@st.composite
+def costs_and_prefix_budget(draw):
+    """Float costs, and a budget equal to a cheapest-first prefix's cost summed in cost order or as it is spent."""
+    costs = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40)))
+    prefix = np.lexsort((np.arange(len(costs)), costs))[: draw(st.integers(1, len(costs)))]
+    p_tot = float(np.cumsum(costs[prefix])[-1]) if draw(st.booleans()) else reported_spend(costs, prefix)
+    return costs.tolist(), p_tot
+
+
 def full_ee(sc, bf, p, ledger=LEDGER):
     model = RateModel(sc.bw_hz, sc.n0_w, sc.gammas())
     p = np.asarray(p, dtype=float)
@@ -85,9 +103,9 @@ class TestFeasibilityPartition:
         assert part.residual_budget == 5.0
 
     def test_tie_break_is_by_index(self):
-        part = feasibility_partition([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0)
-        assert part.order_g == (0, 1, 2)
-        assert part.satisfied_set == (0, 1)
+        for budget in (0.0, 1.0, 2.0, 3.0):
+            part = feasibility_partition([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], budget)
+            assert part.satisfied_set == (0, 1, 2)[: int(budget)]
 
     def test_greedy_is_cardinality_optimal(self):
         rng = np.random.default_rng(13)
@@ -102,6 +120,109 @@ class TestFeasibilityPartition:
                     if sum(costs[i] for i in sub) <= budget:
                         best = max(best, r)
             assert len(part.satisfied_set) == best
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=costs_and_prefix_budget())
+    # the running cost total in cost order, 1.0 + 1.4699... + 2.3146..., rounds 1 ulp above this budget
+    @example(case=([1.4699230459481833, 2.314620106514441, 1.0], sum([1.4699230459481833, 2.314620106514441, 1.0])))
+    def test_admits_the_longest_prefix_whose_spend_fits(self, case):
+        costs, p_tot = np.array(case[0]), case[1]
+        part = feasibility_partition(np.ones(len(costs)), costs, p_tot)
+        m = len(part.satisfied_set)
+        cheapest = np.lexsort((np.arange(len(costs)), costs))
+        assert part.satisfied_set == tuple(int(i) for i in cheapest[:m])
+        assert reported_spend(costs, cheapest[:m]) <= p_tot
+        if m < len(costs):
+            assert reported_spend(costs, cheapest[: m + 1]) > p_tot
+        assert part.full_feasible is (m == len(costs))
+        assert 0.0 <= part.residual_budget <= p_tot
+
+
+def regime_budget(costs, full: bool, frac: float) -> float:
+    """A budget below the users' summed minimum cost, or comfortably above it."""
+    return float(np.sum(costs)) * (1.0 + 2.0 * frac if full else frac)
+
+
+def face_by_hand(sc, bf, p_tot: float):
+    """The stage-2 face built from stage 1's partition field by field: free mask, pinned coefficients,
+    and the free users' beam costs, floors and floor cost."""
+    _, _, p_min = scenario_problem(sc)
+    part = feasibility_partition(p_min, bf.w_norms_sq, p_tot)
+    k = len(p_min)
+    free = np.ones(k, dtype=bool)
+    pinned = np.zeros(k)
+    if part.full_feasible:
+        lower = p_min.copy()
+    else:
+        free[list(part.satisfied_set)] = False
+        pinned[~free] = p_min[~free]
+        lower = np.zeros(k)
+    c_free, floor = bf.w_norms_sq[free], lower[free]
+    return free, pinned, c_free, floor, float((c_free * floor * floor).sum())
+
+
+class TestPowerProblemRecord:
+    """The face ``PowerProblem`` derives from its inputs, over K <= 32 and both regimes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 32), seed=st.integers(0, 10_000), full=st.booleans(), frac=st.floats(0.02, 0.98))
+    def test_derived_face_matches_the_face_built_by_hand(self, k, seed, full, frac):
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        p_tot = regime_budget(bf.w_norms_sq * p_min**2, full, frac)
+        prob = stage2_problem(sc, bf, p_tot, LEDGER)
+        free, pinned, c_free, floor, floor_cost = face_by_hand(sc, bf, p_tot)
+        pairs = [(prob.free, free), (prob.pinned_p, pinned), (prob.c_free, c_free), (prob.floor, floor)]
+        for derived, by_hand in pairs:
+            assert derived.dtype == by_hand.dtype and np.array_equal(derived, by_hand)
+        assert prob.floor_cost == floor_cost
+        assert prob.pinned is (not free.all())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.free = free
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 32),
+        seed=st.integers(0, 10_000),
+        regimes=st.tuples(st.booleans(), st.booleans()),
+        fracs=st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+    )
+    def test_problems_share_a_face_exactly_when_satisfied_set_and_regime_match(self, k, seed, regimes, fracs):
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        a, b = (stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, full, frac), LEDGER)
+                for full, frac in zip(regimes, fracs))
+        same = (a.satisfied_set, a.full_qos) == (b.satisfied_set, b.full_qos)
+        assert a.shares_face(b) is same and b.shares_face(a) is same
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(1, 32),
+        seed=st.integers(0, 10_000),
+        full=st.booleans(),
+        frac=st.floats(0.02, 0.98),
+        factor=st.floats(0.1, 10.0),
+    )
+    def test_neural_step_reads_the_rows_budgets_not_the_problems(self, k, seed, full, frac, factor):
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        a = stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, full, frac), LEDGER)
+        b = dataclasses.replace(a, budget=a.budget * factor)
+        assert a.shares_face(b)
+        net = neuro.network_for(a, neuro.TrainConfig())
+        budget = np.array([a.budget, 0.25 * a.budget])  # the second row's clamped point overspends
+        lam = np.full(2, neuro.BARRIER_WEIGHT * neuro._ee_scale(a))
+        features = np.repeat(neuro.problem_features(a)[None], 2, axis=0)
+        results = []
+        for problem in (a, b):
+            params = np.repeat(net.params[None], 2, axis=0)
+            grads = np.zeros_like(params)
+            out = neuro._step(
+                *neuro._layer_views(params, net.layer_widths), problem, features, lam, budget, neuro.BARRIER_EPS,
+                np.array([True, True]), *neuro._layer_views(grads, net.layer_widths),
+            )
+            results.append((*out, grads))
+        assert all(np.array_equal(x, y) for x, y in zip(*results))
 
 
 class TestProjectCapped:
@@ -520,16 +641,20 @@ class TestBaselineQosOnly:
         seed=st.integers(0, 10_000),
         shipped=st.booleans(),
         prefix=st.integers(0, 31),
-        log_headroom=st.floats(-14.0, -2.0),
+        cost_order=st.booleans(),
+        headroom=st.one_of(st.just(0.0), st.floats(-14.0, -2.0).map(lambda e: 10.0**e)),
     )
-    def test_spend_within_a_budget_just_above_a_satisfied_prefix(self, k, seed, shipped, prefix, log_headroom):
-        # a headroom small against the budget cancelled in -b + sqrt(b^2 - 4 a c0).  The
-        # headroom starts at 1e-14: closer to the prefix's cost, the spend is the floors'
-        # sum, whose order of summation rounds apart from stage 1's (CHANGES.md FOUND)
+    @example(k=4, seed=0, shipped=False, prefix=3, cost_order=True, headroom=0.0)
+    def test_spend_within_a_budget_just_above_a_satisfied_prefix(self, k, seed, shipped, prefix, cost_order, headroom):
+        # a headroom small against the budget cancelled in -b + sqrt(b^2 - 4 a c0).  At no
+        # headroom the budget is a prefix's cost summed in cost order, which can round below
+        # the same floors summed in index order, as the spend sums them
         sc = sweep_scenario() if shipped else random_scenario(k, seed=seed)
         bf, model, p_min = scenario_problem(sc)
-        costs = np.cumsum(np.sort(bf.w_norms_sq * p_min**2))
-        p_tot = float(costs[prefix % len(costs)]) * (1.0 + 10.0**log_headroom)
+        costs = bf.w_norms_sq * p_min * p_min
+        cheapest = np.lexsort((np.arange(len(costs)), costs))[: prefix % len(costs) + 1]
+        prefix_cost = float(np.cumsum(costs[cheapest])[-1]) if cost_order else reported_spend(costs, cheapest)
+        p_tot = prefix_cost * (1.0 + headroom)
         sol = baseline_qos_only(sc, bf, p_tot, LEDGER)
         assert p_tot * (1.0 - 1e-12) <= sol.rf_spent <= p_tot
 
@@ -557,12 +682,12 @@ class TestArgmaxInvariance:
     def test_partition_invariance_holds_for_any_ledger(self):
         sc = random_scenario(6, seed=132)
         bf, model, p_min = scenario_problem(sc)
-        budget = float(np.sum(bf.w_norms_sq * p_min**2)) * 0.6
-        base = feasibility_partition(p_min, bf.w_norms_sq, budget)
-        for c in (2.0, 3.0, 7.5):
-            scaled = feasibility_partition(p_min, c * bf.w_norms_sq, c * budget)
-            assert scaled.satisfied_set == base.satisfied_set
-            assert scaled.order_g == base.order_g
+        budget = float(np.sum(bf.w_norms_sq * p_min**2))
+        for frac in (0.6, 1.5):  # a partial satisfied set, then every user in cost order
+            base = feasibility_partition(p_min, bf.w_norms_sq, frac * budget)
+            for c in (2.0, 3.0, 7.5):
+                scaled = feasibility_partition(p_min, c * bf.w_norms_sq, c * frac * budget)
+                assert scaled.satisfied_set == base.satisfied_set
 
 
 def greedy_prefix(costs, p_tot: float) -> tuple[int, ...]:
