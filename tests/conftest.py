@@ -135,3 +135,13 @@ def golden_section_max(fn, lo: float, hi: float, iters: int = 200) -> float:
             x2 = a + invphi * (b - a)
             f2 = fn(x2)
     return max(fn(0.5 * (a + b)), fn(lo), fn(hi))
+
+
+@pytest.fixture(scope="session")
+def shipped_ablation_csv(tmp_path_factory) -> Path:
+    """The ablation CSV that ``hapalloc ablation`` writes for the shipped config (seeds 0-11, 2000 epochs)."""
+    from golden_outputs import cli_runs, run_cli
+
+    args, (name,) = cli_runs(tmp_path_factory.mktemp("ablation"))["ablation"]
+    run_cli(args)
+    return Path(args[-1]).parent / name
