@@ -2,13 +2,17 @@
 
 With W = V (V^H V)^-1 the steering directions are exactly decoupled
 (V^H W = I), so each user's surrogate rate depends only on its own power
-coefficient: R_k = B_w log2(1 + gamma_k p_k^2 / N_0).  Rates are bps
-throughout; convert to Mbps only at the presentation layer.
+coefficient: R_k = B_w log2(1 + gamma_k p_k^2 / N_0) = 2 B_w log2(h_k), with
+h_k = hypot(1, x_k) and x_k = sqrt(gamma_k / N_0) p_k.  The rate and its
+derivative are written once, here, and never form the SNR x_k^2, so neither
+overflows unless its value does.  Rates are bps throughout; convert to Mbps
+only at the presentation layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +57,14 @@ class RateModel:
         if np.any(np.asarray(self.gammas) <= 0):
             raise ValueError("mean channel powers must be positive")
 
+    @cached_property
+    def snr_root(self) -> np.ndarray:  # sqrt(gamma_k / N_0), so that x_k = snr_root_k p_k
+        return np.sqrt(self.gammas) / np.sqrt(self.n0_w)
+
+    @cached_property
+    def slope_peak(self) -> np.ndarray:  # the largest rate derivative, B_w sqrt(gamma_k / N_0) / ln 2, at x_k = 1
+        return self.bw_hz * self.snr_root / np.log(2.0)
+
 
 def zf_beamformer(steering) -> ZfBeamformer:
     """Build W = V (V^H V)^-1 from a list of steering vectors.
@@ -75,9 +87,15 @@ def zf_beamformer(steering) -> ZfBeamformer:
 
 
 def surrogate_rates(p, model: RateModel) -> np.ndarray:
-    """Per-user rate bound B_w log2(1 + gamma_k p_k^2 / N_0), in bps."""
-    p = np.asarray(p, dtype=float)
-    return model.bw_hz * np.log2(1.0 + model.gammas * p * p / model.n0_w)
+    """Per-user rate bound B_w log2(1 + gamma_k p_k^2 / N_0) = 2 B_w log2(h_k), in bps."""
+    return model.bw_hz * (2.0 * np.log2(np.hypot(1.0, model.snr_root * np.asarray(p, dtype=float))))
+
+
+def rate_slopes(p, model: RateModel) -> np.ndarray:
+    """Per-user rate derivatives dR_k/dp_k = slope_peak_k (2 x_k / h_k) / h_k, in bps per unit coefficient."""
+    x = model.snr_root * np.asarray(p, dtype=float)
+    h = np.hypot(1.0, x)
+    return model.slope_peak * (2.0 * (x / h / h))
 
 
 def min_power_coefficients(qos_bps, model: RateModel) -> np.ndarray:

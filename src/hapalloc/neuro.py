@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .beamforming import surrogate_rates
 from .config import ConfigError
 from .q3e import PowerProblem, _scale_to_budget, project_capped
 
@@ -203,14 +204,11 @@ def _backward(weights, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
 
 def problem_features(problem: PowerProblem) -> np.ndarray:
     """Sufficient statistics of an instance: 3 per-user features plus the budget scale."""
-    m = problem.rate_model
-    gammas = np.asarray(m.gammas, dtype=float)
-    c = np.asarray(problem.w_norms_sq, dtype=float)
-    # spectral-efficiency targets implied by the minimum coefficients
-    r_bits = np.log2(1.0 + gammas * problem.p_min**2 / m.n0_w)
+    m, c = problem.rate_model, problem.w_norms_sq
+    r_bits = surrogate_rates(problem.p_min, m) / m.bw_hz  # spectral efficiencies at the minimum coefficients
     p_ref = float(np.sum(c * problem.p_min**2))
     scale = problem.budget / max(p_ref, 1e-30) if p_ref > 0 else 1.0
-    return np.concatenate([gammas / gammas.max(), r_bits, c / c.max(), [scale]])
+    return np.concatenate([m.gammas / m.gammas.max(), r_bits, c / c.max(), [scale]])
 
 
 def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:

@@ -9,18 +9,15 @@ budget when not (satisfied users stay pinned at their minimum coefficients
 and their spend still counts in the communication power).
 
 ``stage2_problem`` runs stage 1 and builds the stage-2 ``PowerProblem``;
-every solver, baseline and the ablation start from it.  The problem stores
-only stage 2's inputs and derives the face from them once: the free and
-pinned users, and the free users' beam costs, floors and floor cost, which
-the projector and the neural backend read.  ``_solution_from`` turns any
-coefficient vector into a ``Q3eSolution`` (communication power from
-``config.comm_power``, EE over all users).  The stage-2 arithmetic of both
-backends is written here once: the free-user EE
-(``PowerProblem.objective``), its gradient (``PowerProblem.ee_and_gradient``)
-and the capped-simplex projector's budget scaling (``_scale_to_budget``).
-The numeric backend is projected gradient ascent on that EE; the neural
-backend (``neuro``) trains through the same EE gradient and scaling step and
-adds only its barrier terms and the projector's Jacobian.
+every solver, baseline and the ablation start from it.  ``_solution_from``
+turns any coefficient vector into a ``Q3eSolution``.  The stage-2 arithmetic
+of both backends is written here once, on ``beamforming``'s rates and their
+derivatives: the free-user EE (``PowerProblem.objective``), its gradient
+(``PowerProblem.ee_and_gradient``) and the capped-simplex projector's budget
+scaling (``_scale_to_budget``).  The numeric backend is projected gradient
+ascent on that EE; the neural backend (``neuro``) trains through the same EE
+gradient and scaling step and adds only its barrier terms and the
+projector's Jacobian.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from .beamforming import (
     RateModel,
     ZfBeamformer,
     min_power_coefficients,
+    rate_slopes,
     surrogate_rates,
     zf_beamformer,
 )
@@ -144,7 +142,7 @@ class PowerProblem:
             rf = (self.w_norms_sq * p * p).sum(axis=1)
             numer = surrogate_rates(p, self.rate_model).compress(self.free, axis=1).sum(axis=1)
             return numer, rf, comm_power(rf, self.ledger)
-        rf = self.rf_spent(p)
+        rf = (self.w_norms_sq * p * p).sum()  # a numpy float, so that a zero power divides to inf, not an error
         return float(surrogate_rates(p, self.rate_model)[self.free].sum()), rf, comm_power(rf, self.ledger)
 
     def objective(self, p: np.ndarray) -> float:
@@ -158,18 +156,17 @@ class PowerProblem:
         A 2-D ``p`` is a stack of coefficient vectors, one per row; EE and
         spend are then arrays with one entry per row.
         """
-        m = self.rate_model
         numer, rf, denom = self._ee_terms(p)
-        rows = p.ndim == 2
-        numer_k, denom_k = (numer[:, None], denom[:, None]) if rows else (numer, denom)  # broadcast over users
-        d_numer = 2.0 * m.bw_hz * m.gammas * p / (np.log(2.0) * (m.n0_w + m.gammas * p * p))
-        d_denom = 2.0 * self.ledger.xi * self.w_norms_sq * p
-        grad = (d_numer * denom_k - numer_k * d_denom) / (denom_k * denom_k)
-        if rows:
-            grad[:, ~self.free] = 0.0
-            return np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0.0), grad, rf
-        grad[~self.free] = 0.0
-        return (numer / denom if denom > 0.0 else 0.0), grad, rf
+        if p.ndim == 2:
+            ee = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0.0)
+            ee_k, denom = ee[:, None], denom[:, None]  # broadcast over users
+        else:
+            ee = ee_k = numer / denom if denom > 0.0 else 0.0
+        # the quotient rule as N'/D - (N/D)(D'/D), with D' = 2 xi c p: neither D^2 nor N D' is formed
+        d_log_denom = self.ledger.xi / denom * 2.0 * (self.w_norms_sq * p)
+        grad = rate_slopes(p, self.rate_model) / denom - ee_k * d_log_denom
+        grad[..., ~self.free] = 0.0
+        return ee, grad, rf
 
 
 def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartition:
@@ -236,24 +233,21 @@ def stage2_problem(
 
 
 def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: float, ledger: PowerLedger) -> None:
-    """Raise ConfigError if the minimum coefficients, an ``ee_and_gradient`` term or the water level overflow.
+    """Raise ConfigError if a stage-2 quantity at this budget overflows.
 
-    On the feasible set each term is bounded by its value with every user at
-    its own ceiling sqrt(p_tot / c_k), the rate derivative by its peak
-    B sqrt(gamma_k / N_0) / ln 2.
+    Rates, their derivatives and the EE gradient form no intermediate larger than the terms below
+    (``beamforming``, ``PowerProblem.ee_and_gradient``), each bounded on the feasible set by its value
+    with every user at its own ceiling sqrt(p_tot / c_k), or by the rate derivative's peak.
     """
     m = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(min_power_coefficients(scenario.qos_rates(), m)).all():
             raise ConfigError("a QoS rate is out of range: its minimum coefficient N_0 (2^(r/B) - 1) / gamma overflows")
-        p_max = np.sqrt(p_tot) / np.sqrt(c)
-        numer = float(np.sum(surrogate_rates(p_max, m)))
-        denom = comm_power(p_tot, ledger)
-        d_numer = m.bw_hz * np.sqrt(m.gammas / m.n0_w) / np.log(2.0)
-        d_denom = 2.0 * ledger.xi * c * p_max
-        level = p_tot + float(np.sum(c * m.n0_w / m.gammas))
-        terms = [numer, denom * denom, 2.0 * m.bw_hz * m.gammas * p_max, d_numer * denom, numer * d_denom, level]
+        terms = [np.sum(surrogate_rates(np.sqrt(p_tot) / np.sqrt(c), m)),  # the EE numerator: up to 2048 B per user
+                 comm_power(p_tot, ledger),  # the EE denominator: xi p_tot plus the static power
+                 m.slope_peak,  # bounds N' in the EE gradient N'/D - (N/D)(D'/D): B sqrt(gamma / N_0) / ln 2
+                 p_tot + np.sum(c * m.n0_w / m.gammas)]  # the sum-rate water level: the budget plus every floor
     if not all(np.isfinite(t).all() for t in terms):
         raise ConfigError(f"RF budget {p_tot!r} W is out of range: a rate, the water level or the communication "
                           "power it allows overflows (check the budget, bandwidth, noise, channel and ledger values)")
@@ -296,10 +290,6 @@ def _scale_to_budget(p_hat, mask, budget: float, p_0, p_m: float):
     return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
 
-def _project_free(problem: PowerProblem, p_free: np.ndarray) -> np.ndarray:
-    return project_capped(p_free, problem.floor, problem.c_free, problem.budget)
-
-
 def _ascend(problem: PowerProblem) -> Q3eSolution:
     """Projected gradient ascent with backtracking line search, multi-start.
 
@@ -309,41 +299,39 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
     best_p = None
     best_val = -np.inf
     total_iters = 0
-    for start in _numeric_starts(problem):
-        p_free = _project_free(problem, np.asarray(start, dtype=float))
-        p = problem.assemble(p_free)
-        val = problem.objective(p)
-        step = 1.0
-        for _ in range(_MAX_ITERS):
-            total_iters += 1
-            grad = problem.ee_and_gradient(p)[1][problem.free]
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm == 0.0:
-                break
-            t = step / gnorm
-            accepted = False
-            for _ in range(50):
-                cand_free = _project_free(problem, p[problem.free] + t * grad)
-                cand = problem.assemble(cand_free)
-                cand_val = problem.objective(cand)
-                if cand_val > val:
-                    accepted = True
+    # a trial far outside the feasible set can overflow the projector's spend; its EE is NaN and never improves
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in _numeric_starts(problem):
+            p = problem.assemble(project_capped(start, problem.floor, problem.c_free, problem.budget))
+            val = problem.objective(p)
+            step = 1.0
+            for _ in range(_MAX_ITERS):
+                total_iters += 1
+                grad = problem.ee_and_gradient(p)[1][problem.free]
+                gnorm = float(np.linalg.norm(grad))
+                if gnorm == 0.0:
                     break
-                t *= 0.5
-            if not accepted:
-                break
-            rel = (cand_val - val) / max(abs(val), 1e-300)
-            p, val = cand, cand_val
-            step = max(t * gnorm * 2.0, 1e-12)
-            if rel < _STEP_TOLERANCE:
-                break
-        if val > best_val:
-            best_val, best_p = val, p
+                t = step / gnorm
+                for _ in range(50):
+                    cand = problem.assemble(project_capped(p[problem.free] + t * grad, problem.floor,
+                                                           problem.c_free, problem.budget))
+                    cand_val = problem.objective(cand)
+                    if cand_val > val:
+                        break
+                    t *= 0.5
+                else:  # no trial improved
+                    break
+                rel = (cand_val - val) / max(abs(val), 1e-300)
+                p, val = cand, cand_val
+                step = max(t * gnorm * 2.0, 1e-12)
+                if rel < _STEP_TOLERANCE:
+                    break
+            if val > best_val:
+                best_val, best_p = val, p
     rates = surrogate_rates(best_p, problem.rate_model)
     diag = {"iterations": total_iters, "backend": "numeric"}
-    return _solution_from(
-        best_p, rates, problem.rf_spent(best_p), problem.ledger, problem.satisfied_set, "numeric", diag
-    )
+    return _solution_from(best_p, rates, problem.rf_spent(best_p), problem.ledger, problem.satisfied_set, "numeric",
+                          diag)
 
 
 def _solution_from(p, rates, rf: float, ledger: PowerLedger, q_set, tag: str, diag: dict) -> Q3eSolution:
@@ -420,11 +408,7 @@ def solve_full_qos(problem: PowerProblem) -> Q3eSolution:
 
 
 def solve_partial_qos(problem: PowerProblem) -> Q3eSolution:
-    """Maximize leftover-user EE on the residual budget, satisfied users pinned.
-
-    The EE numerator covers only the users outside the satisfied set; the
-    pinned users' spend still counts in the communication power.
-    """
+    """Maximize leftover-user EE on the residual budget, satisfied users pinned (their spend still counts)."""
     if problem.full_qos:
         raise ValueError("partial-satisfaction solver requires an infeasible partition")
     return _ascend(problem)

@@ -19,6 +19,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
+from hapalloc import cli
+
 TESTS_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = TESTS_DIR.parent / "configs"
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -45,15 +49,11 @@ def cli_runs(out: Path) -> dict[str, tuple[list[str], tuple[str, ...]]]:
 
 
 def run_cli(args: list[str]) -> None:
-    from hapalloc import cli
-
     if cli.main(args) != cli.EXIT_OK:
         raise RuntimeError(f"hapalloc {' '.join(args)} failed")
 
 
 def main() -> None:
-    import numpy as np
-
     if np.__version__ != PINNED_NUMPY:
         raise SystemExit(f"golden outputs are written with numpy {PINNED_NUMPY}, not {np.__version__}")
     GOLDEN_DIR.mkdir(exist_ok=True)

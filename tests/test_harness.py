@@ -113,7 +113,9 @@ class TestPooledBudgetSweep:
         assert table.rows == want
 
     def test_raises_the_error_of_the_first_diverging_budget(self, monkeypatch):
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
+        # with rates that cannot overflow, at 1e25 no training diverges before the first one (100 W,
+        # seed 0, epoch 4); at 1e30 that one diverges at epoch 5 and 100 W, seed 1 at epoch 4
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e30)
         sc = sweep_scenario()
         bf = scenario_beamformer(sc)
         grid, seeds = [90.0, 100.0, 120.0], [0, 1]

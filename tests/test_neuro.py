@@ -351,7 +351,9 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("width", [1, 2, neuro.POOL_SLOTS])
     def test_raises_the_error_of_the_first_diverging_config_in_list_order(self, monkeypatch, width):
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
+        # at 1e25 the clamp-only config's finite rates keep it from diverging in 60 epochs;
+        # at 1e30 its raw output overflows at epoch 3, the projected config's at epoch 4
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e30)
         _, prob = build_problem(k=2, seed=24)
         # alone, the clamp-only config diverges at an earlier epoch than the projected one
         jobs = [(prob, neuro.TrainConfig(seed=3, max_epochs=60)),
