@@ -299,7 +299,7 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
     best_p = None
     best_val = -np.inf
     total_iters = 0
-    # a trial far outside the feasible set can overflow the projector's spend; its EE is NaN and never improves
+    # a trial far outside the feasible set can overflow the projector's spend: it projects to NaN (no gain) or the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for start in _numeric_starts(problem):
             p = problem.assemble(project_capped(start, problem.floor, problem.c_free, problem.budget))
