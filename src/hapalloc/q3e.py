@@ -299,8 +299,8 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
     best_p = None
     best_val = -np.inf
     total_iters = 0
-    # a trial far outside the feasible set can overflow the projector's spend: it projects to NaN (no gain) or the floor
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a far-out trial may overflow the projector's spend (a NaN never improves); zero comm power divides grads by 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in _numeric_starts(problem):
             p = problem.assemble(project_capped(start, problem.floor, problem.c_free, problem.budget))
             val = problem.objective(p)
