@@ -11,9 +11,10 @@ tip-loss factor is evaluated at phi0.  Sections where the tip-loss factor
 underflows contribute zero loading (removable singularity at the tip).
 
 All stations of an operating point are solved together as arrays, each by
-one bracketed root-find in the inflow angle (Chandrupatla's method) on the
-residual between the blade-element and the kinematic induction factor, after
-Ning, Wind Energy 17(9), 2014.
+one bracketed root-find in the inflow angle (Chandrupatla's method, after
+Ning, Wind Energy 17(9), 2014) on the residual between the blade-element
+and the kinematic induction factor, with end values from the bracket check.
+All brackets step until the last one stops; each root is frozen at its stop.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def tip_loss(n_b: int, r: float | np.ndarray, r_tip: float, phi0: float | np.nda
     return (2.0 / math.pi) * np.arccos(np.exp(arg))
 
 
-def _find_root(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Chandrupatla's bracketing root-finder on fn(x, idx) over [lo, hi], stations idx in lockstep.
+def _find_root(fn, x1: np.ndarray, f1: np.ndarray, x2: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Chandrupatla's root-finder on elementwise fn over brackets [x1, x2] with f1 = fn(x1), f2 = fn(x2).
 
     Each step takes the inverse quadratic interpolation through the last
     three points where that is safe, else the bracket midpoint, and keeps
@@ -150,35 +151,35 @@ def _find_root(fn, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray) -> np.ndarra
     (Chandrupatla, Adv. Eng. Softw. 28(3), 1997; the method of scipy's
     ``elementwise.find_root``).  A bracket stops at an exact zero or once
     narrower than ``_ROOT_WIDTH``, after at most 200 steps, and returns its
-    end with the smaller |fn|.
+    end with the smaller |fn|.  Every bracket steps until the last one stops;
+    a root is frozen when its bracket stops, and the stopped bracket's later
+    steps, which may divide by zero (call under ``np.errstate``), are dropped.
     """
-    root = np.empty_like(lo)
-    pos = np.arange(lo.size)  # where each live bracket's root goes
-    x1, f1, x2, f2 = lo, fn(lo, idx), hi, fn(hi, idx)  # x1 is the newest point
-    x3, f3, t = x2, f2, np.full(lo.size, 0.5)
+    root, live = np.empty_like(x1), np.ones(x1.size, bool)
+    x3, f3, t, d = x2, f2, 0.5, x2 - x1  # x1 is the newest point
     for _ in range(200):
-        if not pos.size:
+        if not np.count_nonzero(live):
             return root
-        x = x1 + t * (x2 - x1)
-        f = fn(x, idx)
+        x = x1 + t * d
+        f = fn(x)
         same = (f > 0) == (f1 > 0)  # x replaces x1; else x1 becomes the far end
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-        stop = (f1 == 0.0) | (f2 == 0.0) | (np.abs(x2 - x1) < _ROOT_WIDTH)
-        if stop.any():
-            root[pos[stop]] = np.where(np.abs(f1) <= np.abs(f2), x1, x2)[stop]
-            pos, idx, x1, f1, x2, f2, x3, f3 = (v[~stop] for v in (pos, idx, x1, f1, x2, f2, x3, f3))
+        x1, f1, d = x, f, x2 - x
+        stop = live & ((f1 == 0.0) | (f2 == 0.0) | (np.abs(d) < _ROOT_WIDTH))
+        if np.count_nonzero(stop):
+            np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=stop)
+            live &= ~stop
         xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
         iqi = (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi)  # false on nan, so inf ends bisect
-        t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3)
-        t_min = 0.5 * _ROOT_WIDTH / np.abs(x2 - x1)
-        t = np.clip(np.where(iqi, t, 0.5), t_min, 1.0 - t_min)
-    root[pos] = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
+        t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / d * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t_min = 0.5 * _ROOT_WIDTH / np.abs(d)
+        t = np.minimum(np.maximum(np.where(iqi, t, 0.5), t_min), 1.0 - t_min)
+    np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=live)
     return root
 
 
-# the residual also evaluates the branches its masks discard, which may divide by zero
+# the residual evaluates the branches its masks discard, and stopped brackets keep stepping: both may divide by 0
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -> SectionState:
     """``solve_section`` at every radius in ``r``, in lockstep under per-station masks.
@@ -186,8 +187,8 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     Returns a SectionState of arrays.  If a station has no solution, the
     error of the first such station in ``r``'s order is raised.
     """
-    if v0 <= 0 or n_s <= 0:
-        raise ValueError("airspeed and rotational speed must be positive")
+    if not (0.0 < v0 < math.inf and 0.0 < n_s < math.inf):
+        raise ValueError("airspeed and rotational speed must be positive and finite")
 
     omega_r = 2.0 * math.pi * n_s * r
     phi0 = np.arctan2(v0, omega_r)
@@ -201,16 +202,15 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     theta = spec.pitch_fn(r)
     sigma = spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r)
 
-    def section_at(phi, idx):
-        """(c_l, c_d, sin phi, section force) of stations idx at inflow angles phi."""
-        cl, cd = spec.polar(theta[idx] - phi)
+    def section_at(phi, theta):
+        """(c_l, c_d, sin phi, section force) at inflow angles phi of stations with pitch theta."""
+        cl, cd = spec.polar(theta - phi)
         sin_phi = np.sin(phi)
         return cl, cd, sin_phi, cl * np.cos(phi) - cd * sin_phi
 
     # Unloaded stations keep the zero-induction state.
-    phi = phi0.copy()
-    a_a = np.zeros(r.size)
-    cl, cd, _, force0 = section_at(phi0, slice(None))
+    phi, a_a = phi0.copy(), np.zeros(r.size)
+    cl, cd, _, force0 = section_at(phi0, theta)
     nonpropulsive = loaded & (force0 <= 0.0)
     for i in np.flatnonzero(nonpropulsive).tolist():
         errors[i] = SectionError("non-propulsive section at zero induction", float(r[i]))
@@ -219,26 +219,27 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     # momentum ratio is monotone increasing in phi and the section force
     # monotone decreasing, so the residual is +inf below the momentum pole
     # (ratio <= 1), -inf past the force zero, and falls through zero once in
-    # between: [phi0, phi_cap] brackets the propulsive root.
-    def residual_fn(phi, idx):
-        _, _, sin_phi, force = section_at(phi, idx)
-        rat = 4.0 * k_p[idx] * sin_phi**2 / (sigma[idx] * force)
+    # between: [phi0, phi_cap] brackets the propulsive root; the residual is -inf at phi_cap.
+    todo = np.flatnonzero(loaded & ~nonpropulsive)
+    theta_t, k_p_t, sigma_t, omega_t = theta[todo], k_p[todo], sigma[todo], omega_r[todo]
+
+    def residual_fn(phi):
+        _, _, sin_phi, force = section_at(phi, theta_t)
+        rat = 4.0 * k_p_t * sin_phi**2 / (sigma_t * force)
         a_alg = 1.0 / (rat - 1.0)
-        a_kin = np.tan(phi) * omega_r[idx] / v0 - 1.0
+        a_kin = np.tan(phi) * omega_t / v0 - 1.0
         return np.where(force <= 0.0, -math.inf, np.where(rat <= 1.0, math.inf, a_alg - a_kin))
 
-    todo = np.flatnonzero(loaded & ~nonpropulsive)
-    phi_cap = np.full(todo.size, math.pi / 2 - 1e-9)
-    bracketed = (section_at(phi_cap, todo)[3] < 0.0) & (residual_fn(phi0[todo], todo) > 0.0)
+    phi_lo, phi_cap = phi0[todo], np.full(todo.size, math.pi / 2 - 1e-9)
+    f_lo = residual_fn(phi_lo)
+    bracketed = (section_at(phi_cap, theta_t)[3] < 0.0) & (f_lo > 0.0)
     errors.update((i, SectionConvergenceError(float(r[i]))) for i in todo[~bracketed].tolist())
-    todo = todo[bracketed]
-    phi_star = _find_root(residual_fn, phi0[todo], phi_cap[bracketed], todo)
-    phi[todo] = phi_star
-    a_a[todo] = np.tan(phi_star) * omega_r[todo] / v0 - 1.0
-    cl[todo], cd[todo], _, _ = section_at(phi_star, todo)
-
     if errors:
         raise errors[min(errors)]
+    phi_star = _find_root(residual_fn, phi_lo, f_lo, phi_cap, np.full(todo.size, -math.inf))
+    phi[todo] = phi_star
+    a_a[todo] = np.tan(phi_star) * omega_t / v0 - 1.0
+    cl[todo], cd[todo], _, _ = section_at(phi_star, theta_t)
     k_p = np.where(loaded, k_p, 0.0)
     return SectionState(r=r, phi=phi, alpha=theta - phi, a_a=a_a, sigma=sigma, k_p=k_p, cl=cl, cd=cd)
 
@@ -261,10 +262,10 @@ def solve_section(spec: PropellerSpec, v0: float, n_s: float, r: float) -> Secti
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
-    # fixed index order keeps the sum deterministic regardless of caller threading
+    # a sequential cumsum adds in index order, not pairwise as np.sum; 0.0 + maps an all -0.0 slice to 0.0
     acc = values[0] + values[-1]
-    acc += 4.0 * sum(values[1:-1:2])
-    acc += 2.0 * sum(values[2:-1:2])
+    acc += 4.0 * (0.0 + np.cumsum(values[1:-1:2])[-1])
+    acc += 2.0 * (0.0 + np.cumsum(values[2:-1:2])[-1])
     return acc * h / 3.0
 
 
@@ -283,8 +284,7 @@ def propeller_performance(spec: PropellerSpec, v0: float, n_s: float, atm: Atmos
     h = 1.0 / (N_NODES - 1)
     r = np.minimum(np.maximum(spec.r_tip - span * u * u, spec.r_hub), spec.r_tip)  # roundoff guard
     st = _solve_stations(spec, v0, n_s, r)
-    sin_phi = np.sin(st.phi)
-    cos_phi = np.cos(st.phi)
+    sin_phi, cos_phi = np.sin(st.phi), np.cos(st.phi)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         common = spec.chord_fn(r) * (1.0 + st.a_a) ** 2 / sin_phi**2
     loaded = ~(st.k_p < KP_FLOOR)  # unloaded tip boundary stations carry no loading

@@ -3,7 +3,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bemt_oracle as oracle
@@ -152,6 +152,11 @@ class TestPropellerPerformance:
         assert op.eta_p == pytest.approx(op.thrust * op.v0 / op.shaft_power, rel=1e-14)
         assert 0.0 < op.eta_p < 1.0
 
+    @pytest.mark.parametrize("v0, n_s", [(math.nan, 5.0), (10.0, math.nan), (math.inf, 5.0), (10.0, math.inf)])
+    def test_non_finite_operating_point_rejected(self, v0, n_s):
+        with pytest.raises(ValueError, match="positive and finite"):
+            propeller_performance(SPEC, v0, n_s, ATM)
+
     def test_quadrature_halving_changes_little(self, monkeypatch):
         full = propeller_performance(SPEC, 10.0, 12.0, ATM)
         monkeypatch.setattr(bemt, "N_NODES", 51)
@@ -262,6 +267,56 @@ def assert_roots_change_sign(spec, v0, n_s):
         assert at == 0.0 or below > 0.0 > above, (r, below, at, above)
 
 
+def find_roots(f, x1, x2):
+    """_find_root on f under the solver's floating-point settings: the roots, and the points of each step."""
+    steps = []
+
+    def fn(x):
+        steps.append(x.copy())
+        return f(x)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return bemt._find_root(fn, x1, f(x1), x2, f(x2)), steps
+
+
+class TestFindRoot:
+    """The lockstep root-finder against each bracket solved alone."""
+
+    # bracket 0 lands on the exact zero x = 0 on its first step; the others stop on different steps
+    TARGETS = np.array([0.0, 2.0, 20.0, 0.5, 7.0])
+    X1 = np.array([-1.0, -1.0, -1.0, 0.0, 1.5])
+    X2 = np.array([1.0, 3.0, 3.0, 2.0, 2.0])
+
+    def test_lockstep_equals_each_bracket_alone(self):
+        together, _ = find_roots(lambda x: x * x * x - self.TARGETS, self.X1, self.X2)
+        counts = []
+        for i in range(self.TARGETS.size):
+            a = self.TARGETS[i:i + 1]
+            alone, steps = find_roots(lambda x: x * x * x - a, self.X1[i:i + 1], self.X2[i:i + 1])
+            assert alone.tobytes() == together[i:i + 1].tobytes(), i
+            counts.append(len(steps))
+        assert counts[0] == 1 and together[0] == 0.0
+        assert len(set(counts)) >= 3, counts
+        np.testing.assert_allclose(together**3, self.TARGETS, rtol=1e-14, atol=0.0)
+
+    def test_stopped_bracket_is_frozen(self):
+        together, steps = find_roots(lambda x: x * x * x - self.TARGETS, self.X1, self.X2)
+        later = [x[0] for x in steps[1:]]  # bracket 0's points after its exact zero
+        assert len(later) > 1 and all(x != 0.0 for x in later)
+        assert together[0] == 0.0
+
+    def test_step_cap_returns_the_end_with_the_smaller_residual(self):
+        # near 1e6 adjacent floats are 2**-33 ~ 1.2e-10 apart, wider than _ROOT_WIDTH, and
+        # (x - 1e6) - c is a multiple of 2**-33 minus c: never exactly zero
+        c = np.array([1e-11, 1e-10])
+        ulp = np.spacing(1e6)
+        roots, steps = find_roots(lambda x: (x - 1e6) - c, np.full(2, 1e6 - 1.0), np.full(2, 1e6 + 1.0))
+        assert len(steps) == 200
+        assert ulp > bemt._ROOT_WIDTH
+        # |f(1e6)| = 1e-11 < |f(1e6 + ulp)| for the first, the other way round for the second
+        assert roots.tolist() == [1e6, 1e6 + ulp]
+
+
 class TestArraySolverMatchesScalarOracle:
     """The lockstep array solver against the per-station scalar solver in tests/bemt_oracle.py."""
 
@@ -294,6 +349,43 @@ class TestArraySolverMatchesScalarOracle:
                 np.testing.assert_allclose(got[rooted], ref, rtol=0.0, atol=PHI_ATOL, err_msg=f.name)
             else:
                 np.testing.assert_allclose(got[rooted], ref, rtol=OUTPUT_RTOL, atol=0.0, err_msg=f.name)
+
+    @given(
+        spec_name=st.sampled_from(sorted(SPECS)),
+        v0=st.floats(1.0, 30.0),
+        advance=st.floats(0.04, 0.185),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stations_in_lockstep_equal_each_station_alone(self, spec_name, v0, advance):
+        spec = SPECS[spec_name]
+        n_s = v0 / (advance * 2.0 * spec.r_tip)
+        radii = np.array(oracle.stations(spec))
+        alone = []
+        for i in range(radii.size):
+            try:
+                alone.append(bemt._solve_stations(spec, v0, n_s, radii[i:i + 1]))
+            except SectionError as exc:
+                alone.append((type(exc), str(exc)))
+        try:
+            batch = bemt._solve_stations(spec, v0, n_s, radii)
+        except SectionError as exc:
+            assert (type(exc), str(exc)) == next(a for a in alone if isinstance(a, tuple))
+            return
+        for f in fields(batch):
+            got = getattr(batch, f.name)
+            assert got.tobytes() == b"".join(getattr(a, f.name).tobytes() for a in alone), f.name
+
+    @given(
+        values=st.integers(2, 100).flatmap(lambda n: st.lists(st.floats(), min_size=2 * n + 1, max_size=2 * n + 1)),
+        h=st.floats(1e-3, 1.0),
+    )
+    @example(values=[-0.0] * 5, h=1.0)  # Python's sum starts from 0, so it returns 0.0 here, not -0.0
+    @settings(max_examples=200, deadline=None)
+    def test_simpson_adds_as_the_oracle_does(self, values, h):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = bemt._simpson(np.array(values), h), oracle._simpson(np.array(values), h)
+        # which NaN an add of two NaNs returns is up to the compiled loop, so NaN matches any NaN
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() or (math.isnan(got) and math.isnan(want))
 
     @pytest.mark.parametrize("spec_name", sorted(SPECS))
     @pytest.mark.parametrize("v0, n_s", [(15.0, 12.0), (4.0, 9.0), (22.0, 25.0)])
