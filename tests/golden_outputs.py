@@ -11,7 +11,9 @@ The files hold for numpy 2.4.6, the version CI pins.  Another numpy may round
 the last bits of a rate, a sum or a trained network differently, so under it
 the byte compare is skipped, with both versions named.  The ``bemt`` verb is
 left out: its last bits may differ across numpy builds and CPUs, and it is
-checked against ``tests/bemt_oracle.py`` at stated tolerances instead.
+checked against ``tests/bemt_oracle.py`` at stated tolerances instead.  So is
+``surrogate-fit``: its least-squares solve goes through LAPACK, whose last bits
+may also differ across CPUs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def cli_runs(out: Path) -> dict[str, tuple[list[str], tuple[str, ...]]]:
     solve_mlp_path = out / "solve_mlp_config.json"
     solve_mlp_path.write_text(json.dumps(solve_mlp))
     runs = {
+        "propulsion": (["propulsion", "--config", CONFIG_DIR / "platform.json", "--v0", "10",
+                        "--out", out / "propulsion.csv"], ("propulsion.csv",)),
         "budget-sweep": (["sweep", "--config", CONFIG_DIR / "sweep_budget.json", "--out", out / "budget.csv",
                           "--svg", out / "budget.svg"], ("budget.csv", "budget.svg")),
         "airspeed-sweep": (["sweep", "--config", CONFIG_DIR / "sweep_airspeed.json", "--out", out / "airspeed.csv"],

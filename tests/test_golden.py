@@ -9,7 +9,7 @@ import pytest
 
 from golden_outputs import GOLDEN_DIR, PINNED_NUMPY, cli_runs, run_cli
 
-RUNS = ("budget-sweep", "airspeed-sweep", "solve", "solve-mlp", "ablation")
+RUNS = ("propulsion", "budget-sweep", "airspeed-sweep", "solve", "solve-mlp", "ablation")
 
 
 @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
