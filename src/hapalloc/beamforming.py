@@ -26,7 +26,7 @@ class ConditioningError(ValueError):
         self.condition = float(condition)
         super().__init__(
             f"steering Gram matrix condition number {self.condition:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; user directions are (nearly) collinear"
+            f"{CONDITION_LIMIT:.0e}; user directions are (nearly) collinear, or users outnumber array elements"
         )
 
 
@@ -70,18 +70,15 @@ def zf_beamformer(steering) -> ZfBeamformer:
     """Build W = V (V^H V)^-1 from a list of steering vectors.
 
     The Gram system is solved (not explicitly inverted).  Raises
-    ConditioningError when the Gram condition number exceeds 1e8, which
-    covers rank deficiency and near-collinear user clusters.
+    ConditioningError when the Gram condition number exceeds 1e8: more users
+    than antennas, another rank deficiency, or near-collinear user clusters.
     """
     v = np.column_stack([np.asarray(s, dtype=complex) for s in steering])
-    n_t, k = v.shape
-    if k > n_t:
-        raise ValueError(f"cannot zero-force {k} users with {n_t} antennas")
     gram = v.conj().T @ v
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ConditioningError(cond)
-    w = v @ np.linalg.solve(gram, np.eye(k, dtype=complex))
+    w = v @ np.linalg.solve(gram, np.eye(v.shape[1], dtype=complex))
     norms_sq = np.real(np.einsum("ij,ij->j", w.conj(), w))
     return ZfBeamformer(w_columns=w, w_norms_sq=norms_sq, gram_condition=cond)
 

@@ -1,11 +1,12 @@
 """Command-line entry points for the propulsion model and the allocation solvers.
 
 Verbs: propulsion, bemt, surrogate-fit, solve, sweep, ablation.  Each takes
---config <json> plus verb-specific flags and an optional --out path.  Exit
-codes: 0 success, 2 config error (one ``config error:`` line, including
-users too close for zero forcing, an RF budget whose rates or communication
-power overflow, and a neural training that diverges), 3 power-budget
-infeasibility.  Seeds come from the config only.
+--config <json> plus verb-specific flags and an optional --out path; seeds
+come from the config only.  Exit codes: 0 success, 2 config error, 3
+power-budget infeasibility.  ``main`` alone maps library errors to them, with
+one stderr line.  Exit 2 takes ``ConfigError``, ``ConditioningError`` (users
+too close, or more users than array elements), ``SurrogateRangeError``,
+``SurrogateFitError`` and ``TrainingError`` (a diverged training).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .config import (
     as_integer,
     isa_properties,
     ledger_from_dict,
-    load_platform_config,
     platform_from_dict,
     reject_unknown_keys,
     rf_budget,
@@ -81,11 +81,11 @@ def _required(cfg: dict, key: str, what: str):
     return cfg[key]
 
 
-def _atmosphere(altitude) -> Atmosphere:
+def _atmosphere(altitude, name: str = "altitude_m") -> Atmosphere:
     try:
         return isa_properties(altitude)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"altitude: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _seeds(raw, default=(0,)) -> list[int]:
@@ -117,15 +117,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_propulsion(args) -> int:
-    geom, _, altitude = load_platform_config(args.config)
-    atm = _atmosphere(altitude)
+    cfg = _read_json(args.config, ("platform", "ledger", "altitude_m"))
+    geom = platform_from_dict(_required(cfg, "platform", "propulsion"))
+    ledger_from_dict(_required(cfg, "ledger", "propulsion"))  # checked, though no budget is reported
+    atm = _atmosphere(cfg.get("altitude_m", 20000.0))
     if args.v0 is None:
         raise ConfigError("propulsion needs --v0 (m/s)")
-    v0 = _positive("--v0", args.v0)
-    try:
-        table = harness.run_airspeed_sweep(geom, atm, [v0])
-    except propulsion.SurrogateRangeError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = harness.run_airspeed_sweep(geom, atm, [_positive("--v0", args.v0)])
     _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
 
@@ -144,7 +142,7 @@ def _cmd_bemt(args) -> int:
     except (OSError, TypeError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load propeller spec {spec_dir}: {exc}") from exc
     v0, n_s = _positive("--v0/v0_mps", v0), _positive("--ns/ns_rps", n_s)
-    atm = _atmosphere(altitude)
+    atm = _atmosphere(altitude, "--altitude/altitude_m")
     try:
         op = bemt_mod.propeller_performance(spec, v0, n_s, atm)
     except bemt_mod.SectionError as exc:
@@ -166,10 +164,7 @@ def _cmd_surrogate_fit(args) -> int:
             raise ConfigError(f"cannot read samples {path}: {exc}") from exc
     else:
         samples = propulsion.reference_samples()
-    try:
-        coeffs = propulsion.fit_inverse_power_surrogate(samples)
-    except propulsion.SurrogateFitError as exc:
-        raise ConfigError(str(exc)) from exc
+    coeffs = propulsion.fit_inverse_power_surrogate(samples)
     text = (
         "c,alpha,beta,rmse,n_samples\n"
         + f"{coeffs.c!r},{coeffs.alpha!r},{coeffs.beta!r},{coeffs.rmse!r},{coeffs.n_samples}\n"
@@ -185,10 +180,7 @@ def _budget_from_config(cfg: dict) -> tuple[float, object]:
         ledger = ledger_from_dict(_required(cfg, "ledger", "solve"))
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
         v0 = _positive("v0_mps", cfg.get("v0_mps", 10.0))
-        try:
-            p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
-        except propulsion.SurrogateRangeError as exc:
-            raise ConfigError(str(exc)) from exc
+        p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
         return rf_budget(ledger, p_prop), ledger
     if "ledger" not in cfg or "p_tot_w" not in cfg:
         raise ConfigError("solve config needs 'p_tot_w' and 'ledger', or a 'platform' block")
@@ -233,18 +225,13 @@ def _cmd_sweep(args) -> int:
     if kind == "airspeed":
         keys = ("kind", "grid", "platform", "altitude_m", "legacy_eta_p")
         reject_unknown_keys(cfg, keys, f"config {args.config}")
-        geom = platform_from_dict(cfg["platform"]) if "platform" in cfg else None
-        if geom is None:
-            raise ConfigError("airspeed sweep needs a 'platform' block")
+        geom = platform_from_dict(_required(cfg, "platform", "airspeed sweep"))
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
         grid = _increasing_grid(grid)
         legacy_eta_p = _positive("legacy_eta_p", cfg.get("legacy_eta_p", 0.73))
         if legacy_eta_p > 1.0:
             raise ConfigError(f"legacy_eta_p must be in (0, 1], got {legacy_eta_p!r}")
-        try:
-            table = harness.run_airspeed_sweep(geom, atm, grid, legacy_eta_p=legacy_eta_p)
-        except propulsion.SurrogateRangeError as exc:
-            raise ConfigError(str(exc)) from exc
+        table = harness.run_airspeed_sweep(geom, atm, grid, legacy_eta_p=legacy_eta_p)
     elif kind == "rf_budget":
         keys = ("kind", "grid", *_SCENARIO_KEYS, "ledger", "backends", "seeds")
         reject_unknown_keys(cfg, keys, f"config {args.config}")
@@ -333,7 +320,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ConditioningError, TrainingError) as exc:  # bad config, co-located users, divergence
+    except (ConfigError, ConditioningError, propulsion.SurrogateRangeError, propulsion.SurrogateFitError,
+            TrainingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetInfeasibleError as exc:

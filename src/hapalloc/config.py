@@ -7,10 +7,8 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -236,20 +234,3 @@ def reject_unknown_keys(raw: dict, allowed, where) -> None:
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
-
-def load_platform_config(path: str | Path) -> tuple[PlatformGeometry, PowerLedger, float]:
-    """Read the platform JSON config: {"platform": {...}, "ledger": {...}, "altitude_m": x}."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read platform config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "platform" not in raw or "ledger" not in raw:
-        raise ConfigError(f"platform config {path} must contain 'platform' and 'ledger'")
-    reject_unknown_keys(raw, ("platform", "ledger", "altitude_m"), f"platform config {path}")
-    geom = platform_from_dict(raw["platform"])
-    ledger = ledger_from_dict(raw["ledger"])
-    try:
-        altitude = float(raw.get("altitude_m", 20000.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"platform config {path}: altitude_m must be a number, got {raw['altitude_m']!r}") from exc
-    return geom, ledger, altitude

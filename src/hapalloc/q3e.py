@@ -157,11 +157,13 @@ class PowerProblem:
         spend are then arrays with one entry per row.
         """
         numer, rf, denom = self._ee_terms(p)
+        # at zero communication power the gradient is 0, as the EE is: the quotient rule divides by inf there
         if p.ndim == 2:
             ee = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0.0)
-            ee_k, denom = ee[:, None], denom[:, None]  # broadcast over users
+            ee_k, denom = ee[:, None], np.where(denom == 0.0, np.inf, denom)[:, None]  # broadcast over users
         else:
             ee = ee_k = numer / denom if denom > 0.0 else 0.0
+            denom = np.inf if denom == 0.0 else denom
         # the quotient rule as N'/D - (N/D)(D'/D), with D' = 2 xi c p: neither D^2 nor N D' is formed
         d_log_denom = self.ledger.xi / denom * 2.0 * (self.w_norms_sq * p)
         grad = rate_slopes(p, self.rate_model) / denom - ee_k * d_log_denom
@@ -299,8 +301,8 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
     best_p = None
     best_val = -np.inf
     total_iters = 0
-    # a far-out trial may overflow the projector's spend (a NaN never improves); zero comm power divides grads by 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # a trial far outside the feasible set can overflow the projector's spend: it projects to NaN (no gain) or the floor
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in _numeric_starts(problem):
             p = problem.assemble(project_capped(start, problem.floor, problem.c_free, problem.budget))
             val = problem.objective(p)

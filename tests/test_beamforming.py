@@ -61,9 +61,12 @@ class TestZfBeamformer:
                 assert cross < 1e-18 * max(p[k] ** 2, 1.0)
 
     def test_too_many_users_rejected(self):
+        # more users than antennas leave the Gram matrix rank-deficient: its condition check rejects it
         v = [np.eye(2)[:, 0].astype(complex), np.eye(2)[:, 1].astype(complex)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditioningError, match="outnumber array elements"):
             zf_beamformer(v + [np.ones(2, dtype=complex) / np.sqrt(2)])
+        with pytest.raises(ConditioningError):  # one antenna: the condition number is inf
+            zf_beamformer([np.ones(1, dtype=complex), np.ones(1, dtype=complex)])
 
 
 class TestSurrogateRate:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bemt_oracle import default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
 from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from hapalloc.config import isa_properties, load_platform_config, rf_budget
+from hapalloc.config import isa_properties, ledger_from_dict, platform_from_dict, rf_budget
 from hapalloc.propulsion import propulsion_power, reference_coeffs
 
 PLATFORM_CONFIG = CONFIG_DIR / "platform.json"
@@ -45,9 +45,30 @@ class TestPropulsionVerb:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "v0_mps,t_n,cdv,re,eta_hat,p_prop_w,p_prop_legacy_w"
         row = out[1].split(",")
-        geom, _, alt = load_platform_config(PLATFORM_CONFIG)
-        want = propulsion_power(isa_properties(alt), geom, 10.0, reference_coeffs())
+        doc = shipped("platform.json")
+        geom = platform_from_dict(doc["platform"])
+        want = propulsion_power(isa_properties(doc["altitude_m"]), geom, 10.0, reference_coeffs())
         assert float(row[5]) == pytest.approx(want, rel=1e-12)
+
+    def test_round_trip(self, tmp_path, capsys):
+        doc = {
+            "platform": {"l": 140, "d": 34, "omega": 85000, "kf": 1.12, "eta_m": 0.85},
+            "ledger": {"p_hap": 9000, "p_payload": 100, "p_standby": 100,
+                       "p_rfc": 0.338, "p_lo": 0.005, "p_bb": 0.2, "xi": 2, "n_t": 144},
+            "altitude_m": 20000,
+        }
+        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_OK
+        assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", "10") == EXIT_OK
+        row, shipped_row = capsys.readouterr().out.splitlines()[1::2]
+        assert row == shipped_row
+
+    def test_missing_keys(self, tmp_path, capsys):
+        doc = without(shipped("platform.json"), "ledger")
+        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+        assert "propulsion config needs 'ledger'" in one_line_config_error(capsys)
+        doc = {"platform": {"l": 1}}
+        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+        assert "platform config missing key" in one_line_config_error(capsys)
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "prop.csv"
@@ -182,8 +203,8 @@ class TestSolveVerb:
         out = tmp_path / "sol.json"
         assert run_cli("solve", "--config", cfg, "--out", out) == EXIT_OK
         doc = json.loads(out.read_text())
-        geom, ledger, alt = load_platform_config(PLATFORM_CONFIG)
-        p_prop = propulsion_power(isa_properties(alt), geom, 10.0, reference_coeffs())
+        geom, ledger = platform_from_dict(platform_doc["platform"]), ledger_from_dict(platform_doc["ledger"])
+        p_prop = propulsion_power(isa_properties(20000.0), geom, 10.0, reference_coeffs())
         assert doc["p_tot_w"] == pytest.approx(rf_budget(ledger, p_prop), rel=1e-12)
 
     def test_infeasible_budget_exit_code(self, tmp_path):
@@ -331,6 +352,12 @@ def co_located(scenario: dict) -> dict:
     return {**scenario, "users": users}
 
 
+def small_array_scenario(nx: int, ny: int) -> dict:
+    """The shipped ablation scenario's nine users on an ``nx`` x ``ny`` array."""
+    scenario = shipped("ablation.json")["scenario"]
+    return {**scenario, "array": {**scenario["array"], "nx": nx, "ny": ny}}
+
+
 def without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
@@ -416,6 +443,33 @@ class TestStudyConfigErrors:
         doc = {**without(doc, "scenario_path"), "scenario": co_located(doc.get("scenario", scenario))}
         assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
         assert "user directions are (nearly) collinear" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
+    def test_more_users_than_array_elements(self, verb, tmp_path, capsys):
+        # nine users on a 2 x 2 array: the Gram matrix is rank-deficient, condition number about 1.9e17
+        doc = {
+            "solve": explicit_budget_solve_config(),
+            "sweep": budget_sweep_config(),
+            "ablation": shipped("ablation.json"),
+        }[verb]
+        doc = {**without(doc, "scenario_path"), "scenario": small_array_scenario(2, 2)}
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert "or users outnumber array elements" in one_line_config_error(capsys)
+
+    @given(nx=st.integers(1, 4), ny=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_shipped_users_on_any_small_array(self, nx, ny):
+        # up to 16 elements for the nine users: zero forcing either separates them or exits 2
+        doc = {**without(explicit_budget_solve_config(), "scenario_path"), "scenario": small_array_scenario(nx, ny)}
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["solve", "--config", str(write_json(Path(tmp) / "s.json", doc))])
+        assert code in (EXIT_OK, EXIT_CONFIG), (code, err.getvalue())
+        if code == EXIT_CONFIG:
+            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        else:
+            assert err.getvalue() == ""
 
     def test_unknown_backend_is_named(self, tmp_path, capsys):
         solve = write_json(tmp_path / "s.json", explicit_budget_solve_config(backend="annealing"))
@@ -617,6 +671,36 @@ class TestValueConfigErrors:
         doc["platform"]["l"] = 1e308
         assert run_cli("sweep", "--config", write_json(tmp_path / "a.json", doc)) == EXIT_CONFIG
         assert "propulsion power is not finite and positive" in one_line_config_error(capsys)
+
+
+class TestZeroCommunicationPower:
+    """With no static power a zero RF budget has EE 0, in every verb and backend; the mlp
+    backend divided its EE gradient by the zero power and diverged at epoch 2."""
+
+    def doc(self, **overrides) -> dict:
+        doc = {**without(shipped("ablation.json"), "seeds"), **overrides}
+        doc["ledger"] = {**doc["ledger"], "p_rfc": 0, "p_lo": 0, "p_bb": 0}
+        return doc
+
+    def run(self, verb, doc, tmp_path, capsys) -> str:
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def test_mlp_solve(self, tmp_path, capsys):
+        doc = without(self.doc(backend="mlp", p_tot_w=0), "max_epochs")
+        sol = json.loads(self.run("solve", doc, tmp_path, capsys))
+        assert sol["ee_bps_per_w"] == 0.0 and sol["p"] == [0.0] * 9
+
+    def test_budget_sweep(self, tmp_path, capsys):
+        doc = {"kind": "rf_budget", "grid": [0, 5], **self.doc()}
+        del doc["p_tot_w"], doc["max_epochs"]
+        rows = list(csv.DictReader(io.StringIO(self.run("sweep", doc, tmp_path, capsys))))
+        assert {row["ee_bps_per_w"] for row in rows if row["p_tot_w"] == "0.0"} == {"0.0"}
+
+    def test_ablation(self, tmp_path, capsys):
+        self.run("ablation", self.doc(p_tot_w=0, max_epochs=51), tmp_path, capsys)
 
 
 GRID_VALUES = st.one_of(

@@ -11,7 +11,6 @@ from hapalloc.config import (
     PlatformGeometry,
     PowerLedger,
     isa_properties,
-    load_platform_config,
     rf_budget,
     static_comm_power,
 )
@@ -124,26 +123,6 @@ class TestTotalCommPower:
 
 
 class TestConfigLoading:
-    def test_round_trip(self, tmp_path):
-        doc = {
-            "platform": {"l": 140, "d": 34, "omega": 85000, "kf": 1.12, "eta_m": 0.85},
-            "ledger": {"p_hap": 9000, "p_payload": 100, "p_standby": 100,
-                       "p_rfc": 0.338, "p_lo": 0.005, "p_bb": 0.2, "xi": 2, "n_t": 144},
-            "altitude_m": 20000,
-        }
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
-        geom, led, alt = load_platform_config(path)
-        assert geom.slenderness == pytest.approx(140 / 34)
-        assert led.n_t == 144
-        assert alt == 20000.0
-
-    def test_missing_keys(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"platform": {"l": 1}}))
-        with pytest.raises(ConfigError):
-            load_platform_config(path)
-
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             PlatformGeometry(34.0, 140.0, 85000.0, 1.12, 0.85)

@@ -349,6 +349,18 @@ class TestTrainMany:
             assert net.params.tobytes() == alone.params.tobytes()
             assert net.log == alone.log
 
+    def test_zero_communication_power(self):
+        # budget 0 and no static power: the EE and its gradient are 0 in both the 1-D and the row form
+        from hapalloc.config import PowerLedger
+
+        sc = random_scenario(3, seed=5)
+        no_static = PowerLedger(9000.0, 0, 0, 0, 0, 0, 2.0, 0)
+        prob = stage2_problem(sc, scenario_beamformer(sc), 0.0, no_static)
+        jobs = [(prob, neuro.TrainConfig(seed=seed, max_epochs=60)) for seed in range(3)]
+        for alone, net in zip([oracle.train_alone(*job) for job in jobs], pooled(jobs, neuro.POOL_SLOTS)):
+            assert net.params.tobytes() == alone.params.tobytes()
+            assert net.log == alone.log
+
     @pytest.mark.parametrize("width", [1, 2, neuro.POOL_SLOTS])
     def test_raises_the_error_of_the_first_diverging_config_in_list_order(self, monkeypatch, width):
         # at 1e25 the clamp-only config's finite rates keep it from diverging in 60 epochs;

@@ -24,7 +24,7 @@ REMOVED = {
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
     "bemt": ["axial_induction", "write_spec_dir"],
-    "config": ["total_comm_power"],
+    "config": ["total_comm_power", "load_platform_config"],
 }
 
 # dataclass fields that nothing read, or that are derived from the other fields
