@@ -461,15 +461,12 @@ class TestStudyConfigErrors:
     def test_shipped_users_on_any_small_array(self, nx, ny):
         # up to 16 elements for the nine users: zero forcing either separates them or exits 2
         doc = {**without(explicit_budget_solve_config(), "scenario_path"), "scenario": small_array_scenario(nx, ny)}
-        with tempfile.TemporaryDirectory() as tmp:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["solve", "--config", str(write_json(Path(tmp) / "s.json", doc))])
-        assert code in (EXIT_OK, EXIT_CONFIG), (code, err.getvalue())
+        code, err = run_in_process(doc, "solve")
+        assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
         if code == EXIT_CONFIG:
-            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
         else:
-            assert err.getvalue() == ""
+            assert err == ""
 
     def test_unknown_backend_is_named(self, tmp_path, capsys):
         solve = write_json(tmp_path / "s.json", explicit_budget_solve_config(backend="annealing"))
@@ -711,14 +708,14 @@ GRID_VALUES = st.one_of(
 GRIDS = st.one_of(st.lists(GRID_VALUES, max_size=5), st.lists(GRID_VALUES, max_size=5).map(sorted))
 
 
-def run_in_process(doc: dict) -> tuple[int, str]:
-    """(exit code, stderr) of ``hapalloc sweep`` on ``doc``, with stdout discarded."""
+def run_in_process(doc: dict, verb: str = "sweep") -> tuple[int, str]:
+    """(exit code, stderr) of ``hapalloc <verb>`` on ``doc``, with stdout discarded."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "sweep.json"
+        cfg = Path(tmp) / f"{verb}.json"
         cfg.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["sweep", "--config", str(cfg)])
+            code = main([verb, "--config", str(cfg)])
     return code, err.getvalue()
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from conftest import total_comm_power
 from hapalloc.config import (
     Atmosphere,
     BudgetInfeasibleError,
-    ConfigError,
     PlatformGeometry,
     PowerLedger,
     isa_properties,

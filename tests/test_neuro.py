@@ -10,7 +10,7 @@ import neuro_oracle as oracle
 from conftest import golden_section_max, random_scenario, reference_ledger
 from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
-from hapalloc.config import static_comm_power
+from hapalloc.config import PowerLedger, static_comm_power
 from hapalloc.harness import ABLATION_ANNEAL_EVERY
 from hapalloc.q3e import scenario_beamformer, stage2_problem
 
@@ -351,8 +351,6 @@ class TestTrainMany:
 
     def test_zero_communication_power(self):
         # budget 0 and no static power: the EE and its gradient are 0 in both the 1-D and the row form
-        from hapalloc.config import PowerLedger
-
         sc = random_scenario(3, seed=5)
         no_static = PowerLedger(9000.0, 0, 0, 0, 0, 0, 2.0, 0)
         prob = stage2_problem(sc, scenario_beamformer(sc), 0.0, no_static)
