@@ -29,7 +29,6 @@ from .q3e import (
     baseline_max_sum_rate,
     baseline_qos_only,
     feasibility_partition,
-    project_capped,
     q3e,
     solve_full_qos,
     solve_partial_qos,
@@ -66,7 +65,6 @@ __all__ = [
     "FeasibilityPartition",
     "Q3eSolution",
     "feasibility_partition",
-    "project_capped",
     "q3e",
     "solve_full_qos",
     "solve_partial_qos",

@@ -138,8 +138,12 @@ def tip_loss(n_b: int, r: float | np.ndarray, r_tip: float, phi0: float | np.nda
         raise ValueError("require 0 < r <= r_tip")
     if not np.all((0.0 < phi0) & (phi0 < math.pi / 2)):
         raise ValueError("inflow angle must be in (0, pi/2)")
-    arg = -n_b * (r_tip - r) / (2.0 * r * np.sin(phi0))
-    return (2.0 / math.pi) * np.arccos(np.exp(arg))
+    return _tip_loss(n_b, r, r_tip, phi0)
+
+
+def _tip_loss(n_b: int, r: np.ndarray, r_tip: float, phi0: np.ndarray) -> np.ndarray:
+    """``tip_loss`` without its range checks, for stations already inside them."""
+    return (2.0 / math.pi) * np.arccos(np.exp(-n_b * (r_tip - r) / (2.0 * r * np.sin(phi0))))
 
 
 def _find_root(fn, x1: np.ndarray, f1: np.ndarray, x2: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -197,7 +201,7 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     errors = {i: SectionError("zero-induction inflow angle at 0 or pi/2", float(r[i]))
               for i in np.flatnonzero(edge).tolist()}
     k_p = np.zeros(r.size)
-    k_p[~edge] = tip_loss(spec.n_blades, r[~edge], spec.r_tip, phi0[~edge])
+    k_p[~edge] = _tip_loss(spec.n_blades, r[~edge], spec.r_tip, phi0[~edge])  # both callers keep r in [r_hub, r_tip]
     loaded = ~(k_p < KP_FLOOR)
     theta = spec.pitch_fn(r)
     sigma = spec.n_blades * spec.chord_fn(r) / (2.0 * math.pi * r)

@@ -147,8 +147,8 @@ def _cmd_bemt(args) -> int:
         op = bemt_mod.propeller_performance(spec, v0, n_s, atm)
     except bemt_mod.SectionError as exc:
         raise ConfigError(f"no operating point at v0 = {v0} m/s, n_s = {n_s} rev/s: {exc}") from exc
-    text = "t_p_n,p_p_w,eta_p\n" + f"{op.thrust!r},{op.shaft_power!r},{op.eta_p!r}\n"
-    _write_or_print(text, args.out)
+    table = harness.ReportTable(("t_p_n", "p_p_w", "eta_p"), [[op.thrust, op.shaft_power, op.eta_p]])
+    _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
 
 
@@ -165,11 +165,9 @@ def _cmd_surrogate_fit(args) -> int:
     else:
         samples = propulsion.reference_samples()
     coeffs = propulsion.fit_inverse_power_surrogate(samples)
-    text = (
-        "c,alpha,beta,rmse,n_samples\n"
-        + f"{coeffs.c!r},{coeffs.alpha!r},{coeffs.beta!r},{coeffs.rmse!r},{coeffs.n_samples}\n"
-    )
-    _write_or_print(text, args.out)
+    table = harness.ReportTable(("c", "alpha", "beta", "rmse", "n_samples"),
+                                [[coeffs.c, coeffs.alpha, coeffs.beta, coeffs.rmse, coeffs.n_samples]])
+    _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
 
 

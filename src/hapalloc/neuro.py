@@ -9,11 +9,11 @@ slacks.  Optimization is Adam with early stopping on the true (barrier-free)
 EE of the projected output, and the best checkpoint is returned.
 
 The EE, its gradient and the projector's budget scaling are ``q3e``'s
-(``PowerProblem.ee_and_gradient``, ``q3e._scale_to_budget``); this module
-adds the barrier terms, the projector's Jacobian-vector product and the
-backward pass through the network.  Gradients flow through the projector's
-smooth scaling branch; the clamp max(p, m) passes no gradient on the
-clamped side (subgradient convention).
+(``PowerProblem.ee_and_gradient``, ``q3e._scale_to_budget``; one form for a
+vector or a stack); this module adds the barrier terms, the projector's
+Jacobian-vector product and the backward pass through the network.
+Gradients flow through the projector's smooth scaling branch; the clamp
+max(p, m) passes no gradient on the clamped side (subgradient convention).
 
 Trainings run in a pool (``train_many``): their networks are rows of stacked
 arrays, and each row reproduces a lone training bit for bit.  A pool's
@@ -35,7 +35,7 @@ import numpy as np
 
 from .beamforming import surrogate_rates
 from .config import ConfigError
-from .q3e import PowerProblem, _scale_to_budget, project_capped
+from .q3e import PowerProblem, _scale_to_budget
 
 HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
 PATIENCE = 50  # epochs without a new best EE before training stops
@@ -345,10 +345,9 @@ def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.n
 
 def _ee_scale(problem: PowerProblem) -> float:
     """Per-instance EE scale so the default barrier weight is meaningful."""
-    c, floor = problem.c_free, problem.floor
-    spread = np.sqrt(problem.budget / (len(c) * c)) if problem.budget > 0 else floor
-    p_free = project_capped(np.maximum(spread, floor), floor, c, problem.budget)
-    ref = problem.objective(problem.assemble(p_free))
+    c = problem.c_free
+    spread = np.sqrt(problem.budget / (len(c) * c)) if problem.budget > 0 else problem.floor
+    ref = problem.objective(problem.project(spread))
     return ref if ref > 0 else 1.0
 
 

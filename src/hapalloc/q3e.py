@@ -12,12 +12,12 @@ and their spend still counts in the communication power).
 every solver, baseline and the ablation start from it.  ``_solution_from``
 turns any coefficient vector into a ``Q3eSolution``.  The stage-2 arithmetic
 of both backends is written here once, on ``beamforming``'s rates and their
-derivatives: the free-user EE (``PowerProblem.objective``), its gradient
-(``PowerProblem.ee_and_gradient``) and the capped-simplex projector's budget
-scaling (``_scale_to_budget``).  The numeric backend is projected gradient
-ascent on that EE; the neural backend (``neuro``) trains through the same EE
-gradient and scaling step and adds only its barrier terms and the
-projector's Jacobian.
+derivatives, in one form for a coefficient vector or a stack of them: the
+free-user EE (``PowerProblem.objective``), its gradient (``ee_and_gradient``)
+and the projector (``project``) with its budget scaling (``_scale_to_budget``).
+The numeric backend is projected gradient ascent on that EE; the neural
+backend (``neuro``) trains through the same EE gradient and scaling step and
+adds only its barrier terms and the projector's Jacobian.
 """
 
 from __future__ import annotations
@@ -133,17 +133,14 @@ class PowerProblem:
         )
 
     def _ee_terms(self, p: np.ndarray):
-        """The free users' rate sum, the RF spend and the communication power at ``p``; per row of a 2-D ``p``.
+        """The free users' rate sum, the RF spend and the communication power at ``p``; per row of a stack.
 
-        A row sum adds in a 1-D sum's order only over a C-ordered row:
+        A row sum adds in a vector sum's order only over a C-ordered row:
         ``compress`` gives one, ``p[:, free]`` a column-major copy.
         """
-        if p.ndim == 2:
-            rf = (self.w_norms_sq * p * p).sum(axis=1)
-            numer = surrogate_rates(p, self.rate_model).compress(self.free, axis=1).sum(axis=1)
-            return numer, rf, comm_power(rf, self.ledger)
-        rf = (self.w_norms_sq * p * p).sum()  # a numpy float, so that a zero power divides to inf, not an error
-        return float(surrogate_rates(p, self.rate_model)[self.free].sum()), rf, comm_power(rf, self.ledger)
+        rf = (self.w_norms_sq * p * p).sum(axis=-1)
+        numer = surrogate_rates(p, self.rate_model).compress(self.free, axis=-1).sum(axis=-1)
+        return numer, rf, comm_power(rf, self.ledger)
 
     def objective(self, p: np.ndarray) -> float:
         """EE restricted to the free users, bps/W; 0 when the communication power is 0."""
@@ -153,22 +150,28 @@ class PowerProblem:
     def ee_and_gradient(self, p: np.ndarray):
         """``objective`` at ``p``, its gradient in ``p`` (zero on pinned users) and the RF spend.
 
-        A 2-D ``p`` is a stack of coefficient vectors, one per row; EE and
-        spend are then arrays with one entry per row.
+        A stack of coefficient vectors, one per row, gives EE and spend arrays
+        with one entry per row, by the same arithmetic as each row alone.
         """
         numer, rf, denom = self._ee_terms(p)
-        # at zero communication power the gradient is 0, as the EE is: the quotient rule divides by inf there
-        if p.ndim == 2:
-            ee = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0.0)
-            ee_k, denom = ee[:, None], np.where(denom == 0.0, np.inf, denom)[:, None]  # broadcast over users
-        else:
-            ee = ee_k = numer / denom if denom > 0.0 else 0.0
-            denom = np.inf if denom == 0.0 else denom
+        # at zero communication power the EE and its gradient are 0: the quotient rule divides by inf there
+        denom = np.where(denom == 0.0, np.inf, denom)
+        ee = np.where(denom > 0.0, numer / denom, 0.0)  # 0, not NaN, at a NaN power
+        denom, ee_k = denom[..., None], ee[..., None]  # one per row, broadcast over users
         # the quotient rule as N'/D - (N/D)(D'/D), with D' = 2 xi c p: neither D^2 nor N D' is formed
         d_log_denom = self.ledger.xi / denom * 2.0 * (self.w_norms_sq * p)
         grad = rate_slopes(p, self.rate_model) / denom - ee_k * d_log_denom
         grad[..., ~self.free] = 0.0
-        return ee, grad, rf
+        return ee[()], grad, rf
+
+    def project(self, p_free: np.ndarray) -> np.ndarray:
+        """All users' coefficients, the free users' ``p_free`` projected onto {p >= floor, spend <= budget}:
+        clamped to ``floor``, then scaled onto the budget (``_scale_to_budget``) unless the clamped spend fits."""
+        p_hat = np.maximum(p_free, self.floor)
+        p_0 = (self.c_free * p_hat * p_hat).sum()
+        if not p_0 <= self.budget:
+            p_hat = _scale_to_budget(p_hat, self.floor, self.budget, p_0, self.floor_cost)[0]
+        return self.assemble(p_hat)
 
 
 def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartition:
@@ -255,40 +258,15 @@ def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: floa
                           "power it allows overflows (check the budget, bandwidth, noise, channel and ledger values)")
 
 
-def project_capped(p_raw, p_min_mask, w_norms_sq, p_tot: float) -> np.ndarray:
-    """Project raw coefficients onto {p >= mask, sum c_k p_k^2 <= budget}.
-
-    Coefficients are first clamped to the mask; if the clamped point is
-    affordable it is returned unchanged, otherwise the squared coefficients
-    are interpolated between the mask point and the clamped point with
-    alpha = (budget - mask cost) / (clamped cost - mask cost), which meets
-    the budget with equality.  The mask itself must be affordable.
-    """
-    p_raw = np.asarray(p_raw, dtype=float)
-    m = np.asarray(p_min_mask, dtype=float)
-    c = np.asarray(w_norms_sq, dtype=float)
-    p_m = float(np.sum(c * m * m))
-    if p_m > p_tot * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"mask cost {p_m} exceeds budget {p_tot}; mask unaffordable")
-    p_hat = np.maximum(p_raw, m)
-    p_0 = float(np.sum(c * p_hat * p_hat))
-    if p_0 <= p_tot:
-        return p_hat
-    return _scale_to_budget(p_hat, m, p_tot, p_0, p_m)[0]
-
-
-def _scale_to_budget(p_hat, mask, budget: float, p_0, p_m: float):
+def _scale_to_budget(p_hat, mask, budget, p_0, p_m: float):
     """The projector's scaling step: squared coefficients interpolated from ``mask`` (cost ``p_m``)
     to ``p_hat`` (cost ``p_0``) by alpha = (budget - p_m) / (p_0 - p_m) in [0, 1]; returns (point, alpha).
 
-    A 2-D ``p_hat`` is scaled row by row, with one cost in ``p_0`` per row and
-    one alpha per row.
+    A stack of rows is scaled row by row, with one ``budget`` and ``p_0`` entry
+    and one alpha (a column) per row; a NaN ratio gives alpha 0.
     """
     ratio = (budget - p_m) / (p_0 - p_m)
-    if isinstance(ratio, float):
-        alpha = min(1.0, max(0.0, ratio))
-    else:  # one alpha per row, as a column; a NaN ratio gives 0, as max(0.0, nan) does
-        alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[:, None]
+    alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[..., None]
     return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
 
@@ -304,7 +282,7 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
     # a trial far outside the feasible set can overflow the projector's spend: it projects to NaN (no gain) or the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for start in _numeric_starts(problem):
-            p = problem.assemble(project_capped(start, problem.floor, problem.c_free, problem.budget))
+            p = problem.project(start)
             val = problem.objective(p)
             step = 1.0
             for _ in range(_MAX_ITERS):
@@ -315,8 +293,7 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
                     break
                 t = step / gnorm
                 for _ in range(50):
-                    cand = problem.assemble(project_capped(p[problem.free] + t * grad, problem.floor,
-                                                           problem.c_free, problem.budget))
+                    cand = problem.project(p[problem.free] + t * grad)
                     cand_val = problem.objective(cand)
                     if cand_val > val:
                         break

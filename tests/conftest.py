@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hapalloc.beamforming import RateModel
 from hapalloc.channel import ArrayGeometry, Scenario, UserLink, mean_channel_power
 from hapalloc.config import PlatformGeometry, PowerLedger, comm_power
+from hapalloc.q3e import PowerProblem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -54,6 +56,14 @@ def reference_ledger(p_hap: float = 9000.0) -> PowerLedger:
         p_hap=p_hap, p_payload=100.0, p_standby=100.0,
         p_rfc=0.338, p_lo=0.005, p_bb=0.2, xi=2.0, n_t=144,
     )
+
+
+def projector_problem(c, mask, budget: float) -> PowerProblem:
+    """A full-QoS problem whose users are all free, with beam costs ``c``, floors ``mask`` and ``budget``:
+    a face on which to test ``PowerProblem.project``."""
+    k = len(c)
+    return PowerProblem(RateModel(1e7, 2.2e-11, np.ones(k)), np.asarray(c, dtype=float),
+                        np.asarray(mask, dtype=float), budget, reference_ledger(), tuple(range(k)), True)
 
 
 def total_comm_power(p, w_norms_sq, ledger: PowerLedger) -> float:

@@ -18,6 +18,7 @@ import neuro_oracle as oracle
 from channel_oracle import ergodic_rate_mc, sample_rician
 from conftest import (
     golden_section_max,
+    projector_problem,
     random_scenario,
     reference_ledger,
     sweep_scenario,
@@ -42,7 +43,6 @@ from hapalloc.propulsion import (
 )
 from hapalloc.q3e import (
     feasibility_partition,
-    project_capped,
     q3e,
     scenario_beamformer,
     stage2_problem,
@@ -239,13 +239,14 @@ def test_criterion_07_projector_contract():
         mask = np.where(rng.random(k) < 0.5, rng.uniform(0.0, 0.8, k), 0.0)
         budget = float(np.sum(c * mask**2) * (1.0 + rng.uniform(0.05, 2.0)) + 1e-9)
         raw = rng.uniform(-0.5, 3.0, k)
-        out = project_capped(raw, mask, c, budget)
+        face = projector_problem(c, mask, budget)
+        out = face.project(raw)
         spend = float(np.sum(c * out**2))
         assert np.all(out >= mask - 1e-12)
         assert spend <= budget * (1.0 + 1e-12)
         if float(np.sum(c * np.maximum(raw, mask) ** 2)) > budget:
             assert abs(spend - budget) / budget < 1e-9
-        again = project_capped(out, mask, c, budget)
+        again = face.project(out)
         assert np.max(np.abs(again - out)) < 1e-12
     report(7, "1000 random projections feasible, budget-tight on the scaling branch, "
               "and idempotent")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bemt_oracle import default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
+from hapalloc import bemt, propulsion
 from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from hapalloc.config import isa_properties, ledger_from_dict, platform_from_dict, rf_budget
 from hapalloc.propulsion import propulsion_power, reference_coeffs
@@ -102,6 +103,12 @@ class TestBemtVerb:
         t, p, eta = (float(x) for x in out[1].split(","))
         assert eta == pytest.approx(t * 10.0 / p, rel=1e-12)
 
+    def test_output_is_the_repr_of_the_operating_point(self, capsys):
+        assert run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", "10", "--ns", "12") == EXIT_OK
+        spec = bemt.load_spec_dir(CONFIG_DIR / "propeller")
+        op = bemt.propeller_performance(spec, 10.0, 12.0, isa_properties(20000.0))
+        assert capsys.readouterr().out == f"t_p_n,p_p_w,eta_p\n{op.thrust!r},{op.shaft_power!r},{op.eta_p!r}\n"
+
     def test_missing_inputs(self, capsys):
         assert run_cli("bemt", "--v0", "10") == EXIT_CONFIG
 
@@ -160,9 +167,13 @@ class TestSurrogateFitVerb:
         assert float(beta) == pytest.approx(0.45, abs=0.1)
         assert int(n) == 25
 
-    def test_custom_samples(self, tmp_path, capsys, monkeypatch):
-        from hapalloc import propulsion
+    def test_output_is_the_repr_of_the_fit(self, capsys):
+        assert run_cli("surrogate-fit") == EXIT_OK
+        fit = propulsion.fit_inverse_power_surrogate(propulsion.reference_samples())
+        want = f"{fit.c!r},{fit.alpha!r},{fit.beta!r},{fit.rmse!r},{fit.n_samples}"
+        assert capsys.readouterr().out == f"c,alpha,beta,rmse,n_samples\n{want}\n"
 
+    def test_custom_samples(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(propulsion, "REFERENCE_SAMPLES_SEED", 3)
         csv_path = tmp_path / "s.csv"
         rows = "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in propulsion.reference_samples())

@@ -83,9 +83,7 @@ class TestLosses:
     def test_loss_finite_on_the_budget_surface(self):
         _, prob = build_problem(k=2, seed=11)
         lam = 0.5
-        from hapalloc.q3e import project_capped
-
-        p = project_capped(prob.p_min * 100.0, prob.p_min, prob.w_norms_sq, prob.budget)
+        p = prob.project(prob.p_min * 100.0)
         loss = oracle.loss_full_qos(p, prob, lam)
         assert np.isfinite(loss)
 

@@ -25,6 +25,7 @@ REMOVED = {
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
     "bemt": ["axial_induction", "write_spec_dir"],
     "config": ["total_comm_power", "load_platform_config"],
+    "q3e": ["project_capped"],
 }
 
 # dataclass fields that nothing read, or that are derived from the other fields

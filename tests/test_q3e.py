@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import golden_section_max, random_scenario, reference_ledger, sweep_scenario, total_comm_power
+from conftest import (
+    golden_section_max,
+    projector_problem,
+    random_scenario,
+    reference_ledger,
+    sweep_scenario,
+    total_comm_power,
+)
 from q3e_oracle import max_sum_rate_bisection
 from hapalloc import cli, neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
@@ -22,13 +29,13 @@ from hapalloc.q3e import (
     baseline_qos_only,
     check_stage2_range,
     feasibility_partition,
-    project_capped,
     q3e,
     scenario_beamformer,
     solution_to_dict,
     solve_full_qos,
     solve_partial_qos,
     stage2_problem,
+    _scale_to_budget,
 )
 
 LEDGER = reference_ledger()
@@ -224,25 +231,23 @@ class TestPowerProblemRecord:
 
 
 class TestProjectCapped:
+    """``PowerProblem.project``, the capped-simplex projector, on faces with any beam costs and floors."""
+
     def test_feasible_input_unchanged(self):
         p = np.array([0.5, 0.7])
-        out = project_capped(p, np.zeros(2), np.ones(2), 10.0)
+        out = projector_problem(np.ones(2), np.zeros(2), 10.0).project(p)
         assert np.array_equal(out, p)
 
     def test_symmetric_scaling_case(self):
-        out = project_capped([2.0, 2.0], [0.0, 0.0], [1.0, 1.0], 4.0)
+        out = projector_problem([1.0, 1.0], [0.0, 0.0], 4.0).project(np.array([2.0, 2.0]))
         assert np.allclose(out, np.sqrt(2.0))
         assert np.sum(out**2) == pytest.approx(4.0, rel=1e-12)
 
     def test_masked_scaling_case(self):
-        out = project_capped([2.0, 2.0], [1.0, 0.0], [1.0, 1.0], 3.0)
+        out = projector_problem([1.0, 1.0], [1.0, 0.0], 3.0).project(np.array([2.0, 2.0]))
         assert out[0] == pytest.approx(np.sqrt(1.0 + 3.0 * 2.0 / 7.0), rel=1e-12)
         assert out[1] == pytest.approx(np.sqrt(4.0 * 2.0 / 7.0), rel=1e-12)
         assert np.sum(out**2) == pytest.approx(3.0, rel=1e-12)
-
-    def test_unaffordable_mask_rejected(self):
-        with pytest.raises(ValueError):
-            project_capped([1.0], [3.0], [1.0], 4.0)
 
     def test_random_triples_feasibility_equality_idempotence(self):
         rng = np.random.default_rng(4)
@@ -252,14 +257,15 @@ class TestProjectCapped:
             mask = np.where(rng.random(k) < 0.5, rng.uniform(0.0, 0.8, k), 0.0)
             budget = float(np.sum(c * mask**2) * (1.0 + rng.uniform(0.05, 2.0)) + 1e-6)
             raw = rng.uniform(-0.5, 3.0, k)
-            out = project_capped(raw, mask, c, budget)
+            face = projector_problem(c, mask, budget)
+            out = face.project(raw)
             spend = float(np.sum(c * out**2))
             assert np.all(out >= mask - 1e-12)
             assert spend <= budget * (1.0 + 1e-12)
             clamped_spend = float(np.sum(c * np.maximum(raw, mask) ** 2))
             if clamped_spend > budget:
                 assert spend == pytest.approx(budget, rel=1e-9)
-            again = project_capped(out, mask, c, budget)
+            again = face.project(out)
             assert np.allclose(again, out, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -278,13 +284,82 @@ class TestProjectCapped:
     def test_feasibility_equality_and_idempotence_property(self, users, headroom):
         c, mask, raw = (np.array(column) for column in zip(*users))
         budget = float(np.sum(c * mask**2) * (1.0 + headroom) + 1e-6)
-        out = project_capped(raw, mask, c, budget)
+        face = projector_problem(c, mask, budget)
+        out = face.project(raw)
         spend = float(np.sum(c * out**2))
         assert np.all(out >= mask - 1e-12)
         assert spend <= budget * (1.0 + 1e-12)
         if float(np.sum(c * np.maximum(raw, mask) ** 2)) > budget:
             assert spend == pytest.approx(budget, rel=1e-9)
-        assert np.allclose(project_capped(out, mask, c, budget), out, atol=1e-12)
+        assert np.allclose(face.project(out), out, atol=1e-12)
+
+    def test_projects_the_free_users_and_keeps_the_pinned_ones(self):
+        sc = random_scenario(5, seed=3)
+        bf, _, p_min = scenario_problem(sc)
+        prob = stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, False, 0.5), LEDGER)
+        assert prob.pinned
+        out = prob.project(np.full(len(prob.c_free), 1e3))
+        assert np.array_equal(out[~prob.free], prob.p_min[~prob.free])
+        assert float(np.sum(prob.c_free * out[prob.free] ** 2)) == pytest.approx(prob.budget, rel=1e-12)
+
+
+class TestOneFormForAVectorAndAStack:
+    """Stage 2's arithmetic on one vector equals row 0 of a stack whose first row is that vector, byte for byte.
+
+    Every pooled training row reproduces a lone training bit for bit only
+    while this holds.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 32),
+        seed=st.integers(0, 10_000),
+        full=st.booleans(),
+        frac=st.floats(0.02, 0.98),
+        spend=st.one_of(st.just(1.0), st.floats(1e-3, 0.999), st.floats(1e2, 1e6)),  # at, below, far above budget
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_equals_row_zero_of_a_stack(self, k, seed, full, frac, spend, draw_seed):
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        prob = stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, full, frac), LEDGER)
+        c, floor, budget = prob.c_free, prob.floor, prob.budget
+        rng = np.random.default_rng(draw_seed)
+
+        def draw(level):  # free-user coefficients spending ``level`` times the budget
+            direction = rng.uniform(0.05, 1.0, len(c))
+            return direction * np.sqrt(level * budget / float(np.sum(c * direction**2)))
+
+        def same_bytes(vector_result, row):
+            assert np.shape(vector_result) == np.shape(row)
+            assert np.asarray(vector_result).tobytes() == np.asarray(row).tobytes()
+
+        p_free = draw(spend)
+        p = prob.assemble(p_free)
+        ee, grad, rf = prob.ee_and_gradient(p)
+        assert np.ndim(ee) == 0 and np.ndim(rf) == 0
+        p_hat = np.maximum(p_free, floor)
+        p_0 = (c * p_hat * p_hat).sum()
+        scaled = not p_0 <= budget  # the projector scales only a clamped point that overspends
+        if scaled:
+            point, alpha = _scale_to_budget(p_hat, floor, budget, p_0, prob.floor_cost)
+        projected = prob.project(p_free)
+
+        # a one-row stack, and a pool-sized one whose other rows overspend, so that every row scales
+        for rows in ([p_free], [p_free, *(draw(10.0) for _ in range(neuro.POOL_SLOTS - 1))]):
+            n = len(rows)
+            stack_free = np.array(rows)
+            stack = np.array([prob.assemble(row) for row in rows])
+            for vector_result, stack_result in zip((ee, grad, rf), prob.ee_and_gradient(stack)):
+                same_bytes(vector_result, stack_result[0])
+            if scaled:
+                stack_hat = np.maximum(stack_free, floor)
+                stack_0 = (c * stack_hat * stack_hat).sum(axis=-1)
+                point_s, alpha_s = _scale_to_budget(stack_hat, floor, np.full(n, budget), stack_0, prob.floor_cost)
+                same_bytes(point, point_s[0])
+                same_bytes(alpha, alpha_s[0])
+            forward = neuro._project_with_grad(prob, stack, np.ones(n, dtype=bool), np.full(n, budget))[0]
+            same_bytes(projected, prob.assemble(forward[0]))
 
 
 class TestEeAndGradient:
