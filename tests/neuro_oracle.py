@@ -227,7 +227,7 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
         if not (np.isfinite(p_tilde).all() and math.isfinite(val)):
             raise neuro.TrainingError(epoch, cfg.seed)
         log.max_budget_overshoot = max(log.max_budget_overshoot, free_spend - problem.budget)
-        if val > log.best_ee:
+        if val > log.best_ee * (1.0 + neuro.MIN_GAIN):
             log.best_ee, log.best_epoch = val, epoch
             best_params = net.params.copy()
 

@@ -185,6 +185,23 @@ class TestTrain:
         assert net.log.stopped_epoch - net.log.best_epoch <= neuro.PATIENCE
         assert net.log.stopped_epoch <= cfg.max_epochs
 
+    def test_gains_below_min_gain_do_not_extend_training(self, monkeypatch):
+        # on the shipped ablation's full config, the epochs that gain less than
+        # MIN_GAIN relative EE per new best are about a third of the training
+        from conftest import ablation_config
+        from hapalloc.channel import scenario_from_dict
+
+        cfg_doc = ablation_config()
+        sc = scenario_from_dict(cfg_doc["scenario"])
+        prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
+        cfg = neuro.TrainConfig(seed=0, max_epochs=2000, anneal_every=ABLATION_ANNEAL_EVERY)
+        shipped = neuro.train(prob, cfg).log
+        monkeypatch.setattr(neuro, "MIN_GAIN", 0.0)
+        every_gain = neuro.train(prob, cfg).log
+        assert shipped.stopped_epoch <= 0.75 * every_gain.stopped_epoch
+        assert shipped.best_ee == pytest.approx(every_gain.best_ee, rel=1e-9, abs=0.0)
+        assert shipped.stopped_epoch - shipped.best_epoch == neuro.PATIENCE
+
     def test_first_update_is_one_adam_step_on_the_checked_gradient(self, monkeypatch):
         # the gradient that TestGradientCheck verifies is the one training applies
         monkeypatch.setattr(neuro, "PATIENCE", 1)
