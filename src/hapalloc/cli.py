@@ -81,6 +81,14 @@ def _required(cfg: dict, key: str, what: str):
     return cfg[key]
 
 
+def _config_path(cfg: dict, key: str, config_file) -> Path:
+    """The path ``cfg[key]``, relative to the directory of ``config_file`` (the config's own path) unless absolute."""
+    path = cfg[key]
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a path, got {path!r}")
+    return Path(config_file).parent / path
+
+
 def _atmosphere(altitude, name: str = "altitude_m") -> Atmosphere:
     try:
         return isa_properties(altitude)
@@ -88,9 +96,9 @@ def _atmosphere(altitude, name: str = "altitude_m") -> Atmosphere:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _seeds(raw, default=(0,)) -> list[int]:
+def _seeds(raw) -> list[int]:
     if raw is None:
-        return list(default)
+        return [0]
     seeds = [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
     if not seeds:
         raise ConfigError("seeds must list at least one seed")
@@ -130,7 +138,7 @@ def _cmd_propulsion(args) -> int:
 
 def _cmd_bemt(args) -> int:
     cfg = _read_json(args.config, ("spec_dir", "v0_mps", "ns_rps", "altitude_m")) if args.config else {}
-    spec_dir = args.spec or cfg.get("spec_dir")
+    spec_dir = args.spec or (_config_path(cfg, "spec_dir", args.config) if "spec_dir" in cfg else None)
     v0 = args.v0 if args.v0 is not None else cfg.get("v0_mps")
     n_s = args.ns if args.ns is not None else cfg.get("ns_rps")
     altitude = args.altitude if args.altitude is not None else cfg.get("altitude_m", 20000.0)
@@ -155,9 +163,7 @@ def _cmd_bemt(args) -> int:
 def _cmd_surrogate_fit(args) -> int:
     cfg = _read_json(args.config, ("samples_csv",)) if args.config else {}
     if "samples_csv" in cfg:
-        path = cfg["samples_csv"]
-        if not isinstance(path, str):
-            raise ConfigError(f"samples_csv must be a path, got {path!r}")
+        path = _config_path(cfg, "samples_csv", args.config)
         try:
             samples = propulsion.read_samples_csv(path)
         except (OSError, ValueError) as exc:
@@ -185,28 +191,30 @@ def _budget_from_config(cfg: dict) -> tuple[float, object]:
     return _positive("p_tot_w", cfg["p_tot_w"], zero_ok=True), ledger_from_dict(cfg["ledger"])
 
 
-def _scenario_from_config(cfg: dict, base: Path):
+def _scenario_from_config(cfg: dict, config_file):
     if "scenario_path" in cfg:
-        path = cfg["scenario_path"]
-        if not isinstance(path, str):
-            raise ConfigError(f"scenario_path must be a path, got {path!r}")
-        return load_scenario(base / path)
+        if "scenario" in cfg:
+            raise ConfigError("config gives both 'scenario' and 'scenario_path': give one")
+        return load_scenario(_config_path(cfg, "scenario_path", config_file))
     if "scenario" not in cfg:
         raise ConfigError("config needs 'scenario' or 'scenario_path'")
     return scenario_from_dict(cfg["scenario"])
 
 
 def _cmd_solve(args) -> int:
-    keys = (*_SCENARIO_KEYS, "ledger", "p_tot_w", "platform", "altitude_m", "v0_mps", "backend", "seed")
-    cfg = _read_json(args.config, keys)
-    scenario = _scenario_from_config(cfg, Path(args.config).parent)
-    p_tot, ledger = _budget_from_config(cfg)
+    cfg = _read_json(args.config)
     backend = cfg.get("backend", "numeric")
     if backend not in ("numeric", "mlp"):
         raise ConfigError(f"backend must be 'numeric' or 'mlp', got {backend!r}")
+    # the keys the budget source and backend read: any other key would be ignored
+    source = ("platform", "altitude_m", "v0_mps") if "platform" in cfg else ("p_tot_w",)
+    keys = (*_SCENARIO_KEYS, "ledger", "backend", *source, *(("seed",) if backend == "mlp" else ()))
+    reject_unknown_keys(cfg, keys, f"config {args.config} (budget from '{source[0]}', {backend} backend)")
+    scenario = _scenario_from_config(cfg, args.config)
+    p_tot, ledger = _budget_from_config(cfg)
     bf = scenario_beamformer(scenario)
     check_stage2_range(scenario, bf, p_tot, ledger)
-    train_cfg = TrainConfig(seed=_seeds(cfg.get("seed"), default=(0,))[0]) if backend == "mlp" else None
+    train_cfg = TrainConfig(seed=_integer("seed", cfg.get("seed", 0))) if backend == "mlp" else None
     sol = q3e(scenario, bf, p_tot, ledger, cfg=train_cfg, backend=backend)
     doc = solution_to_dict(sol)
     doc["p_tot_w"] = p_tot
@@ -233,7 +241,7 @@ def _cmd_sweep(args) -> int:
     elif kind == "rf_budget":
         keys = ("kind", "grid", *_SCENARIO_KEYS, "ledger", "backends", "seeds")
         reject_unknown_keys(cfg, keys, f"config {args.config}")
-        scenario = _scenario_from_config(cfg, Path(args.config).parent)
+        scenario = _scenario_from_config(cfg, args.config)
         ledger = ledger_from_dict(_required(cfg, "ledger", "rf_budget sweep"))
         backends = cfg.get("backends", list(harness.BUDGET_BACKENDS))
         if not isinstance(backends, list) or not backends:
@@ -255,7 +263,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablation(args) -> int:
     cfg = _read_json(args.config, (*_SCENARIO_KEYS, "ledger", "p_tot_w", "seeds", "max_epochs"))
-    scenario = _scenario_from_config(cfg, Path(args.config).parent)
+    scenario = _scenario_from_config(cfg, args.config)
     ledger = ledger_from_dict(_required(cfg, "ledger", "ablation"))
     p_tot = _positive("p_tot_w", _required(cfg, "p_tot_w", "ablation"), zero_ok=True)
     seeds = cfg.get("seeds", list(range(harness.ABLATION_MIN_SEEDS)))

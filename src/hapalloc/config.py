@@ -189,8 +189,8 @@ def comm_power(rf_spent: float, ledger: PowerLedger) -> float:
 
 
 def as_integer(name: str, value) -> int:
-    """``value`` as an int; a value with a fractional part (12.7) is a ValueError, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a bool, a string or a value with a fractional part (12.7) is a ValueError."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

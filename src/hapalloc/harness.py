@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import propulsion
+from . import neuro, propulsion
 from .beamforming import ZfBeamformer
 from .channel import Scenario
 from .config import Atmosphere, ConfigError, PlatformGeometry, PowerLedger
@@ -133,10 +133,8 @@ def _mlp_solutions(scenario: Scenario, bf: ZfBeamformer, ledger: PowerLedger, gr
     pool, jobs in budget-then-seed order, so a diverging training raises the
     error of the first diverging (budget, seed) in grid order.
     """
-    from .neuro import TrainConfig, train_many  # deferred import keeps baseline paths light
-
     problems = [stage2_problem(scenario, bf, p_tot, ledger) for p_tot in grid]
-    cfgs = [TrainConfig(seed=s) for s in seeds]
+    cfgs = [neuro.TrainConfig(seed=s) for s in seeds]
     sols: list[list] = [[None] * len(cfgs) for _ in problems]
     start = 0
     while start < len(problems):
@@ -144,7 +142,7 @@ def _mlp_solutions(scenario: Scenario, bf: ZfBeamformer, ledger: PowerLedger, gr
         while stop < len(problems) and problems[stop].shares_face(problems[start]):
             stop += 1
         jobs = [(problems[i], cfg) for i in range(start, stop) for cfg in cfgs]
-        for j, net in train_many(jobs):
+        for j, net in neuro.train_many(jobs):
             i, s = divmod(j, len(cfgs))
             sols[start + i][s] = _mlp_solution(problems[start + i], net)
         start = stop
@@ -232,8 +230,6 @@ def run_ablation(
     variant escape toward its true (infeasible) optimum instead of being held
     at the budget by the barrier wall alone.
     """
-    from . import neuro
-
     seeds = _distinct("ablation seeds", (int(s) for s in seeds))
     if len(seeds) < ABLATION_MIN_SEEDS:
         raise ConfigError(f"ablation needs at least {ABLATION_MIN_SEEDS} seeds, got {len(seeds)}")

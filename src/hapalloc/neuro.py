@@ -2,19 +2,20 @@
 
 The network maps the instance's sufficient statistics (normalized channel
 powers, QoS spectral efficiencies, beam costs, and the budget scale) to raw
-power coefficients.  Every forward pass is pushed through the capped-simplex
-projector before the loss is evaluated, so all iterates are feasible; the
-loss is the negative EE objective plus log-barrier terms on the constraint
-slacks.  Optimization is Adam with early stopping on the true (barrier-free)
-EE of the projected output, and the best checkpoint is returned.  An epoch
-counts as a new best only if it beats the best EE by more than ``MIN_GAIN``
-(1e-10) relative: on the shipped ablation that stops the trainings about a
-third sooner, and moves their EE by at most about 5e-11 relative.
+power coefficients.  Every forward pass is pushed through the projector
+(clamp to the floors, then scale radially in p^2 onto the budget) before the
+loss is evaluated, so all iterates are feasible; the loss is the negative EE
+objective plus log-barrier terms on the constraint slacks.  Optimization is
+Adam with early stopping on the true (barrier-free) EE of the projected
+output, and the best checkpoint is returned.  An epoch counts as a new best
+only if it beats the best EE by more than ``MIN_GAIN`` (1e-10) relative: on
+the shipped ablation that stops the trainings about a third sooner, and moves
+their EE by at most about 5e-11 relative.
 
-The EE, its gradient and the projector's budget scaling are ``q3e``'s
-(``PowerProblem.ee_and_gradient``, ``q3e._scale_to_budget``; one form for a
-vector or a stack); this module adds the barrier terms, the projector's
-Jacobian-vector product and the backward pass through the network.
+The EE, its gradient and the projector's budget scaling are ``PowerProblem``'s
+(``ee_and_gradient``, ``scale_to_budget``; one form for a vector or a stack);
+this module adds the barrier terms, the projector's Jacobian-vector product
+and the backward pass through the network.
 Gradients flow through the projector's smooth scaling branch; the clamp
 max(p, m) passes no gradient on the clamped side (subgradient convention).
 
@@ -33,12 +34,14 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .beamforming import surrogate_rates
 from .config import ConfigError
-from .q3e import PowerProblem, _scale_to_budget
+
+if TYPE_CHECKING: from .q3e import PowerProblem  # noqa: E701  (annotations only: q3e imports this module)
 
 HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
 PATIENCE = 50  # epochs without a new best EE before training stops
@@ -264,8 +267,8 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.
     """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
     weights and budgets.
 
-    ``problem`` is any problem of the pool's face: each row's budget is read
-    from ``budget``, never from ``problem.budget``.
+    ``problem`` is any problem of the pool's face: each row's budget is
+    ``budget``'s entry, never ``problem.budget``.
 
     A row's loss is its negative EE minus its ``lam`` times the log-barrier
     terms, each log argument floored at ``eps``: under full QoS one per user
@@ -327,7 +330,7 @@ def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.n
         return p, lambda d_p: d_p * clamped
 
     p_hat, p_0 = p[rows], p_0[rows]
-    p_s, alpha = _scale_to_budget(p_hat, mask, budget[rows], p_0, p_m)
+    p_s, alpha = problem.scale_to_budget(p_hat, budget[rows], p_0)
     p = p.copy()
     p[rows] = p_s
     p_0 = p_0[:, None]
@@ -367,8 +370,8 @@ def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.
     ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
     2-D buffer); ``features``, ``lam``, ``budget`` and ``scaling`` hold each
     slot's feature vector, barrier weight, budget and projector flag.
-    ``problem`` is any problem of the pool's face: each slot's budget is read
-    from ``budget``, never from ``problem.budget``.
+    ``problem`` is any problem of the pool's face: each slot's budget is
+    ``budget``'s entry, never ``problem.budget``.
     Forward pass, projection, one evaluation of EE and d(loss)/dp at the
     projected point, then backprop into the stacked gradient views
     ``grads_w`` and ``grads_b``.  Returns, per slot, the raw output, the

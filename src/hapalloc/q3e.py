@@ -14,7 +14,7 @@ turns any coefficient vector into a ``Q3eSolution``.  The stage-2 arithmetic
 of both backends is written here once, on ``beamforming``'s rates and their
 derivatives, in one form for a coefficient vector or a stack of them: the
 free-user EE (``PowerProblem.objective``), its gradient (``ee_and_gradient``)
-and the projector (``project``) with its budget scaling (``_scale_to_budget``).
+and the projector (``project``) with its budget scaling (``scale_to_budget``).
 The numeric backend is projected gradient ascent on that EE; the neural
 backend (``neuro``) trains through the same EE gradient and scaling step and
 adds only its barrier terms and the projector's Jacobian.
@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import neuro
 from .beamforming import (
     RateModel,
     ZfBeamformer,
@@ -164,13 +165,25 @@ class PowerProblem:
         grad[..., ~self.free] = 0.0
         return ee[()], grad, rf
 
+    def scale_to_budget(self, p_hat: np.ndarray, budget, p_0):
+        """The projector's scaling step: squared coefficients interpolated from ``floor`` (cost ``floor_cost``)
+        to ``p_hat`` (cost ``p_0``) by alpha = (budget - floor_cost) / (p_0 - floor_cost) in [0, 1].
+
+        Returns (point, alpha).  A stack of rows is scaled row by row, with one ``budget`` (a pool row's own,
+        not ``self.budget``) and ``p_0`` entry and one alpha (a column) per row; a NaN ratio gives alpha 0.
+        """
+        mask, p_m = self.floor, self.floor_cost
+        ratio = (budget - p_m) / (p_0 - p_m)
+        alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[..., None]
+        return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
+
     def project(self, p_free: np.ndarray) -> np.ndarray:
         """All users' coefficients, the free users' ``p_free`` projected onto {p >= floor, spend <= budget}:
-        clamped to ``floor``, then scaled onto the budget (``_scale_to_budget``) unless the clamped spend fits."""
+        clamped to ``floor``, then scaled onto the budget (``scale_to_budget``) unless the clamped spend fits."""
         p_hat = np.maximum(p_free, self.floor)
         p_0 = (self.c_free * p_hat * p_hat).sum()
         if not p_0 <= self.budget:
-            p_hat = _scale_to_budget(p_hat, self.floor, self.budget, p_0, self.floor_cost)[0]
+            p_hat = self.scale_to_budget(p_hat, self.budget, p_0)[0]
         return self.assemble(p_hat)
 
 
@@ -256,18 +269,6 @@ def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: floa
     if not all(np.isfinite(t).all() for t in terms):
         raise ConfigError(f"RF budget {p_tot!r} W is out of range: a rate, the water level or the communication "
                           "power it allows overflows (check the budget, bandwidth, noise, channel and ledger values)")
-
-
-def _scale_to_budget(p_hat, mask, budget, p_0, p_m: float):
-    """The projector's scaling step: squared coefficients interpolated from ``mask`` (cost ``p_m``)
-    to ``p_hat`` (cost ``p_0``) by alpha = (budget - p_m) / (p_0 - p_m) in [0, 1]; returns (point, alpha).
-
-    A stack of rows is scaled row by row, with one ``budget`` and ``p_0`` entry
-    and one alpha (a column) per row; a NaN ratio gives alpha 0.
-    """
-    ratio = (budget - p_m) / (p_0 - p_m)
-    alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[..., None]
-    return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
 
 def _ascend(problem: PowerProblem) -> Q3eSolution:
@@ -408,8 +409,6 @@ def q3e(
     ``neuro``; ``cfg`` is a ``neuro.TrainConfig``, or None for its defaults).
     """
     if backend == "mlp":
-        from . import neuro  # deferred: neuro depends on this module
-
         cfg = neuro.TrainConfig() if cfg is None else cfg
         if not isinstance(cfg, neuro.TrainConfig):
             raise TypeError(f"mlp backend cfg must be a neuro.TrainConfig, not {type(cfg).__name__}")
@@ -426,8 +425,6 @@ def q3e(
 
 def _mlp_solution(problem: PowerProblem, net) -> Q3eSolution:
     """The mlp backend's solution from ``net``, a ``neuro.MlpNetwork`` trained on ``problem``."""
-    from . import neuro
-
     p = neuro.trained_coefficients(net, problem)
     diag = {
         "backend": "mlp",

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from hapalloc import neuro
-from hapalloc.q3e import PowerProblem, _scale_to_budget
+from hapalloc.q3e import PowerProblem
 
 EPS = neuro.BARRIER_EPS
 
@@ -177,7 +177,7 @@ def _project_with_grad_alone(problem: PowerProblem, p_tilde: np.ndarray, scaling
         return p_hat, lambda d_p: d_p * clamped
 
     p_m = float((c * mask * mask).sum())
-    p, (alpha,) = _scale_to_budget(p_hat, mask, budget, p_0, p_m)
+    p, (alpha,) = problem.scale_to_budget(p_hat, budget, p_0)
 
     def backward(d_p):
         safe_p = np.where(p > 0.0, p, 1.0)

@@ -141,7 +141,7 @@ class TestBemtVerb:
     def test_spec_dir_not_a_path_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "b.json", {"spec_dir": 5, "v0_mps": 10, "ns_rps": 12})
         assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
-        assert "cannot load propeller spec 5" in one_line_config_error(capsys)
+        assert "spec_dir must be a path, got 5" in one_line_config_error(capsys)
         # a spec directory whose radii do not increase cannot be loaded either
         spec_dir = tmp_path / "prop"
         shutil.copytree(CONFIG_DIR / "propeller", spec_dir)
@@ -502,11 +502,81 @@ class TestStudyConfigErrors:
         assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
         assert f"{message} appears more than once" in one_line_config_error(capsys)
 
-    @pytest.mark.parametrize("seeds", [["x"], [float("inf")]])
+    @pytest.mark.parametrize("seeds", [["x"], [float("inf")], [True], ["3"]])
     def test_non_integer_seed(self, seeds, tmp_path, capsys):
         cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": seeds * 10})
         assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
         assert "seeds must be an integer" in one_line_config_error(capsys)
+
+
+def chain_solve_config(**overrides) -> dict:
+    return {**shipped("solve.json"), "scenario_path": str(CONFIG_DIR / "scenario_sweep.json"), **overrides}
+
+
+class TestSolveReadsOnlyItsInputs:
+    """A solve key that its budget source or backend would ignore exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (chain_solve_config(p_tot_w=1.0), "(budget from 'platform', numeric backend): unknown key(s) 'p_tot_w'"),
+        (explicit_budget_solve_config(p_tot_w=100, altitude_m=99999, v0_mps=99),
+         "(budget from 'p_tot_w', numeric backend): unknown key(s) 'altitude_m', 'v0_mps'"),
+        (explicit_budget_solve_config(v0_mps=99), "unknown key(s) 'v0_mps'"),
+        (explicit_budget_solve_config(backend="numeric", seed=5),
+         "(budget from 'p_tot_w', numeric backend): unknown key(s) 'seed'"),
+        (chain_solve_config(seed=0), "unknown key(s) 'seed'"),
+    ])
+    def test_unread_key_is_named(self, doc, message, tmp_path, capsys):
+        assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
+        assert message in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("seed", [[3, 4], 2.5, True, "3"])
+    def test_seed_is_one_integer(self, seed, tmp_path, capsys):
+        # a list trained its first seed, and true trained seed 1
+        doc = explicit_budget_solve_config(backend="mlp", seed=seed)
+        assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
+        assert f"seed must be an integer, got {seed!r}" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
+    def test_scenario_and_scenario_path_together(self, verb, tmp_path, capsys):
+        doc = {
+            "solve": explicit_budget_solve_config(),
+            "sweep": budget_sweep_config(),
+            "ablation": shipped("ablation.json"),
+        }[verb]
+        doc = {**doc, "scenario": shipped("scenario_sweep.json"),
+               "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")}
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert "both 'scenario' and 'scenario_path'" in one_line_config_error(capsys)
+
+
+class TestConfigRelativePaths:
+    """A relative ``scenario_path``, ``samples_csv`` or ``spec_dir`` names a file beside the config, whatever
+    the working directory; the output equals that of the same config with the absolute path."""
+
+    @staticmethod
+    def beside(key: str, config_dir: Path) -> tuple[list[str], dict]:
+        """The verb's arguments before ``--config``, and its config with ``key`` naming a copy in ``config_dir``."""
+        if key == "spec_dir":
+            shutil.copytree(CONFIG_DIR / "propeller", config_dir / "prop")
+            return ["bemt"], {"spec_dir": "prop", "v0_mps": 10.0, "ns_rps": 12.0}
+        if key == "samples_csv":
+            samples_config(config_dir)  # writes samples.csv there
+            return ["surrogate-fit"], {"samples_csv": "samples.csv"}
+        shutil.copy(CONFIG_DIR / "scenario_sweep.json", config_dir / "users.json")
+        return ["solve"], explicit_budget_solve_config(scenario_path="users.json")
+
+    @pytest.mark.parametrize("key", ["scenario_path", "samples_csv", "spec_dir"])
+    def test_resolves_against_the_config_directory(self, key, tmp_path, monkeypatch):
+        config_dir, elsewhere = tmp_path / "configs", tmp_path / "work"
+        config_dir.mkdir()
+        elsewhere.mkdir()
+        verb, doc = self.beside(key, config_dir)
+        monkeypatch.chdir(elsewhere)
+        relative = write_json(config_dir / "relative.json", doc)
+        absolute = write_json(tmp_path / "absolute.json", {**doc, key: str(config_dir / doc[key])})
+        assert run_cli(*verb, "--config", relative, "--out", tmp_path / "relative.out") == EXIT_OK
+        assert run_cli(*verb, "--config", absolute, "--out", tmp_path / "absolute.out") == EXIT_OK
+        assert (tmp_path / "relative.out").read_bytes() == (tmp_path / "absolute.out").read_bytes()
 
 
 class TestValueConfigErrors:
@@ -567,7 +637,7 @@ class TestValueConfigErrors:
         assert "at least one seed" in one_line_config_error(capsys)
         solve = write_json(tmp_path / "s.json", explicit_budget_solve_config(backend="mlp", seed=[]))
         assert run_cli("solve", "--config", solve) == EXIT_CONFIG
-        assert "at least one seed" in one_line_config_error(capsys)
+        assert "seed must be an integer, got []" in one_line_config_error(capsys)
 
     @pytest.mark.parametrize("backends", ["qos-only", [], {"qos-only": 1}])
     def test_backends_not_a_list_of_names(self, backends, tmp_path, capsys):
@@ -614,6 +684,7 @@ class TestValueConfigErrors:
         (1e308, 1, "exceeds 4096"),
         (65, 64, "array of 65 x 64 elements exceeds 4096"),
         (12.7, 12, "nx must be an integer, got 12.7"),
+        (True, 12, "nx must be an integer, got True"),
     ])
     def test_array_element_counts(self, nx, ny, message, tmp_path, capsys):
         doc = {**shipped("ablation.json"), "max_epochs": 51}
@@ -623,9 +694,10 @@ class TestValueConfigErrors:
 
     def test_fractional_counts_are_not_truncated(self, tmp_path, capsys):
         doc = shipped("platform.json")
-        doc["ledger"]["n_t"] = 144.5
-        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
-        assert "n_t must be an integer, got 144.5" in one_line_config_error(capsys)
+        for n_t in (144.5, True):  # true counted 1 antenna
+            doc["ledger"]["n_t"] = n_t
+            assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+            assert f"n_t must be an integer, got {n_t!r}" in one_line_config_error(capsys)
         spec = tmp_path / "prop"
         write_spec_dir(spec, default_test_propeller())
         write_json(spec / "propeller.json", {"n_blades": 2.5})

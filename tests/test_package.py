@@ -25,7 +25,7 @@ REMOVED = {
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
     "bemt": ["axial_induction", "write_spec_dir"],
     "config": ["total_comm_power", "load_platform_config"],
-    "q3e": ["project_capped"],
+    "q3e": ["project_capped", "_scale_to_budget"],
 }
 
 # dataclass fields that nothing read, or that are derived from the other fields
@@ -51,6 +51,65 @@ def imported_modules(path: Path):
         elif isinstance(node, ast.ImportFrom):
             yield node.module or ""
             yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def _is_type_checking_block(node) -> bool:
+    """Whether ``node`` is ``if TYPE_CHECKING:`` or ``if typing.TYPE_CHECKING:``."""
+    test = node.test if isinstance(node, ast.If) else None
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def run_time_imports(path: Path):
+    """Every ``import`` node of the file outside ``if TYPE_CHECKING:`` blocks."""
+    pending = [ast.parse(path.read_text(), filename=str(path))]
+    while pending:
+        node = pending.pop()
+        if _is_type_checking_block(node):
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports at run time, by relative or absolute name."""
+    found = set()
+    for node in run_time_imports(PACKAGE_DIR / f"{module}.py"):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x, from .x import y
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        else:  # import hapalloc.x, from hapalloc import x, from hapalloc.x import y
+            parent = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            names = [parent + alias.name for alias in node.names]
+            names = [n.removeprefix("hapalloc.") for n in names if n.startswith("hapalloc.")]
+        found.update(n.split(".")[0] for n in names)
+    return found & set(MODULES)
+
+
+def test_run_time_import_graph_is_acyclic():
+    # stage 2 runs one way: q3e and harness import neuro, and neuro reads q3e in annotations only
+    graph = {module: package_imports(module) for module in MODULES}
+    assert "neuro" in graph["q3e"] and "q3e" not in graph["neuro"]
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, " -> ".join([*path, module])
+        if module not in done:
+            for target in sorted(graph[module]):
+                visit(target, [*path, module])
+            done.add(module)
+
+    for module in MODULES:
+        visit(module, [])
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_body_imports(module):
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [n.lineno for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not inner, (module, fn.name, inner)
 
 
 def test_every_exported_name_resolves():

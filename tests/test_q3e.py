@@ -35,7 +35,6 @@ from hapalloc.q3e import (
     solve_full_qos,
     solve_partial_qos,
     stage2_problem,
-    _scale_to_budget,
 )
 
 LEDGER = reference_ledger()
@@ -231,7 +230,8 @@ class TestPowerProblemRecord:
 
 
 class TestProjectCapped:
-    """``PowerProblem.project``, the capped-simplex projector, on faces with any beam costs and floors."""
+    """``PowerProblem.project`` (clamp to the floors, then scale radially in p^2 onto the budget), on faces with
+    any beam costs and floors."""
 
     def test_feasible_input_unchanged(self):
         p = np.array([0.5, 0.7])
@@ -342,7 +342,7 @@ class TestOneFormForAVectorAndAStack:
         p_0 = (c * p_hat * p_hat).sum()
         scaled = not p_0 <= budget  # the projector scales only a clamped point that overspends
         if scaled:
-            point, alpha = _scale_to_budget(p_hat, floor, budget, p_0, prob.floor_cost)
+            point, alpha = prob.scale_to_budget(p_hat, budget, p_0)
         projected = prob.project(p_free)
 
         # a one-row stack, and a pool-sized one whose other rows overspend, so that every row scales
@@ -355,7 +355,7 @@ class TestOneFormForAVectorAndAStack:
             if scaled:
                 stack_hat = np.maximum(stack_free, floor)
                 stack_0 = (c * stack_hat * stack_hat).sum(axis=-1)
-                point_s, alpha_s = _scale_to_budget(stack_hat, floor, np.full(n, budget), stack_0, prob.floor_cost)
+                point_s, alpha_s = prob.scale_to_budget(stack_hat, np.full(n, budget), stack_0)
                 same_bytes(point, point_s[0])
                 same_bytes(alpha, alpha_s[0])
             forward = neuro._project_with_grad(prob, stack, np.ones(n, dtype=bool), np.full(n, budget))[0]
