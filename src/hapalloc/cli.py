@@ -1,10 +1,11 @@
 """Command-line entry points for the propulsion model and the allocation solvers.
 
-Verbs: propulsion, bemt, surrogate-fit, solve, sweep, ablation.  Each takes
---config <json> plus verb-specific flags and an optional --out path; seeds
-come from the config only.  Exit codes: 0 success, 2 config error, 3
-power-budget infeasibility.  ``main`` alone maps library errors to them, with
-one stderr line.  Exit 2 takes ``ConfigError``, ``ConditioningError`` (users
+Verbs: propulsion, bemt, surrogate-fit, solve, sweep, ablation.  ``bemt`` and
+``surrogate-fit`` take flags only; the others take --config <json>, and
+``propulsion`` also --v0.  Each takes an optional --out path; seeds come from
+the config only.  Exit codes: 0 success, 2 config error, 3 power-budget
+infeasibility.  ``main`` alone maps library errors to them, with one stderr
+line.  Exit 2 takes ``ConfigError``, ``ConditioningError`` (users
 too close, or more users than array elements), ``SurrogateRangeError``,
 ``SurrogateFitError`` and ``TrainingError`` (a diverged training).
 """
@@ -81,14 +82,6 @@ def _required(cfg: dict, key: str, what: str):
     return cfg[key]
 
 
-def _config_path(cfg: dict, key: str, config_file) -> Path:
-    """The path ``cfg[key]``, relative to the directory of ``config_file`` (the config's own path) unless absolute."""
-    path = cfg[key]
-    if not isinstance(path, str):
-        raise ConfigError(f"{key} must be a path, got {path!r}")
-    return Path(config_file).parent / path
-
-
 def _atmosphere(altitude, name: str = "altitude_m") -> Atmosphere:
     try:
         return isa_properties(altitude)
@@ -96,13 +89,12 @@ def _atmosphere(altitude, name: str = "altitude_m") -> Atmosphere:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _seeds(raw) -> list[int]:
-    if raw is None:
-        return [0]
-    seeds = [_integer("seed", s) for s in (raw if isinstance(raw, list) else [raw])]
-    if not seeds:
-        raise ConfigError("seeds must list at least one seed")
-    return seeds
+def _seeds(cfg: dict, default: list[int]) -> list[int]:
+    """The config's ``seeds``, a non-empty list of integers, or ``default`` without the key."""
+    seeds = cfg.get("seeds", default)
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"'seeds' must be a list of at least one seed, got {seeds!r}")
+    return [_integer("seeds", s) for s in seeds]
 
 
 def _increasing_grid(grid, zero_ok: bool = False) -> list[float]:
@@ -125,9 +117,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_propulsion(args) -> int:
-    cfg = _read_json(args.config, ("platform", "ledger", "altitude_m"))
+    cfg = _read_json(args.config, ("platform", "altitude_m"))
     geom = platform_from_dict(_required(cfg, "platform", "propulsion"))
-    ledger_from_dict(_required(cfg, "ledger", "propulsion"))  # checked, though no budget is reported
     atm = _atmosphere(cfg.get("altitude_m", 20000.0))
     if args.v0 is None:
         raise ConfigError("propulsion needs --v0 (m/s)")
@@ -137,20 +128,14 @@ def _cmd_propulsion(args) -> int:
 
 
 def _cmd_bemt(args) -> int:
-    cfg = _read_json(args.config, ("spec_dir", "v0_mps", "ns_rps", "altitude_m")) if args.config else {}
-    spec_dir = args.spec or (_config_path(cfg, "spec_dir", args.config) if "spec_dir" in cfg else None)
-    v0 = args.v0 if args.v0 is not None else cfg.get("v0_mps")
-    n_s = args.ns if args.ns is not None else cfg.get("ns_rps")
-    altitude = args.altitude if args.altitude is not None else cfg.get("altitude_m", 20000.0)
-    if spec_dir is None or v0 is None or n_s is None:
-        raise ConfigError("bemt needs --spec <dir>, --v0 (m/s), and --ns (rev/s), "
-                          "via flags or the JSON config")
+    if args.spec is None or args.v0 is None or args.ns is None:
+        raise ConfigError("bemt needs --spec <dir>, --v0 (m/s) and --ns (rev/s)")
     try:
-        spec = bemt_mod.load_spec_dir(spec_dir)
+        spec = bemt_mod.load_spec_dir(args.spec)
     except (OSError, TypeError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load propeller spec {spec_dir}: {exc}") from exc
-    v0, n_s = _positive("--v0/v0_mps", v0), _positive("--ns/ns_rps", n_s)
-    atm = _atmosphere(altitude, "--altitude/altitude_m")
+        raise ConfigError(f"cannot load propeller spec {args.spec}: {exc}") from exc
+    v0, n_s = _positive("--v0", args.v0), _positive("--ns", args.ns)
+    atm = _atmosphere(args.altitude, "--altitude")
     try:
         op = bemt_mod.propeller_performance(spec, v0, n_s, atm)
     except bemt_mod.SectionError as exc:
@@ -161,15 +146,13 @@ def _cmd_bemt(args) -> int:
 
 
 def _cmd_surrogate_fit(args) -> int:
-    cfg = _read_json(args.config, ("samples_csv",)) if args.config else {}
-    if "samples_csv" in cfg:
-        path = _config_path(cfg, "samples_csv", args.config)
-        try:
-            samples = propulsion.read_samples_csv(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read samples {path}: {exc}") from exc
-    else:
+    if args.samples is None:
         samples = propulsion.reference_samples()
+    else:
+        try:
+            samples = propulsion.read_samples_csv(args.samples)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read samples {args.samples}: {exc}") from exc
     coeffs = propulsion.fit_inverse_power_surrogate(samples)
     table = harness.ReportTable(("c", "alpha", "beta", "rmse", "n_samples"),
                                 [[coeffs.c, coeffs.alpha, coeffs.beta, coeffs.rmse, coeffs.n_samples]])
@@ -177,28 +160,40 @@ def _cmd_surrogate_fit(args) -> int:
     return EXIT_OK
 
 
-def _budget_from_config(cfg: dict) -> tuple[float, object]:
-    """(RF budget, ledger) from an explicit value or the propulsion chain."""
+def _budget_from_config(cfg: dict, ledger) -> float:
+    """The RF budget: ``p_tot_w``, or what the propulsion chain leaves of the ledger."""
     if "platform" in cfg:
         geom = platform_from_dict(cfg["platform"])
-        ledger = ledger_from_dict(_required(cfg, "ledger", "solve"))
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
         v0 = _positive("v0_mps", cfg.get("v0_mps", 10.0))
-        p_prop = propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs())
-        return rf_budget(ledger, p_prop), ledger
-    if "ledger" not in cfg or "p_tot_w" not in cfg:
-        raise ConfigError("solve config needs 'p_tot_w' and 'ledger', or a 'platform' block")
-    return _positive("p_tot_w", cfg["p_tot_w"], zero_ok=True), ledger_from_dict(cfg["ledger"])
+        return rf_budget(ledger, propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs()))
+    if "p_tot_w" not in cfg:
+        raise ConfigError("solve config needs 'p_tot_w' or a 'platform' block")
+    return _positive("p_tot_w", cfg["p_tot_w"], zero_ok=True)
 
 
-def _scenario_from_config(cfg: dict, config_file):
+def _scenario_and_ledger(cfg: dict, config_file, what: str):
+    """The config's scenario and ledger, whose RF chain count ``n_t`` must be the array's element count.
+
+    A ``scenario_path`` is relative to the directory of ``config_file`` (the config's own path) unless absolute.
+    """
     if "scenario_path" in cfg:
         if "scenario" in cfg:
             raise ConfigError("config gives both 'scenario' and 'scenario_path': give one")
-        return load_scenario(_config_path(cfg, "scenario_path", config_file))
-    if "scenario" not in cfg:
+        path = cfg["scenario_path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"scenario_path must be a path, got {path!r}")
+        scenario = load_scenario(Path(config_file).parent / path)
+    elif "scenario" in cfg:
+        scenario = scenario_from_dict(cfg["scenario"])
+    else:
         raise ConfigError("config needs 'scenario' or 'scenario_path'")
-    return scenario_from_dict(cfg["scenario"])
+    ledger = ledger_from_dict(_required(cfg, "ledger", what))
+    array = scenario.array
+    if ledger.n_t != array.n_t:
+        raise ConfigError(f"ledger n_t is {ledger.n_t} RF chains, but the array has "
+                          f"{array.n_x} x {array.n_y} = {array.n_t} elements")
+    return scenario, ledger
 
 
 def _cmd_solve(args) -> int:
@@ -210,8 +205,8 @@ def _cmd_solve(args) -> int:
     source = ("platform", "altitude_m", "v0_mps") if "platform" in cfg else ("p_tot_w",)
     keys = (*_SCENARIO_KEYS, "ledger", "backend", *source, *(("seed",) if backend == "mlp" else ()))
     reject_unknown_keys(cfg, keys, f"config {args.config} (budget from '{source[0]}', {backend} backend)")
-    scenario = _scenario_from_config(cfg, args.config)
-    p_tot, ledger = _budget_from_config(cfg)
+    scenario, ledger = _scenario_and_ledger(cfg, args.config, "solve")
+    p_tot = _budget_from_config(cfg, ledger)
     bf = scenario_beamformer(scenario)
     check_stage2_range(scenario, bf, p_tot, ledger)
     train_cfg = TrainConfig(seed=_integer("seed", cfg.get("seed", 0))) if backend == "mlp" else None
@@ -229,29 +224,20 @@ def _cmd_sweep(args) -> int:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep config needs a non-empty 'grid' list")
     if kind == "airspeed":
-        keys = ("kind", "grid", "platform", "altitude_m", "legacy_eta_p")
-        reject_unknown_keys(cfg, keys, f"config {args.config}")
+        reject_unknown_keys(cfg, ("kind", "grid", "platform", "altitude_m"), f"config {args.config}")
         geom = platform_from_dict(_required(cfg, "platform", "airspeed sweep"))
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
-        grid = _increasing_grid(grid)
-        legacy_eta_p = _positive("legacy_eta_p", cfg.get("legacy_eta_p", 0.73))
-        if legacy_eta_p > 1.0:
-            raise ConfigError(f"legacy_eta_p must be in (0, 1], got {legacy_eta_p!r}")
-        table = harness.run_airspeed_sweep(geom, atm, grid, legacy_eta_p=legacy_eta_p)
+        table = harness.run_airspeed_sweep(geom, atm, _increasing_grid(grid))
     elif kind == "rf_budget":
         keys = ("kind", "grid", *_SCENARIO_KEYS, "ledger", "backends", "seeds")
         reject_unknown_keys(cfg, keys, f"config {args.config}")
-        scenario = _scenario_from_config(cfg, args.config)
-        ledger = ledger_from_dict(_required(cfg, "ledger", "rf_budget sweep"))
+        scenario, ledger = _scenario_and_ledger(cfg, args.config, "rf_budget sweep")
         backends = cfg.get("backends", list(harness.BUDGET_BACKENDS))
         if not isinstance(backends, list) or not backends:
             raise ConfigError(f"'backends' must be a non-empty list, got {backends!r}")
-        unknown = [b for b in backends if b not in harness.BUDGET_BACKENDS]
-        if unknown:
-            raise ConfigError(f"unknown backend(s) {', '.join(map(repr, unknown))}")
         table = harness.run_budget_sweep(
             scenario, ledger, _increasing_grid(grid, zero_ok=True), backends=tuple(backends),
-            seeds=_seeds(cfg.get("seeds")),
+            seeds=_seeds(cfg, [0]),
         )
     else:
         raise ConfigError("sweep 'kind' must be 'airspeed' or 'rf_budget'")
@@ -263,13 +249,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablation(args) -> int:
     cfg = _read_json(args.config, (*_SCENARIO_KEYS, "ledger", "p_tot_w", "seeds", "max_epochs"))
-    scenario = _scenario_from_config(cfg, args.config)
-    ledger = ledger_from_dict(_required(cfg, "ledger", "ablation"))
+    scenario, ledger = _scenario_and_ledger(cfg, args.config, "ablation")
     p_tot = _positive("p_tot_w", _required(cfg, "p_tot_w", "ablation"), zero_ok=True)
-    seeds = cfg.get("seeds", list(range(harness.ABLATION_MIN_SEEDS)))
-    if not isinstance(seeds, list):
-        raise ConfigError(f"ablation 'seeds' must be a list, got {seeds!r}")
-    seeds = [_integer("seeds", s) for s in seeds]
+    seeds = _seeds(cfg, list(range(harness.ABLATION_MIN_SEEDS)))
     table = harness.run_ablation(
         scenario, ledger, p_tot, seeds=seeds, max_epochs=_integer("max_epochs", cfg.get("max_epochs", 2000))
     )
@@ -286,21 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propulsion", help="drag, efficiency, and propulsion power at one airspeed")
     p.add_argument("--config", required=True, help="platform JSON config")
-    p.add_argument("--v0", type=float, help="airspeed, m/s")
+    p.add_argument("--v0", help="airspeed, m/s")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_propulsion)
 
     p = sub.add_parser("bemt", help="propeller thrust, shaft power, and efficiency")
     p.add_argument("--spec", help="propeller spec directory")
-    p.add_argument("--v0", type=float, help="airspeed, m/s")
-    p.add_argument("--ns", type=float, help="rotational speed, rev/s")
-    p.add_argument("--altitude", type=float, default=None)
-    p.add_argument("--config", help="JSON with spec_dir, v0_mps, ns_rps, altitude_m")
+    p.add_argument("--v0", help="airspeed, m/s")
+    p.add_argument("--ns", help="rotational speed, rev/s")
+    p.add_argument("--altitude", default=20000.0, help="altitude, m (default 20000)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bemt)
 
     p = sub.add_parser("surrogate-fit", help="fit the inverse-power efficiency surrogate")
-    p.add_argument("--config", help="JSON with optional samples_csv path")
+    p.add_argument("--samples", help="efficiency samples CSV (default: the reference samples)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_surrogate_fit)
 

@@ -38,6 +38,7 @@ ABLATION_HEADERS = ["variant", "feasibility_pct", "mean_overshoot_w", "mean_ee_b
 BUDGET_BACKENDS = ("q3e-numeric", "q3e-mlp", "max-sum-rate", "qos-only")
 ABLATION_MIN_SEEDS = 10
 ABLATION_ANNEAL_EVERY = 30  # epochs between halvings of the barrier weight
+LEGACY_ETA_P = 0.73  # the fixed propeller efficiency of the legacy propulsion model
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,13 @@ class ReportTable:
     y_label: str = ""
 
 
-def run_airspeed_sweep(
-    geom: PlatformGeometry,
-    atm: Atmosphere,
-    grid,
-    legacy_eta_p: float = 0.73,
-) -> ReportTable:
+def run_airspeed_sweep(geom: PlatformGeometry, atm: Atmosphere, grid) -> ReportTable:
     """Propulsion columns over an airspeed grid, plus the fixed-efficiency model.
 
     The surrogate column uses ``propulsion.reference_coeffs()``, the legacy
-    column a constant propeller efficiency, for side-by-side deviation
-    against the airspeed-dependent surrogate.  Raises if the surrogate-model
-    power is not strictly increasing along the grid.
+    column the constant propeller efficiency ``LEGACY_ETA_P``, for
+    side-by-side deviation against the airspeed-dependent surrogate.  Raises
+    if the surrogate-model power is not strictly increasing along the grid.
     """
     coeffs = propulsion.reference_coeffs()
     rows = []
@@ -77,7 +73,7 @@ def run_airspeed_sweep(
         drag = propulsion.aerodynamic_drag(atm, geom, v0)
         eta = propulsion.surrogate_efficiency(coeffs, v0)
         power = propulsion.propulsion_power(atm, geom, v0, coeffs)
-        legacy = drag * v0 / (legacy_eta_p * geom.motor_eff_etam)
+        legacy = drag * v0 / (LEGACY_ETA_P * geom.motor_eff_etam)
         if power <= prev_power:
             raise AssertionError(
                 f"propulsion power not strictly increasing at v0={v0} m/s"
@@ -119,9 +115,7 @@ def _solve_backend(
         return q3e(scenario, bf, p_tot, ledger, backend="numeric")
     if backend == "max-sum-rate":
         return baseline_max_sum_rate(scenario, bf, p_tot, ledger)
-    if backend == "qos-only":
-        return baseline_qos_only(scenario, bf, p_tot, ledger)
-    raise ValueError(f"unknown backend {backend!r}")
+    return baseline_qos_only(scenario, bf, p_tot, ledger)
 
 
 def _mlp_solutions(scenario: Scenario, bf: ZfBeamformer, ledger: PowerLedger, grid, seeds) -> list[list[Q3eSolution]]:
@@ -159,13 +153,16 @@ def run_budget_sweep(
     """Per-backend satisfaction ratio and EE over an RF-budget grid.
 
     Rows come out in grid-then-backend order; q3e-mlp averages over
-    ``seeds``.  Raises ConfigError for a budget out of range
-    (``check_stage2_range``) or a repeated backend or seed, and
-    AssertionError if the lexicographic solver's satisfaction ratio ever
-    decreases along the grid, or if the sum-rate baseline ever satisfies
-    more users.
+    ``seeds``.  Raises ConfigError, before any training, for an unknown
+    backend, a repeated backend or seed, or a budget out of range
+    (``check_stage2_range``), and AssertionError if the lexicographic
+    solver's satisfaction ratio ever decreases along the grid, or if the
+    sum-rate baseline ever satisfies more users.
     """
     backends = _distinct("sweep backends", backends)
+    unknown = [b for b in backends if b not in BUDGET_BACKENDS]
+    if unknown:
+        raise ConfigError(f"unknown backend(s) {', '.join(map(repr, unknown))}")
     seeds = _distinct("sweep seeds", (int(s) for s in seeds))
     bf = scenario_beamformer(scenario)
     grid = [float(x) for x in grid]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import shlex
 import shutil
 import tempfile
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from bemt_oracle import default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
 from hapalloc import bemt, propulsion
-from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, build_parser, main
 from hapalloc.config import isa_properties, ledger_from_dict, platform_from_dict, rf_budget
 from hapalloc.propulsion import propulsion_power, reference_coeffs
 
@@ -40,6 +41,21 @@ def shipped(name: str) -> dict:
     return json.loads((CONFIG_DIR / name).read_text())
 
 
+def test_readme_examples_parse():
+    # CI runs only some of these lines, so a stale flag in the others would go unnoticed
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    lines = [shlex.split(line, comments=True) for block in readme.split("```sh\n")[1:]
+             for line in block.split("```")[0].splitlines()]
+    examples = [words[1:] for words in lines if words[:1] == ["hapalloc"]]
+    assert {argv[0] for argv in examples} == {"propulsion", "bemt", "surrogate-fit", "solve", "sweep", "ablation"}
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: hapalloc {shlex.join(argv)}")
+
+
 class TestPropulsionVerb:
     def test_prints_labeled_csv(self, tmp_path, capsys):
         assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", "10") == EXIT_OK
@@ -54,8 +70,6 @@ class TestPropulsionVerb:
     def test_round_trip(self, tmp_path, capsys):
         doc = {
             "platform": {"l": 140, "d": 34, "omega": 85000, "kf": 1.12, "eta_m": 0.85},
-            "ledger": {"p_hap": 9000, "p_payload": 100, "p_standby": 100,
-                       "p_rfc": 0.338, "p_lo": 0.005, "p_bb": 0.2, "xi": 2, "n_t": 144},
             "altitude_m": 20000,
         }
         assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_OK
@@ -64,9 +78,9 @@ class TestPropulsionVerb:
         assert row == shipped_row
 
     def test_missing_keys(self, tmp_path, capsys):
-        doc = without(shipped("platform.json"), "ledger")
+        doc = without(shipped("platform.json"), "platform")
         assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
-        assert "propulsion config needs 'ledger'" in one_line_config_error(capsys)
+        assert "propulsion config needs 'platform'" in one_line_config_error(capsys)
         doc = {"platform": {"l": 1}}
         assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
         assert "platform config missing key" in one_line_config_error(capsys)
@@ -91,6 +105,12 @@ class TestPropulsionVerb:
         assert run_cli("propulsion", "--config", PLATFORM_CONFIG, "--v0", v0) == EXIT_CONFIG
         one_line_config_error(capsys)
 
+    def test_ledger_is_not_an_input(self, tmp_path, capsys):
+        # no column of the propulsion CSV depends on the power ledger
+        doc = {**shipped("platform.json"), "ledger": shipped("solve.json")["ledger"]}
+        assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+        assert "unknown key(s) 'ledger'" in one_line_config_error(capsys)
+
 
 class TestBemtVerb:
     def test_runs_on_spec_dir(self, tmp_path, capsys):
@@ -111,6 +131,7 @@ class TestBemtVerb:
 
     def test_missing_inputs(self, capsys):
         assert run_cli("bemt", "--v0", "10") == EXIT_CONFIG
+        assert "bemt needs --spec <dir>, --v0 (m/s) and --ns (rev/s)" in one_line_config_error(capsys)
 
     def test_point_without_propulsive_solution_is_config_error(self, capsys):
         code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", "40", "--ns", "1")
@@ -138,10 +159,10 @@ class TestBemtVerb:
         assert code == EXIT_CONFIG
         assert "zero-induction inflow angle at 0 or pi/2" in one_line_config_error(capsys)
 
-    def test_spec_dir_not_a_path_is_config_error(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "b.json", {"spec_dir": 5, "v0_mps": 10, "ns_rps": 12})
-        assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
-        assert "spec_dir must be a path, got 5" in one_line_config_error(capsys)
+    def test_spec_dir_not_a_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bemt", "--spec", "5", "--v0", "10", "--ns", "12") == EXIT_CONFIG
+        assert "cannot load propeller spec 5" in one_line_config_error(capsys)
         # a spec directory whose radii do not increase cannot be loaded either
         spec_dir = tmp_path / "prop"
         shutil.copytree(CONFIG_DIR / "propeller", spec_dir)
@@ -151,11 +172,20 @@ class TestBemtVerb:
         assert run_cli("bemt", "--spec", spec_dir, "--v0", "10", "--ns", "12") == EXIT_CONFIG
         assert "strictly increase" in one_line_config_error(capsys)
 
-    def test_non_numeric_speed_in_config_is_config_error(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "b.json", {"spec_dir": str(CONFIG_DIR / "propeller"),
-                                               "v0_mps": "fast", "ns_rps": 12})
-        assert run_cli("bemt", "--config", cfg) == EXIT_CONFIG
-        one_line_config_error(capsys)
+    @pytest.mark.parametrize("flag", ["--v0", "--ns", "--altitude"])
+    def test_non_numeric_flag_is_config_error(self, flag, capsys):
+        flags = {"--v0": "10", "--ns": "12", "--altitude": "20000", flag: "fast"}
+        code = run_cli("bemt", "--spec", CONFIG_DIR / "propeller", *(f"{k}={v}" for k, v in flags.items()))
+        assert code == EXIT_CONFIG
+        assert flag in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["bemt", "surrogate-fit"])
+    def test_flag_only_verbs_take_no_config(self, verb, tmp_path, capsys):
+        # bemt and surrogate-fit read flags only, so a config could only repeat or contradict one
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--config", write_json(tmp_path / "c.json", {}))
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 class TestSurrogateFitVerb:
@@ -178,15 +208,16 @@ class TestSurrogateFitVerb:
         csv_path = tmp_path / "s.csv"
         rows = "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in propulsion.reference_samples())
         csv_path.write_text("v0_mps,eta_p\n" + rows)
-        cfg = tmp_path / "fit.json"
-        cfg.write_text(json.dumps({"samples_csv": str(csv_path)}))
-        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_OK
+        assert run_cli("surrogate-fit", "--samples", csv_path) == EXIT_OK
+        fit = propulsion.fit_inverse_power_surrogate(propulsion.reference_samples())
+        want = f"{fit.c!r},{fit.alpha!r},{fit.beta!r},{fit.rmse!r},{fit.n_samples}"
+        assert capsys.readouterr().out == f"c,alpha,beta,rmse,n_samples\n{want}\n"
 
 
 class TestSolveVerb:
     def test_explicit_budget(self, tmp_path, capsys):
         scenario = json.loads((CONFIG_DIR / "scenario_sweep.json").read_text())
-        ledger = json.loads(PLATFORM_CONFIG.read_text())["ledger"]
+        ledger = shipped("solve.json")["ledger"]
         cfg = tmp_path / "solve.json"
         cfg.write_text(json.dumps({"scenario": scenario, "ledger": ledger, "p_tot_w": 150.0}))
         out = tmp_path / "sol.json"
@@ -198,7 +229,7 @@ class TestSolveVerb:
 
     def test_budget_from_propulsion_chain(self, tmp_path):
         cfg = tmp_path / "solve.json"
-        platform_doc = json.loads(PLATFORM_CONFIG.read_text())
+        platform_doc = shipped("solve.json")
         scenario = json.loads((CONFIG_DIR / "scenario_sweep.json").read_text())
         cfg.write_text(
             json.dumps(
@@ -219,7 +250,7 @@ class TestSolveVerb:
         assert doc["p_tot_w"] == pytest.approx(rf_budget(ledger, p_prop), rel=1e-12)
 
     def test_infeasible_budget_exit_code(self, tmp_path):
-        platform_doc = json.loads(PLATFORM_CONFIG.read_text())
+        platform_doc = shipped("solve.json")
         platform_doc["ledger"]["p_hap"] = 10.0  # nowhere near the propulsion draw
         scenario = json.loads((CONFIG_DIR / "scenario_sweep.json").read_text())
         cfg = tmp_path / "solve.json"
@@ -257,7 +288,6 @@ class TestSweepVerb:
         assert out_svg.read_text().startswith("<svg")
 
     def test_budget_sweep(self, tmp_path):
-        platform_doc = json.loads(PLATFORM_CONFIG.read_text())
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
             json.dumps(
@@ -265,7 +295,7 @@ class TestSweepVerb:
                     "kind": "rf_budget",
                     "grid": [100, 250],
                     "scenario_path": str(CONFIG_DIR / "scenario_sweep.json"),
-                    "ledger": platform_doc["ledger"],
+                    "ledger": shipped("sweep_budget.json")["ledger"],
                     "backends": ["q3e-numeric", "qos-only"],
                 }
             )
@@ -327,17 +357,14 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("verb, name", [
         ("propulsion", "platform.json"),
-        ("bemt", None),
-        ("surrogate-fit", None),
         ("solve", "solve.json"),
         ("sweep", "sweep_airspeed.json"),
         ("sweep", "sweep_budget.json"),
         ("ablation", "ablation.json"),
     ])
     def test_unknown_top_level_key_is_named(self, verb, name, tmp_path, capsys):
-        doc = shipped(name) if name else {}
-        cfg = write_json(tmp_path / "c.json", {**doc, "workers": 4})
-        flags = {"propulsion": ["--v0", "10"], "bemt": ["--v0", "10", "--ns", "12"]}.get(verb, [])
+        cfg = write_json(tmp_path / "c.json", {**shipped(name), "workers": 4})
+        flags = ["--v0", "10"] if verb == "propulsion" else []
         assert run_cli(verb, "--config", cfg, *flags) == EXIT_CONFIG
         assert "unknown key(s) 'workers'" in one_line_config_error(capsys)
 
@@ -369,6 +396,12 @@ def small_array_scenario(nx: int, ny: int) -> dict:
     return {**scenario, "array": {**scenario["array"], "nx": nx, "ny": ny}}
 
 
+def on_array(doc: dict, nx: int, ny: int, n_t=None) -> dict:
+    """``doc`` with the small-array scenario inline and ``n_t`` RF chains (default ``nx`` x ``ny``) in its ledger."""
+    ledger = {**doc["ledger"], "n_t": nx * ny if n_t is None else n_t}
+    return {**without(doc, "scenario_path"), "scenario": small_array_scenario(nx, ny), "ledger": ledger}
+
+
 def without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
@@ -381,7 +414,7 @@ def budget_sweep_config() -> dict:
 
 def explicit_budget_solve_config(**overrides) -> dict:
     doc = {"scenario_path": str(CONFIG_DIR / "scenario_sweep.json"),
-           "ledger": shipped("platform.json")["ledger"], "p_tot_w": 150.0}
+           "ledger": shipped("solve.json")["ledger"], "p_tot_w": 150.0}
     return {**doc, **overrides}
 
 
@@ -423,14 +456,13 @@ class TestStudyConfigErrors:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["p_hap", "p_payload", "p_standby", "p_rfc", "p_lo", "p_bb", "xi", "n_t"])
-    @pytest.mark.parametrize("verb", ["solve", "propulsion"])
-    def test_non_finite_ledger_value(self, verb, field, value, tmp_path, capsys):
-        if verb == "solve":
-            doc, extra = {**shipped("solve.json"), "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")}, []
-        else:
-            doc, extra = shipped("platform.json"), ["--v0", "10"]
-        doc["ledger"][field] = value
-        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc), *extra) == EXIT_CONFIG
+    @pytest.mark.parametrize("budget", ["solve", "propulsion"])
+    def test_non_finite_ledger_value(self, budget, field, value, tmp_path, capsys):
+        # the ledger of a solve whose budget is explicit ("solve") or comes from the propulsion chain
+        # ("propulsion"); the propulsion verb itself reads no ledger
+        doc = explicit_budget_solve_config() if budget == "solve" else chain_solve_config()
+        doc["ledger"] = {**doc["ledger"], field: value}
+        assert run_cli("solve", "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
         assert "invalid ledger config" in one_line_config_error(capsys)
 
     def test_budget_sweep_rejects_a_negative_budget(self, tmp_path, capsys):
@@ -442,6 +474,27 @@ class TestStudyConfigErrors:
         cfg = write_json(tmp_path / "a.json", {**shipped("sweep_airspeed.json"), "grid": [0.5, 5]})
         assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
         assert "below surrogate fit floor" in one_line_config_error(capsys)
+
+    @given(nx=st.integers(1, 12), ny=st.integers(1, 12), n_t=st.one_of(st.none(), st.integers(0, 200)))
+    @settings(max_examples=40, deadline=None)
+    def test_rf_chain_count_is_the_array_size(self, nx, ny, n_t):
+        # the static power charges n_t RF chains and zero forcing uses nx x ny of them; 144 chains
+        # on a 6 x 6 array used to solve and report EE 154,785 bps/W (n_t None: the matching count)
+        doc = on_array(explicit_budget_solve_config(), nx, ny, n_t)
+        n_t = doc["ledger"]["n_t"]
+        code, err = run_in_process(doc, "solve")
+        mismatch = f"ledger n_t is {n_t} RF chains, but the array has {nx} x {ny} = {nx * ny} elements"
+        if n_t != nx * ny:
+            assert code == EXIT_CONFIG and err == f"config error: {mismatch}\n", (code, err)
+        else:
+            assert code in (EXIT_OK, EXIT_CONFIG) and "RF chains" not in err, (code, err)
+
+    @pytest.mark.parametrize("verb", ["sweep", "ablation"])
+    def test_rf_chain_count_is_checked_in_every_study(self, verb, tmp_path, capsys):
+        doc = {"sweep": budget_sweep_config(), "ablation": shipped("ablation.json")}[verb]
+        doc = {**doc, "ledger": {**doc["ledger"], "n_t": 36}}
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert "ledger n_t is 36 RF chains, but the array has 12 x 12 = 144 elements" in one_line_config_error(capsys)
 
     @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
     def test_co_located_users(self, verb, tmp_path, capsys):
@@ -463,16 +516,14 @@ class TestStudyConfigErrors:
             "sweep": budget_sweep_config(),
             "ablation": shipped("ablation.json"),
         }[verb]
-        doc = {**without(doc, "scenario_path"), "scenario": small_array_scenario(2, 2)}
-        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", doc)) == EXIT_CONFIG
+        assert run_cli(verb, "--config", write_json(tmp_path / "c.json", on_array(doc, 2, 2))) == EXIT_CONFIG
         assert "or users outnumber array elements" in one_line_config_error(capsys)
 
     @given(nx=st.integers(1, 4), ny=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_shipped_users_on_any_small_array(self, nx, ny):
         # up to 16 elements for the nine users: zero forcing either separates them or exits 2
-        doc = {**without(explicit_budget_solve_config(), "scenario_path"), "scenario": small_array_scenario(nx, ny)}
-        code, err = run_in_process(doc, "solve")
+        code, err = run_in_process(on_array(explicit_budget_solve_config(), nx, ny), "solve")
         assert code in (EXIT_OK, EXIT_CONFIG), (code, err)
         if code == EXIT_CONFIG:
             assert err.startswith("config error: ") and err.count("\n") == 1, err
@@ -550,32 +601,38 @@ class TestSolveReadsOnlyItsInputs:
 
 
 class TestConfigRelativePaths:
-    """A relative ``scenario_path``, ``samples_csv`` or ``spec_dir`` names a file beside the config, whatever
-    the working directory; the output equals that of the same config with the absolute path."""
+    """A relative ``scenario_path`` names a file beside the config, whatever the working directory; a
+    relative ``--samples`` CSV or ``--spec`` directory (the flags that replaced the ``samples_csv`` and
+    ``spec_dir`` config keys) is relative to the working directory.  The output equals that of the same
+    run with the absolute path."""
 
     @staticmethod
-    def beside(key: str, config_dir: Path) -> tuple[list[str], dict]:
-        """The verb's arguments before ``--config``, and its config with ``key`` naming a copy in ``config_dir``."""
+    def beside(key: str, config_dir: Path, tmp_path: Path) -> tuple[list, list]:
+        """The verb's arguments with ``key`` naming a copy in ``config_dir`` by a relative and by an absolute path."""
         if key == "spec_dir":
             shutil.copytree(CONFIG_DIR / "propeller", config_dir / "prop")
-            return ["bemt"], {"spec_dir": "prop", "v0_mps": 10.0, "ns_rps": 12.0}
+            flags = ["bemt", "--v0", "10", "--ns", "12", "--spec"]
+            return [*flags, "prop"], [*flags, config_dir / "prop"]
         if key == "samples_csv":
-            samples_config(config_dir)  # writes samples.csv there
-            return ["surrogate-fit"], {"samples_csv": "samples.csv"}
+            write_reference_samples(config_dir / "samples.csv")
+            flags = ["surrogate-fit", "--samples"]
+            return [*flags, "samples.csv"], [*flags, config_dir / "samples.csv"]
         shutil.copy(CONFIG_DIR / "scenario_sweep.json", config_dir / "users.json")
-        return ["solve"], explicit_budget_solve_config(scenario_path="users.json")
+        doc = explicit_budget_solve_config(scenario_path="users.json")
+        relative = write_json(config_dir / "relative.json", doc)
+        absolute = write_json(tmp_path / "absolute.json", {**doc, key: str(config_dir / doc[key])})
+        return ["solve", "--config", relative], ["solve", "--config", absolute]
 
     @pytest.mark.parametrize("key", ["scenario_path", "samples_csv", "spec_dir"])
     def test_resolves_against_the_config_directory(self, key, tmp_path, monkeypatch):
         config_dir, elsewhere = tmp_path / "configs", tmp_path / "work"
         config_dir.mkdir()
         elsewhere.mkdir()
-        verb, doc = self.beside(key, config_dir)
-        monkeypatch.chdir(elsewhere)
-        relative = write_json(config_dir / "relative.json", doc)
-        absolute = write_json(tmp_path / "absolute.json", {**doc, key: str(config_dir / doc[key])})
-        assert run_cli(*verb, "--config", relative, "--out", tmp_path / "relative.out") == EXIT_OK
-        assert run_cli(*verb, "--config", absolute, "--out", tmp_path / "absolute.out") == EXIT_OK
+        relative, absolute = self.beside(key, config_dir, tmp_path)
+        # a config path resolves against the config's directory, a flag's against the working one
+        monkeypatch.chdir(elsewhere if key == "scenario_path" else config_dir)
+        assert run_cli(*relative, "--out", tmp_path / "relative.out") == EXIT_OK
+        assert run_cli(*absolute, "--out", tmp_path / "absolute.out") == EXIT_OK
         assert (tmp_path / "relative.out").read_bytes() == (tmp_path / "absolute.out").read_bytes()
 
 
@@ -599,9 +656,10 @@ class TestValueConfigErrors:
 
     @pytest.mark.parametrize("eta", ["x", 0, -1, 1.5, None])
     def test_legacy_efficiency_outside_the_unit_interval(self, eta, tmp_path, capsys):
+        # the legacy efficiency is the constant harness.LEGACY_ETA_P, so any value is an unknown key
         cfg = write_json(tmp_path / "a.json", {**shipped("sweep_airspeed.json"), "legacy_eta_p": eta})
         assert run_cli("sweep", "--config", cfg) == EXIT_CONFIG
-        assert "legacy_eta_p" in one_line_config_error(capsys)
+        assert "unknown key(s) 'legacy_eta_p'" in one_line_config_error(capsys)
 
     @pytest.mark.parametrize("altitude", ["abc", None])
     def test_platform_altitude_not_a_number(self, altitude, tmp_path, capsys):
@@ -615,21 +673,14 @@ class TestValueConfigErrors:
         csv_path = tmp_path / "s.csv"
         if text is not None:
             csv_path.write_text(text)
-        cfg = write_json(tmp_path / "fit.json", {"samples_csv": str(csv_path)})
-        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
+        assert run_cli("surrogate-fit", "--samples", csv_path) == EXIT_CONFIG
         assert "cannot read samples" in one_line_config_error(capsys)
 
     def test_surrogate_fit_sample_airspeed_too_small_to_fit(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
         csv_path.write_text("v0_mps,eta_p\n1e-300,0.5\n2,0.6\n3,0.6\n4,0.7\n")
-        cfg = write_json(tmp_path / "fit.json", {"samples_csv": str(csv_path)})
-        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
+        assert run_cli("surrogate-fit", "--samples", csv_path) == EXIT_CONFIG
         assert "too small to fit" in one_line_config_error(capsys)
-
-    def test_surrogate_fit_samples_path_not_a_string(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "fit.json", {"samples_csv": ["s.csv"]})
-        assert run_cli("surrogate-fit", "--config", cfg) == EXIT_CONFIG
-        assert "samples_csv" in one_line_config_error(capsys)
 
     def test_empty_seed_list(self, tmp_path, capsys):
         sweep = write_json(tmp_path / "b.json", {**budget_sweep_config(), "backends": ["q3e-mlp"], "seeds": []})
@@ -656,6 +707,13 @@ class TestValueConfigErrors:
         cfg = write_json(tmp_path / "a.json", {**shipped("ablation.json"), "seeds": seeds, "max_epochs": 51})
         assert run_cli("ablation", "--config", cfg) == EXIT_CONFIG
         assert "'seeds' must be a list" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("seeds", [0, "0"])
+    def test_sweep_seeds_not_a_list(self, seeds, tmp_path, capsys):
+        # a bare integer used to be taken as a one-seed list
+        doc = {**budget_sweep_config(), "backends": ["q3e-mlp"], "seeds": seeds}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert f"'seeds' must be a list of at least one seed, got {seeds!r}" in one_line_config_error(capsys)
 
     @pytest.mark.parametrize("path", [None, 3])
     @pytest.mark.parametrize("verb", ["solve", "sweep", "ablation"])
@@ -693,10 +751,10 @@ class TestValueConfigErrors:
         assert message in one_line_config_error(capsys)
 
     def test_fractional_counts_are_not_truncated(self, tmp_path, capsys):
-        doc = shipped("platform.json")
+        doc = explicit_budget_solve_config()
         for n_t in (144.5, True):  # true counted 1 antenna
             doc["ledger"]["n_t"] = n_t
-            assert run_cli("propulsion", "--config", write_json(tmp_path / "p.json", doc), "--v0", "10") == EXIT_CONFIG
+            assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
             assert f"n_t must be an integer, got {n_t!r}" in one_line_config_error(capsys)
         spec = tmp_path / "prop"
         write_spec_dir(spec, default_test_propeller())
@@ -742,8 +800,7 @@ class TestValueConfigErrors:
 
     def test_bemt_airspeed_too_small_for_a_finite_loading(self, tmp_path, capsys):
         # the axial induction at 1e-300 m/s overflows the sectional loading's square
-        doc = {"spec_dir": str(CONFIG_DIR / "propeller"), "v0_mps": 1e-300, "ns_rps": 12.0}
-        assert run_cli("bemt", "--config", write_json(tmp_path / "b.json", doc)) == EXIT_CONFIG
+        assert run_cli("bemt", "--spec", CONFIG_DIR / "propeller", "--v0", "1e-300", "--ns", "12") == EXIT_CONFIG
         assert "sectional loading overflows" in one_line_config_error(capsys)
 
     def test_airspeed_sweep_hull_too_long_for_a_finite_reynolds_number(self, tmp_path, capsys):
@@ -851,12 +908,14 @@ def mutated(doc, path, value):
     return doc
 
 
-def samples_config(tmp: Path) -> dict:
-    from hapalloc.propulsion import reference_samples
+def write_reference_samples(csv_path: Path) -> Path:
+    csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in propulsion.reference_samples()))
+    return csv_path
 
-    csv_path = tmp / "samples.csv"
-    csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{s.v0!r},{s.eta_p!r}\n" for s in reference_samples()))
-    return {"samples_csv": str(csv_path)}
+
+def flags(cfg: Path) -> list[str]:
+    """The document at ``cfg`` as ``--flag=value`` arguments, one per key; a removed key gives no flag."""
+    return [f"{flag}={value}" for flag, value in json.loads(cfg.read_text()).items()]
 
 
 def scenario_config(tmp: Path, scenario: dict) -> dict:
@@ -865,7 +924,8 @@ def scenario_config(tmp: Path, scenario: dict) -> dict:
     return {**shipped("sweep_budget.json"), "grid": [150, 300], "scenario_path": str(path)}
 
 
-# (verb, shipped document, argv from a config path and the scratch directory, base document from it)
+# (verb, shipped document, argv from a config path and the scratch directory, base document from it);
+# a flag-only verb's document maps its flags to values
 FUZZ_TARGETS = {
     "propulsion": ("platform.json", lambda cfg, tmp: ["propulsion", "--config", cfg, "--v0", "10"], None),
     "bemt-spec": (
@@ -874,11 +934,15 @@ FUZZ_TARGETS = {
         None,
     ),
     "bemt": (
-        {"spec_dir": str(CONFIG_DIR / "propeller"), "v0_mps": 10.0, "ns_rps": 12.0, "altitude_m": 20000.0},
-        lambda cfg, tmp: ["bemt", "--config", cfg],
+        {"--spec": str(CONFIG_DIR / "propeller"), "--v0": 10.0, "--ns": 12.0, "--altitude": 20000.0},
+        lambda cfg, tmp: ["bemt", *flags(cfg)],
         None,
     ),
-    "surrogate-fit": (None, lambda cfg, tmp: ["surrogate-fit", "--config", cfg], samples_config),
+    "surrogate-fit": (
+        None,
+        lambda cfg, tmp: ["surrogate-fit", *flags(cfg)],
+        lambda tmp: {"--samples": str(write_reference_samples(tmp / "samples.csv"))},
+    ),
     "solve": (
         {**shipped("solve.json"), "scenario_path": str(CONFIG_DIR / "scenario_sweep.json")},
         lambda cfg, tmp: ["solve", "--config", cfg],

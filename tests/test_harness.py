@@ -8,7 +8,7 @@ import pytest
 from conftest import ablation_config, reference_ledger, sweep_scenario
 from hapalloc.channel import scenario_from_dict
 from hapalloc import neuro
-from hapalloc.config import PlatformGeometry, isa_properties, ledger_from_dict
+from hapalloc.config import ConfigError, PlatformGeometry, isa_properties, ledger_from_dict
 from hapalloc.harness import (
     ABLATION_ANNEAL_EVERY,
     AIRSPEED_HEADERS,
@@ -55,7 +55,7 @@ class TestAirspeedSweep:
         assert table.rows[0][0] == 10.0
 
     def test_legacy_gap_grows_with_airspeed(self):
-        table = run_airspeed_sweep(GEOM, ATM, list(range(1, 26)), legacy_eta_p=0.73)
+        table = run_airspeed_sweep(GEOM, ATM, list(range(1, 26)))
         first_gap = table.rows[0][5] - table.rows[0][6]
         last_gap = table.rows[-1][5] - table.rows[-1][6]
         assert last_gap > first_gap > 0.0
@@ -80,6 +80,21 @@ class TestBudgetSweep:
         t1 = run_budget_sweep(sc, LEDGER, [100.0, 200.0], backends=self.BACKENDS)
         t2 = run_budget_sweep(sc, LEDGER, [100.0, 200.0], backends=self.BACKENDS)
         assert table_to_csv(t1) == table_to_csv(t2)
+
+    def test_unknown_backend_is_named_before_any_training(self, monkeypatch):
+        # the unknown backend used to raise ValueError only after all 34 networks had trained
+        yields = []
+
+        def counted(jobs):
+            for item in train_many(jobs):
+                yields.append(item)
+                yield item
+
+        train_many = neuro.train_many
+        monkeypatch.setattr(neuro, "train_many", counted)
+        with pytest.raises(ConfigError, match="unknown backend\\(s\\) 'bogus'"):
+            run_budget_sweep(sweep_scenario(), LEDGER, [70.0, 80.0], backends=("q3e-mlp", "bogus"))
+        assert yields == []
 
     def test_mlp_backend_runs(self):
         sc = sweep_scenario()

@@ -37,7 +37,7 @@ REMOVED_FIELDS = [
 # parameters that only tests set to another value, now module constants
 REMOVED_PARAMETERS = [
     (bemt.propeller_performance, {"n_nodes"}),
-    (harness.run_airspeed_sweep, {"coeffs"}),
+    (harness.run_airspeed_sweep, {"coeffs", "legacy_eta_p"}),
     (channel.thermal_noise_floor, {"noise_figure_db", "temp_k"}),
     (propulsion.reference_samples, {"noise_sigma", "seed"}),
 ]
@@ -146,6 +146,7 @@ def test_adam_settings_are_constants_not_train_config_fields():
     assert bemt.N_NODES == 101
     assert (channel.NOISE_FIGURE_DB, channel.NOISE_TEMP_K) == (7.0, 290.0)
     assert (propulsion.REFERENCE_NOISE_SIGMA, propulsion.REFERENCE_SAMPLES_SEED) == (2e-3, 7)
+    assert harness.LEGACY_ETA_P == 0.73
     for fn, removed in REMOVED_PARAMETERS:
         assert not removed & set(inspect.signature(fn).parameters), fn.__qualname__
     atm = inspect.signature(bemt.propeller_performance).parameters["atm"]
