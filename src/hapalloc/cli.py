@@ -252,9 +252,8 @@ def _cmd_ablation(args) -> int:
     scenario, ledger = _scenario_and_ledger(cfg, args.config, "ablation")
     p_tot = _positive("p_tot_w", _required(cfg, "p_tot_w", "ablation"), zero_ok=True)
     seeds = _seeds(cfg, list(range(harness.ABLATION_MIN_SEEDS)))
-    table = harness.run_ablation(
-        scenario, ledger, p_tot, seeds=seeds, max_epochs=_integer("max_epochs", cfg.get("max_epochs", 2000))
-    )
+    max_epochs = _integer("max_epochs", cfg.get("max_epochs", TrainConfig.max_epochs))
+    table = harness.run_ablation(scenario, ledger, p_tot, seeds=seeds, max_epochs=max_epochs)
     _write_or_print(harness.table_to_csv(table), args.out)
     return EXIT_OK
 

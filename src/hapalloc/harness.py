@@ -37,7 +37,6 @@ ABLATION_HEADERS = ["variant", "feasibility_pct", "mean_overshoot_w", "mean_ee_b
 
 BUDGET_BACKENDS = ("q3e-numeric", "q3e-mlp", "max-sum-rate", "qos-only")
 ABLATION_MIN_SEEDS = 10
-ABLATION_ANNEAL_EVERY = 30  # epochs between halvings of the barrier weight
 LEGACY_ETA_P = 0.73  # the fixed propeller efficiency of the legacy propulsion model
 
 
@@ -211,7 +210,7 @@ def run_ablation(
     ledger: PowerLedger,
     p_tot: float,
     seeds,
-    max_epochs: int = 2000,
+    max_epochs: int = neuro.TrainConfig.max_epochs,
 ) -> ReportTable:
     """Train the neural backend with and without its safety modules.
 
@@ -220,12 +219,6 @@ def run_ablation(
     Reported per variant: percentage of seeds whose final output respects
     the RF budget, the mean budget overshoot in watts, and the mean EE over
     the feasible runs.
-
-    The barrier weight anneals every ``ABLATION_ANNEAL_EVERY`` epochs, faster
-    than the early-stopping patience, so every variant keeps improving past
-    its first stall; in particular the weakening barrier lets the unprojected
-    variant escape toward its true (infeasible) optimum instead of being held
-    at the budget by the barrier wall alone.
     """
     seeds = _distinct("ablation seeds", (int(s) for s in seeds))
     if len(seeds) < ABLATION_MIN_SEEDS:
@@ -245,7 +238,6 @@ def run_ablation(
             max_epochs=max_epochs,
             project_scaling=scaling,
             use_soft_loss=soft,
-            anneal_every=ABLATION_ANNEAL_EVERY,
         )
         for _, scaling, soft in variants
         for seed in seeds

@@ -10,7 +10,6 @@ from hapalloc.channel import scenario_from_dict
 from hapalloc import neuro
 from hapalloc.config import ConfigError, PlatformGeometry, isa_properties, ledger_from_dict
 from hapalloc.harness import (
-    ABLATION_ANNEAL_EVERY,
     AIRSPEED_HEADERS,
     BUDGET_HEADERS,
     ReportTable,
@@ -128,9 +127,9 @@ class TestPooledBudgetSweep:
         assert table.rows == want
 
     def test_raises_the_error_of_the_first_diverging_budget(self, monkeypatch):
-        # with rates that cannot overflow, at 1e25 no training diverges before the first one (100 W,
-        # seed 0, epoch 4); at 1e30 that one diverges at epoch 5 and 100 W, seed 1 at epoch 4
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e30)
+        # at 1e30 no training diverges before the first one (100 W, seed 0, epoch 4); at 1e32 that
+        # one diverges at epoch 5, 100 W, seed 1 at epoch 4 and 120 W, seed 1 at epoch 3
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e32)
         sc = sweep_scenario()
         bf = scenario_beamformer(sc)
         grid, seeds = [90.0, 100.0, 120.0], [0, 1]
@@ -221,7 +220,7 @@ class TestAblationStructure:
         problem = stage2_problem(sc, bf, p_tot, ledger)
         feasible, overshoot, ees = [], [], []
         for seed in seeds:
-            cfg = TrainConfig(seed=seed, max_epochs=60, anneal_every=ABLATION_ANNEAL_EVERY)
+            cfg = TrainConfig(seed=seed, max_epochs=60)
             sol = q3e(sc, bf, p_tot, ledger, cfg=cfg, backend="mlp")
             ok = sol.rf_spent <= p_tot * (1.0 + 1e-9) + 1e-12
             feasible.append(ok)
