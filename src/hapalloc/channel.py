@@ -136,6 +136,7 @@ class Scenario:
     users: tuple[UserLink, ...]
     bw_hz: float
     n0_w: float
+    altitude_m: float = 20000.0  # the link budget's, which sets the users' default gamma
 
     def __post_init__(self):
         if not self.users:
@@ -197,7 +198,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     qos_rate=float(u["qos_mbps"]) * 1e6,
                 )
             )
-        return Scenario(array=arr, users=tuple(users), bw_hz=bw, n0_w=n0)
+        return Scenario(array=arr, users=tuple(users), bw_hz=bw, n0_w=n0, altitude_m=altitude)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: nx * ny past float range
         raise ConfigError(f"invalid scenario config: {exc}") from exc
 

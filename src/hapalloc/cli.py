@@ -160,11 +160,14 @@ def _cmd_surrogate_fit(args) -> int:
     return EXIT_OK
 
 
-def _budget_from_config(cfg: dict, ledger) -> float:
-    """The RF budget: ``p_tot_w``, or what the propulsion chain leaves of the ledger."""
+def _budget_from_config(cfg: dict, scenario, ledger) -> float:
+    """The RF budget: ``p_tot_w``, or what the propulsion chain leaves of the ledger at the scenario's altitude."""
     if "platform" in cfg:
         geom = platform_from_dict(cfg["platform"])
         atm = _atmosphere(cfg.get("altitude_m", 20000.0))
+        if atm.altitude_m != scenario.altitude_m:
+            raise ConfigError(f"altitude_m is {atm.altitude_m!r} m, but the scenario's altitude_m is "
+                              f"{scenario.altitude_m!r} m: propulsion and the link budget need one altitude")
         v0 = _positive("v0_mps", cfg.get("v0_mps", 10.0))
         return rf_budget(ledger, propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs()))
     if "p_tot_w" not in cfg:
@@ -206,7 +209,7 @@ def _cmd_solve(args) -> int:
     keys = (*_SCENARIO_KEYS, "ledger", "backend", *source, *(("seed",) if backend == "mlp" else ()))
     reject_unknown_keys(cfg, keys, f"config {args.config} (budget from '{source[0]}', {backend} backend)")
     scenario, ledger = _scenario_and_ledger(cfg, args.config, "solve")
-    p_tot = _budget_from_config(cfg, ledger)
+    p_tot = _budget_from_config(cfg, scenario, ledger)
     bf = scenario_beamformer(scenario)
     check_stage2_range(scenario, bf, p_tot, ledger)
     train_cfg = TrainConfig(seed=_integer("seed", cfg.get("seed", 0))) if backend == "mlp" else None

@@ -6,11 +6,12 @@ power coefficients.  Every forward pass is pushed through the projector
 (clamp to the floors, then scale radially in p^2 onto the budget) before the
 loss is evaluated, so all iterates are feasible; the loss is the negative EE
 objective plus log-barrier terms on the constraint slacks.  Optimization is
-Adam with early stopping on the true (barrier-free) EE of the projected
-output, and the best checkpoint is returned.  An epoch counts as a new best
-only if it beats the best EE by more than ``MIN_GAIN`` (1e-10) relative: on
-the shipped ablation that stops the trainings about a third sooner, and moves
-their EE by at most about 5e-11 relative.
+Adam, its bias corrections folded into the step size (``_adam_step``), with
+early stopping on the true (barrier-free) EE of the projected output, and
+the best checkpoint is returned.  An epoch counts as a new best only if it
+beats the best EE by more than ``MIN_GAIN`` (1e-10) relative: on the shipped
+ablation that stops the trainings about a third sooner, and moves their EE
+by at most about 5e-11 relative.
 
 The EE, its gradient and the projector's budget scaling are ``PowerProblem``'s
 (``ee_and_gradient``, ``scale_to_budget``; one form for a vector or a stack);
@@ -414,12 +415,39 @@ class _Slot:
         return BARRIER_WEIGHT * 0.5 ** ((self.epoch - 1) // self.cfg.anneal_every) * self.ee_scale
 
 
+def _adam_step(params, grads, m, v, tmp, epochs) -> None:
+    """One Adam update of each row of ``params`` from its row of ``grads``, row i at epoch ``epochs[i]`` (from 1).
+
+    Adam with its bias corrections folded into the step size (Kingma & Ba
+    2015, sec. 2): ``m`` and ``v`` hold unnormalised moment sums
+    M <- b1 M + g and V <- b2 V + g^2, and p -= (M a) / (sqrt(V) + e) with
+    s = sqrt((1 - b2) / (1 - b2^t)), a = STEP_SIZE (1 - b1) / ((1 - b1^t) s)
+    and e = ADAM_EPS / s, per row as Python floats (at t = 1, exactly
+    STEP_SIZE and ADAM_EPS for the shipped constants).  One division and one
+    square root per parameter; ``grads`` and ``tmp`` are overwritten.
+    """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    s = [math.sqrt((1.0 - b2) / (1.0 - b2**t)) for t in epochs]
+    a = np.array([STEP_SIZE * (1.0 - b1) / ((1.0 - b1**t) * r) for t, r in zip(epochs, s)])[:, None]
+    e = np.array([ADAM_EPS / r for r in s])[:, None]
+    m *= b1
+    m += grads
+    v *= b2
+    np.multiply(grads, grads, out=tmp)
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += e
+    np.multiply(m, a, out=grads)
+    grads /= tmp
+    params -= grads
+
+
 def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     """Train one network per ``(problem, cfg)`` job; yields (position in ``jobs``, network) pairs.
 
     Each epoch is one full-instance step: forward pass, projection, barrier
-    loss gradient, Adam update.  The barrier weight is halved every
-    ``anneal_every`` epochs and internally rescaled by the instance's EE
+    loss gradient, Adam update (``_adam_step``).  The barrier weight is halved
+    every ``anneal_every`` epochs and internally rescaled by the instance's EE
     magnitude so the configured weight is unit-free.  Early stopping tracks
     the barrier-free EE of the projected output and the best checkpoint is
     returned.  An epoch is a new best only if its EE exceeds the best by
@@ -436,9 +464,10 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     stopping; when its job stops, the next job takes the row.  A row sees
     exactly the floating-point operations of a lone training (the batched
     products are one vector-matrix product per row, sums run along C-ordered
-    rows, the budget enters only elementwise, and Adam's bias corrections are
-    per-slot Python powers), so every network and its ``TrainingLog`` are
-    bit-identical to training that job alone.
+    rows, the budget enters only elementwise, and Adam's bias corrections
+    enter as per-slot scalars ``a`` and ``e``, Python floats from the slot's
+    epoch), so every network and its ``TrainingLog`` are bit-identical to
+    training that job alone.
 
     Networks are yielded as their trainings stop, so the pool holds at most
     ``POOL_SLOTS`` of them.  Once the jobs before the first one in ``jobs``
@@ -456,7 +485,6 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
     features = np.zeros((capacity, widths[0]))
     budget = np.zeros(capacity)
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
 
     queue = deque(enumerate(jobs))
     slots: list[_Slot] = []
@@ -525,23 +553,8 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
             view_rows = -1
 
         n = len(slots)
-        if n == 0:
-            continue
-        p_n, g, m, v, t = params[:n], grads[:n], m1[:n], v1[:n], tmp[:n]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=t)
-        m += t
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=t)
-        t *= g
-        v += t
-        np.divide(m, np.array([1.0 - b1**slot.epoch for slot in slots])[:, None], out=g)  # m_hat, in g's buffer
-        np.divide(v, np.array([1.0 - b2**slot.epoch for slot in slots])[:, None], out=t)  # v_hat
-        np.sqrt(t, out=t)
-        t += ADAM_EPS
-        g *= STEP_SIZE
-        g /= t
-        p_n -= g
+        if n:
+            _adam_step(params[:n], grads[:n], m1[:n], v1[:n], tmp[:n], [slot.epoch for slot in slots])
 
     if failure is not None:
         raise TrainingError(failure.epoch, failure.cfg.seed)

@@ -8,6 +8,10 @@ against central differences of them.
 ``train_alone`` is the per-configuration training loop that ``neuro.train_many``
 replaced: one network, one epoch at a time, on 1-D arrays.  The pool must
 reproduce it bit for bit, parameters and ``TrainingLog`` alike.
+
+``textbook_adam_updates`` is Adam as Kingma & Ba's Algorithm 1 writes it,
+with normalised moments and explicit bias corrections, against which the
+trainer's folded update is checked.
 """
 
 from __future__ import annotations
@@ -113,6 +117,22 @@ def gradient_check(net: neuro.MlpNetwork, loss_and_grads, sample: int = 100, see
         err = abs(analytic - fd) / max(abs(analytic), 1e-12)
         worst = max(worst, err)
     return worst
+
+
+def textbook_adam_updates(grad_steps):
+    """Yield Adam's update for each gradient in ``grad_steps``, from zero moments at t = 1.
+
+    m and v are the normalised moment estimates; m_hat and v_hat divide out
+    their bias before the step, as in Algorithm 1 of Kingma & Ba (2015).
+    """
+    b1, b2 = neuro.ADAM_BETA1, neuro.ADAM_BETA2
+    m = v = 0.0
+    for t, g in enumerate(grad_steps, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        yield neuro.STEP_SIZE * m_hat / (np.sqrt(v_hat) + neuro.ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +251,17 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
             log.best_ee, log.best_epoch = val, epoch
             best_params = net.params.copy()
 
+        # Adam on unnormalised moment sums, the bias corrections folded into the step factor a and epsilon e
+        s = math.sqrt((1.0 - b2) / (1.0 - b2**epoch))
+        a, e = neuro.STEP_SIZE * (1.0 - b1) / ((1.0 - b1**epoch) * s), neuro.ADAM_EPS / s
         m1 *= b1
-        np.multiply(grads, 1.0 - b1, out=tmp)
-        m1 += tmp
+        m1 += grads
         v1 *= b2
-        np.multiply(grads, 1.0 - b2, out=tmp)
-        tmp *= grads
+        np.multiply(grads, grads, out=tmp)
         v1 += tmp
-        np.divide(m1, 1.0 - b1**epoch, out=step)
-        np.divide(v1, 1.0 - b2**epoch, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += neuro.ADAM_EPS
-        step *= neuro.STEP_SIZE
+        np.sqrt(v1, out=tmp)
+        tmp += e
+        np.multiply(m1, a, out=step)
         step /= tmp
         net.params -= step
 

@@ -580,6 +580,28 @@ class TestSolveReadsOnlyItsInputs:
         assert run_cli("solve", "--config", write_json(tmp_path / "s.json", doc)) == EXIT_CONFIG
         assert message in one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("config_alt, scenario_alt", [(15000, None), (None, 15000), (20000.5, 20000),
+                                                          (15000, 15000.0), (None, None)])
+    def test_propulsion_and_link_share_one_altitude(self, config_alt, scenario_alt, tmp_path, capsys):
+        # altitude_m 15000 with the scenario left at 20000 used to exit 0 with the 15 km RF budget
+        # (388.15 W) and the 20 km channel gains; None leaves the key out (default 20000)
+        scenario = without(shipped("scenario_sweep.json"), "altitude_m")
+        if scenario_alt is not None:
+            scenario["altitude_m"] = scenario_alt
+        doc = {**without(chain_solve_config(), "scenario_path"), "scenario": scenario}
+        doc = without(doc, "altitude_m") if config_alt is None else {**doc, "altitude_m": config_alt}
+        config_alt, scenario_alt = float(config_alt or 20000), float(scenario_alt or 20000)
+        code = run_cli("solve", "--config", write_json(tmp_path / "s.json", doc))
+        if config_alt != scenario_alt:
+            assert code == EXIT_CONFIG
+            assert (f"altitude_m is {config_alt!r} m, but the scenario's altitude_m is {scenario_alt!r} m"
+                    in one_line_config_error(capsys))
+        else:
+            assert code == EXIT_OK
+            want = rf_budget(ledger_from_dict(doc["ledger"]), propulsion_power(
+                isa_properties(config_alt), platform_from_dict(doc["platform"]), 10.0, reference_coeffs()))
+            assert json.loads(capsys.readouterr().out)["p_tot_w"] == want
+
     @pytest.mark.parametrize("seed", [[3, 4], 2.5, True, "3"])
     def test_seed_is_one_integer(self, seed, tmp_path, capsys):
         # a list trained its first seed, and true trained seed 1

@@ -229,11 +229,26 @@ class TestTrain:
         for p0, g, p1 in zip(
             [*start.weights, *start.biases], [*grads_w, *grads_b], [*net.weights, *net.biases]
         ):
-            b1, b2 = neuro.ADAM_BETA1, neuro.ADAM_BETA2
-            m = (1.0 - b1) * g
-            v = (1.0 - b2) * g * g
-            step = neuro.STEP_SIZE * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + neuro.ADAM_EPS)
+            # at epoch 1 the moment sums are g and g * g, the step factor is STEP_SIZE and the shifted
+            # epsilon ADAM_EPS, and sqrt(g * g) is |g|: the update is exactly this
+            step = g * neuro.STEP_SIZE / (np.abs(g) + neuro.ADAM_EPS)
             assert np.array_equal(p1, p0 - step)
+
+    def test_adam_step_is_textbook_adam_to_rounding(self):
+        # gradients from 1e-100 to 1e100 in magnitude, about 10% exact zeros, two columns always zero
+        steps, rows, cols = 2000, 2, 64
+        rng = np.random.default_rng(5)
+        g = rng.choice([-1.0, 1.0], size=(steps, rows, cols)) * 10.0 ** rng.uniform(-100, 100, (steps, rows, cols))
+        g[rng.random(g.shape) < 0.1] = 0.0
+        g[:, :, :2] = 0.0
+        params, m, v, tmp = np.zeros((4, rows, cols))
+        worst = 0.0
+        for t, (grads, textbook) in enumerate(zip(g, oracle.textbook_adam_updates(g)), start=1):
+            params[...] = 0.0
+            neuro._adam_step(params, grads.copy(), m, v, tmp, [t] * rows)
+            worst = max(worst, float(np.abs(-params - textbook).max()))
+            assert not params[:, :2].any()  # an all-zero gradient history gives an exact zero update
+        assert worst <= 1e-14 * neuro.STEP_SIZE
 
     def test_trained_networks_share_no_buffers(self):
         _, prob = build_problem(k=2, seed=21)
