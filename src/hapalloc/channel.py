@@ -136,7 +136,7 @@ class Scenario:
     users: tuple[UserLink, ...]
     bw_hz: float
     n0_w: float
-    altitude_m: float = 20000.0  # the link budget's, which sets the users' default gamma
+    altitude_m: float = 20000.0  # the link budget's (sets the users' default gamma); solve prices propulsion here too
 
     def __post_init__(self):
         if not self.users:

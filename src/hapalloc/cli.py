@@ -164,10 +164,7 @@ def _budget_from_config(cfg: dict, scenario, ledger) -> float:
     """The RF budget: ``p_tot_w``, or what the propulsion chain leaves of the ledger at the scenario's altitude."""
     if "platform" in cfg:
         geom = platform_from_dict(cfg["platform"])
-        atm = _atmosphere(cfg.get("altitude_m", 20000.0))
-        if atm.altitude_m != scenario.altitude_m:
-            raise ConfigError(f"altitude_m is {atm.altitude_m!r} m, but the scenario's altitude_m is "
-                              f"{scenario.altitude_m!r} m: propulsion and the link budget need one altitude")
+        atm = _atmosphere(scenario.altitude_m, "scenario altitude_m")
         v0 = _positive("v0_mps", cfg.get("v0_mps", 10.0))
         return rf_budget(ledger, propulsion.propulsion_power(atm, geom, v0, propulsion.reference_coeffs()))
     if "p_tot_w" not in cfg:
@@ -205,7 +202,7 @@ def _cmd_solve(args) -> int:
     if backend not in ("numeric", "mlp"):
         raise ConfigError(f"backend must be 'numeric' or 'mlp', got {backend!r}")
     # the keys the budget source and backend read: any other key would be ignored
-    source = ("platform", "altitude_m", "v0_mps") if "platform" in cfg else ("p_tot_w",)
+    source = ("platform", "v0_mps") if "platform" in cfg else ("p_tot_w",)
     keys = (*_SCENARIO_KEYS, "ledger", "backend", *source, *(("seed",) if backend == "mlp" else ()))
     reject_unknown_keys(cfg, keys, f"config {args.config} (budget from '{source[0]}', {backend} backend)")
     scenario, ledger = _scenario_and_ledger(cfg, args.config, "solve")

@@ -2,9 +2,9 @@
 
 Sweeps evaluate a grid of airspeeds (propulsion model columns) or RF budgets
 (per-backend satisfaction ratio and EE) and return fixed-schema tables whose
-CSV form is byte-stable for a given config and seed set.  Trend assertions
-(propulsion power strictly increasing with airspeed; satisfied-user ratio
-non-decreasing with budget) run inside the sweep and fail loudly.
+CSV form is byte-stable for a given config and seed set.  Each sweep writes
+what it computed at every grid value, one row per value (and backend), and
+hands the SVG emitter its curves as ``(name, xs, ys)`` series.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ LEGACY_ETA_P = 0.73  # the fixed propeller efficiency of the legacy propulsion m
 
 @dataclass(frozen=True)
 class ReportTable:
-    """Fixed-header table with optional plot hints for the SVG emitter."""
+    """Fixed-header table, with the ``(name, xs, ys)`` curves the SVG emitter plots (none: no chart)."""
 
     headers: tuple[str, ...]
     rows: list[list]
-    x_column: str = ""
-    y_column: str = ""
-    group_column: str = ""
-    y_columns: tuple[str, ...] = ()
+    series: tuple[tuple[str, list, list], ...] = ()
     x_label: str = ""
     y_label: str = ""
 
@@ -59,12 +56,11 @@ def run_airspeed_sweep(geom: PlatformGeometry, atm: Atmosphere, grid) -> ReportT
 
     The surrogate column uses ``propulsion.reference_coeffs()``, the legacy
     column the constant propeller efficiency ``LEGACY_ETA_P``, for
-    side-by-side deviation against the airspeed-dependent surrogate.  Raises
-    if the surrogate-model power is not strictly increasing along the grid.
+    side-by-side deviation against the airspeed-dependent surrogate.  One row
+    per airspeed, in grid order; the chart plots both power columns.
     """
     coeffs = propulsion.reference_coeffs()
     rows = []
-    prev_power = -np.inf
     for v0 in grid:
         v0 = float(v0)
         re = propulsion.reynolds(atm, v0, geom.length_l)
@@ -73,17 +69,12 @@ def run_airspeed_sweep(geom: PlatformGeometry, atm: Atmosphere, grid) -> ReportT
         eta = propulsion.surrogate_efficiency(coeffs, v0)
         power = propulsion.propulsion_power(atm, geom, v0, coeffs)
         legacy = drag * v0 / (LEGACY_ETA_P * geom.motor_eff_etam)
-        if power <= prev_power:
-            raise AssertionError(
-                f"propulsion power not strictly increasing at v0={v0} m/s"
-            )
-        prev_power = power
         rows.append([v0, drag, cdv, re, eta, power, legacy])
+    v0s = [r[0] for r in rows]
     return ReportTable(
         headers=tuple(AIRSPEED_HEADERS),
         rows=rows,
-        x_column="v0_mps",
-        y_columns=("p_prop_w", "p_prop_legacy_w"),
+        series=(("p_prop_w", v0s, [r[5] for r in rows]), ("p_prop_legacy_w", v0s, [r[6] for r in rows])),
         x_label="airspeed (m/s)",
         y_label="propulsion power (W)",
     )
@@ -152,11 +143,10 @@ def run_budget_sweep(
     """Per-backend satisfaction ratio and EE over an RF-budget grid.
 
     Rows come out in grid-then-backend order; q3e-mlp averages over
-    ``seeds``.  Raises ConfigError, before any training, for an unknown
+    ``seeds``.  The chart plots each backend's satisfaction ratio against
+    the budget.  Raises ConfigError, before any training, for an unknown
     backend, a repeated backend or seed, or a budget out of range
-    (``check_stage2_range``), and AssertionError if the lexicographic
-    solver's satisfaction ratio ever decreases along the grid, or if the
-    sum-rate baseline ever satisfies more users.
+    (``check_stage2_range``).
     """
     backends = _distinct("sweep backends", backends)
     unknown = [b for b in backends if b not in BUDGET_BACKENDS]
@@ -178,28 +168,11 @@ def run_budget_sweep(
         for i, p_tot in enumerate(grid)
     ]
 
-    rows = []
-    prev_sat = -1.0
-    for p_tot, by_backend in zip(grid, results):
-        if "q3e-numeric" in by_backend:
-            sat = by_backend["q3e-numeric"][0]
-            if sat < prev_sat - 1e-12:
-                raise AssertionError(f"satisfaction ratio decreased at budget {p_tot} W")
-            prev_sat = sat
-            if "max-sum-rate" in by_backend and by_backend["max-sum-rate"][0] > sat + 1e-12:
-                raise AssertionError(
-                    f"sum-rate baseline satisfied more users than the QoS-first "
-                    f"solver at budget {p_tot} W"
-                )
-        for b in backends:
-            sat, ee, rf = by_backend[b]
-            rows.append([p_tot, b, sat, ee, rf])
+    rows = [[p_tot, b, *by_backend[b]] for p_tot, by_backend in zip(grid, results) for b in backends]
     return ReportTable(
         headers=tuple(BUDGET_HEADERS),
         rows=rows,
-        x_column="p_tot_w",
-        y_column="satisfaction",
-        group_column="backend",
+        series=tuple((b, grid, [by_backend[b][0] for by_backend in results]) for b in backends),
         x_label="RF power budget (W)",
         y_label="QoS satisfaction ratio",
     )
@@ -283,35 +256,11 @@ def table_to_csv(table: ReportTable) -> str:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_series(table: ReportTable) -> list[tuple[str, list, list]]:
-    """(name, xs, ys) per plotted series, from the table's plot hints."""
-    col = {h: i for i, h in enumerate(table.headers)}
-    xi = col[table.x_column]
-    series = []
-    if table.group_column:
-        gi, yi = col[table.group_column], col[table.y_column]
-        for row in table.rows:
-            name = str(row[gi])
-            match = next((s for s in series if s[0] == name), None)
-            if match is None:
-                match = (name, [], [])
-                series.append(match)
-            match[1].append(float(row[xi]))
-            match[2].append(float(row[yi]))
-    else:
-        for name in table.y_columns:
-            yi = col[name]
-            xs = [float(r[xi]) for r in table.rows]
-            ys = [float(r[yi]) for r in table.rows]
-            series.append((name, xs, ys))
-    return series
-
-
 def table_to_svg(table: ReportTable) -> str:
-    """Self-contained 960x540 line chart, one polyline per series."""
-    if not table.x_column:
-        raise ValueError("table carries no plot hints; cannot emit SVG")
-    series = _svg_series(table)
+    """Self-contained 960x540 line chart, one polyline per series of ``table.series``."""
+    series = table.series
+    if not series:
+        raise ValueError("table carries no series; cannot emit SVG")
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
@@ -335,10 +284,10 @@ def table_to_svg(table: ReportTable) -> str:
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
         f'<text x="{(left + right) / 2:.1f}" y="525" text-anchor="middle">'
-        f"{table.x_label or table.x_column}</text>",
+        f"{table.x_label}</text>",
         f'<text x="20" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 20 {(top + bottom) / 2:.1f})">'
-        f"{table.y_label or table.y_column}</text>",
+        f"{table.y_label}</text>",
         f'<text x="{left}" y="{bottom + 20:.1f}" text-anchor="middle">{x_lo:g}</text>',
         f'<text x="{right}" y="{bottom + 20:.1f}" text-anchor="middle">{x_hi:g}</text>',
         f'<text x="{left - 8}" y="{bottom:.1f}" text-anchor="end">{y_lo:g}</text>',

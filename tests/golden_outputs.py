@@ -42,8 +42,8 @@ def cli_runs(out: Path) -> dict[str, tuple[list[str], tuple[str, ...]]]:
                         "--out", out / "propulsion.csv"], ("propulsion.csv",)),
         "budget-sweep": (["sweep", "--config", CONFIG_DIR / "sweep_budget.json", "--out", out / "budget.csv",
                           "--svg", out / "budget.svg"], ("budget.csv", "budget.svg")),
-        "airspeed-sweep": (["sweep", "--config", CONFIG_DIR / "sweep_airspeed.json", "--out", out / "airspeed.csv"],
-                           ("airspeed.csv",)),
+        "airspeed-sweep": (["sweep", "--config", CONFIG_DIR / "sweep_airspeed.json", "--out", out / "airspeed.csv",
+                            "--svg", out / "airspeed.svg"], ("airspeed.csv", "airspeed.svg")),
         "solve": (["solve", "--config", CONFIG_DIR / "solve.json", "--out", out / "solve.json"], ("solve.json",)),
         "solve-mlp": (["solve", "--config", solve_mlp_path, "--out", out / "solve_mlp.json"], ("solve_mlp.json",)),
         "ablation": (["ablation", "--config", CONFIG_DIR / "ablation.json", "--out", out / "ablation.csv"],

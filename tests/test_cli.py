@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from bemt_oracle import default_test_propeller, write_spec_dir
 from conftest import CONFIG_DIR
 from hapalloc import bemt, propulsion
+from hapalloc.channel import scenario_from_dict
 from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, build_parser, main
 from hapalloc.config import isa_properties, ledger_from_dict, platform_from_dict, rf_budget
 from hapalloc.propulsion import propulsion_power, reference_coeffs
+from hapalloc.q3e import scenario_beamformer, stage2_problem
 
 PLATFORM_CONFIG = CONFIG_DIR / "platform.json"
 
@@ -237,7 +239,6 @@ class TestSolveVerb:
                     "scenario": scenario,
                     "platform": platform_doc["platform"],
                     "ledger": platform_doc["ledger"],
-                    "altitude_m": 20000.0,
                     "v0_mps": 10.0,
                 }
             )
@@ -317,6 +318,35 @@ class TestSweepVerb:
         for r in rows:
             p_tot, spent = float(r["p_tot_w"]), float(r["rf_spent_w"])
             assert p_tot * (1.0 - 1e-12) <= spent <= p_tot, r
+
+    def run_sweep(self, doc, tmp_path, capsys) -> list[dict]:
+        """The rows ``hapalloc sweep`` writes for ``doc``, which must exit 0 with nothing on stderr."""
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", write_json(tmp_path / "s.json", doc), "--out", out) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        return list(csv.DictReader(out.read_text().splitlines()))
+
+    def test_budget_just_below_one_users_cost(self, tmp_path, capsys):
+        # 1e-13 below the user's cost q3e cannot afford the user, while max-sum-rate, which counts
+        # QoS met within 1e-12, satisfies it: the sweep writes both rows as computed
+        scenario = shipped("scenario_sweep.json")
+        scenario["users"] = scenario["users"][:1]
+        ledger = shipped("sweep_budget.json")["ledger"]
+        sc = scenario_from_dict(scenario)
+        problem = stage2_problem(sc, scenario_beamformer(sc), 0.0, ledger_from_dict(ledger))
+        cost = float(problem.w_norms_sq[0] * problem.p_min[0] ** 2)
+        assert cost == pytest.approx(60.6955551816912, rel=1e-12)
+        backends = ["q3e-numeric", "max-sum-rate"]
+        doc = {"kind": "rf_budget", "grid": [cost * (1.0 - 1e-13)], "scenario": scenario, "ledger": ledger,
+               "backends": backends}
+        rows = self.run_sweep(doc, tmp_path, capsys)
+        assert [r["backend"] for r in rows] == backends
+
+    def test_airspeeds_one_ulp_apart(self, tmp_path, capsys):
+        # the propulsion power rounds equal at 4.6 m/s and one ulp above: the sweep writes both rows
+        grid = [4.6, math.nextafter(4.6, math.inf)]
+        rows = self.run_sweep({**shipped("sweep_airspeed.json"), "grid": grid}, tmp_path, capsys)
+        assert [float(r["v0_mps"]) for r in rows] == grid
 
     def test_bad_kind(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -583,23 +613,23 @@ class TestSolveReadsOnlyItsInputs:
     @pytest.mark.parametrize("config_alt, scenario_alt", [(15000, None), (None, 15000), (20000.5, 20000),
                                                           (15000, 15000.0), (None, None)])
     def test_propulsion_and_link_share_one_altitude(self, config_alt, scenario_alt, tmp_path, capsys):
-        # altitude_m 15000 with the scenario left at 20000 used to exit 0 with the 15 km RF budget
-        # (388.15 W) and the 20 km channel gains; None leaves the key out (default 20000)
+        # the propulsion chain is priced at the scenario's altitude_m (None leaves the key out: 20000),
+        # so a top-level altitude_m, which could disagree with it, is an unknown key
         scenario = without(shipped("scenario_sweep.json"), "altitude_m")
         if scenario_alt is not None:
             scenario["altitude_m"] = scenario_alt
         doc = {**without(chain_solve_config(), "scenario_path"), "scenario": scenario}
-        doc = without(doc, "altitude_m") if config_alt is None else {**doc, "altitude_m": config_alt}
-        config_alt, scenario_alt = float(config_alt or 20000), float(scenario_alt or 20000)
+        if config_alt is not None:
+            doc["altitude_m"] = config_alt
         code = run_cli("solve", "--config", write_json(tmp_path / "s.json", doc))
-        if config_alt != scenario_alt:
+        if config_alt is not None:
             assert code == EXIT_CONFIG
-            assert (f"altitude_m is {config_alt!r} m, but the scenario's altitude_m is {scenario_alt!r} m"
+            assert ("(budget from 'platform', numeric backend): unknown key(s) 'altitude_m'"
                     in one_line_config_error(capsys))
         else:
             assert code == EXIT_OK
             want = rf_budget(ledger_from_dict(doc["ledger"]), propulsion_power(
-                isa_properties(config_alt), platform_from_dict(doc["platform"]), 10.0, reference_coeffs()))
+                isa_properties(scenario_alt or 20000), platform_from_dict(doc["platform"]), 10.0, reference_coeffs()))
             assert json.loads(capsys.readouterr().out)["p_tot_w"] == want
 
     @pytest.mark.parametrize("seed", [[3, 4], 2.5, True, "3"])

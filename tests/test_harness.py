@@ -152,8 +152,7 @@ class TestEmitReport:
         return ReportTable(
             headers=("x", "series"),
             rows=[[1.0, "a,b"], [2.0, "plain"]],
-            x_column="x",
-            y_columns=("x",),
+            series=(("x", [1.0, 2.0], [1.0, 2.0]),),
             x_label="x (unit)",
             y_label="y (unit)",
         )
@@ -197,8 +196,8 @@ class TestEmitReport:
             emit_report(self._table(), "pdf", tmp_path / "t.pdf")
 
     def test_svg_without_plot_hints_rejected(self):
-        with pytest.raises(ValueError):
-            table_to_svg(ReportTable(headers=("a",), rows=[[1.0]]))
+        with pytest.raises(ValueError, match="no series"):
+            table_to_svg(ReportTable(headers=("a",), rows=[[1.0]], series=()))
 
 
 class TestAblationStructure:

@@ -19,7 +19,7 @@ FORBIDDEN_IMPORTS = {"tests", "perfbench", "hypothesis", "scipy", "mpmath"}
 # public names that tests alone called, now deleted or moved to tests/
 REMOVED = {
     "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT", "DEFAULT_HIDDEN"],
-    "harness": ["parse_csv"],
+    "harness": ["parse_csv", "_svg_series"],
     "propulsion": ["write_samples_csv", "parse_samples_csv"],
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
@@ -32,6 +32,7 @@ REMOVED = {
 REMOVED_FIELDS = [
     (FeasibilityPartition, {"min_cost_per_user", "order_g", "p_min", "p_tot"}),
     (PowerProblem, {"free", "lower_bound", "pinned_p"}),
+    (harness.ReportTable, {"x_column", "y_column", "group_column", "y_columns"}),
 ]
 
 # parameters that only tests set to another value, now module constants
