@@ -131,18 +131,9 @@ class PropellerOperatingPoint:
     eta_p: float
 
 
-def tip_loss(n_b: int, r: float | np.ndarray, r_tip: float, phi0: float | np.ndarray) -> float | np.ndarray:
-    """Prandtl tip-loss factor (2/pi) acos(exp(-N_b (R - r) / (2 r sin phi0))), elementwise in r and phi0."""
-    r, phi0 = np.asarray(r, float), np.asarray(phi0, float)
-    if not np.all((0.0 < r) & (r <= r_tip)):
-        raise ValueError("require 0 < r <= r_tip")
-    if not np.all((0.0 < phi0) & (phi0 < math.pi / 2)):
-        raise ValueError("inflow angle must be in (0, pi/2)")
-    return _tip_loss(n_b, r, r_tip, phi0)
-
-
 def _tip_loss(n_b: int, r: np.ndarray, r_tip: float, phi0: np.ndarray) -> np.ndarray:
-    """``tip_loss`` without its range checks, for stations already inside them."""
+    """Prandtl tip-loss factor (2/pi) acos(exp(-N_b (R - r) / (2 r sin phi0))), elementwise in r and phi0
+    (unchecked: the caller keeps 0 < r <= r_tip and 0 < phi0 < pi/2)."""
     return (2.0 / math.pi) * np.arccos(np.exp(-n_b * (r_tip - r) / (2.0 * r * np.sin(phi0))))
 
 

@@ -26,7 +26,8 @@ problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
 in budget, so one pool serves several configurations of one instance or one
 instance at several budgets.  Any one of the problems stands for the face:
 an epoch reads the free users, floors and pinned coefficients from it and
-each row's budget from the pool.
+each row's budget from the pool.  Every row runs the same numpy calls: a term
+a row skips adds zero to it, and sums run on ``compress``ed C-ordered rows.
 """
 
 from __future__ import annotations
@@ -255,17 +256,6 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 # ---------------------------------------------------------------------------
 
 
-_ALL = slice(None)
-
-
-def _rows(mask: np.ndarray):
-    """An index of the rows where ``mask`` holds: None if none, ``_ALL`` if all (views, not gathers)."""
-    flags = mask.tolist()
-    if all(flags):
-        return _ALL
-    return mask if any(flags) else None
-
-
 def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.ndarray, eps: float):
     """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
     weights and budgets.
@@ -281,30 +271,22 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.
     the EE is, which is all training checks.  EE and its gradient are
     ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
     coordinates.  Returns per-row EE, gradient and free users' spend.
+    Every row runs the same calls: a row with ``lam`` 0 adds zero terms, and a row at or
+    past its wall divides the wall term by inf (zero, with no divide warning).  An added
+    +0 may turn a -0 entry into +0, which Adam's moments cannot tell apart.
     """
     ee, grad, rf = problem.ee_and_gradient(p)
     np.negative(grad, out=grad)
-    free_spend = (problem.c_free * (p.compress(problem.free, axis=1) if problem.pinned else p) ** 2).sum(axis=1)
-    rows = _rows(lam > 0)
-    if rows is None:
-        return ee, grad, free_spend
-    g, p, lam, budget = grad[rows], p[rows], lam[rows][:, None], budget[rows]
+    free_spend = (problem.c_free * p.compress(problem.free, axis=1) ** 2).sum(axis=1)
+    lam = lam[:, None]
     if problem.full_qos:
         x = p - problem.p_min + eps
-        g -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-        slack = budget - rf[rows] + eps
+        grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
+        slack = budget - rf + eps
     else:
-        slack = budget - free_spend[rows] + eps
-    wall = _rows(slack > eps)
-    if wall is not None:
-        g_wall = g[wall]
-        g_wall += lam[wall] * 2.0 * problem.w_norms_sq * p[wall] / slack[wall][:, None]
-        if problem.pinned:
-            g_wall[:, ~problem.free] = 0.0
-        if wall is not _ALL:  # a gather: write it back
-            g[wall] = g_wall
-    if rows is not _ALL:
-        grad[rows] = g
+        slack = budget - free_spend + eps
+    wall = lam * 2.0 * problem.w_norms_sq * p / np.where(slack > eps, slack, np.inf)[:, None]
+    grad += np.where(problem.free, wall, 0.0)
     return ee, grad, free_spend
 
 
@@ -323,13 +305,12 @@ def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.n
     d(loss)/dp_tilde.
     """
     mask, c, p_m = problem.floor, problem.c_free, problem.floor_cost
-    if problem.pinned:
-        p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
+    p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
     clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
     p = np.maximum(p_tilde, mask)
     p_0 = (c * p * p).sum(axis=1)
-    rows = _rows(scaling & ~(p_0 <= budget))
-    if rows is None:
+    rows = np.flatnonzero(scaling & ~(p_0 <= budget))
+    if not rows.size:
         return p, lambda d_p: d_p * clamped
 
     p_hat, p_0 = p[rows], p_0[rows]
@@ -379,20 +360,16 @@ def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.
     projected point, then backprop into the stacked gradient views
     ``grads_w`` and ``grads_b``.  Returns, per slot, the raw output, the
     projected coefficients of all users, the EE and the free users' spend.
+    Every face takes one path: pinned coefficients are assembled into each
+    row, and their gradient entries dropped before the projector's backward.
     """
-    free = problem.free
     p_tilde, cache = _forward_trace(weights, biases, features)
     p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling, budget)
-    p = p_free  # with no user pinned, every user is free
-    if problem.pinned:
-        p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
-        p[:, free] = p_free
+    p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
+    p[:, problem.free] = p_free
     ee, d_p, free_spend = _evaluate(p, problem, lam, budget, eps)
-    if problem.pinned:
-        d_p_tilde = np.zeros(p_tilde.shape)
-        d_p_tilde[:, free] = proj_backward(d_p.compress(free, axis=1))
-    else:
-        d_p_tilde = proj_backward(d_p)
+    d_p_tilde = np.zeros(p_tilde.shape)
+    d_p_tilde[:, problem.free] = proj_backward(d_p.compress(problem.free, axis=1))
     _backward(weights, cache, d_p_tilde, grads_w, grads_b)
     return p_tilde, p, ee, free_spend
 

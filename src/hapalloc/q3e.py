@@ -89,10 +89,6 @@ class PowerProblem:
         return self.full_qos | ~np.isin(np.arange(self.n_users), self.satisfied_set)
 
     @cached_property
-    def pinned(self) -> bool:  # some user is pinned
-        return not self.free.all()
-
-    @cached_property
     def pinned_p(self) -> np.ndarray:  # the pinned users' minimum coefficients, 0 where free
         return np.where(self.free, 0.0, self.p_min)
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neuro_oracle as oracle
@@ -354,6 +354,11 @@ class TestTrainMany:
         fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
         cfgs=st.lists(train_configs, min_size=1, max_size=8),
     )
+    # a partial-QoS face with two pinned users, where the no-scale rows end past their wall
+    @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
+        neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=scaling, use_soft_loss=soft)
+        for seed in (0, 1) for scaling, soft in ((True, True), (True, False), (False, True))
+    ])
     def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, satisfied, fracs, cfgs):
         # the jobs' problems are one face at up to four budgets: full QoS, or partial QoS
         # with the same cheapest users satisfied (none of them when satisfied % k is 0)

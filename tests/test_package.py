@@ -23,7 +23,7 @@ REMOVED = {
     "propulsion": ["write_samples_csv", "parse_samples_csv"],
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
-    "bemt": ["axial_induction", "write_spec_dir"],
+    "bemt": ["axial_induction", "write_spec_dir", "tip_loss"],
     "config": ["total_comm_power", "load_platform_config"],
     "q3e": ["project_capped", "_scale_to_budget"],
 }

@@ -180,7 +180,6 @@ class TestPowerProblemRecord:
         for derived, by_hand in pairs:
             assert derived.dtype == by_hand.dtype and np.array_equal(derived, by_hand)
         assert prob.floor_cost == floor_cost
-        assert prob.pinned is (not free.all())
         with pytest.raises(dataclasses.FrozenInstanceError):
             prob.free = free
 
@@ -297,7 +296,7 @@ class TestProjectCapped:
         sc = random_scenario(5, seed=3)
         bf, _, p_min = scenario_problem(sc)
         prob = stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, False, 0.5), LEDGER)
-        assert prob.pinned
+        assert not prob.free.all()
         out = prob.project(np.full(len(prob.c_free), 1e3))
         assert np.array_equal(out[~prob.free], prob.p_min[~prob.free])
         assert float(np.sum(prob.c_free * out[prob.free] ** 2)) == pytest.approx(prob.budget, rel=1e-12)
