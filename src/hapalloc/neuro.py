@@ -11,7 +11,11 @@ early stopping on the true (barrier-free) EE of the projected output, and
 the best checkpoint is returned.  An epoch counts as a new best only if it
 beats the best EE by more than ``MIN_GAIN`` (1e-10) relative: on the shipped
 ablation that stops the trainings about a third sooner, and moves their EE
-by at most about 5e-11 relative.
+by at most about 5e-11 relative.  Training stops at the first of three:
+``PATIENCE`` epochs without a new best, ``max_epochs``, or a best EE within
+``MIN_GAIN`` of the training's EE ceiling (``PowerProblem.ee_ceiling``, an
+upper bound on the EE of every point its projector returns), past which no
+epoch can be a new best, so that stop moves no checkpoint.
 
 The EE, its gradient and the projector's budget scaling are ``PowerProblem``'s
 (``ee_and_gradient``, ``scale_to_budget``; one form for a vector or a stack);
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,13 +78,17 @@ class TrainingLog:
 
     ``best_epoch`` is the last epoch whose EE beat the best before it by
     more than ``MIN_GAIN`` relative; a later epoch with a smaller gain moves
-    neither it nor the checkpoint.
+    neither it nor the checkpoint.  ``ceiling`` bounds the EE of every point
+    the training's projector can return, so it also bounds the network's
+    optimality gap (``_ceiling``; inf when patience alone applies); once
+    ``best_ee`` is within ``MIN_GAIN`` of it, training stops at ``best_epoch``.
     """
 
     best_epoch: int = 0
     stopped_epoch: int = 0
     best_ee: float = -np.inf
     max_budget_overshoot: float = 0.0
+    ceiling: float = math.inf
 
 
 @dataclass
@@ -347,6 +355,12 @@ def _ee_scale(problem: PowerProblem) -> float:
     return ref if ref > 0 else 1.0
 
 
+def _ceiling(problem: PowerProblem, cfg: TrainConfig) -> float:
+    """The EE ceiling of every point a training of ``cfg`` on ``problem`` projects to: the problem's, or,
+    for a clamp-only training (no budget scaling), that of its face without the budget."""
+    return (problem if cfg.project_scaling else replace(problem, budget=math.inf)).ee_ceiling
+
+
 def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, budget: np.ndarray,
           eps: float, scaling: np.ndarray, grads_w, grads_b):
     """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
@@ -430,7 +444,10 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     returned.  An epoch is a new best only if its EE exceeds the best by
     more than ``MIN_GAIN`` relative (EE is never negative, so the product
     form holds at the initial -inf and at 0); training stops ``PATIENCE``
-    epochs after the last new best.
+    epochs after the last new best, at ``max_epochs``, or at once when the
+    best EE is within ``MIN_GAIN`` of the job's EE ceiling (``_ceiling``,
+    taken once as the job enters the pool): no later epoch could be a new
+    best, so the checkpoint is final.
 
     The jobs' problems must share one stage-1 face (``PowerProblem.shares_face``):
     they may differ only in budget.  Otherwise the first ``next`` raises
@@ -471,7 +488,8 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
         while queue and len(slots) < capacity:
             index, (problem, cfg) = queue.popleft()
             row = len(slots)
-            slot = _Slot(index, cfg, network_for(problem, cfg), _ee_scale(problem))
+            slot = _Slot(index, cfg, network_for(problem, cfg), _ee_scale(problem),
+                         log=TrainingLog(ceiling=_ceiling(problem, cfg)))
             params[row] = slot.net.params
             m1[row] = 0.0
             v1[row] = 0.0
@@ -511,7 +529,8 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
             if val[row] > log.best_ee * (1.0 + MIN_GAIN):
                 log.best_ee, log.best_epoch = val[row], slot.epoch
                 slot.net.params[:] = params[row]
-            if slot.epoch - log.best_epoch >= PATIENCE or slot.epoch == slot.cfg.max_epochs:
+            if (slot.epoch - log.best_epoch >= PATIENCE or slot.epoch == slot.cfg.max_epochs
+                    or log.best_ee * (1.0 + MIN_GAIN) >= log.ceiling):
                 log.stopped_epoch = slot.epoch
                 slot.net.log = log
                 done.append(row)

@@ -7,7 +7,8 @@ against central differences of them.
 
 ``train_alone`` is the per-configuration training loop that ``neuro.train_many``
 replaced: one network, one epoch at a time, on 1-D arrays.  The pool must
-reproduce it bit for bit, parameters and ``TrainingLog`` alike.
+reproduce it bit for bit, parameters and ``TrainingLog`` alike, including
+the stop once the best EE reaches the problem's EE ceiling.
 
 ``textbook_adam_updates`` is Adam as Kingma & Ba's Algorithm 1 writes it,
 with normalised moments and explicit bias corrections, against which the
@@ -16,6 +17,7 @@ trainer's folded update is checked.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,7 +237,9 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
     step = np.empty_like(net.params)
     tmp = np.empty_like(net.params)
 
-    log = neuro.TrainingLog()
+    # a clamp-only training's iterates keep p >= floor but may spend past the budget
+    bounded = problem if cfg.project_scaling else dataclasses.replace(problem, budget=math.inf)
+    log = neuro.TrainingLog(ceiling=bounded.ee_ceiling)
     best_params = None
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -265,7 +269,7 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
         step /= tmp
         net.params -= step
 
-        if epoch - log.best_epoch >= neuro.PATIENCE:
+        if epoch - log.best_epoch >= neuro.PATIENCE or log.best_ee * (1.0 + neuro.MIN_GAIN) >= log.ceiling:
             break
 
     net.params[:] = best_params

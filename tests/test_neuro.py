@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -209,12 +210,12 @@ class TestTrain:
             return {row[0]: row for row in table.rows}, logs
 
         shipped, shipped_logs = ablation()
+        assert all(stops_as_documented(log) for log in shipped_logs)
         monkeypatch.setattr(neuro, "MIN_GAIN", 0.0)
         every_gain, every_gain_logs = ablation()
         shipped_epochs = sum(log.stopped_epoch for log in shipped_logs)
         assert shipped_epochs <= 0.75 * sum(log.stopped_epoch for log in every_gain_logs)
         assert shipped["full"][3] == pytest.approx(every_gain["full"][3], rel=1e-9, abs=0.0)
-        assert all(log.stopped_epoch - log.best_epoch == neuro.PATIENCE for log in shipped_logs)
 
     def test_first_update_is_one_adam_step_on_the_checked_gradient(self, monkeypatch):
         # the gradient that TestGradientCheck verifies is the one training applies
@@ -314,6 +315,13 @@ class TestTrain:
             assert learned.ee >= 0.95 * numeric.ee
 
 
+def stops_as_documented(log: neuro.TrainingLog) -> bool:
+    """Whether a training that did not reach ``max_epochs`` stopped where its log says it must: at its best
+    epoch once its best EE is within ``MIN_GAIN`` of its ceiling, else ``PATIENCE`` epochs later."""
+    certified = log.best_ee * (1.0 + neuro.MIN_GAIN) >= log.ceiling
+    return log.stopped_epoch == log.best_epoch + (0 if certified else neuro.PATIENCE)
+
+
 def lone_error(jobs) -> neuro.TrainingError | None:
     """The error of the first ``(problem, cfg)`` job whose lone training diverges."""
     for problem, cfg in jobs:
@@ -358,6 +366,15 @@ class TestTrainMany:
     @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
         neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=scaling, use_soft_loss=soft)
         for seed in (0, 1) for scaling, soft in ((True, True), (True, False), (False, True))
+    ])
+    # every job stops at its EE ceiling: capped and clamp-only rows on a full-QoS face, then on a partial-QoS face
+    @example(k=2, scenario_seed=4, full=True, satisfied=0, fracs=[0.5, 0.95], cfgs=[
+        neuro.TrainConfig(max_epochs=150, seed=seed, project_scaling=scaling)
+        for seed in (0, 1) for scaling in (True, False)
+    ])
+    @example(k=3, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
+        neuro.TrainConfig(max_epochs=150, seed=seed, project_scaling=scaling)
+        for seed in (0, 1) for scaling in (True, False)
     ])
     def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, satisfied, fracs, cfgs):
         # the jobs' problems are one face at up to four budgets: full QoS, or partial QoS
@@ -443,6 +460,42 @@ class TestTrainMany:
         with mock.patch.object(neuro, "POOL_SLOTS", 2):
             order = [i for i, _ in neuro.train_many((prob, cfg) for cfg in cfgs)]
         assert order == [1, 0]
+
+
+class TestCeilingStop:
+    """Stopping a training once its best EE reaches its EE ceiling moves no checkpoint."""
+
+    def test_the_ceiling_moves_no_checkpoint(self, monkeypatch):
+        # the shipped ablation with three seeds per variant, and sweep budgets on three faces (two partial-QoS, one
+        # full), trained with their ceilings and with patience alone
+        from conftest import ablation_config, sweep_scenario
+        from hapalloc.channel import scenario_from_dict
+
+        cfg_doc = ablation_config()
+        sc = scenario_from_dict(cfg_doc["scenario"])
+        ablation = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
+        pools = [[(ablation, neuro.TrainConfig(seed=seed, project_scaling=scaling, use_soft_loss=soft))
+                  for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(3)]]
+        sweep = sweep_scenario()
+        bf = scenario_beamformer(sweep)
+        for budgets in ((80.0, 90.0), (120.0, 140.0), (230.0, 300.0)):
+            problems = [stage2_problem(sweep, bf, budget, LEDGER) for budget in budgets]
+            assert problems[0].shares_face(problems[1])
+            pools.append([(problem, neuro.TrainConfig()) for problem in problems])
+
+        def trained():
+            return [net for jobs in pools for net in pooled(jobs, neuro.POOL_SLOTS)]
+
+        bounded = trained()
+        monkeypatch.setattr(neuro, "_ceiling", lambda problem, cfg: math.inf)
+        patient = trained()
+        for net, alone in zip(bounded, patient):
+            assert net.params.tobytes() == alone.params.tobytes()
+            assert (net.log.best_ee, net.log.best_epoch) == (alone.log.best_ee, alone.log.best_epoch)
+            assert stops_as_documented(net.log) and stops_as_documented(alone.log)
+            assert alone.log.stopped_epoch == alone.log.best_epoch + neuro.PATIENCE
+        certified = [net.log.stopped_epoch == net.log.best_epoch for net in bounded]
+        assert 0 < sum(certified) < len(bounded)
 
 
 class TestCheckpointIo:

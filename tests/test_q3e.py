@@ -3,7 +3,9 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,13 @@ from conftest import (
     sweep_scenario,
     total_comm_power,
 )
-from q3e_oracle import max_sum_rate_bisection
+from q3e_oracle import max_sum_rate_bisection, stage2_optimum_bisection, water_fill_bisection
 from hapalloc import cli, neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.channel import scenario_from_dict
 from hapalloc.config import ConfigError, PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
+    _water_fill,
     baseline_max_sum_rate,
     baseline_qos_only,
     check_stage2_range,
@@ -586,6 +589,9 @@ class TestQ3eOrchestrator:
         assert diag["iterations"] - diag["best_epoch"] <= neuro.PATIENCE
         assert 0.0 <= diag["max_budget_overshoot"] <= 1e-9
         assert solution_to_dict(sol)["iterations"] == diag["iterations"]
+        problem = stage2_problem(sc, bf, 50.0, LEDGER)
+        assert diag["ee_ceiling"] == problem.ee_ceiling  # a bound on the solution's optimality gap
+        assert problem.objective(sol.p) <= diag["ee_ceiling"] <= stage2_optimum_bisection(problem) * (1.0 + 1e-9)
 
 
 class TestBaselineMaxSumRate:
@@ -651,6 +657,97 @@ class TestBaselineMaxSumRate:
         p, q_set = max_sum_rate_bisection(sc, bf, p_tot)
         np.testing.assert_allclose(sol.p, p, rtol=1e-9, atol=0.0)
         assert sol.q_set == q_set
+
+
+class TestEeCeiling:
+    """``PowerProblem.ee_ceiling`` against Dinkelbach with bisection inner solves, over K <= 32 in both
+    regimes, at binding and interior budgets and without a budget; and ``_water_fill`` with lower bounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 32),
+        seed=st.integers(0, 10_000),
+        full=st.booleans(),
+        log_headroom=st.floats(-4.0, 2.0),  # full QoS: the budget's excess over the QoS cost, relative
+        frac=st.floats(0.02, 0.98),  # partial QoS: the budget as a fraction of the QoS cost
+        uncapped=st.booleans(),
+        draw_seed=st.integers(0, 2**16),
+    )
+    @example(k=9, seed=0, full=True, log_headroom=2.0, frac=0.5, uncapped=False, draw_seed=0)  # interior
+    @example(k=9, seed=0, full=True, log_headroom=-4.0, frac=0.5, uncapped=False, draw_seed=0)  # binding
+    @example(k=9, seed=0, full=False, log_headroom=0.0, frac=0.5, uncapped=False, draw_seed=0)  # binding
+    @example(k=9, seed=0, full=False, log_headroom=0.0, frac=0.5, uncapped=True, draw_seed=0)
+    def test_sound_and_tight(self, k, seed, full, log_headroom, frac, uncapped, draw_seed):
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        costs = bf.w_norms_sq * p_min**2
+        p_tot = float(costs.sum()) * (1.0 + 10.0**log_headroom if full else frac)
+        prob = stage2_problem(sc, bf, p_tot, LEDGER)
+        assert prob.full_qos is full
+        if uncapped:
+            prob = dataclasses.replace(prob, budget=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ceiling = prob.ee_ceiling
+        optimum = stage2_optimum_bisection(prob)
+        assert optimum <= ceiling <= optimum * (1.0 + 1e-9)
+        # and it bounds the EE of projected points, which is what training reads
+        raw = np.random.default_rng(draw_seed).uniform(0.0, 3.0, (20, len(prob.c_free))) * np.sqrt(p_tot / prob.c_free)
+        assert all(prob.objective(prob.project(r)) <= ceiling for r in raw)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 12), seed=st.integers(0, 10_000), log_frac=st.floats(-16.0, -6.0),
+           uncapped=st.booleans(), draw_seed=st.integers(0, 2**16))
+    def test_bounds_the_rounded_ee_at_tiny_residual_budgets(self, k, seed, log_frac, uncapped, draw_seed):
+        # there each rate's log2(hypot(1, x)) is mostly rounding, which the ceiling's absolute term covers
+        sc = random_scenario(k, seed=seed)
+        bf, _, p_min = scenario_problem(sc)
+        p_tot = float(np.sum(bf.w_norms_sq * p_min**2)) * 10.0**log_frac
+        prob = stage2_problem(sc, bf, p_tot, LEDGER)
+        assert not prob.full_qos
+        if uncapped:
+            prob = dataclasses.replace(prob, budget=math.inf)
+        ceiling = prob.ee_ceiling
+        raw = np.random.default_rng(draw_seed).uniform(0.0, 3.0, (200, len(prob.c_free))) * np.sqrt(p_tot / prob.c_free)
+        assert all(prob.objective(prob.project(r)) <= ceiling for r in raw)
+
+    def test_zero_communication_power_leaves_patience_alone(self):
+        sc = random_scenario(3, seed=5)
+        no_static = PowerLedger(9000.0, 0, 0, 0, 0, 0, 2.0, 0)
+        prob = stage2_problem(sc, scenario_beamformer(sc), 0.0, no_static)
+        assert prob.ee_ceiling == math.inf
+
+    def test_zero_residual_budget(self):
+        # partial QoS with nothing left to spend: the capped face's optimum is EE 0 (its ceiling only the
+        # rates' rounding), the uncapped one's is not
+        sc = random_scenario(4, seed=7)
+        prob = stage2_problem(sc, scenario_beamformer(sc), 0.0, LEDGER)
+        assert not prob.full_qos and prob.budget == 0.0
+        uncapped = dataclasses.replace(prob, budget=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimum = stage2_optimum_bisection(uncapped)
+            assert 0.0 < prob.ee_ceiling <= 1e-12 * optimum
+            assert optimum <= uncapped.ee_ceiling <= optimum * (1.0 + 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        users=st.lists(st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(0.0), st.floats(1e-3, 1e3))),
+                       min_size=1, max_size=32),
+        log_headroom=st.floats(-12.0, 3.0),
+    )
+    def test_water_fill_with_lower_bounds(self, users, log_headroom):
+        floors, lower = (np.array(column) for column in zip(*users))
+        budget = float(lower.sum()) + 10.0**log_headroom * float(np.sum(lower + floors))
+        y = _water_fill(floors, budget, lower)
+        assert np.all(y >= lower) and float(y.sum()) <= budget
+        # users above their lower bound sit at the bisected level, the others' breakpoints at or above it; to
+        # 1e-12 of the budget, as the lower bounds' spend rounds, and of the level, as the bisection's does
+        level = water_fill_bisection(floors, budget, lower)
+        tol = 1e-12 * (budget + level)
+        active = y > lower
+        assert np.all(np.abs((y + floors)[active] - level) <= tol)
+        assert np.all((lower + floors)[~active] >= level - tol)
 
 
 class TestBaselineQosOnly:
@@ -872,6 +969,11 @@ class TestStage2Range:
             assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
             return
         problem = stage2_problem(sc, bf, p_tot, LEDGER)
+        with warnings.catch_warnings():  # the training ceilings of both projectors
+            warnings.simplefilter("error")
+            ceilings = problem.ee_ceiling, dataclasses.replace(problem, budget=math.inf).ee_ceiling
+        assert all(0.0 <= bound < math.inf for bound in ceilings)
+        assert problem.objective(q3e(sc, bf, p_tot, LEDGER).p) <= ceilings[0]
         # the numeric projector's scaled spend is not shrunk below the budget, so it rounds up to ~K ulps over
         overspend = {"numeric": 1e-12, "qos_only": 0.0, "max_sum_rate": 0.0}
         for sol in (q3e(sc, bf, p_tot, LEDGER), baseline_qos_only(sc, bf, p_tot, LEDGER),
