@@ -53,7 +53,7 @@ HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
 PATIENCE = 50  # epochs without a new best EE before training stops
 MIN_GAIN = 1e-10  # relative EE gain an epoch needs to count as a new best (cost measured in CHANGES.md)
 STEP_SIZE = 1e-3  # Adam step size
-POOL_SLOTS = 4  # configurations train_many trains side by side (slot count measured in CHANGES.md)
+POOL_SLOTS = 8  # jobs train_many trains side by side (width sweep in BENCH_pool_width.json)
 BARRIER_WEIGHT = 3e-4  # initial log-barrier weight, in units of the instance's EE scale
 BARRIER_EPS = 1e-6  # slack floor inside the log terms
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate

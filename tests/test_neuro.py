@@ -360,7 +360,8 @@ class TestTrainMany:
         full=st.booleans(),
         satisfied=st.integers(0, 5),
         fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
-        cfgs=st.lists(train_configs, min_size=1, max_size=8),
+        # up to two more jobs than slots, so a full-width pool also refills freed rows
+        cfgs=st.lists(train_configs, min_size=1, max_size=neuro.POOL_SLOTS + 2),
     )
     # a partial-QoS face with two pinned users, where the no-scale rows end past their wall
     @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
@@ -398,7 +399,8 @@ class TestTrainMany:
 
     def test_the_shipped_ablation_trains_as_it_does_alone(self):
         # nine users: numpy sums eight or more terms pairwise, so here a row sum
-        # taken in another order than the lone 1-D sum would show
+        # taken in another order than the lone 1-D sum would show; twelve jobs
+        # fill a full-width pool and then refill its freed rows
         from conftest import ablation_config
         from hapalloc.channel import scenario_from_dict
 
@@ -407,8 +409,9 @@ class TestTrainMany:
         prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
         cfgs = [
             neuro.TrainConfig(seed=seed, max_epochs=300, project_scaling=scaling, use_soft_loss=soft)
-            for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(3)
+            for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(4)
         ]
+        assert len(cfgs) > neuro.POOL_SLOTS
         jobs = [(prob, cfg) for cfg in cfgs]
         for alone, net in zip([oracle.train_alone(prob, cfg) for cfg in cfgs], pooled(jobs, neuro.POOL_SLOTS)):
             assert net.params.tobytes() == alone.params.tobytes()
