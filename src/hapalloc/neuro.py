@@ -264,7 +264,7 @@ def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.ndarray, eps: float):
+def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.ndarray):
     """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
     weights and budgets.
 
@@ -272,11 +272,11 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.
     ``budget``'s entry, never ``problem.budget``.
 
     A row's loss is its negative EE minus its ``lam`` times the log-barrier
-    terms, each log argument floored at ``eps``: under full QoS one per user
-    on p_k - p_min,k and one on the budget slack; under partial QoS one on
-    the free users' budget slack.  Only its gradient is computed: with every
-    log argument floored, the loss at a finite ``p`` is finite exactly when
-    the EE is, which is all training checks.  EE and its gradient are
+    terms, each log argument floored at ``BARRIER_EPS``: under full QoS one
+    per user on p_k - p_min,k and one on the budget slack; under partial QoS
+    one on the free users' budget slack.  Only its gradient is computed: with
+    every log argument floored, the loss at a finite ``p`` is finite exactly
+    when the EE is, which is all training checks.  EE and its gradient are
     ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
     coordinates.  Returns per-row EE, gradient and free users' spend.
     Every row runs the same calls: a row with ``lam`` 0 adds zero terms, and a row at or
@@ -288,12 +288,12 @@ def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.
     free_spend = (problem.c_free * p.compress(problem.free, axis=1) ** 2).sum(axis=1)
     lam = lam[:, None]
     if problem.full_qos:
-        x = p - problem.p_min + eps
-        grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-        slack = budget - rf + eps
+        x = p - problem.p_min + BARRIER_EPS
+        grad -= lam * np.where(x > BARRIER_EPS, 1.0 / np.maximum(x, BARRIER_EPS), 0.0)
+        slack = budget - rf + BARRIER_EPS
     else:
-        slack = budget - free_spend + eps
-    wall = lam * 2.0 * problem.w_norms_sq * p / np.where(slack > eps, slack, np.inf)[:, None]
+        slack = budget - free_spend + BARRIER_EPS
+    wall = lam * 2.0 * problem.w_norms_sq * p / np.where(slack > BARRIER_EPS, slack, np.inf)[:, None]
     grad += np.where(problem.free, wall, 0.0)
     return ee, grad, free_spend
 
@@ -362,7 +362,7 @@ def _ceiling(problem: PowerProblem, cfg: TrainConfig) -> float:
 
 
 def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, budget: np.ndarray,
-          eps: float, scaling: np.ndarray, grads_w, grads_b):
+          scaling: np.ndarray, grads_w, grads_b):
     """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
 
     ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
@@ -381,7 +381,7 @@ def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.
     p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling, budget)
     p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
     p[:, problem.free] = p_free
-    ee, d_p, free_spend = _evaluate(p, problem, lam, budget, eps)
+    ee, d_p, free_spend = _evaluate(p, problem, lam, budget)
     d_p_tilde = np.zeros(p_tilde.shape)
     d_p_tilde[:, problem.free] = proj_backward(d_p.compress(problem.free, axis=1))
     _backward(weights, cache, d_p_tilde, grads_w, grads_b)
@@ -511,7 +511,7 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
             p_tilde, _, val, free_spend = _step(
-                weights, biases, face, features[:n], lam, budget[:n], BARRIER_EPS, scaling, grads_w, grads_b,
+                weights, biases, face, features[:n], lam, budget[:n], scaling, grads_w, grads_b,
             )
         finite = (np.isfinite(p_tilde).all(axis=1) & np.isfinite(val)).tolist()
         overshoot = (free_spend - budget[:n]).tolist()
@@ -562,7 +562,6 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
 
 
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
-    """Projected coefficient vector produced by a trained network."""
+    """Projected coefficient vector produced by a trained network; with ``scaling`` False, clamped only."""
     p_tilde = mlp_forward(net, problem_features(problem))
-    p_free = _project_with_grad(problem, p_tilde[None], np.array([scaling]), np.array([problem.budget]))[0]
-    return problem.assemble(p_free[0])
+    return (problem if scaling else replace(problem, budget=math.inf)).project(p_tilde[problem.free])

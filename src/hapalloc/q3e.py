@@ -9,15 +9,17 @@ budget when not (satisfied users stay pinned at their minimum coefficients
 and their spend still counts in the communication power).
 
 ``stage2_problem`` runs stage 1 and builds the stage-2 ``PowerProblem``;
-every solver, baseline and the ablation start from it.  ``_solution_from``
-turns any coefficient vector into a ``Q3eSolution``.  The stage-2 arithmetic
-of both backends is written here once, on ``beamforming``'s rates and their
-derivatives, in one form for a coefficient vector or a stack of them: the
-free-user EE (``PowerProblem.objective``), its gradient (``ee_and_gradient``)
-and the projector (``project``) with its budget scaling (``scale_to_budget``).
-The numeric backend is projected gradient ascent on that EE; the neural
-backend (``neuro``) trains through the same EE gradient and scaling step and
-adds only its barrier terms and the projector's Jacobian.
+every solver, baseline and the ablation start from it, and ``_solution_from``
+records any coefficient vector on it as a ``Q3eSolution``.  User k is
+satisfied when p_k >= p_min,k: all but the max-sum-rate baseline report
+stage 1's set, whose users sit pinned or floored at p_min.  The stage-2
+arithmetic of both backends is written here once, on ``beamforming``'s rates
+and their derivatives, in one form for a coefficient vector or a stack of
+them: the free-user EE (``PowerProblem.objective``), its gradient
+(``ee_and_gradient``) and the projector (``project``) with its budget scaling
+(``scale_to_budget``).  The numeric backend is projected gradient ascent on
+that EE; the neural backend (``neuro``) trains through the same EE gradient
+and scaling step and adds only its barrier terms and the projector's Jacobian.
 """
 
 from __future__ import annotations
@@ -248,11 +250,10 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
 
     Users are ordered by ascending minimum RF cost (ties broken by index,
     so the order is deterministic); the satisfied set is the longest prefix
-    whose spend fits the budget.  The spend is summed as
-    ``PowerProblem.rf_spent`` sums it, in index order with 0 for the other
-    users; it never falls as the prefix grows.  The search starts from the
-    prefix whose running cost total fits, which rounds apart from the spend
-    by at most a few ulps.
+    whose spend fits the budget.  Each prefix's spend is summed as
+    ``PowerProblem.rf_spent`` sums it, as one C-ordered row in index order
+    with 0 for the other users.  It never falls as the prefix grows, so the
+    number of prefixes that fit is the longest one's length.
     """
     p_min = np.asarray(p_mins, dtype=float)
     c = np.asarray(w_norms_sq, dtype=float)
@@ -262,18 +263,9 @@ def feasibility_partition(p_mins, w_norms_sq, p_tot: float) -> FeasibilityPartit
         raise ValueError("budget must be >= 0")
     costs = c * p_min * p_min
     order = np.lexsort((np.arange(len(costs)), costs))
-    cumulative = np.cumsum(costs[order])
-    rank = np.argsort(order)
-
-    def spend(n: int) -> float:  # the n cheapest users' cost, summed as PowerProblem.rf_spent sums it
-        return np.where(rank < n, costs, 0.0).sum()
-
-    m = int(np.searchsorted(cumulative, p_tot, side="right"))
-    while m > 0 and spend(m) > p_tot:
-        m -= 1
-    while m < len(costs) and spend(m + 1) <= p_tot:
-        m += 1
-    prefix_cost = float(cumulative[m - 1]) if m > 0 else 0.0
+    prefix_spend = np.where(np.argsort(order) < np.arange(1, len(costs) + 1)[:, None], costs, 0.0).sum(axis=1)
+    m = int(np.count_nonzero(prefix_spend <= p_tot))
+    prefix_cost = float(np.cumsum(costs[order])[m - 1]) if m > 0 else 0.0
     return FeasibilityPartition(
         satisfied_set=tuple(int(i) for i in order[:m]),
         residual_budget=max(p_tot - prefix_cost, 0.0),
@@ -364,18 +356,17 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
                     break
             if val > best_val:
                 best_val, best_p = val, p
-    rates = surrogate_rates(best_p, problem.rate_model)
-    diag = {"iterations": total_iters, "backend": "numeric"}
-    return _solution_from(best_p, rates, problem.rf_spent(best_p), problem.ledger, problem.satisfied_set, "numeric",
-                          diag)
+    return _solution_from(problem, best_p, problem.satisfied_set, "numeric", {"iterations": total_iters})
 
 
-def _solution_from(p, rates, rf: float, ledger: PowerLedger, q_set, tag: str, diag: dict) -> Q3eSolution:
-    """Solution record for coefficients ``p`` with RF spend ``rf``.
+def _solution_from(problem: PowerProblem, p, q_set, tag: str, diag: dict) -> Q3eSolution:
+    """Solution record for coefficients ``p`` on ``problem``'s beams, rate model and ledger.
 
     EE is every user's rate over the communication power, 0 when that power is 0.
     """
-    p_com = comm_power(rf, ledger)
+    rates = surrogate_rates(p, problem.rate_model)
+    rf = problem.rf_spent(p)
+    p_com = comm_power(rf, problem.ledger)
     return Q3eSolution(
         p=p,
         q_set=tuple(sorted(int(i) for i in q_set)),
@@ -490,14 +481,12 @@ def _mlp_solution(problem: PowerProblem, net) -> Q3eSolution:
     """The mlp backend's solution from ``net``, a ``neuro.MlpNetwork`` trained on ``problem``."""
     p = neuro.trained_coefficients(net, problem)
     diag = {
-        "backend": "mlp",
         "iterations": net.log.stopped_epoch,
         "best_epoch": net.log.best_epoch,
         "max_budget_overshoot": net.log.max_budget_overshoot,
         "ee_ceiling": net.log.ceiling,  # bounds the stage-2 objective's optimality gap
     }
-    rates = surrogate_rates(p, problem.rate_model)
-    return _solution_from(p, rates, problem.rf_spent(p), problem.ledger, problem.satisfied_set, "mlp", diag)
+    return _solution_from(problem, p, problem.satisfied_set, "mlp", diag)
 
 
 def baseline_max_sum_rate(
@@ -507,14 +496,12 @@ def baseline_max_sum_rate(
 
     In x_k = p_k^2 the problem is concave with one linear constraint; the
     KKT solution spends c_k x_k = max(0, level - c_k N_0 / gamma_k) on user k
-    (``_water_fill``).  ``q_set`` holds the users whose rate meets their QoS.
+    (``_water_fill``).  ``q_set`` holds the users with p_k >= p_min,k.
     """
-    model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
-    c = np.asarray(beamformer.w_norms_sq, dtype=float)
+    problem = stage2_problem(scenario, beamformer, p_tot, ledger)
+    model, c = problem.rate_model, problem.w_norms_sq
     p = np.sqrt(_water_fill(c * model.n0_w / model.gammas, p_tot) / c)
-    rates = surrogate_rates(p, model)
-    q = np.flatnonzero(rates >= scenario.qos_rates() * (1.0 - 1e-12))
-    return _solution_from(p, rates, float(np.sum(c * p * p)), ledger, q, "max_sum_rate", {})
+    return _solution_from(problem, p, np.flatnonzero(p >= problem.p_min), "max_sum_rate", {})
 
 
 def baseline_qos_only(
@@ -534,8 +521,7 @@ def baseline_qos_only(
     if q:
         idx = np.array(q, dtype=int)
         p[idx] = _equal_headroom(problem.p_min[idx], c[idx], p_tot)
-    rates = surrogate_rates(p, problem.rate_model)
-    return _solution_from(p, rates, problem.rf_spent(p), ledger, q, "qos_only", {})
+    return _solution_from(problem, p, q, "qos_only", {})
 
 
 def solution_to_dict(sol: Q3eSolution) -> dict:

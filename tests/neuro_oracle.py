@@ -64,13 +64,13 @@ def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> flo
     return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, lam, eps)
 
 
-def loss_gradient(p, problem: PowerProblem, lam: float, eps: float = EPS) -> np.ndarray:
+def loss_gradient(p, problem: PowerProblem, lam: float) -> np.ndarray:
     """The trainer's analytic d(loss)/dp, evaluated as a pool of one; zero on pinned coordinates."""
     p = np.asarray(p, dtype=float)[None]
-    return neuro._evaluate(p, problem, np.array([lam]), np.array([problem.budget]), eps)[1][0]
+    return neuro._evaluate(p, problem, np.array([lam]), np.array([problem.budget]))[1][0]
 
 
-def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float, eps: float = EPS):
+def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float):
     """Full-pipeline loss (forward, project, barrier loss) and its parameter grads.
 
     The grads come from the pooled step that ``neuro.train_many`` runs each
@@ -83,9 +83,9 @@ def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: f
     grads_w, grads_b = neuro._layer_views(grads, net.layer_widths)
     _, p, _, _ = neuro._step(
         weights, biases, problem, neuro.problem_features(problem)[None], np.array([lam]),
-        np.array([problem.budget]), eps, np.array([True]), grads_w, grads_b,
+        np.array([problem.budget]), np.array([True]), grads_w, grads_b,
     )
-    return instance_loss(p[0], problem, lam, eps), *neuro._layer_views(grads[0], net.layer_widths)
+    return instance_loss(p[0], problem, lam), *neuro._layer_views(grads[0], net.layer_widths)
 
 
 def gradient_check(net: neuro.MlpNetwork, loss_and_grads, sample: int = 100, seed: int = 0) -> float:

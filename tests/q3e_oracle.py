@@ -24,14 +24,15 @@ import math
 
 import numpy as np
 
-from hapalloc.beamforming import RateModel, surrogate_rates
+from hapalloc.beamforming import RateModel
 from hapalloc.config import static_comm_power
 
 LN2 = math.log(2.0)
 
 
 def max_sum_rate_bisection(scenario, beamformer, p_tot: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Coefficients and QoS-satisfied users of the sum-rate water-filling at ``p_tot``, by bisection."""
+    """Coefficients of the sum-rate water-filling at ``p_tot``, by bisection, and the users they satisfy:
+    those with p_k >= p_min,k = sqrt(N_0 (2^(r_k / B) - 1) / gamma_k)."""
     model = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
     c = np.asarray(beamformer.w_norms_sq, dtype=float)
     floor = model.n0_w / model.gammas
@@ -51,8 +52,8 @@ def max_sum_rate_bisection(scenario, beamformer, p_tot: float) -> tuple[np.ndarr
             else:
                 hi, x = nu, x_nu
     p = np.sqrt(x)
-    rates = surrogate_rates(p, model)
-    q = tuple(k for k in range(len(p)) if rates[k] >= scenario.qos_rates()[k] * (1.0 - 1e-12))
+    qos, n0, bw = scenario.qos_rates(), scenario.n0_w, scenario.bw_hz
+    q = tuple(k for k in range(len(p)) if p[k] >= math.sqrt(n0 * (2.0 ** (qos[k] / bw) - 1.0) / model.gammas[k]))
     return p, q
 
 

@@ -12,7 +12,7 @@ from hapalloc.beamforming import (
     zf_beamformer,
 )
 from hapalloc.config import PowerLedger, static_comm_power
-from hapalloc.q3e import _solution_from
+from hapalloc.q3e import PowerProblem, _solution_from
 
 MODEL = RateModel(bw_hz=1e7, n0_w=2.01e-13, gammas=np.array([1.852e-10]))
 NO_STATIC = PowerLedger(p_hap=1e3, p_payload=0.0, p_standby=0.0, p_rfc=0.0, p_lo=0.0, p_bb=0.0, xi=1.0, n_t=0)
@@ -120,25 +120,38 @@ class TestMinPowerCoefficient:
 class TestEnergyEfficiency:
     """EE as every solution record computes it: sum rate over communication power, bps/W."""
 
-    def _ee(self, rates, rf_w, ledger=NO_STATIC):
-        rates = np.asarray(rates, dtype=float)
-        return _solution_from(np.zeros(rates.size), rates, rf_w, ledger, (), "test", {}).ee
+    def _solution(self, n, snr, c, p=1.0, bw_hz=1e7, ledger=NO_STATIC):
+        """The record of n users, each at coefficient p with rate bw_hz log2(1 + snr p^2) and RF spend c p^2,
+        on a hand-built one-face problem (unit noise power)."""
+        model = RateModel(bw_hz, 1.0, np.full(n, snr))
+        problem = PowerProblem(model, np.full(n, c), np.zeros(n), math.inf, ledger, (), True)
+        return _solution_from(problem, np.full(n, p), (), "test", {})
 
     def test_zero_rates(self):
-        assert self._ee(np.zeros(4), 100.0) == 0.0
+        # log2 of hypot(1, 1e-15) rounds to exactly 0: zero rates over 100 W
+        sol = self._solution(4, snr=1e-30, c=25.0)
+        assert sol.rf_spent == 100.0 and not sol.rates.any()
+        assert sol.ee == 0.0
 
     def test_reference_order_of_magnitude(self):
         # 300 Mbps over 100 W -> 3 Mbps/W
-        assert self._ee([1e8, 1e8, 1e8], 100.0) == pytest.approx(3e6)
+        sol = self._solution(3, snr=1023.0, c=100.0 / 3.0)
+        assert sol.rates == pytest.approx([1e8, 1e8, 1e8]) and sol.rf_spent == pytest.approx(100.0)
+        assert sol.ee == pytest.approx(3e6)
 
     def test_linearity(self):
-        rates = np.array([1e7, 3e7])
-        assert self._ee(2 * rates, 50.0) == pytest.approx(2 * self._ee(rates, 50.0))
+        # twice the bandwidth, twice the rates over the same 50 W
+        ee = [self._solution(2, snr=3.0, c=25.0, bw_hz=bw).ee for bw in (1e7, 2e7)]
+        assert ee[1] == pytest.approx(2 * ee[0])
 
     def test_zero_comm_power_gives_zero_ee(self):
-        assert self._ee(np.ones(2), 0.0) == 0.0
+        # positive rates over an RF spend c p^2 that underflows to 0
+        sol = self._solution(2, snr=1e200, c=1e-200, p=1e-100)
+        assert sol.rf_spent == 0.0 and (sol.rates > 0.0).all()
+        assert sol.ee == 0.0
         # static circuit power alone keeps the denominator positive
-        assert self._ee([1e8], 0.0, reference_ledger()) == pytest.approx(1e8 / static_comm_power(reference_ledger()))
+        sol = self._solution(1, snr=1023e200, c=1e-200, p=1e-100, ledger=reference_ledger())
+        assert sol.ee == pytest.approx(1e8 / static_comm_power(reference_ledger()))
 
 
 class TestRateModelValidation:

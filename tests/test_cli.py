@@ -327,8 +327,8 @@ class TestSweepVerb:
         return list(csv.DictReader(out.read_text().splitlines()))
 
     def test_budget_just_below_one_users_cost(self, tmp_path, capsys):
-        # 1e-13 below the user's cost q3e cannot afford the user, while max-sum-rate, which counts
-        # QoS met within 1e-12, satisfies it: the sweep writes both rows as computed
+        # 1e-13 below the user's cost neither backend lifts the user to its minimum coefficient, so
+        # both count it unsatisfied by the one rule, p_k >= p_min,k
         scenario = shipped("scenario_sweep.json")
         scenario["users"] = scenario["users"][:1]
         ledger = shipped("sweep_budget.json")["ledger"]
@@ -341,6 +341,7 @@ class TestSweepVerb:
                "backends": backends}
         rows = self.run_sweep(doc, tmp_path, capsys)
         assert [r["backend"] for r in rows] == backends
+        assert [float(r["satisfaction"]) for r in rows] == [0.0, 0.0]
 
     def test_airspeeds_one_ulp_apart(self, tmp_path, capsys):
         # the propulsion power rounds equal at 4.6 m/s and one ulp above: the sweep writes both rows

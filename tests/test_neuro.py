@@ -134,10 +134,10 @@ class TestLosses:
             else:
                 p = prob.p_min * 1.3
             budget = np.array([prob.budget])
-            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), budget, neuro.BARRIER_EPS)
+            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), budget)
             assert ee[0] == prob.objective(p)
             assert spend[0] == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), budget, neuro.BARRIER_EPS)[1][0]
+            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), budget)[1][0]
             assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
 
     def test_partial_zero_barrier(self):
@@ -224,7 +224,7 @@ class TestTrain:
         cfg = neuro.TrainConfig(seed=0, max_epochs=2)
         start = neuro.network_for(prob, cfg)
         lam = neuro.BARRIER_WEIGHT * neuro._ee_scale(prob)
-        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, lam, neuro.BARRIER_EPS)
+        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, lam)
         net = neuro.train(prob, cfg)
         assert net.log.best_epoch == 2  # the returned checkpoint is the one after one update
         for p0, g, p1 in zip(

@@ -41,6 +41,8 @@ REMOVED_PARAMETERS = [
     (harness.run_airspeed_sweep, {"coeffs", "legacy_eta_p"}),
     (channel.thermal_noise_floor, {"noise_figure_db", "temp_k"}),
     (propulsion.reference_samples, {"noise_sigma", "seed"}),
+    (neuro._evaluate, {"eps"}),
+    (neuro._step, {"eps"}),
 ]
 
 

@@ -224,8 +224,8 @@ class TestPowerProblemRecord:
             params = np.repeat(net.params[None], 2, axis=0)
             grads = np.zeros_like(params)
             out = neuro._step(
-                *neuro._layer_views(params, net.layer_widths), problem, features, lam, budget, neuro.BARRIER_EPS,
-                np.array([True, True]), *neuro._layer_views(grads, net.layer_widths),
+                *neuro._layer_views(params, net.layer_widths), problem, features, lam, budget, np.array([True, True]),
+                *neuro._layer_views(grads, net.layer_widths),
             )
             results.append((*out, grads))
         assert all(np.array_equal(x, y) for x, y in zip(*results))
@@ -585,6 +585,7 @@ class TestQ3eOrchestrator:
         cfg = neuro.TrainConfig(seed=0, max_epochs=300)
         sol = q3e(sc, bf, 50.0, LEDGER, cfg=cfg, backend="mlp")
         diag = sol.diagnostics
+        assert set(diag) == {"iterations", "best_epoch", "max_budget_overshoot", "ee_ceiling"}
         assert 0 < diag["best_epoch"] <= diag["iterations"] <= cfg.max_epochs
         assert diag["iterations"] - diag["best_epoch"] <= neuro.PATIENCE
         assert 0.0 <= diag["max_budget_overshoot"] <= 1e-9
@@ -898,12 +899,16 @@ class TestSolutionProperties:
         qos_only = baseline_qos_only(sc, bf, p_tot, LEDGER)
         max_rate = baseline_max_sum_rate(sc, bf, p_tot, LEDGER)
         for sol in (numeric, qos_only, max_rate):
+            assert sol.rates.tobytes() == surrogate_rates(sol.p, model).tobytes()
+            assert sol.rf_spent == (c * sol.p * sol.p).sum()
             assert sol.p_com == comm_power(sol.rf_spent, LEDGER)
             assert sol.p_com == total_comm_power(sol.p, c, LEDGER)
             assert sol.ee == float(np.sum(sol.rates)) / sol.p_com
             assert sol.rf_spent <= p_tot * (1.0 + 1e-9)
+            assert (sol.p[list(sol.q_set)] >= p_min[list(sol.q_set)]).all()  # user k satisfied: p_k >= p_min,k
         for sol in (numeric, qos_only):
             assert sol.q_set == greedy_prefix(costs, p_tot)
+        assert max_rate.q_set == tuple(np.flatnonzero(max_rate.p >= p_min))
 
 
 def scenario_doc(sc) -> dict:
