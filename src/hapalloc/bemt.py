@@ -149,26 +149,36 @@ def _find_root(fn, x1: np.ndarray, f1: np.ndarray, x2: np.ndarray, f2: np.ndarra
     end with the smaller |fn|.  Every bracket steps until the last one stops;
     a root is frozen when its bracket stops, and the stopped bracket's later
     steps, which may divide by zero (call under ``np.errstate``), are dropped.
+    Each f1 and f2 must be nonzero, the two of opposite signs: a live far end
+    is then never a zero, which would have stopped its bracket when it was
+    the newest point.  Each step computes each difference once.
     """
-    root, live = np.empty_like(x1), np.ones(x1.size, bool)
-    x3, f3, t, d = x2, f2, 0.5, x2 - x1  # x1 is the newest point
+    root, live, n_live = np.empty_like(x1), np.ones(x1.size, bool), x1.size
+    x3, f3, t, d, pos1 = x2, f2, 0.5, x2 - x1, f1 > 0  # x1 is the newest point
     for _ in range(200):
-        if not np.count_nonzero(live):
+        if not n_live:
             return root
         x = x1 + t * d
         f = fn(x)
-        same = (f > 0) == (f1 > 0)  # x replaces x1; else x1 becomes the far end
+        pos = f > 0
+        same = pos == pos1  # x replaces x1; else x1 becomes the far end
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1, d = x, f, x2 - x
-        stop = live & ((f1 == 0.0) | (f2 == 0.0) | (np.abs(d) < _ROOT_WIDTH))
-        if np.count_nonzero(stop):
+        x1, f1, pos1, d = x, f, pos, x2 - x
+        ad = np.abs(d)
+        stop = live & ((f1 == 0.0) | (ad < _ROOT_WIDTH))
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
             np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=stop)
             live &= ~stop
-        xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-        iqi = (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi)  # false on nan, so inf ends bisect
-        t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / d * f1 / (f3 - f1) * f2 / (f2 - f3)
-        t_min = 0.5 * _ROOT_WIDTH / np.abs(d)
+            n_live -= n_stop
+        # x1 - x2 = -d and f2 - f3 = -f32 exactly, so these are the textbook quotients bit for bit
+        f12, f32 = f1 - f2, f3 - f2
+        xi, ph = d / (x2 - x3), f12 / f32
+        q = 1.0 - ph
+        iqi = (ph * ph < xi) & (q * q < 1.0 - xi)  # false on nan, so inf ends bisect
+        t = f1 / f12 * f3 / f32 + (x3 - x1) / d * f1 / (f3 - f1) * f2 / f32
+        t_min = 0.5 * _ROOT_WIDTH / ad
         t = np.minimum(np.maximum(np.where(iqi, t, 0.5), t_min), 1.0 - t_min)
     np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=live)
     return root
@@ -216,11 +226,11 @@ def _solve_stations(spec: PropellerSpec, v0: float, n_s: float, r: np.ndarray) -
     # (ratio <= 1), -inf past the force zero, and falls through zero once in
     # between: [phi0, phi_cap] brackets the propulsive root; the residual is -inf at phi_cap.
     todo = np.flatnonzero(loaded & ~nonpropulsive)
-    theta_t, k_p_t, sigma_t, omega_t = theta[todo], k_p[todo], sigma[todo], omega_r[todo]
+    theta_t, k_p4, sigma_t, omega_t = theta[todo], 4.0 * k_p[todo], sigma[todo], omega_r[todo]
 
     def residual_fn(phi):
         _, _, sin_phi, force = section_at(phi, theta_t)
-        rat = 4.0 * k_p_t * sin_phi**2 / (sigma_t * force)
+        rat = k_p4 * sin_phi**2 / (sigma_t * force)
         a_alg = 1.0 / (rat - 1.0)
         a_kin = np.tan(phi) * omega_t / v0 - 1.0
         return np.where(force <= 0.0, -math.inf, np.where(rat <= 1.0, math.inf, a_alg - a_kin))

@@ -128,23 +128,29 @@ def surrogate_efficiency(coeffs: SurrogateCoeffs, v0: float) -> float:
 
 
 def _linear_subfit(v0, eta, beta):
-    """Least-squares (c, alpha) for fixed beta; returns (c, alpha, sse)."""
-    basis = np.column_stack([np.ones_like(v0), -(v0 ** (-beta))])
-    coef, *_ = np.linalg.lstsq(basis, eta, rcond=None)
-    resid = eta - basis @ coef
-    return coef[0], coef[1], float(resid @ resid)
+    """Least-squares (c, alpha, sse) of eta = c - alpha * v0**-beta at fixed beta, as the closed-form centred
+    regression on x = -v0**-beta.  A column of betas, shape (m, 1), gives m fits in one call.  Where every x
+    coincides, the fit is the constant one: alpha 0, c = mean(eta)."""
+    x = -(v0 ** -beta)
+    x_bar, y_bar = x.mean(axis=-1, keepdims=True), eta.mean()
+    dx, dy = x - x_bar, eta - y_bar
+    sxx = (dx * dx).sum(axis=-1, keepdims=True)
+    alpha = (dx * dy).sum(axis=-1, keepdims=True) / np.where(sxx > 0.0, sxx, np.inf)  # sum(dx dy) is 0 where sxx is
+    sse = np.square(dy - alpha * dx).sum(axis=-1)
+    return (y_bar - alpha * x_bar)[..., 0], alpha[..., 0], sse
 
 
 def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoeffs:
     """Fit eta(v0) = c - alpha * v0**-beta to the sample set by least squares.
 
-    For fixed beta the subproblem in (c, alpha) is linear least squares, so
-    beta alone is searched: a coarse bracketing scan over [0.05, 3] followed
-    by golden-section refinement to 1e-8.
+    For fixed beta the subproblem in (c, alpha) is linear least squares, solved
+    in closed form, so beta alone is searched: a coarse bracketing scan of 60
+    betas over [0.05, 3] in one ``_linear_subfit`` call, then golden-section
+    refinement to 1e-8.
 
     Raises SurrogateFitError with fewer than 4 samples, when all sample
-    airspeeds coincide, or when the smallest is so small that v0**-beta
-    overflows.
+    airspeeds coincide, when the smallest is so small that v0**-beta
+    overflows, or when the fit leaves the region c in (0, 1], alpha > 0.
     """
     if len(samples) < 4:
         raise SurrogateFitError(f"need at least 4 samples, got {len(samples)}")
@@ -157,8 +163,7 @@ def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoe
 
     # Coarse scan brackets the SSE minimum so golden-section sees a unimodal slice.
     grid = np.linspace(_BETA_SEARCH_LO, _BETA_SEARCH_HI, 60)
-    sse_grid = [_linear_subfit(v0, eta, b)[2] for b in grid]
-    i = int(np.argmin(sse_grid))
+    i = int(np.argmin(_linear_subfit(v0, eta, grid[:, None])[2]))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
 

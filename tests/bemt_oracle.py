@@ -14,6 +14,9 @@ Prandtl ``tip_loss``, the closed-form induction balance ``axial_induction``,
 the inflow-angle residual ``inflow_residual``, the analytic test propeller
 ``default_test_propeller``, and ``write_spec_dir``, which samples a spec onto
 the spec-directory tables that ``hapalloc.bemt.load_spec_dir`` reads.
+``_find_root`` is the array solver's lockstep Chandrupatla root-finder as it
+was before each step computed its differences once, kept as written then:
+the tests require the two to return the same bits on the same calls.
 """
 
 from __future__ import annotations
@@ -34,7 +37,45 @@ from hapalloc.bemt import (
     SectionConvergenceError,
     SectionError,
     SectionState,
+    _ROOT_WIDTH,
 )
+
+
+def _find_root(fn, x1: np.ndarray, f1: np.ndarray, x2: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Chandrupatla's root-finder on elementwise fn over brackets [x1, x2] with f1 = fn(x1), f2 = fn(x2).
+
+    Each step takes the inverse quadratic interpolation through the last
+    three points where that is safe, else the bracket midpoint, and keeps
+    every new point at least half the stop width inside the bracket
+    (Chandrupatla, Adv. Eng. Softw. 28(3), 1997; the method of scipy's
+    ``elementwise.find_root``).  A bracket stops at an exact zero or once
+    narrower than ``_ROOT_WIDTH``, after at most 200 steps, and returns its
+    end with the smaller |fn|.  Every bracket steps until the last one stops;
+    a root is frozen when its bracket stops, and the stopped bracket's later
+    steps, which may divide by zero (call under ``np.errstate``), are dropped.
+    """
+    root, live = np.empty_like(x1), np.ones(x1.size, bool)
+    x3, f3, t, d = x2, f2, 0.5, x2 - x1  # x1 is the newest point
+    for _ in range(200):
+        if not np.count_nonzero(live):
+            return root
+        x = x1 + t * d
+        f = fn(x)
+        same = (f > 0) == (f1 > 0)  # x replaces x1; else x1 becomes the far end
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1, d = x, f, x2 - x
+        stop = live & ((f1 == 0.0) | (f2 == 0.0) | (np.abs(d) < _ROOT_WIDTH))
+        if np.count_nonzero(stop):
+            np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=stop)
+            live &= ~stop
+        xi, ph = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        iqi = (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi)  # false on nan, so inf ends bisect
+        t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / d * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t_min = 0.5 * _ROOT_WIDTH / np.abs(d)
+        t = np.minimum(np.maximum(np.where(iqi, t, 0.5), t_min), 1.0 - t_min)
+    np.copyto(root, np.where(np.abs(f1) <= np.abs(f2), x1, x2), where=live)
+    return root
 
 
 def tip_loss(n_b: int, r: float, r_tip: float, phi0: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,13 @@ REFERENCE_GAMMA = mean_channel_power(REFERENCE_ARRAY, 3.0, 3.0, 20000.0)
 KAPPA_12DB = 10.0 ** 1.2
 
 TESTS_DIR = Path(__file__).resolve().parent
+
+# Efficiency samples whose airspeeds are a few ulps apart: at some scan betas every v0**-beta rounds to one
+# value, so the surrogate fit's linear subfit is the constant one there, and the fit leaves the physical region.
+NEAR_DEGENERATE_SAMPLES = [
+    pytest.param(list(zip([5.0 + k * math.ulp(5.0) for k in range(4)], (0.5, 0.51, 0.52, 0.53))), id="ulps-above-5"),
+    pytest.param(list(zip([1.0, 1.0, 1.0, 1.0 + math.ulp(1.0)], (0.5, 0.51, 0.52, 0.53))), id="ulp-above-1"),
+]
 
 # Every warning raised while a test in this directory runs fails that test, so
 # an overflow or a NaN is caught instead of printed. The one exception: hypothesis

@@ -12,8 +12,8 @@ the last bits of a rate, a sum or a trained network differently, so under it
 the byte compare is skipped, with both versions named.  The ``bemt`` verb is
 left out: its last bits may differ across numpy builds and CPUs, and it is
 checked against ``tests/bemt_oracle.py`` at stated tolerances instead.  So is
-``surrogate-fit``: its least-squares solve goes through LAPACK, whose last bits
-may also differ across CPUs.
+``surrogate-fit``: its closed-form fit rests on numpy's elementwise ``power``,
+sums and divisions, which are not verified to round alike on every CPU.
 """
 
 from __future__ import annotations

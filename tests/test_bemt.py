@@ -3,7 +3,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bemt_oracle as oracle
@@ -256,8 +256,9 @@ def assert_roots_change_sign(spec, v0, n_s):
         assert at == 0.0 or below > 0.0 > above, (r, below, at, above)
 
 
-def find_roots(f, x1, x2):
-    """_find_root on f under the solver's floating-point settings: the roots, and the points of each step."""
+def find_roots(f, x1, x2, solver=bemt._find_root):
+    """solver (``_find_root`` by default) on f under the solver's floating-point settings: the roots, and the points
+    of each step."""
     steps = []
 
     def fn(x):
@@ -265,7 +266,48 @@ def find_roots(f, x1, x2):
         return f(x)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return bemt._find_root(fn, x1, f(x1), x2, f(x2)), steps
+        return solver(fn, x1, f(x1), x2, f(x2)), steps
+
+
+# One bracket of a lockstep set: (x1, width, x2 below x1, root's place in [0, 1], residual shape, sign, offset,
+# far region at inf).  An int width counts ulps of x1.  At place 0.5 the root is the first step's point, so that
+# step hits it exactly unless the offset moves the zero.  Near 1e6 adjacent floats are wider than _ROOT_WIDTH, so
+# a bracket whose zero is not a float there steps to the 200-step cap.
+BRACKET = st.tuples(
+    st.one_of(st.floats(-20.0, 20.0), st.floats(1e6 - 1.0, 1e6 + 1.0)),
+    st.one_of(st.integers(1, 8), st.floats(1e-12, 3.0)),
+    st.booleans(),
+    st.one_of(st.just(0.5), st.floats(0.0, 1.0)),
+    st.sampled_from(["linear", "tanh", "exp", "cubic"]),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from((0.0,) * 6 + (1e-11, -1e-11)),  # one bracket in four has its zero offset
+    st.booleans(),
+)
+SHAPES = {"linear": lambda z: z, "tanh": np.tanh, "exp": lambda z: np.exp(z) - 1.0, "cubic": lambda z: z * z * z}
+
+
+def lockstep_set(brackets):
+    """(residual, x1, x2) of the drawn brackets whose entry residuals are nonzero and of opposite signs."""
+    in_ulps = np.array([isinstance(b[1], int) for b in brackets])
+    x1, width, below, place, shape, sign, offset, far_inf = (np.array(col) for col in zip(*brackets))
+    step = np.where(in_ulps, width * np.abs(np.spacing(x1)), width)
+    x2 = np.where(below, x1 - step, x1 + step)
+    root = x1 + place * (x2 - x1)
+    cut = root + 0.5 * (x2 - root)  # past it, toward x2, a far-inf bracket's residual is inf of x2's sign
+    far = sign * np.copysign(np.inf, x2 - x1)
+
+    def residual(x):
+        z = x - root
+        value = np.select([shape == name for name in SHAPES], [f(z) for f in SHAPES.values()]) * sign + offset
+        return np.where(far_inf & ((x - cut) * (x2 - x1) > 0.0), far, value)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1, f2 = residual(x1), residual(x2)
+    keep = (f1 != 0.0) & (f2 != 0.0) & ((f1 > 0.0) != (f2 > 0.0))
+    if keep.all():
+        return residual, x1, x2
+    sub = [b for b, k in zip(brackets, keep.tolist()) if k]
+    return lockstep_set(sub) if sub else None
 
 
 class TestFindRoot:
@@ -304,6 +346,39 @@ class TestFindRoot:
         assert ulp > bemt._ROOT_WIDTH
         # |f(1e6)| = 1e-11 < |f(1e6 + ulp)| for the first, the other way round for the second
         assert roots.tolist() == [1e6, 1e6 + ulp]
+
+    @given(brackets=st.lists(BRACKET, min_size=1, max_size=40))
+    @example(brackets=[(-1.0, 2.0, False, 0.5, "linear", 1.0, 0.0, False)])  # the first step hits the root
+    @example(brackets=[(1e6, 2.0, True, 0.25, "linear", -1.0, 1e-11, True)])  # the 200-step cap
+    @example(brackets=[(0.3, 3, False, 0.5, "cubic", 1.0, 0.0, True), (2.0, 1.5, True, 0.7, "tanh", -1.0, 0.0, False)])
+    @settings(max_examples=300, deadline=None)
+    def test_each_step_returns_the_reference_bits(self, brackets):
+        # the reference is the step as first written, with each difference computed where it is used
+        drawn = lockstep_set(brackets)
+        assume(drawn is not None)
+        residual, x1, x2 = drawn
+        got, got_steps = find_roots(residual, x1, x2)
+        want, want_steps = find_roots(residual, x1, x2, solver=oracle._find_root)
+        assert got.tobytes() == want.tobytes()
+        assert len(got_steps) == len(want_steps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_grid_is_the_reference_root_finders(self, seed, monkeypatch):
+        # the (v0, n_s) points of perfbench's propeller-grid workload at this seed
+        rng = np.random.default_rng(seed)
+        points = []
+        for v0 in (2.0 + 2.0 * i for i in range(8)):
+            for j in (0.04 + 0.028 * k for k in range(6)):
+                v = v0 + rng.uniform(-0.5, 0.5)
+                points.append((v, v / ((j + rng.uniform(-0.004, 0.004)) * 2.0 * TABLE.r_tip)))
+
+        def grid():
+            ops = (propeller_performance(TABLE, v0, n_s, ATM) for v0, n_s in points)
+            return repr([(op.thrust, op.shaft_power, op.eta_p) for op in ops])
+
+        got = grid()
+        monkeypatch.setattr(bemt, "_find_root", oracle._find_root)
+        assert got == grid()
 
 
 class TestArraySolverMatchesScalarOracle:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bemt_oracle import default_test_propeller, write_spec_dir
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, NEAR_DEGENERATE_SAMPLES
 from hapalloc import bemt, propulsion
 from hapalloc.channel import scenario_from_dict
 from hapalloc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, build_parser, main
@@ -734,6 +734,13 @@ class TestValueConfigErrors:
         csv_path.write_text("v0_mps,eta_p\n1e-300,0.5\n2,0.6\n3,0.6\n4,0.7\n")
         assert run_cli("surrogate-fit", "--samples", csv_path) == EXIT_CONFIG
         assert "too small to fit" in one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("pairs", NEAR_DEGENERATE_SAMPLES)
+    def test_surrogate_fit_near_degenerate_samples(self, pairs, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("v0_mps,eta_p\n" + "".join(f"{v!r},{e!r}\n" for v, e in pairs))
+        assert run_cli("surrogate-fit", "--samples", csv_path) == EXIT_CONFIG
+        assert "fit left the physical region" in one_line_config_error(capsys)
 
     def test_empty_seed_list(self, tmp_path, capsys):
         sweep = write_json(tmp_path / "b.json", {**budget_sweep_config(), "backends": ["q3e-mlp"], "seeds": []})

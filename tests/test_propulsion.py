@@ -1,6 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import NEAR_DEGENERATE_SAMPLES
+from hapalloc import propulsion
 from hapalloc.config import PlatformGeometry, isa_properties
 from hapalloc.propulsion import (
     EfficiencySample,
@@ -159,6 +165,36 @@ class TestSurrogateFit:
         fit = fit_inverse_power_surrogate(samples)
         assert 1e-3 <= fit.rmse <= 4e-3
         assert fit.beta == pytest.approx(0.45, abs=0.1)
+
+    @pytest.mark.parametrize("pairs", NEAR_DEGENERATE_SAMPLES)
+    def test_near_degenerate_airspeeds(self, pairs):
+        samples = [EfficiencySample(v, e) for v, e in pairs]
+        with pytest.raises(SurrogateFitError, match="fit left the physical region"):
+            fit_inverse_power_surrogate(samples)
+
+    @given(
+        n=st.integers(4, 40),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(1e-4, 1e-2),
+        betas=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_subfit_is_the_least_squares_fit(self, n, seed, noise, betas):
+        rng = np.random.default_rng(seed)
+        v0 = rng.uniform(1.0, 30.0, n)
+        eta = 0.73 - 0.2 * v0**-0.45 + noise * rng.standard_normal(n)
+        column = propulsion._linear_subfit(v0, eta, np.array(betas)[:, None])
+        for i, beta in enumerate(betas):
+            x = -(v0**-beta)
+            (c, alpha), *_ = np.linalg.lstsq(np.column_stack([np.ones(n), x]), eta, rcond=None)
+            # the SSE of lstsq's fit in exact arithmetic: it is stationary in (c, alpha), so their last bits barely
+            # move it, while a float sum of its residuals would carry their rounding
+            sse = float(sum((Fraction(y) - Fraction(c) - Fraction(alpha) * Fraction(xk)) ** 2 for xk, y in zip(x, eta)))
+            # a least-squares solve is accurate relative to the coefficient vector's size, not to each coefficient
+            size = max(abs(c), abs(alpha))
+            for got in (propulsion._linear_subfit(v0, eta, beta), tuple(out[i] for out in column)):
+                assert abs(got[0] - c) <= 1e-12 * size and abs(got[1] - alpha) <= 1e-12 * size
+                assert got[2] == pytest.approx(sse, rel=1e-12, abs=0.0)
 
 
 class TestPropulsionPower:
