@@ -185,13 +185,14 @@ def run_ablation(
     seeds,
     max_epochs: int = neuro.TrainConfig.max_epochs,
 ) -> ReportTable:
-    """Train the neural backend with and without its safety modules.
+    """Train the neural backend with and without its budget cap.
 
-    Three variants per seed: the full trainer, barrier terms off
-    ("no-soft-loss"), and budget rescaling off ("no-scale", clamp only).
-    Reported per variant: percentage of seeds whose final output respects
-    the RF budget, the mean budget overshoot in watts, and the mean EE over
-    the feasible runs.
+    Two variants per seed: the full trainer ("full", its water level capped
+    at the budget's, exactly ``q3e(backend="mlp")``) and the uncapped level
+    ("no-scale", G(s) = s: the level, and so the spend, may pass the
+    budget).  Reported per variant: percentage of seeds whose final output
+    respects the RF budget, the mean budget overshoot in watts, and the mean
+    EE over the feasible runs.
     """
     seeds = _distinct("ablation seeds", (int(s) for s in seeds))
     if len(seeds) < ABLATION_MIN_SEEDS:
@@ -200,19 +201,10 @@ def run_ablation(
     check_stage2_range(scenario, bf, p_tot, ledger)
     problem = stage2_problem(scenario, bf, p_tot, ledger)
 
-    variants = [
-        ("full", True, True),
-        ("no-soft-loss", True, False),
-        ("no-scale", False, True),
-    ]
+    variants = [("full", True), ("no-scale", False)]
     cfgs = [
-        neuro.TrainConfig(
-            seed=seed,
-            max_epochs=max_epochs,
-            project_scaling=scaling,
-            use_soft_loss=soft,
-        )
-        for _, scaling, soft in variants
+        neuro.TrainConfig(seed=seed, max_epochs=max_epochs, project_scaling=scaling)
+        for _, scaling in variants
         for seed in seeds
     ]
     trained = {
@@ -221,7 +213,7 @@ def run_ablation(
     }
     coefficients = iter([trained[i] for i in range(len(cfgs))])
     rows = []
-    for name, _, _ in variants:
+    for name, _ in variants:
         feasible, overshoot, ees = [], [], []
         for _ in seeds:
             p = next(coefficients)

@@ -1,37 +1,38 @@
-"""Feed-forward network trained per allocation instance, with hand-rolled backprop.
+"""Feed-forward network trained per allocation instance to emit one water level, with hand-rolled backprop.
 
 The network maps the instance's sufficient statistics (normalized channel
-powers, QoS spectral efficiencies, beam costs, and the budget scale) to raw
-power coefficients.  Every forward pass is pushed through the projector
-(clamp to the floors, then scale radially in p^2 onto the budget) before the
-loss is evaluated, so all iterates are feasible; the loss is the negative EE
-objective plus log-barrier terms on the constraint slacks.  Optimization is
-Adam, its bias corrections folded into the step size (``_adam_step``), with
-early stopping on the true (barrier-free) EE of the projected output, and
-the best checkpoint is returned.  An epoch counts as a new best only if it
-beats the best EE by more than ``MIN_GAIN`` (1e-10) relative: on the shipped
-ablation that stops the trainings about a third sooner, and moves their EE
-by at most about 5e-11 relative.  Training stops at the first of three:
-``PATIENCE`` epochs without a new best, ``max_epochs``, or a best EE within
-``MIN_GAIN`` of the training's EE ceiling (``PowerProblem.ee_ceiling``, an
-upper bound on the EE of every point its projector returns), past which no
-epoch can be a new best, so that stop moves no checkpoint.
+powers, QoS spectral efficiencies, beam costs, and the budget scale) to one
+output s = softplus(z)^2, and s to a water level on the stage-1 face: the
+height t = (L_B - b_min) G(s) above the face's lowest breakpoint b_min
+(``PowerProblem.breakpoints``), where L_B is the level that spends the
+budget (``PowerProblem.fill_height``) and G(s) = 1 - e^-s < 1.  The free
+users' spends are the floored water-fill at that level, y_k = lower_k +
+max(0, t - rise_k), so every output is on the face and within the budget by
+construction: no projector, no barrier.  Stage 2's optimum on a face is such
+a fill (``PowerProblem.ee_ceiling``), so the head loses nothing.  The loss is
+the negative EE of the fill (``PowerProblem.spend_ee``); its derivative in
+the level is the closed form dEE/dL = n (B / (ln 2 L) - EE xi) / D over the n
+users above their floors, chained through G and the squared softplus.  A
+clamp-only training (``TrainConfig.project_scaling`` False, the ablation)
+takes G(s) = s, so its level may pass L_B and its spend the budget.
 
-The EE, its gradient and the projector's budget scaling are ``PowerProblem``'s
-(``ee_and_gradient``, ``scale_to_budget``; one form for a vector or a stack);
-this module adds the barrier terms, the projector's Jacobian-vector product
-and the backward pass through the network.
-Gradients flow through the projector's smooth scaling branch; the clamp
-max(p, m) passes no gradient on the clamped side (subgradient convention).
+Optimization is Adam, its bias corrections folded into the step size
+(``_adam_step``), with early stopping on the EE, and the best checkpoint is
+returned.  An epoch counts as a new best only if it beats the best EE by
+more than ``MIN_GAIN`` (1e-10) relative.  Training stops at the first of
+three: ``PATIENCE`` epochs without a new best, ``max_epochs``, or a best EE
+within ``MIN_GAIN`` of the training's EE ceiling (``PowerProblem.ee_ceiling``,
+an upper bound on the EE of every point the head can output), past which no
+epoch can be a new best, so that stop moves no checkpoint.
 
 Trainings run in a pool (``train_many``): their networks are rows of stacked
 arrays, and each row reproduces a lone training bit for bit.  A pool's
 problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
 in budget, so one pool serves several configurations of one instance or one
 instance at several budgets.  Any one of the problems stands for the face:
-an epoch reads the free users, floors and pinned coefficients from it and
-each row's budget from the pool.  Every row runs the same numpy calls: a term
-a row skips adds zero to it, and sums run on ``compress``ed C-ordered rows.
+an epoch reads the breakpoints and floors from it and each row's fill height
+and budget from the pool.  Every row runs the same numpy calls, and sums run
+on C-ordered rows.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ PATIENCE = 50  # epochs without a new best EE before training stops
 MIN_GAIN = 1e-10  # relative EE gain an epoch needs to count as a new best (cost measured in CHANGES.md)
 STEP_SIZE = 1e-3  # Adam step size
 POOL_SLOTS = 8  # jobs train_many trains side by side (width sweep in BENCH_pool_width.json)
-BARRIER_WEIGHT = 3e-4  # initial log-barrier weight, in units of the instance's EE scale
-BARRIER_EPS = 1e-6  # slack floor inside the log terms
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate
 ADAM_BETA2 = 0.999  # decay of the second-moment estimate
 ADAM_EPS = 1e-8  # added to the root of the second moment
-_EXPM1_MAX = 700.0  # np.expm1 overflows just above 709.78
+_LN2 = math.log(2.0)
 
 
 class TrainingError(RuntimeError):
@@ -74,12 +73,12 @@ class TrainingError(RuntimeError):
 @dataclass
 class TrainingLog:
     """Where training stopped, where the best checkpoint sat, and the worst
-    budget overshoot observed across all projected iterates.
+    budget overshoot observed across all iterates.
 
     ``best_epoch`` is the last epoch whose EE beat the best before it by
     more than ``MIN_GAIN`` relative; a later epoch with a smaller gain moves
     neither it nor the checkpoint.  ``ceiling`` bounds the EE of every point
-    the training's projector can return, so it also bounds the network's
+    the training's head can output, so it also bounds the network's
     optimality gap (``_ceiling``; inf when patience alone applies); once
     ``best_ee`` is within ``MIN_GAIN`` of it, training stops at ``best_epoch``.
     """
@@ -138,11 +137,10 @@ def _layer_views(flat: np.ndarray, layer_widths) -> tuple[list[np.ndarray], list
 class TrainConfig:
     max_epochs: int = 2000
     seed: int = 0
-    # every training halves the barrier weight this often; no verb sets it, and it stays a field only
-    # because perfbench's ablation re-solve passes 30, which must equal this default
+    # unused: the level head has no barrier to anneal; it stays a field only because perfbench's ablation
+    # re-solve passes 30, the value it had
     anneal_every: int = 30
-    project_scaling: bool = True  # False: clamp only, no budget rescale (ablation)
-    use_soft_loss: bool = True  # False: drop the barrier terms (ablation)
+    project_scaling: bool = True  # False: the level is not capped at the budget's (ablation)
 
     def __post_init__(self):
         if self.max_epochs <= PATIENCE:
@@ -169,21 +167,13 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _softplus_inverse(y: np.ndarray) -> np.ndarray:
-    """z with softplus(z) = y > 0: log(expm1(y)), or y + log1p(-exp(-y)) above
-    ``_EXPM1_MAX``, where expm1 would overflow."""
-    z = y + np.log1p(-np.exp(-y))
-    small = y <= _EXPM1_MAX
-    z[small] = np.log(np.expm1(y[small]))
-    return z
-
-
 def _forward_trace(weights, biases, x: np.ndarray):
     """Forward pass of a stack of networks (``_layer_views`` of stacked rows), one feature vector per row of ``x``.
 
-    Returns the raw coefficients, one row per network, and the activation
-    cache.  Each layer is one batched ``np.matmul``: a vector-matrix product
-    per network, the same product a lone network makes.
+    Returns the squared softplus of the last layer's output, one row per
+    network, and the activation cache.  Each layer is one batched
+    ``np.matmul``: a vector-matrix product per network, the same product a
+    lone network makes.
     """
     h = x
     pre, post = [], [x]
@@ -194,23 +184,22 @@ def _forward_trace(weights, biases, x: np.ndarray):
         h = np.maximum(z, 0.0) if i < n_layers - 1 else z
         post.append(h)
     sp = _softplus(pre[-1])
-    p_tilde = sp * sp  # squared softplus keeps outputs positive with smooth gradients
-    return p_tilde, (pre, post, sp)
+    return sp * sp, (pre, post, sp)  # squared softplus keeps outputs positive with smooth gradients
 
 
 def mlp_forward(net: MlpNetwork, features) -> np.ndarray:
-    """Raw nonnegative power coefficients for one instance's features."""
+    """The network's nonnegative outputs for one instance's features."""
     x = np.asarray(features, dtype=float)
     if x.shape != (net.layer_widths[0],):
         raise ValueError(
             f"feature length {x.shape} does not match input width {net.layer_widths[0]}"
         )
-    p_tilde, _ = _forward_trace(*_layer_views(net.params[None], net.layer_widths), x[None])
-    return p_tilde[0]
+    out, _ = _forward_trace(*_layer_views(net.params[None], net.layer_widths), x[None])
+    return out[0]
 
 
-def _backward(weights, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
-    """Backprop from d(loss)/d(p_tilde), one row per network, into stacked gradient views.
+def _backward(weights, cache, d_out: np.ndarray, grads_w, grads_b) -> None:
+    """Backprop from d(loss)/d(output), one row per network, into stacked gradient views.
 
     The weight gradients are outer products, written by ``np.einsum``.  It
     writes +0.0 where a product is -0.0; Adam's moments, and so the
@@ -218,7 +207,7 @@ def _backward(weights, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
     """
     pre, post, sp = cache
     sigmoid = 1.0 / (1.0 + np.exp(-pre[-1]))
-    delta = d_p_tilde * 2.0 * sp * sigmoid  # through the squared softplus
+    delta = d_out * 2.0 * sp * sigmoid  # through the squared softplus
     for i in range(len(weights) - 1, -1, -1):
         np.einsum("si,sj->sij", post[i], delta, out=grads_w[i])
         grads_b[i][...] = delta
@@ -236,156 +225,76 @@ def problem_features(problem: PowerProblem) -> np.ndarray:
 
 
 def network_for(problem: PowerProblem, cfg: TrainConfig) -> MlpNetwork:
-    """Network sized for the instance, with its raw output started mid-slack.
+    """Network sized for the instance, its level started halfway: G(s) = 1/2, or s = 1/2 when uncapped.
 
-    The final-layer bias is set so the initial raw coefficients sit above the
-    clamp masks and strictly inside the budget (half the budget slack split
-    equally in squared-coefficient space).  Both boundaries are gradient
-    dead zones: the clamp passes nothing on the clamped side, and once the
-    raw output overshoots the budget the scaling branch pins the projected
-    point to the budget surface, where the radial gradient component
-    vanishes.  Starting mid-slack keeps the interior barrier wall effective.
+    The head's weights start at zero and its bias where the squared softplus
+    gives that s, so every seed starts from the same level.
     """
-    k = problem.n_users
-    net = init_network((3 * k + 1, *HIDDEN, k), seed=cfg.seed)
-    c, floor = problem.c_free, problem.floor
-    # the mask cost summed as c * floor**2, which rounds apart from ``floor_cost``
-    slack = max(problem.budget - float(np.sum(c * floor**2)), 0.0)
-    targets = np.full(k, 1e-3)
-    targets[problem.free] = np.maximum(np.sqrt(floor**2 + 0.5 * slack / (len(c) * c)), 1e-3)
-    y = np.sqrt(targets)  # want softplus(z) = sqrt(target) exactly
-    net.weights[-1][:] = 0.0  # zero output head makes the start point exact
-    net.biases[-1][:] = _softplus_inverse(y)
+    net = init_network((3 * problem.n_users + 1, *HIDDEN, 1), seed=cfg.seed)
+    s = _LN2 if cfg.project_scaling else 0.5
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = math.log(math.expm1(math.sqrt(s)))  # the inverse softplus of sqrt(s)
     return net
 
 
 # ---------------------------------------------------------------------------
-# barrier loss
+# the level head
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(p: np.ndarray, problem: PowerProblem, lam: np.ndarray, budget: np.ndarray):
-    """EE and d(loss)/dp at each row of ``p`` (slots, users), with ``lam`` and ``budget`` the rows' barrier
-    weights and budgets.
+def _level(s: np.ndarray, capped):
+    """G(s) and G'(s), per row: 1 - e^-s, below 1, where ``capped``, else s."""
+    return np.where(capped, -np.expm1(-s), s), np.where(capped, np.exp(-s), 1.0)
 
-    ``problem`` is any problem of the pool's face: each row's budget is
-    ``budget``'s entry, never ``problem.budget``.
 
-    A row's loss is its negative EE minus its ``lam`` times the log-barrier
-    terms, each log argument floored at ``BARRIER_EPS``: under full QoS one
-    per user on p_k - p_min,k and one on the budget slack; under partial QoS
-    one on the free users' budget slack.  Only its gradient is computed: with
-    every log argument floored, the loss at a finite ``p`` is finite exactly
-    when the EE is, which is all training checks.  EE and its gradient are
-    ``PowerProblem.ee_and_gradient``'s.  The gradient is zero on pinned
-    coordinates.  Returns per-row EE, gradient and free users' spend.
-    Every row runs the same calls: a row with ``lam`` 0 adds zero terms, and a row at or
-    past its wall divides the wall term by inf (zero, with no divide warning).  An added
-    +0 may turn a -0 entry into +0, which Adam's moments cannot tell apart.
+def _above_floors(face: PowerProblem, t: np.ndarray) -> np.ndarray:
+    """The free users' spends above their floors at each height t (a row per entry) above the lowest breakpoint."""
+    return np.maximum(0.0, t[:, None] - face.breakpoints[0])
+
+
+def _ee_at_level(face: PowerProblem, t: np.ndarray):
+    """Spends, EE and dEE/dt at each height of ``t`` above ``face``'s lowest breakpoint, one row per entry.
+
+    At zero communication power the EE and its derivative are 0.
     """
-    ee, grad, rf = problem.ee_and_gradient(p)
-    np.negative(grad, out=grad)
-    free_spend = (problem.c_free * p.compress(problem.free, axis=1) ** 2).sum(axis=1)
-    lam = lam[:, None]
-    if problem.full_qos:
-        x = p - problem.p_min + BARRIER_EPS
-        grad -= lam * np.where(x > BARRIER_EPS, 1.0 / np.maximum(x, BARRIER_EPS), 0.0)
-        slack = budget - rf + BARRIER_EPS
-    else:
-        slack = budget - free_spend + BARRIER_EPS
-    wall = lam * 2.0 * problem.w_norms_sq * p / np.where(slack > BARRIER_EPS, slack, np.inf)[:, None]
-    grad += np.where(problem.free, wall, 0.0)
-    return ee, grad, free_spend
+    y = face.spend_terms[1] + _above_floors(face, t)
+    numer, denom = face.spend_ee(y)
+    denom = np.where(denom == 0.0, np.inf, denom)
+    ee = numer / denom
+    active = np.count_nonzero(t[:, None] > face.breakpoints[0], axis=1)
+    level = face.breakpoints[1] + t
+    d_ee = active * (float(face.rate_model.bw_hz) / (_LN2 * level) - ee * face.ledger.xi) / denom
+    return y, ee, d_ee
 
 
-# ---------------------------------------------------------------------------
-# projection with gradient
-# ---------------------------------------------------------------------------
+def _ceiling(problem: PowerProblem, cfg: TrainConfig) -> float:
+    """The EE ceiling of every point a training of ``cfg`` on ``problem`` can output: the problem's, or,
+    for an uncapped level, that of its face without the budget."""
+    return (problem if cfg.project_scaling else replace(problem, budget=math.inf)).ee_ceiling
 
 
-def _project_with_grad(problem: PowerProblem, p_tilde: np.ndarray, scaling: np.ndarray, budget: np.ndarray):
-    """Project the free users' entries of each row of ``p_tilde`` (slots, users) onto ``problem``'s face.
+def _step(weights, biases, face: PowerProblem, features: np.ndarray, height: np.ndarray, capped: np.ndarray,
+          grads_w, grads_b):
+    """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
 
-    A row is rescaled onto its entry of ``budget`` only where ``scaling`` (one
-    flag per row) is set and its clamped point overspends; ``problem.budget``
-    is never read, so any problem of the pool's face serves.  Returns the
-    projected free coefficients and a closure mapping d(loss)/dp back to
-    d(loss)/dp_tilde.
+    ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
+    2-D buffer); ``features``, ``height`` and ``capped`` hold each slot's
+    feature vector, budget fill height (``PowerProblem.fill_height``) and
+    whether its level is capped.  ``face`` is any problem of the pool's face.
+    Forward pass, the level's spends and EE, then backprop of d(-EE)/ds into
+    the stacked gradient views ``grads_w`` and ``grads_b``.  Returns, per
+    slot, the network output s, the free users' spends and the EE.
     """
-    mask, c, p_m = problem.floor, problem.c_free, problem.floor_cost
-    p_tilde = p_tilde.compress(problem.free, axis=1)  # C-ordered rows, unlike p_tilde[:, free]
-    clamped = p_tilde > mask  # gradient passes only where the clamp is inactive
-    p = np.maximum(p_tilde, mask)
-    p_0 = (c * p * p).sum(axis=1)
-    rows = np.flatnonzero(scaling & ~(p_0 <= budget))
-    if not rows.size:
-        return p, lambda d_p: d_p * clamped
-
-    p_hat, p_0 = p[rows], p_0[rows]
-    p_s, alpha = problem.scale_to_budget(p_hat, budget[rows], p_0)
-    p = p.copy()
-    p[rows] = p_s
-    p_0 = p_0[:, None]
-
-    def backward(d_p):
-        d = d_p * clamped
-        d_p = d_p[rows]
-        safe_p = np.where(p_s > 0.0, p_s, 1.0)
-        # diagonal term: dp_k/dp_hat_k at fixed alpha
-        diag = np.where(p_s > 0.0, alpha * p_hat / safe_p, np.sqrt(alpha))
-        # coupling through alpha's dependence on every clamped coefficient
-        s = np.where(p_s > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0).sum(axis=1)
-        d_alpha = -2.0 * alpha * c * p_hat / (p_0 - p_m)
-        d[rows] = (d_p * diag + s[:, None] * d_alpha) * clamped[rows]
-        return d
-
-    return p, backward
+    s, cache = _forward_trace(weights, biases, features)
+    g, dg = _level(s[:, 0], capped)
+    y, ee, d_ee = _ee_at_level(face, height * g)
+    _backward(weights, cache, -(d_ee * height * dg)[:, None], grads_w, grads_b)
+    return s, y, ee
 
 
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
-
-
-def _ee_scale(problem: PowerProblem) -> float:
-    """Per-instance EE scale so the default barrier weight is meaningful."""
-    c = problem.c_free
-    spread = np.sqrt(problem.budget / (len(c) * c)) if problem.budget > 0 else problem.floor
-    ref = problem.objective(problem.project(spread))
-    return ref if ref > 0 else 1.0
-
-
-def _ceiling(problem: PowerProblem, cfg: TrainConfig) -> float:
-    """The EE ceiling of every point a training of ``cfg`` on ``problem`` projects to: the problem's, or,
-    for a clamp-only training (no budget scaling), that of its face without the budget."""
-    return (problem if cfg.project_scaling else replace(problem, budget=math.inf)).ee_ceiling
-
-
-def _step(weights, biases, problem: PowerProblem, features: np.ndarray, lam: np.ndarray, budget: np.ndarray,
-          scaling: np.ndarray, grads_w, grads_b):
-    """One full-instance pass for every slot of a pool: what ``train_many`` runs each epoch.
-
-    ``weights`` and ``biases`` are stacked layer views (``_layer_views`` of a
-    2-D buffer); ``features``, ``lam``, ``budget`` and ``scaling`` hold each
-    slot's feature vector, barrier weight, budget and projector flag.
-    ``problem`` is any problem of the pool's face: each slot's budget is
-    ``budget``'s entry, never ``problem.budget``.
-    Forward pass, projection, one evaluation of EE and d(loss)/dp at the
-    projected point, then backprop into the stacked gradient views
-    ``grads_w`` and ``grads_b``.  Returns, per slot, the raw output, the
-    projected coefficients of all users, the EE and the free users' spend.
-    Every face takes one path: pinned coefficients are assembled into each
-    row, and their gradient entries dropped before the projector's backward.
-    """
-    p_tilde, cache = _forward_trace(weights, biases, features)
-    p_free, proj_backward = _project_with_grad(problem, p_tilde, scaling, budget)
-    p = np.repeat(problem.pinned_p[None], len(p_free), axis=0)  # PowerProblem.assemble, row by row
-    p[:, problem.free] = p_free
-    ee, d_p, free_spend = _evaluate(p, problem, lam, budget)
-    d_p_tilde = np.zeros(p_tilde.shape)
-    d_p_tilde[:, problem.free] = proj_backward(d_p.compress(problem.free, axis=1))
-    _backward(weights, cache, d_p_tilde, grads_w, grads_b)
-    return p_tilde, p, ee, free_spend
 
 
 @dataclass
@@ -395,15 +304,8 @@ class _Slot:
     index: int
     cfg: TrainConfig
     net: MlpNetwork  # holds the best checkpoint
-    ee_scale: float  # the job's problem's ``_ee_scale``
     epoch: int = 0
     log: TrainingLog = field(default_factory=TrainingLog)
-
-    def barrier_weight(self) -> float:
-        """This epoch's barrier weight: halved every ``anneal_every`` epochs, in units of ``ee_scale``."""
-        if not self.cfg.use_soft_loss:
-            return 0.0
-        return BARRIER_WEIGHT * 0.5 ** ((self.epoch - 1) // self.cfg.anneal_every) * self.ee_scale
 
 
 def _adam_step(params, grads, m, v, tmp, epochs) -> None:
@@ -436,32 +338,30 @@ def _adam_step(params, grads, m, v, tmp, epochs) -> None:
 def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     """Train one network per ``(problem, cfg)`` job; yields (position in ``jobs``, network) pairs.
 
-    Each epoch is one full-instance step: forward pass, projection, barrier
-    loss gradient, Adam update (``_adam_step``).  The barrier weight is halved
-    every ``anneal_every`` epochs and internally rescaled by the instance's EE
-    magnitude so the configured weight is unit-free.  Early stopping tracks
-    the barrier-free EE of the projected output and the best checkpoint is
-    returned.  An epoch is a new best only if its EE exceeds the best by
-    more than ``MIN_GAIN`` relative (EE is never negative, so the product
-    form holds at the initial -inf and at 0); training stops ``PATIENCE``
-    epochs after the last new best, at ``max_epochs``, or at once when the
-    best EE is within ``MIN_GAIN`` of the job's EE ceiling (``_ceiling``,
-    taken once as the job enters the pool): no later epoch could be a new
-    best, so the checkpoint is final.
+    Each epoch is one full-instance step (``_step``) and one Adam update
+    (``_adam_step``).  Early stopping tracks the EE of the level's fill and
+    the best checkpoint is returned.  An epoch is a new best only if its EE
+    exceeds the best by more than ``MIN_GAIN`` relative (EE is never
+    negative, so the product form holds at the initial -inf and at 0);
+    training stops ``PATIENCE`` epochs after the last new best, at
+    ``max_epochs``, or at once when the best EE is within ``MIN_GAIN`` of the
+    job's EE ceiling (``_ceiling``, taken once as the job enters the pool,
+    with its fill height): no later epoch could be a new best, so the
+    checkpoint is final.
 
     The jobs' problems must share one stage-1 face (``PowerProblem.shares_face``):
     they may differ only in budget.  Otherwise the first ``next`` raises
     ``ValueError``.  Up to ``POOL_SLOTS`` jobs train side by side.  Their
-    parameters, gradients, Adam moments, feature vectors and budgets are
-    rows of stacked arrays, so one set of numpy calls runs an epoch of every
-    slot.  Each slot keeps its own epoch count, barrier weight and early
+    parameters, gradients, Adam moments, feature vectors, fill heights and
+    budgets are rows of stacked arrays, so one set of numpy calls runs an
+    epoch of every slot.  Each slot keeps its own epoch count and early
     stopping; when its job stops, the next job takes the row.  A row sees
     exactly the floating-point operations of a lone training (the batched
     products are one vector-matrix product per row, sums run along C-ordered
-    rows, the budget enters only elementwise, and Adam's bias corrections
-    enter as per-slot scalars ``a`` and ``e``, Python floats from the slot's
-    epoch), so every network and its ``TrainingLog`` are bit-identical to
-    training that job alone.
+    rows, the fill height and budget enter only elementwise, and Adam's bias
+    corrections enter as per-slot scalars ``a`` and ``e``, Python floats from
+    the slot's epoch), so every network and its ``TrainingLog`` are
+    bit-identical to training that job alone.
 
     Networks are yielded as their trainings stop, so the pool holds at most
     ``POOL_SLOTS`` of them.  Once the jobs before the first one in ``jobs``
@@ -474,11 +374,11 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     face = jobs[0][0]  # the pool's face: only its budget differs from the other jobs' problems
     if not all(problem.shares_face(face) for problem, _ in jobs):
         raise ValueError("train_many's problems must share one stage-1 face: they may differ only in budget")
-    widths = (3 * face.n_users + 1, *HIDDEN, face.n_users)
+    widths = (3 * face.n_users + 1, *HIDDEN, 1)
     capacity = min(POOL_SLOTS, len(jobs))
     params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
     features = np.zeros((capacity, widths[0]))
-    budget = np.zeros(capacity)
+    height, budget = np.zeros((2, capacity))
 
     queue = deque(enumerate(jobs))
     slots: list[_Slot] = []
@@ -488,12 +388,12 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
         while queue and len(slots) < capacity:
             index, (problem, cfg) = queue.popleft()
             row = len(slots)
-            slot = _Slot(index, cfg, network_for(problem, cfg), _ee_scale(problem),
-                         log=TrainingLog(ceiling=_ceiling(problem, cfg)))
+            slot = _Slot(index, cfg, network_for(problem, cfg), log=TrainingLog(ceiling=_ceiling(problem, cfg)))
             params[row] = slot.net.params
             m1[row] = 0.0
             v1[row] = 0.0
             features[row] = problem_features(problem)
+            height[row] = problem.fill_height
             budget[row] = problem.budget
             slots.append(slot)
             view_rows = -1
@@ -501,20 +401,17 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
         if n != view_rows:
             weights, biases = _layer_views(params[:n], widths)
             grads_w, grads_b = _layer_views(grads[:n], widths)
-            scaling = np.array([slot.cfg.project_scaling for slot in slots])
+            capped = np.array([slot.cfg.project_scaling for slot in slots])
             view_rows = n
         for slot in slots:
             slot.epoch += 1
-        lam = np.array([slot.barrier_weight() for slot in slots])
 
         # divergence is detected explicitly below, so transient overflow in a
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
-            p_tilde, _, val, free_spend = _step(
-                weights, biases, face, features[:n], lam, budget[:n], scaling, grads_w, grads_b,
-            )
-        finite = (np.isfinite(p_tilde).all(axis=1) & np.isfinite(val)).tolist()
-        overshoot = (free_spend - budget[:n]).tolist()
+            s, y, val = _step(weights, biases, face, features[:n], height[:n], capped, grads_w, grads_b)
+        finite = (np.isfinite(s[:, 0]) & np.isfinite(val)).tolist()
+        overshoot = (y.sum(axis=1) - budget[:n]).tolist()
         val = val.tolist()
 
         done = []
@@ -542,7 +439,7 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
                 yield slots[row].index, slots[row].net
             last = len(slots) - 1
             if row != last:
-                for a in (params, grads, m1, v1, features, budget):
+                for a in (params, grads, m1, v1, features, height, budget):
                     a[row] = a[last]
                 slots[row] = slots[last]
             slots.pop()
@@ -557,11 +454,15 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
 
 
 def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
-    """Optimize the network on one instance with in-loop feasibility projection: a pool of one."""
+    """Optimize the network on one instance: a pool of one."""
     return next(train_many([(problem, cfg or TrainConfig())]))[1]
 
 
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
-    """Projected coefficient vector produced by a trained network; with ``scaling`` False, clamped only."""
-    p_tilde = mlp_forward(net, problem_features(problem))
-    return (problem if scaling else replace(problem, budget=math.inf)).project(p_tilde[problem.free])
+    """All users' coefficients at the water level a trained network outputs; with ``scaling`` False, uncapped.
+
+    A free user sits at sqrt(floor^2 + its spend above the floor / c), exactly at its floor below the level.
+    """
+    g, _ = _level(mlp_forward(net, problem_features(problem)), scaling)
+    above = _above_floors(problem, problem.fill_height * g)[0]
+    return problem.assemble(np.sqrt(problem.floor * problem.floor + above / problem.c_free))

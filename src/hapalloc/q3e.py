@@ -15,11 +15,12 @@ satisfied when p_k >= p_min,k: all but the max-sum-rate baseline report
 stage 1's set, whose users sit pinned or floored at p_min.  The stage-2
 arithmetic of both backends is written here once, on ``beamforming``'s rates
 and their derivatives, in one form for a coefficient vector or a stack of
-them: the free-user EE (``PowerProblem.objective``), its gradient
-(``ee_and_gradient``) and the projector (``project``) with its budget scaling
-(``scale_to_budget``).  The numeric backend is projected gradient ascent on
-that EE; the neural backend (``neuro``) trains through the same EE gradient
-and scaling step and adds only its barrier terms and the projector's Jacobian.
+them.  The numeric backend is projected gradient ascent on the free-user EE
+(``PowerProblem.objective``, its gradient ``ee_and_gradient`` and the
+projector ``project`` with its budget scaling ``scale_to_budget``).  The
+neural backend (``neuro``) learns one water level per instance: the face in
+spend units (``spend_terms``, ``breakpoints``), the EE there (``spend_ee``)
+and the level that spends the budget (``fill_height``) are written here.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from .config import ConfigError, PowerLedger, comm_power
 _MAX_ITERS = 5000  # projected-gradient iterations per start
 _STEP_TOLERANCE = 1e-9  # stop a start once a step gains less EE than this, relatively
 _LN2 = math.log(2.0)
-# the scaled spend the projector returns, less the budget, in ulps of the budget per free user that
-# ``ee_ceiling`` admits: at most 2.4 measured over random faces with K <= 32 and budgets down to 1e-8 above the floors
-_OVERSPEND = 16.0
 _CEILING_MARGIN = 1e-12  # ``ee_ceiling``'s relative widening: the rounding of the EE as training computes it
 
 
@@ -90,7 +88,7 @@ class PowerProblem:
     budget: float  # budget available to the free users, W
     ledger: PowerLedger
     satisfied_set: tuple[int, ...]  # stage 1's QoS-satisfied users, cheapest first
-    full_qos: bool  # True: all users bounded below by p_min (barrier on each)
+    full_qos: bool  # True: all users free and bounded below by p_min
 
     @cached_property
     def free(self) -> np.ndarray:  # the optimized users, also the EE numerator's: all, or the unsatisfied ones
@@ -182,43 +180,69 @@ class PowerProblem:
         return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
 
     @cached_property
-    def ee_ceiling(self) -> float:
-        """An upper bound on ``objective`` at every point the projector returns on this face, bps/W.
+    def spend_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The face in spend units y_k = c_k p_k^2 of the free users: their noise spends d_k = c_k N_0 / gamma_k
+        (user k's rate is B log2(1 + y_k / d_k)), their floors' spends lower_k = c_k floor_k^2, and the pinned
+        users' spend."""
+        m, c = self.rate_model, self.c_free
+        return c * m.n0_w / m.gammas[self.free], c * self.floor * self.floor, self.rf_spent(self.pinned_p)
 
-        In spend units y_k = c_k p_k^2 the free users' rates B log2(1 + y_k / d_k),
-        d_k = c_k N_0 / gamma_k, are concave and the communication power D is
-        affine, so Dinkelbach's method reaches the optimum EE*.  Its inner problem
-        F(lambda) = max N(y) - lambda D(y) is the floored water-fill
-        y_k = max(c_k floor_k^2, L - d_k) at L = B / (ln 2 lambda xi), or, where
-        that overspends, at the budget's level (``_water_fill``).  lambda, the EE
-        of a point of the face, rises to the EE of each inner solution until it
-        stops rising.  For lambda <= EE*, every point of the face has EE <=
-        lambda + F(lambda) / D_min, where D_min is D at the face's least spend
-        (floors and pinned users).  Where the budget binds, F is bounded by
-        Lagrange duality at the water-fill's multiplier nu: its value there plus
-        nu times the spend left short of the budget, which admits the projector's
-        overspend (``_OVERSPEND``) and makes up the fill's shrink to first order.
-        The ceiling is that bound widened by ``_CEILING_MARGIN`` and by the
-        rates' absolute rounding, or inf when D_min is 0.  A budget of inf
-        bounds the clamp-only face {p >= floor}.
+    @cached_property
+    def breakpoints(self) -> tuple[np.ndarray, float]:
+        """Each free user's breakpoint lower_k + d_k above the lowest one, b_min, and b_min: at a water level
+        b_min + t, the floored water-fill y_k = max(lower_k, b_min + t - d_k) is lower_k + max(0, t - rise_k)."""
+        d, lower, _ = self.spend_terms
+        breaks = lower + d
+        low = breaks.min()
+        return breaks - low, float(low)
+
+    @cached_property
+    def fill_height(self) -> float:
+        """The water level that spends the budget, as a height t above the lowest breakpoint (``_water_fill``)."""
+        return _fill_height(self.breakpoints[0], self.budget, np.sum(self.spend_terms[1]))
+
+    def spend_ee(self, y: np.ndarray):
+        """The free-user EE's numerator and denominator at free-user spends ``y``, per row of a stack."""
+        d, _, pinned = self.spend_terms
+        return float(self.rate_model.bw_hz) * np.log1p(y / d).sum(axis=-1) / _LN2, \
+            comm_power(pinned + y.sum(axis=-1), self.ledger)
+
+    @cached_property
+    def ee_ceiling(self) -> float:
+        """An upper bound on the free-user EE at every point of this face, bps/W, as ``objective`` or ``spend_ee``
+        rounds it.
+
+        In spend units (``spend_terms``) the free users' rates are concave and
+        the communication power D is affine, so Dinkelbach's method reaches the
+        optimum EE*.  Its inner problem F(lambda) = max N(y) - lambda D(y) is
+        the floored water-fill y_k = max(lower_k, L - d_k) at
+        L = B / (ln 2 lambda xi), or, where that overspends, at the budget's
+        level (``_water_fill``).  lambda, the EE of a point of the face, rises
+        to the EE of each inner solution until it stops rising.  For
+        lambda <= EE*, every point of the face has EE <= lambda + F(lambda) /
+        D_min, where D_min is D at the face's least spend (floors and pinned
+        users).  Where the budget binds, F is bounded by Lagrange duality at
+        the water-fill's multiplier nu: its value there plus nu times the spend
+        the fill leaves short of the budget, which makes up the fill's shrink
+        to first order.  The ceiling is that bound widened by
+        ``_CEILING_MARGIN`` and by the rates' absolute rounding, or inf when
+        D_min is 0.  A budget of inf bounds the unbudgeted face {p >= floor}.
         """
-        m, c, xi, bw = self.rate_model, self.c_free, self.ledger.xi, float(self.rate_model.bw_hz)
-        d = c * m.n0_w / m.gammas[self.free]
-        lower = c * self.floor * self.floor
-        pinned = self.rf_spent(self.pinned_p)
+        xi, bw = self.ledger.xi, float(self.rate_model.bw_hz)
+        d, lower, pinned = self.spend_terms
         d_min = comm_power(pinned + float(lower.sum()), self.ledger)
         if not d_min > 0.0:
             return math.inf
         if self.budget < math.inf:
             fill = _water_fill(d, self.budget, lower)
             fill_level = float(np.min(fill + d))  # y + d is the level above a lower bound, at least it elsewhere
-            fill_slack = (self.budget - float(fill.sum())) + self.budget * _OVERSPEND * len(d) * math.ulp(1.0)
+            fill_slack = self.budget - float(fill.sum())
             start = lower
         else:
             start = lower + d  # EE > 0 in both regimes
 
         def numer_denom(y):  # N(y) and D(y), as Python floats
-            return bw * float(np.log1p(y / d).sum()) / _LN2, comm_power(pinned + float(y.sum()), self.ledger)
+            return tuple(float(x) for x in self.spend_ee(y))
 
         numer, denom = numer_denom(start)
         lam = numer / denom
@@ -414,24 +438,31 @@ def _water_fill(floors: np.ndarray, budget: float, lower=0.0) -> np.ndarray:
 
     User k rises above its lower bound once the level passes its breakpoint
     lower_k + floor_k, so y is ``lower`` plus a water-fill of the budget left
-    above the lower bounds.  With the breakpoints sorted, the level over the m
-    lowest is (that budget + their sum) / m, and the m whose level exceeds the
-    m-th breakpoint are active.  Both are measured from the lowest breakpoint,
-    so that a budget far below it is not lost to cancellation, and the level
-    is shrunk by a few ulps per active user, and by the lower bounds' rounding,
-    so that the rounded spend stays within the budget.  With zero lower bounds
-    every step adds or subtracts an exact zero.
+    above the lower bounds, at the height ``_fill_height`` above the lowest
+    breakpoint.
     """
     breaks = lower + floors
-    order = np.argsort(breaks, kind="stable")
-    d = breaks[order] - breaks[order[0]]
-    lower_cost = np.sum(lower)
+    rise = breaks - breaks.min()
+    return lower + np.maximum(0.0, _fill_height(rise, budget, np.sum(lower)) - rise)
+
+
+def _fill_height(rise: np.ndarray, budget: float, lower_cost) -> float:
+    """The height above the lowest breakpoint of the water level that spends ``budget``, in closed form.
+
+    ``rise`` holds the breakpoints above the lowest one and ``lower_cost`` the
+    lower bounds' spend.  With the rises sorted, the level over the m lowest
+    is (the budget above the lower bounds + their sum) / m, and the m whose
+    level exceeds the m-th rise are active.  Measuring from the lowest
+    breakpoint keeps a budget far below it from being lost to cancellation.
+    The height is shrunk by a few ulps per active user, and by the lower
+    bounds' rounding, so that the rounded spend stays within the budget; with
+    zero lower bounds every step adds or subtracts an exact zero.
+    """
+    d = np.sort(rise)
     levels = (budget - lower_cost + np.cumsum(d)) / np.arange(1, len(d) + 1)
     m = max(1, int(np.count_nonzero(levels > d)))
     eps = np.finfo(float).eps
-    y = np.empty_like(d)
-    y[order] = np.maximum(0.0, levels[m - 1] * (1.0 - 8.0 * m * eps) - 8.0 * len(d) * eps * lower_cost / m - d)
-    return lower + y
+    return levels[m - 1] * (1.0 - 8.0 * m * eps) - 8.0 * len(d) * eps * lower_cost / m
 
 
 def solve_full_qos(problem: PowerProblem) -> Q3eSolution:

@@ -1,9 +1,11 @@
-"""Reference losses, a finite-difference gradient check and a lone-training oracle for ``hapalloc.neuro``.
+"""A finite-difference gradient check and a lone-training oracle for ``hapalloc.neuro``.
 
-``neuro._evaluate`` computes the training loss's gradient in one vectorized
-pass, without the loss itself.  The losses here are written one log term at
-a time, and ``gradient_check`` compares backprop through the whole pipeline
-against central differences of them.
+``neuro._step`` computes the EE's gradient in the head's water level in
+closed form and backprops it through the network.  ``training_loss_and_grads``
+pairs that gradient with the negative EE of the coefficients the network
+outputs (``neuro.trained_coefficients``, read through ``PowerProblem.objective``
+in coefficient space), and ``gradient_check`` compares the two by central
+differences.
 
 ``train_alone`` is the per-configuration training loop that ``neuro.train_many``
 replaced: one network, one epoch at a time, on 1-D arrays.  The pool must
@@ -23,69 +25,27 @@ import math
 import numpy as np
 
 from hapalloc import neuro
+from hapalloc.config import comm_power
 from hapalloc.q3e import PowerProblem
 
-EPS = neuro.BARRIER_EPS
+LN2 = math.log(2.0)
 
 
-def _safe_log(x: float, eps: float) -> float:
-    return math.log(max(x, eps))
-
-
-def loss_full_qos(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
-    """Negative EE plus ``lam`` times barriers on the per-user floors and the budget slack.
-
-    Every log argument is evaluated as ln(max(x, eps)) so the loss stays
-    finite when a slack touches zero.
-    """
-    p = np.asarray(p, dtype=float)
-    ee = problem.objective(p)
-    slack = problem.budget - problem.rf_spent(p)
-    logs = sum(_safe_log(pk - mk + eps, eps) for pk, mk in zip(p, problem.p_min))
-    logs += _safe_log(slack + eps, eps)
-    return -ee - lam * logs
-
-
-def loss_partial_qos(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
-    """Negative leftover-user EE plus ``lam`` times a barrier on the residual-budget slack.
-
-    Pinned users are read from the problem, not from ``p``, so the loss
-    depends only on the free coordinates.
-    """
-    p = np.asarray(p, dtype=float)
-    q = problem.assemble(p[problem.free])
-    ee = problem.objective(q)
-    free_spend = float(np.sum(problem.w_norms_sq[problem.free] * q[problem.free] ** 2))
-    slack = problem.budget - free_spend
-    return -ee - lam * _safe_log(slack + eps, eps)
-
-
-def instance_loss(p, problem: PowerProblem, lam: float, eps: float = EPS) -> float:
-    return (loss_full_qos if problem.full_qos else loss_partial_qos)(p, problem, lam, eps)
-
-
-def loss_gradient(p, problem: PowerProblem, lam: float) -> np.ndarray:
-    """The trainer's analytic d(loss)/dp, evaluated as a pool of one; zero on pinned coordinates."""
-    p = np.asarray(p, dtype=float)[None]
-    return neuro._evaluate(p, problem, np.array([lam]), np.array([problem.budget]))[1][0]
-
-
-def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, lam: float):
-    """Full-pipeline loss (forward, project, barrier loss) and its parameter grads.
+def training_loss_and_grads(net: neuro.MlpNetwork, problem: PowerProblem, capped: bool = True):
+    """The negative EE of the network's coefficients and the parameter grads training applies.
 
     The grads come from the pooled step that ``neuro.train_many`` runs each
-    epoch, with ``net`` as its one slot; the loss is the reference
-    ``instance_loss`` at the projected point, so a finite-difference check
-    compares the two independently written forms.
+    epoch, with ``net`` as its one slot; the loss is ``objective`` at
+    ``trained_coefficients``, so a finite-difference check compares the
+    closed-form level gradient against the EE of the coefficients.
     """
     grads = np.zeros((1, net.params.size))
     weights, biases = neuro._layer_views(net.params[None], net.layer_widths)
     grads_w, grads_b = neuro._layer_views(grads, net.layer_widths)
-    _, p, _, _ = neuro._step(
-        weights, biases, problem, neuro.problem_features(problem)[None], np.array([lam]),
-        np.array([problem.budget]), np.array([True]), grads_w, grads_b,
-    )
-    return instance_loss(p[0], problem, lam), *neuro._layer_views(grads[0], net.layer_widths)
+    neuro._step(weights, biases, problem, neuro.problem_features(problem)[None], np.array([problem.fill_height]),
+                np.array([capped]), grads_w, grads_b)
+    loss = -problem.objective(neuro.trained_coefficients(net, problem, scaling=capped))
+    return loss, *neuro._layer_views(grads[0], net.layer_widths)
 
 
 def gradient_check(net: neuro.MlpNetwork, loss_and_grads, sample: int = 100, seed: int = 0) -> float:
@@ -143,7 +103,7 @@ def textbook_adam_updates(grad_steps):
 
 
 def _forward_trace_alone(net: neuro.MlpNetwork, x: np.ndarray):
-    """Forward pass returning the raw coefficients and the activation cache."""
+    """Forward pass returning the squared softplus output and the activation cache."""
     pre, post = [], [x]
     h = x
     n_layers = len(net.weights)
@@ -156,11 +116,11 @@ def _forward_trace_alone(net: neuro.MlpNetwork, x: np.ndarray):
     return sp * sp, (pre, post, sp)
 
 
-def _backward_alone(net: neuro.MlpNetwork, cache, d_p_tilde: np.ndarray, grads_w, grads_b) -> None:
-    """Backprop from d(loss)/d(p_tilde) into per-layer weight/bias gradient views."""
+def _backward_alone(net: neuro.MlpNetwork, cache, d_s: np.ndarray, grads_w, grads_b) -> None:
+    """Backprop from d(loss)/ds into per-layer weight/bias gradient views."""
     pre, post, sp = cache
     sigmoid = 1.0 / (1.0 + np.exp(-pre[-1]))
-    delta = d_p_tilde * 2.0 * sp * sigmoid
+    delta = d_s * 2.0 * sp * sigmoid
     for i in range(len(net.weights) - 1, -1, -1):
         np.multiply(post[i][:, None], delta, out=grads_w[i])
         grads_b[i][...] = delta
@@ -168,66 +128,29 @@ def _backward_alone(net: neuro.MlpNetwork, cache, d_p_tilde: np.ndarray, grads_w
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
 
 
-def _evaluate_alone(p: np.ndarray, p_free: np.ndarray, problem: PowerProblem, lam: float, eps: float):
-    """EE, d(loss)/dp and the free users' spend at one coefficient vector."""
-    c = problem.w_norms_sq
-    ee, grad, rf = problem.ee_and_gradient(p)
-    np.negative(grad, out=grad)
-    free_spend = float((c[problem.free] * p_free**2).sum())
-    if lam > 0 and problem.full_qos:
-        x = p - problem.p_min + eps
-        grad -= lam * np.where(x > eps, 1.0 / np.maximum(x, eps), 0.0)
-        slack = problem.budget - rf + eps
-        if slack > eps:
-            grad += lam * 2.0 * c * p / slack
-    elif lam > 0:
-        slack = problem.budget - free_spend + eps
-        if slack > eps:
-            grad += lam * 2.0 * c * p / slack
-            grad[~problem.free] = 0.0
-    return ee, grad, free_spend
-
-
-def _project_with_grad_alone(problem: PowerProblem, p_tilde: np.ndarray, scaling: bool):
-    """Projected free coefficients and the closure mapping d(loss)/dp to d(loss)/dp_tilde."""
-    mask, c, budget = problem.floor, problem.c_free, problem.budget
-    p_tilde = p_tilde[problem.free]
-    clamped = p_tilde > mask
-    p_hat = np.maximum(p_tilde, mask)
-    p_0 = float((c * p_hat * p_hat).sum())
-    if not scaling or p_0 <= budget:
-        return p_hat, lambda d_p: d_p * clamped
-
-    p_m = float((c * mask * mask).sum())
-    p, (alpha,) = problem.scale_to_budget(p_hat, budget, p_0)
-
-    def backward(d_p):
-        safe_p = np.where(p > 0.0, p, 1.0)
-        diag = np.where(p > 0.0, alpha * p_hat / safe_p, math.sqrt(alpha))
-        s = float(np.where(p > 0.0, d_p * (p_hat * p_hat - mask * mask) / (2.0 * safe_p), 0.0).sum())
-        d_alpha = -2.0 * alpha * c * p_hat / (p_0 - p_m)
-        return (d_p * diag + s * d_alpha) * clamped
-
-    return p, backward
-
-
-def _step_alone(net, problem: PowerProblem, features, lam: float, eps: float, scaling: bool, grads_w, grads_b):
-    free = problem.free
-    p_tilde, cache = _forward_trace_alone(net, features)
-    p_free, proj_backward = _project_with_grad_alone(problem, p_tilde, scaling)
-    p = problem.assemble(p_free)
-    ee, d_p, free_spend = _evaluate_alone(p, p_free, problem, lam, eps)
-    d_p_tilde = np.zeros(p_tilde.shape)
-    d_p_tilde[free] = proj_backward(d_p[free])
-    _backward_alone(net, cache, d_p_tilde, grads_w, grads_b)
-    return p_tilde, ee, free_spend
+def _step_alone(net, problem: PowerProblem, features, capped: bool, grads_w, grads_b):
+    """Output, free users' spends and EE at the network's level, and d(-EE)/d(params) into the grad views."""
+    d, lower, pinned = problem.spend_terms
+    rise, low = problem.breakpoints
+    height = problem.fill_height
+    s, cache = _forward_trace_alone(net, features)
+    g, dg = (-np.expm1(-s), np.exp(-s)) if capped else (s, 1.0)
+    t = height * g  # the level's height above the lowest breakpoint, shape (1,)
+    y = lower + np.maximum(0.0, t - rise)
+    numer = float(problem.rate_model.bw_hz) * np.log1p(y / d).sum() / LN2
+    denom = comm_power(pinned + y.sum(), problem.ledger)
+    denom = math.inf if denom == 0.0 else denom
+    ee = numer / denom
+    active = int(np.count_nonzero(t > rise))
+    d_ee = active * (float(problem.rate_model.bw_hz) / (LN2 * (low + t)) - ee * problem.ledger.xi) / denom
+    _backward_alone(net, cache, -(d_ee * height * dg), grads_w, grads_b)
+    return s, y, float(ee)
 
 
 def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwork:
     """Train one configuration by itself: what ``neuro.train_many`` must reproduce bit for bit."""
     net = neuro.network_for(problem, cfg)
     features = neuro.problem_features(problem)
-    ee_scale = neuro._ee_scale(problem)
     b1, b2 = neuro.ADAM_BETA1, neuro.ADAM_BETA2
 
     grads = np.zeros_like(net.params)
@@ -237,27 +160,24 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
     step = np.empty_like(net.params)
     tmp = np.empty_like(net.params)
 
-    # a clamp-only training's iterates keep p >= floor but may spend past the budget
+    # an uncapped level keeps y >= lower but may spend past the budget
     bounded = problem if cfg.project_scaling else dataclasses.replace(problem, budget=math.inf)
     log = neuro.TrainingLog(ceiling=bounded.ee_ceiling)
     best_params = None
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        lam = neuro.BARRIER_WEIGHT * 0.5 ** ((epoch - 1) // cfg.anneal_every) if cfg.use_soft_loss else 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            p_tilde, val, free_spend = _step_alone(
-                net, problem, features, lam * ee_scale, neuro.BARRIER_EPS, cfg.project_scaling, grads_w, grads_b,
-            )
-        if not (np.isfinite(p_tilde).all() and math.isfinite(val)):
+            s, y, val = _step_alone(net, problem, features, cfg.project_scaling, grads_w, grads_b)
+        if not (np.isfinite(s).all() and math.isfinite(val)):
             raise neuro.TrainingError(epoch, cfg.seed)
-        log.max_budget_overshoot = max(log.max_budget_overshoot, free_spend - problem.budget)
+        log.max_budget_overshoot = max(log.max_budget_overshoot, float(y.sum() - problem.budget))
         if val > log.best_ee * (1.0 + neuro.MIN_GAIN):
             log.best_ee, log.best_epoch = val, epoch
             best_params = net.params.copy()
 
         # Adam on unnormalised moment sums, the bias corrections folded into the step factor a and epsilon e
-        s = math.sqrt((1.0 - b2) / (1.0 - b2**epoch))
-        a, e = neuro.STEP_SIZE * (1.0 - b1) / ((1.0 - b1**epoch) * s), neuro.ADAM_EPS / s
+        r = math.sqrt((1.0 - b2) / (1.0 - b2**epoch))
+        a, e = neuro.STEP_SIZE * (1.0 - b1) / ((1.0 - b1**epoch) * r), neuro.ADAM_EPS / r
         m1 *= b1
         m1 += grads
         v1 *= b2

@@ -890,6 +890,12 @@ class TestZeroCommunicationPower:
         sol = json.loads(self.run("solve", doc, tmp_path, capsys))
         assert sol["ee_bps_per_w"] == 0.0 and sol["p"] == [0.0] * 9
 
+    def test_mlp_solve_at_a_tiny_budget(self, tmp_path, capsys):
+        # at 1e-300 W a projector's backward once overflowed here, and the training diverged at epoch 35
+        doc = without(self.doc(backend="mlp", p_tot_w=1e-300), "max_epochs")
+        sol = json.loads(self.run("solve", doc, tmp_path, capsys))
+        assert math.isfinite(sol["ee_bps_per_w"]) and 0.0 < sol["rf_spent_w"] <= 1e-300
+
     def test_budget_sweep(self, tmp_path, capsys):
         doc = {"kind": "rf_budget", "grid": [0, 5], **self.doc()}
         del doc["p_tot_w"], doc["max_epochs"]

@@ -127,12 +127,12 @@ class TestPooledBudgetSweep:
         assert table.rows == want
 
     def test_raises_the_error_of_the_first_diverging_budget(self, monkeypatch):
-        # at 1e30 no training diverges before the first one (100 W, seed 0, epoch 4); at 1e32 that
-        # one diverges at epoch 5, 100 W, seed 1 at epoch 4 and 120 W, seed 1 at epoch 3
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e32)
+        # at 1e153 the 90 W trainings stop on their patience, and at 200 W and 210 W, one face, the first
+        # update's parameters overflow a later forward pass: seed 1 at 200 W first, at epoch 15, seed 0 at epoch 9
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e153)
         sc = sweep_scenario()
         bf = scenario_beamformer(sc)
-        grid, seeds = [90.0, 100.0, 120.0], [0, 1]
+        grid, seeds = [90.0, 200.0, 210.0], [1, 0]
         lone = {}
         for key in itertools.product(grid, seeds):
             try:
@@ -140,7 +140,7 @@ class TestPooledBudgetSweep:
             except neuro.TrainingError as exc:
                 lone[key] = exc
         first = lone[next(key for key in itertools.product(grid, seeds) if key in lone)]
-        # 100 W and 120 W share a pool, where a later training diverges at an earlier epoch
+        # 200 W and 210 W share a pool, where a later training diverges at an earlier epoch
         assert min(exc.epoch for exc in lone.values()) < first.epoch
         with pytest.raises(neuro.TrainingError) as err:
             run_budget_sweep(sc, LEDGER, grid, backends=("q3e-mlp",), seeds=seeds)

@@ -12,7 +12,7 @@ from conftest import golden_section_max, random_scenario, reference_ledger
 from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import PowerLedger, static_comm_power
-from hapalloc.q3e import scenario_beamformer, stage2_problem
+from hapalloc.q3e import _water_fill, scenario_beamformer, stage2_problem
 
 LEDGER = reference_ledger()
 
@@ -73,80 +73,132 @@ class TestMlpForward:
         assert net.params.shape == (sum(a * b + b for a, b in zip(widths[:-1], widths[1:])),)
 
 
-class TestLosses:
-    def test_zero_barrier_weight_is_negative_ee(self):
-        _, prob = build_problem(k=3, seed=10)
-        lam = 0.0
-        p = prob.p_min * 1.4
-        assert oracle.loss_full_qos(p, prob, lam) == pytest.approx(-prob.objective(p), rel=1e-14)
+def head_network(problem, z: float, capped: bool = True) -> neuro.MlpNetwork:
+    """A network for ``problem`` whose head outputs ``z`` whatever its features: zero head weights, bias z."""
+    net = neuro.network_for(problem, neuro.TrainConfig(project_scaling=capped))
+    net.biases[-1][:] = z
+    return net
 
-    def test_loss_finite_on_the_budget_surface(self):
-        _, prob = build_problem(k=2, seed=11)
-        lam = 0.5
-        p = prob.project(prob.p_min * 100.0)
-        loss = oracle.loss_full_qos(p, prob, lam)
-        assert np.isfinite(loss)
+
+@st.composite
+def faces(draw, k_max=32):
+    """A stage-2 face of up to ``k_max`` random users in either regime, at a budget from just past the floors'
+    cost to far above it, or with no slack at all: full QoS at exactly the QoS cost, or no residual budget."""
+    k = draw(st.integers(1, k_max))
+    sc = random_scenario(k, seed=draw(st.integers(0, 10_000)))
+    bf = scenario_beamformer(sc)
+    p_min = min_power_coefficients(sc.qos_rates(), RateModel(sc.bw_hz, sc.n0_w, sc.gammas()))
+    costs = bf.w_norms_sq * p_min * p_min  # as stage 1 computes them
+    full = draw(st.booleans())
+    if draw(st.booleans()):  # no slack: the summed cost of every user, or of the cheapest few
+        order = np.argsort(costs, kind="stable")
+        m = k if full else draw(st.integers(0, k - 1))
+        p = np.zeros(k)
+        p[order[:m]] = 1.0
+        budget = float((costs * p * p).sum())  # as stage 1 sums a prefix's cost
+    elif full:
+        budget = float(costs.sum()) * (1.0 + 10.0 ** draw(st.floats(-12.0, 6.0)))
+    else:
+        budget = float(costs.sum()) * draw(st.floats(1e-12, 0.999))
+    problem = stage2_problem(sc, bf, budget, LEDGER)
+    assert problem.full_qos is full
+    return problem
+
+
+def level_coefficients(problem, t: float) -> np.ndarray:
+    """All users' coefficients at the water level at height ``t`` above the lowest breakpoint."""
+    above = neuro._above_floors(problem, np.array([t]))[0]
+    return problem.assemble(np.sqrt(problem.floor**2 + above / problem.c_free))
+
+
+def coefficient_ee(problem, t: float) -> float:
+    """``objective`` at ``level_coefficients``."""
+    return problem.objective(level_coefficients(problem, t))
+
+
+def assert_level_gradient_is_the_objectives(problem, fracs=(0.3, 0.6, 0.9)):
+    """The closed-form dEE/dt against central differences of ``objective`` in coefficient space, at heights
+    ``fracs`` of the budget's, to 1e-6 of the rate term n B / (ln 2 L D) or of the derivative."""
+    rise, low = problem.breakpoints
+    for frac in fracs:
+        t = frac * problem.fill_height
+        assert np.min(np.abs(t - rise)) > 1e-3 * (low + t)  # away from the breakpoints
+        h = 1e-6 * (low + t)
+        y, _, (d_ee,) = neuro._ee_at_level(problem, np.array([t]))
+        fd = (coefficient_ee(problem, t + h) - coefficient_ee(problem, t - h)) / (2.0 * h)
+        (denom,) = problem.spend_ee(y)[1]
+        slope = np.count_nonzero(rise < t) * float(problem.rate_model.bw_hz) / (math.log(2.0) * (low + t)) / denom
+        assert abs(d_ee - fd) <= 1e-6 * max(abs(d_ee), slope)
+
+
+class TestLosses:
+    """The training loss is the negative EE of the level's water-fill, with a closed-form gradient in the level."""
 
     def test_full_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=12)
-        lam = 1e5
-        p = prob.p_min * 1.5  # strictly interior point
-        grad = oracle.loss_gradient(p, prob, lam)
-        for i in range(3):
-            h = 1e-6 * max(1.0, abs(p[i]))
-            up, dn = p.copy(), p.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (oracle.loss_full_qos(up, prob, lam) - oracle.loss_full_qos(dn, prob, lam)) / (2 * h)
-            assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
+        assert_level_gradient_is_the_objectives(prob)
 
     def test_partial_qos_gradient_against_finite_differences(self):
         _, prob = build_problem(k=3, seed=13, partial=True)
-        lam = 1e5
-        p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
-        grad = oracle.loss_gradient(p, prob, lam)
-        for i in np.flatnonzero(prob.free):
-            h = 1e-6 * max(1.0, abs(p[i]))
-            up, dn = p.copy(), p.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (
-                oracle.loss_partial_qos(up, prob, lam) - oracle.loss_partial_qos(dn, prob, lam)
-            ) / (2 * h)
-            assert abs(grad[i] - fd) / max(abs(grad[i]), 1e-12) < 1e-4
+        assert_level_gradient_is_the_objectives(prob)
 
-    def test_partial_loss_ignores_pinned_coordinates(self):
-        _, prob = build_problem(k=3, seed=14, partial=True)
-        lam = 0.3
-        p = np.where(prob.free, 0.1, prob.pinned_p)
-        base = oracle.loss_partial_qos(p, prob, lam)
-        for i in np.flatnonzero(~prob.free):
-            q = p.copy()
-            q[i] += 1.7
-            assert oracle.loss_partial_qos(q, prob, lam) == base
+    def test_loss_finite_on_the_budget_surface(self):
+        # the budget's own level, where G(s) = 1, spends what the water-fill of the budget spends
+        _, prob = build_problem(k=2, seed=11)
+        t = np.array([prob.fill_height])
+        y, ee, d_ee = neuro._ee_at_level(prob, t)
+        assert np.isfinite(ee).all() and np.isfinite(d_ee).all()
+        d, lower, _ = prob.spend_terms
+        assert np.array_equal(y[0], _water_fill(d, prob.budget, lower))
+        assert float(y.sum()) <= prob.budget
 
     def test_shared_evaluation_matches_the_references(self):
+        # the EE and spend training reads, at a stack of levels, against objective and the spend of the coefficients
         for partial in (False, True):
             _, prob = build_problem(k=3, seed=16, partial=partial)
-            lam = 0.3
-            if partial:
-                p = np.where(prob.free, 0.2 * np.sqrt(prob.budget / prob.w_norms_sq), prob.pinned_p)
-            else:
-                p = prob.p_min * 1.3
-            budget = np.array([prob.budget])
-            ee, grad, spend = neuro._evaluate(p[None], prob, np.array([lam]), budget)
-            assert ee[0] == prob.objective(p)
-            assert spend[0] == float(np.sum(prob.w_norms_sq[prob.free] * p[prob.free] ** 2))
-            unbarriered = neuro._evaluate(p[None], prob, np.array([0.0]), budget)[1][0]
-            assert np.array_equal(unbarriered, -prob.ee_and_gradient(p)[1])
+            t = np.linspace(0.0, 1.0, 9) * prob.fill_height
+            y, ee, _ = neuro._ee_at_level(prob, t)
+            for row, (level, spend) in enumerate(zip(t, y)):
+                p = level_coefficients(prob, level)
+                assert ee[row] == pytest.approx(prob.objective(p), rel=1e-12, abs=0.0)
+                assert spend.sum() == pytest.approx(float(np.sum(prob.c_free * p[prob.free] ** 2)), rel=1e-12, abs=0.0)
 
-    def test_partial_zero_barrier(self):
-        _, prob = build_problem(k=2, seed=15, partial=True)
-        lam = 0.0
-        p = np.where(prob.free, 0.15, prob.pinned_p)
-        assert oracle.loss_partial_qos(p, prob, lam) == pytest.approx(
-            -prob.objective(p), rel=1e-14
-        )
+
+class TestLevelHead:
+    """The head's map from its output to a water level, its spends and the closed-form EE gradient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=faces(), z=st.floats(-750.0, 750.0))
+    @example(problem=build_problem(k=3, seed=12)[1], z=750.0)
+    @example(problem=build_problem(k=3, seed=13, partial=True)[1], z=-750.0)
+    def test_every_output_is_on_the_face_and_within_the_budget(self, problem, z):
+        t = problem.fill_height * neuro._level(neuro._softplus(np.array([z])) ** 2, True)[0]
+        y, ee, d_ee = neuro._ee_at_level(problem, t)
+        assert np.all(y >= problem.spend_terms[1]) and np.isfinite(ee).all() and np.isfinite(d_ee).all()
+        p = neuro.trained_coefficients(head_network(problem, z), problem)
+        free = p[problem.free]
+        assert np.isfinite(p).all() and np.all(free >= problem.floor)
+        assert np.array_equal(p[~problem.free], problem.p_min[~problem.free])
+        assert float((problem.c_free * free * free).sum()) <= problem.budget
+        assert float(y.sum()) <= problem.budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=faces(), gap=st.integers(0, 31), frac=st.floats(0.1, 0.9))
+    def test_level_gradient_is_the_central_difference(self, problem, gap, frac):
+        # at a level between two breakpoints at least 1% of the level apart, or past the highest one, where EE
+        # is smooth in the level; the step is 1e-6 of the level
+        rise, low = problem.breakpoints
+        edges = np.unique(rise)
+        top = edges[-1] + max(edges[-1], low)
+        gaps = [(a, b) for a, b in zip(edges, [*edges[1:], top]) if b - a >= 1e-2 * (low + b)]
+        a, b = gaps[gap % len(gaps)]
+        t = a + frac * (b - a)
+        h = 1e-6 * (low + t)
+        _, ee, d_ee = neuro._ee_at_level(problem, np.array([t, t - h, t + h]))
+        _, denom = problem.spend_ee(problem.spend_terms[1] + neuro._above_floors(problem, np.array([t])))
+        n = np.count_nonzero(rise < t)  # the users above their floors
+        slope = n * float(problem.rate_model.bw_hz) / (math.log(2.0) * (low + t)) / denom[0]
+        assert abs(d_ee[0] - (ee[2] - ee[1]) / (2.0 * h)) <= 1e-6 * max(abs(d_ee[0]), slope)
 
 
 class TestTrain:
@@ -206,7 +258,7 @@ class TestTrain:
 
             with mock.patch.object(neuro, "train_many", logged):
                 table = run_ablation(sc, LEDGER, cfg_doc["p_tot_w"], seeds=cfg_doc["seeds"])
-            assert len(logs) == 3 * len(cfg_doc["seeds"])
+            assert len(logs) == 2 * len(cfg_doc["seeds"])
             return {row[0]: row for row in table.rows}, logs
 
         shipped, shipped_logs = ablation()
@@ -223,8 +275,7 @@ class TestTrain:
         _, prob = build_problem(k=3, seed=12)
         cfg = neuro.TrainConfig(seed=0, max_epochs=2)
         start = neuro.network_for(prob, cfg)
-        lam = neuro.BARRIER_WEIGHT * neuro._ee_scale(prob)
-        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob, lam)
+        _, grads_w, grads_b = oracle.training_loss_and_grads(start, prob)
         net = neuro.train(prob, cfg)
         assert net.log.best_epoch == 2  # the returned checkpoint is the one after one update
         for p0, g, p1 in zip(
@@ -269,7 +320,8 @@ class TestTrain:
         assert not np.array_equal(a.params, before)
 
     def test_divergent_training_raises(self, monkeypatch):
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e25)
+        # the first update's parameters near 1e154 overflow the next forward pass
+        monkeypatch.setattr(neuro, "STEP_SIZE", 1e154)
         _, prob = build_problem(k=2, seed=24)
         cfg = neuro.TrainConfig(seed=7, max_epochs=60)
         with pytest.raises(neuro.TrainingError) as err:
@@ -344,9 +396,7 @@ train_configs = st.builds(
     neuro.TrainConfig,
     max_epochs=st.integers(51, 300),
     seed=st.integers(0, 2**16),
-    anneal_every=st.integers(1, 300),
     project_scaling=st.booleans(),
-    use_soft_loss=st.booleans(),
 )
 
 
@@ -363,13 +413,13 @@ class TestTrainMany:
         # up to two more jobs than slots, so a full-width pool also refills freed rows
         cfgs=st.lists(train_configs, min_size=1, max_size=neuro.POOL_SLOTS + 2),
     )
-    # a partial-QoS face with two pinned users, where the no-scale rows end past their wall
+    # a partial-QoS face with two pinned users, where the uncapped rows end past their budgets
     @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
-        neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=scaling, use_soft_loss=soft)
-        for seed in (0, 1) for scaling, soft in ((True, True), (True, False), (False, True))
+        neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=scaling)
+        for seed in (0, 1, 2) for scaling in (True, False)
     ])
-    # every job stops at its EE ceiling: capped and clamp-only rows on a full-QoS face, then on a partial-QoS face
-    @example(k=2, scenario_seed=4, full=True, satisfied=0, fracs=[0.5, 0.95], cfgs=[
+    # ceiling stops: every capped and uncapped job on a full-QoS face, then one of each on a partial-QoS face
+    @example(k=2, scenario_seed=21, full=True, satisfied=0, fracs=[0.5, 0.95], cfgs=[
         neuro.TrainConfig(max_epochs=150, seed=seed, project_scaling=scaling)
         for seed in (0, 1) for scaling in (True, False)
     ])
@@ -408,8 +458,8 @@ class TestTrainMany:
         sc = scenario_from_dict(cfg_doc["scenario"])
         prob = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
         cfgs = [
-            neuro.TrainConfig(seed=seed, max_epochs=300, project_scaling=scaling, use_soft_loss=soft)
-            for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(4)
+            neuro.TrainConfig(seed=seed, max_epochs=300, project_scaling=scaling)
+            for scaling in (True, False) for seed in range(6)
         ]
         assert len(cfgs) > neuro.POOL_SLOTS
         jobs = [(prob, cfg) for cfg in cfgs]
@@ -429,13 +479,10 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("width", [1, 2, neuro.POOL_SLOTS])
     def test_raises_the_error_of_the_first_diverging_config_in_list_order(self, monkeypatch, width):
-        # at 1e25 the clamp-only config's finite rates keep it from diverging in 60 epochs;
-        # at 1e30 its raw output overflows at epoch 3, the projected config's at epoch 4
-        monkeypatch.setattr(neuro, "STEP_SIZE", 1e30)
+        # at 3e152 two uncapped configs' levels overflow their spends, seed 3's at epoch 11 and seed 5's at epoch 5
+        monkeypatch.setattr(neuro, "STEP_SIZE", 3e152)
         _, prob = build_problem(k=2, seed=24)
-        # alone, the clamp-only config diverges at an earlier epoch than the projected one
-        jobs = [(prob, neuro.TrainConfig(seed=3, max_epochs=60)),
-                (prob, neuro.TrainConfig(seed=4, max_epochs=60, project_scaling=False))]
+        jobs = [(prob, neuro.TrainConfig(seed=seed, max_epochs=60, project_scaling=False)) for seed in (3, 5)]
         first, later = (lone_error([job]) for job in jobs)
         assert later.epoch < first.epoch
         expected = lone_error(jobs)
@@ -458,7 +505,7 @@ class TestTrainMany:
         assert list(neuro.train_many([])) == []
 
     def test_networks_come_out_as_their_trainings_stop(self):
-        _, prob = build_problem(k=2, seed=21)
+        _, prob = build_problem(k=2, seed=22)  # the first job trains for 145 epochs, the second to its cap of 60
         cfgs = [neuro.TrainConfig(seed=0, max_epochs=300), neuro.TrainConfig(seed=1, max_epochs=60)]
         with mock.patch.object(neuro, "POOL_SLOTS", 2):
             order = [i for i, _ in neuro.train_many((prob, cfg) for cfg in cfgs)]
@@ -477,8 +524,8 @@ class TestCeilingStop:
         cfg_doc = ablation_config()
         sc = scenario_from_dict(cfg_doc["scenario"])
         ablation = stage2_problem(sc, scenario_beamformer(sc), cfg_doc["p_tot_w"], LEDGER)
-        pools = [[(ablation, neuro.TrainConfig(seed=seed, project_scaling=scaling, use_soft_loss=soft))
-                  for scaling, soft in ((True, True), (True, False), (False, True)) for seed in range(3)]]
+        pools = [[(ablation, neuro.TrainConfig(seed=seed, project_scaling=scaling))
+                  for scaling in (True, False) for seed in range(3)]]
         sweep = sweep_scenario()
         bf = scenario_beamformer(sweep)
         for budgets in ((80.0, 90.0), (120.0, 140.0), (230.0, 300.0)):
@@ -523,12 +570,22 @@ class TestGradientCheck:
         monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
         worst = 0.0
         for seed in range(10):
-            _, prob = build_problem(k=2, seed=30 + seed)
-            cfg = neuro.TrainConfig(seed=seed)
-            net = neuro.network_for(prob, cfg)
-            lam = 1e4
+            _, prob = build_problem(k=2, seed=30 + seed, partial=seed % 2 == 1)
+            net = neuro.network_for(prob, neuro.TrainConfig(seed=seed))
             err = oracle.gradient_check(
-                net, lambda n: oracle.training_loss_and_grads(n, prob, lam), sample=100, seed=seed
+                net, lambda n: oracle.training_loss_and_grads(n, prob), sample=100, seed=seed
+            )
+            worst = max(worst, err)
+        assert worst < 1e-4
+
+    def test_uncapped_backprop_matches_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
+        worst = 0.0
+        for seed in range(4):
+            _, prob = build_problem(k=2, seed=30 + seed, partial=seed % 2 == 1)
+            net = neuro.network_for(prob, neuro.TrainConfig(seed=seed, project_scaling=False))
+            err = oracle.gradient_check(
+                net, lambda n: oracle.training_loss_and_grads(n, prob, capped=False), sample=100, seed=seed
             )
             worst = max(worst, err)
         assert worst < 1e-4
@@ -537,10 +594,9 @@ class TestGradientCheck:
         monkeypatch.setattr(neuro, "HIDDEN", (16, 8))
         _, prob = build_problem(k=2, seed=41)
         net = neuro.network_for(prob, neuro.TrainConfig(seed=0))
-        lam = 1e4
 
         def corrupted(n):
-            loss, gw, gb = oracle.training_loss_and_grads(n, prob, lam)
+            loss, gw, gb = oracle.training_loss_and_grads(n, prob)
             gw = [g.copy() for g in gw]
             gw[0][0, 0] += 1.0 + abs(gw[0][0, 0])
             return loss, gw, gb
@@ -550,10 +606,8 @@ class TestGradientCheck:
 
     def test_minimal_network_is_extra_precise(self):
         _, prob = build_problem(k=2, seed=42)
-        net = neuro.init_network((3 * 2 + 1, 2), seed=0)
-        lam = 1e4
+        net = neuro.init_network((3 * 2 + 1, 1), seed=0)
         err = oracle.gradient_check(
-            net, lambda n: oracle.training_loss_and_grads(n, prob, lam), sample=10**9, seed=0
+            net, lambda n: oracle.training_loss_and_grads(n, prob), sample=10**9, seed=0
         )
         assert err < 1e-6
-

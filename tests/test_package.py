@@ -18,14 +18,15 @@ FORBIDDEN_IMPORTS = {"tests", "perfbench", "hypothesis", "scipy", "mpmath"}
 
 # public names that tests alone called, now deleted or moved to tests/
 REMOVED = {
-    "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT", "DEFAULT_HIDDEN"],
+    "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT", "DEFAULT_HIDDEN",
+              "_evaluate", "_project_with_grad", "_ee_scale", "BARRIER_WEIGHT", "BARRIER_EPS"],
     "harness": ["parse_csv", "_svg_series"],
     "propulsion": ["write_samples_csv", "parse_samples_csv"],
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
     "bemt": ["axial_induction", "write_spec_dir", "tip_loss"],
     "config": ["total_comm_power", "load_platform_config"],
-    "q3e": ["project_capped", "_scale_to_budget"],
+    "q3e": ["project_capped", "_scale_to_budget", "_OVERSPEND"],
 }
 
 # dataclass fields that nothing read, or that are derived from the other fields
@@ -41,7 +42,6 @@ REMOVED_PARAMETERS = [
     (harness.run_airspeed_sweep, {"coeffs", "legacy_eta_p"}),
     (channel.thermal_noise_floor, {"noise_figure_db", "temp_k"}),
     (propulsion.reference_samples, {"noise_sigma", "seed"}),
-    (neuro._evaluate, {"eps"}),
     (neuro._step, {"eps"}),
 ]
 
@@ -143,7 +143,7 @@ def test_removed_fields_are_gone():
 
 def test_adam_settings_are_constants_not_train_config_fields():
     fields = {f.name for f in dataclasses.fields(neuro.TrainConfig)}
-    assert fields == {"seed", "max_epochs", "anneal_every", "project_scaling", "use_soft_loss"}
+    assert fields == {"seed", "max_epochs", "anneal_every", "project_scaling"}
     assert (neuro.ADAM_BETA1, neuro.ADAM_BETA2, neuro.ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert (neuro.HIDDEN, neuro.PATIENCE, neuro.MIN_GAIN, neuro.STEP_SIZE) == ((64, 64, 32, 32), 50, 1e-10, 1e-3)
     assert bemt.N_NODES == 101

@@ -216,15 +216,15 @@ class TestPowerProblemRecord:
         b = dataclasses.replace(a, budget=a.budget * factor)
         assert a.shares_face(b)
         net = neuro.network_for(a, neuro.TrainConfig())
-        budget = np.array([a.budget, 0.25 * a.budget])  # the second row's clamped point overspends
-        lam = np.full(2, neuro.BARRIER_WEIGHT * neuro._ee_scale(a))
+        # each row's fill height, whichever problem stands for the face
+        height = np.array([a.fill_height, b.fill_height])
         features = np.repeat(neuro.problem_features(a)[None], 2, axis=0)
         results = []
         for problem in (a, b):
             params = np.repeat(net.params[None], 2, axis=0)
             grads = np.zeros_like(params)
             out = neuro._step(
-                *neuro._layer_views(params, net.layer_widths), problem, features, lam, budget, np.array([True, True]),
+                *neuro._layer_views(params, net.layer_widths), problem, features, height, np.array([True, False]),
                 *neuro._layer_views(grads, net.layer_widths),
             )
             results.append((*out, grads))
@@ -360,8 +360,11 @@ class TestOneFormForAVectorAndAStack:
                 point_s, alpha_s = prob.scale_to_budget(stack_hat, np.full(n, budget), stack_0)
                 same_bytes(point, point_s[0])
                 same_bytes(alpha, alpha_s[0])
-            forward = neuro._project_with_grad(prob, stack, np.ones(n, dtype=bool), np.full(n, budget))[0]
-            same_bytes(projected, prob.assemble(forward[0]))
+            same_bytes(projected, prob.project(p_free))
+            y = prob.c_free * p_free * p_free
+            stack_y = prob.c_free * stack_free * stack_free
+            for vector_result, stack_result in zip(prob.spend_ee(y), prob.spend_ee(stack_y)):
+                same_bytes(vector_result, stack_result[0])
 
 
 class TestEeAndGradient:
@@ -660,6 +663,17 @@ class TestBaselineMaxSumRate:
         assert sol.q_set == q_set
 
 
+def level_head_ees(prob, draw_seed: int, n: int, uncapped: bool) -> np.ndarray:
+    """The EE training reads (``neuro._ee_at_level``) and ``objective`` at the coefficients, at ``n`` random
+    levels of the head on ``prob``: from the lowest breakpoint to the budget's level, or three times as high
+    when uncapped."""
+    rng = np.random.default_rng(draw_seed)
+    top = rng.uniform(0.0, 3.0 if uncapped else 1.0, n) * prob.fill_height
+    _, ee, _ = neuro._ee_at_level(prob, top)
+    coefficients = [prob.assemble(np.sqrt(prob.floor**2 + row / prob.c_free)) for row in neuro._above_floors(prob, top)]
+    return np.concatenate([ee, [prob.objective(p) for p in coefficients]])
+
+
 class TestEeCeiling:
     """``PowerProblem.ee_ceiling`` against Dinkelbach with bisection inner solves, over K <= 32 in both
     regimes, at binding and interior budgets and without a budget; and ``_water_fill`` with lower bounds."""
@@ -683,7 +697,7 @@ class TestEeCeiling:
         bf, _, p_min = scenario_problem(sc)
         costs = bf.w_norms_sq * p_min**2
         p_tot = float(costs.sum()) * (1.0 + 10.0**log_headroom if full else frac)
-        prob = stage2_problem(sc, bf, p_tot, LEDGER)
+        budgeted = prob = stage2_problem(sc, bf, p_tot, LEDGER)
         assert prob.full_qos is full
         if uncapped:
             prob = dataclasses.replace(prob, budget=math.inf)
@@ -692,9 +706,8 @@ class TestEeCeiling:
             ceiling = prob.ee_ceiling
         optimum = stage2_optimum_bisection(prob)
         assert optimum <= ceiling <= optimum * (1.0 + 1e-9)
-        # and it bounds the EE of projected points, which is what training reads
-        raw = np.random.default_rng(draw_seed).uniform(0.0, 3.0, (20, len(prob.c_free))) * np.sqrt(p_tot / prob.c_free)
-        assert all(prob.objective(prob.project(r)) <= ceiling for r in raw)
+        # and it bounds the EE of every output of the level head, which is what training reads
+        assert level_head_ees(budgeted, draw_seed, 20, uncapped).max() <= ceiling
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(1, 12), seed=st.integers(0, 10_000), log_frac=st.floats(-16.0, -6.0),
@@ -704,13 +717,11 @@ class TestEeCeiling:
         sc = random_scenario(k, seed=seed)
         bf, _, p_min = scenario_problem(sc)
         p_tot = float(np.sum(bf.w_norms_sq * p_min**2)) * 10.0**log_frac
-        prob = stage2_problem(sc, bf, p_tot, LEDGER)
+        budgeted = prob = stage2_problem(sc, bf, p_tot, LEDGER)
         assert not prob.full_qos
         if uncapped:
             prob = dataclasses.replace(prob, budget=math.inf)
-        ceiling = prob.ee_ceiling
-        raw = np.random.default_rng(draw_seed).uniform(0.0, 3.0, (200, len(prob.c_free))) * np.sqrt(p_tot / prob.c_free)
-        assert all(prob.objective(prob.project(r)) <= ceiling for r in raw)
+        assert level_head_ees(budgeted, draw_seed, 200, uncapped).max() <= prob.ee_ceiling
 
     def test_zero_communication_power_leaves_patience_alone(self):
         sc = random_scenario(3, seed=5)
