@@ -17,13 +17,15 @@ clamp-only training (``TrainConfig.project_scaling`` False, the ablation)
 takes G(s) = s, so its level may pass L_B and its spend the budget.
 
 Optimization is Adam, its bias corrections folded into the step size
-(``_adam_step``), with early stopping on the EE, and the best checkpoint is
-returned.  An epoch counts as a new best only if it beats the best EE by
-more than ``MIN_GAIN`` (1e-10) relative.  Training stops at the first of
-three: ``PATIENCE`` epochs without a new best, ``max_epochs``, or a best EE
-within ``MIN_GAIN`` of the training's EE ceiling (``PowerProblem.ee_ceiling``,
-an upper bound on the EE of every point the head can output), past which no
-epoch can be a new best, so that stop moves no checkpoint.
+(``_adam_step``) and its momentum restarted whenever the EE falls (O'Donoghue
+& Candès 2015), lest it carry the level past the optimum onto G's flat tail;
+the best checkpoint is returned.  An epoch counts as a new best only if it
+beats the best EE by more than ``MIN_GAIN`` (1e-10) relative.  Training stops
+at the first of three: ``PATIENCE`` epochs without a new best, ``max_epochs``,
+or a best EE within ``MIN_GAIN`` of the training's EE ceiling
+(``PowerProblem.ee_ceiling``, an upper bound on the EE of every point the head
+can output), past which no epoch can be a new best, so that stop moves no
+checkpoint.
 
 Trainings run in a pool (``train_many``): their networks are rows of stacked
 arrays, and each row reproduces a lone training bit for bit.  A pool's
@@ -72,8 +74,7 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainingLog:
-    """Where training stopped, where the best checkpoint sat, and the worst
-    budget overshoot observed across all iterates.
+    """Where training stopped and where the best checkpoint sat.
 
     ``best_epoch`` is the last epoch whose EE beat the best before it by
     more than ``MIN_GAIN`` relative; a later epoch with a smaller gain moves
@@ -86,7 +87,6 @@ class TrainingLog:
     best_epoch: int = 0
     stopped_epoch: int = 0
     best_ee: float = -np.inf
-    max_budget_overshoot: float = 0.0
     ceiling: float = math.inf
 
 
@@ -281,15 +281,14 @@ def _step(weights, biases, face: PowerProblem, features: np.ndarray, height: np.
     2-D buffer); ``features``, ``height`` and ``capped`` hold each slot's
     feature vector, budget fill height (``PowerProblem.fill_height``) and
     whether its level is capped.  ``face`` is any problem of the pool's face.
-    Forward pass, the level's spends and EE, then backprop of d(-EE)/ds into
-    the stacked gradient views ``grads_w`` and ``grads_b``.  Returns, per
-    slot, the network output s, the free users' spends and the EE.
+    Forward pass, the level's EE and backprop of d(-EE)/ds into ``grads_w``
+    and ``grads_b``; returns each slot's network output s and its EE.
     """
     s, cache = _forward_trace(weights, biases, features)
     g, dg = _level(s[:, 0], capped)
-    y, ee, d_ee = _ee_at_level(face, height * g)
+    _, ee, d_ee = _ee_at_level(face, height * g)
     _backward(weights, cache, -(d_ee * height * dg)[:, None], grads_w, grads_b)
-    return s, y, ee
+    return s, ee
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +305,7 @@ class _Slot:
     net: MlpNetwork  # holds the best checkpoint
     epoch: int = 0
     log: TrainingLog = field(default_factory=TrainingLog)
+    last_ee: float = -math.inf  # the EE of the slot's previous epoch
 
 
 def _adam_step(params, grads, m, v, tmp, epochs) -> None:
@@ -339,26 +339,26 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     """Train one network per ``(problem, cfg)`` job; yields (position in ``jobs``, network) pairs.
 
     Each epoch is one full-instance step (``_step``) and one Adam update
-    (``_adam_step``).  Early stopping tracks the EE of the level's fill and
-    the best checkpoint is returned.  An epoch is a new best only if its EE
-    exceeds the best by more than ``MIN_GAIN`` relative (EE is never
-    negative, so the product form holds at the initial -inf and at 0);
-    training stops ``PATIENCE`` epochs after the last new best, at
-    ``max_epochs``, or at once when the best EE is within ``MIN_GAIN`` of the
-    job's EE ceiling (``_ceiling``, taken once as the job enters the pool,
-    with its fill height): no later epoch could be a new best, so the
-    checkpoint is final.
+    (``_adam_step``), from a zeroed first moment if the EE fell (the momentum
+    restart).  Early stopping tracks the EE of the level's fill and the best
+    checkpoint is returned.  An epoch is a new best only if its EE exceeds the
+    best by more than ``MIN_GAIN`` relative (EE is never negative, so the
+    product form holds at the initial -inf and at 0); training stops
+    ``PATIENCE`` epochs after the last new best, at ``max_epochs``, or at once
+    when the best EE is within ``MIN_GAIN`` of the job's EE ceiling
+    (``_ceiling``, taken once as the job enters the pool, with its fill
+    height): no later epoch could be a new best, so the checkpoint is final.
 
     The jobs' problems must share one stage-1 face (``PowerProblem.shares_face``):
     they may differ only in budget.  Otherwise the first ``next`` raises
     ``ValueError``.  Up to ``POOL_SLOTS`` jobs train side by side.  Their
-    parameters, gradients, Adam moments, feature vectors, fill heights and
-    budgets are rows of stacked arrays, so one set of numpy calls runs an
-    epoch of every slot.  Each slot keeps its own epoch count and early
+    parameters, gradients, Adam moments, feature vectors and fill heights are
+    rows of stacked arrays, so one set of numpy calls runs an epoch of every
+    slot.  Each slot keeps its own epoch count, momentum restarts and early
     stopping; when its job stops, the next job takes the row.  A row sees
     exactly the floating-point operations of a lone training (the batched
     products are one vector-matrix product per row, sums run along C-ordered
-    rows, the fill height and budget enter only elementwise, and Adam's bias
+    rows, the fill height enters only elementwise, and Adam's bias
     corrections enter as per-slot scalars ``a`` and ``e``, Python floats from
     the slot's epoch), so every network and its ``TrainingLog`` are
     bit-identical to training that job alone.
@@ -378,7 +378,7 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     capacity = min(POOL_SLOTS, len(jobs))
     params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
     features = np.zeros((capacity, widths[0]))
-    height, budget = np.zeros((2, capacity))
+    height = np.zeros(capacity)
 
     queue = deque(enumerate(jobs))
     slots: list[_Slot] = []
@@ -394,7 +394,6 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
             v1[row] = 0.0
             features[row] = problem_features(problem)
             height[row] = problem.fill_height
-            budget[row] = problem.budget
             slots.append(slot)
             view_rows = -1
         n = len(slots)
@@ -409,9 +408,8 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
         # divergence is detected explicitly below, so transient overflow in a
         # diverging pass is expected rather than a numerics bug
         with np.errstate(over="ignore", invalid="ignore"):
-            s, y, val = _step(weights, biases, face, features[:n], height[:n], capped, grads_w, grads_b)
+            s, val = _step(weights, biases, face, features[:n], height[:n], capped, grads_w, grads_b)
         finite = (np.isfinite(s[:, 0]) & np.isfinite(val)).tolist()
-        overshoot = (y.sum(axis=1) - budget[:n]).tolist()
         val = val.tolist()
 
         done = []
@@ -422,7 +420,9 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
                     failure = slot
                 done.append(row)
                 continue
-            log.max_budget_overshoot = max(log.max_budget_overshoot, overshoot[row])
+            if val[row] < slot.last_ee:  # the EE fell: restart the momentum
+                m1[row] = 0.0
+            slot.last_ee = val[row]
             if val[row] > log.best_ee * (1.0 + MIN_GAIN):
                 log.best_ee, log.best_epoch = val[row], slot.epoch
                 slot.net.params[:] = params[row]
@@ -439,7 +439,7 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
                 yield slots[row].index, slots[row].net
             last = len(slots) - 1
             if row != last:
-                for a in (params, grads, m1, v1, features, height, budget):
+                for a in (params, grads, m1, v1, features, height):
                     a[row] = a[last]
                 slots[row] = slots[last]
             slots.pop()

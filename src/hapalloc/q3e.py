@@ -514,7 +514,6 @@ def _mlp_solution(problem: PowerProblem, net) -> Q3eSolution:
     diag = {
         "iterations": net.log.stopped_epoch,
         "best_epoch": net.log.best_epoch,
-        "max_budget_overshoot": net.log.max_budget_overshoot,
         "ee_ceiling": net.log.ceiling,  # bounds the stage-2 objective's optimality gap
     }
     return _solution_from(problem, p, problem.satisfied_set, "mlp", diag)

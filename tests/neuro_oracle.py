@@ -129,7 +129,7 @@ def _backward_alone(net: neuro.MlpNetwork, cache, d_s: np.ndarray, grads_w, grad
 
 
 def _step_alone(net, problem: PowerProblem, features, capped: bool, grads_w, grads_b):
-    """Output, free users' spends and EE at the network's level, and d(-EE)/d(params) into the grad views."""
+    """Output and EE at the network's level, and d(-EE)/d(params) into the grad views."""
     d, lower, pinned = problem.spend_terms
     rise, low = problem.breakpoints
     height = problem.fill_height
@@ -144,7 +144,7 @@ def _step_alone(net, problem: PowerProblem, features, capped: bool, grads_w, gra
     active = int(np.count_nonzero(t > rise))
     d_ee = active * (float(problem.rate_model.bw_hz) / (LN2 * (low + t)) - ee * problem.ledger.xi) / denom
     _backward_alone(net, cache, -(d_ee * height * dg), grads_w, grads_b)
-    return s, y, float(ee)
+    return s, float(ee)
 
 
 def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwork:
@@ -164,13 +164,16 @@ def train_alone(problem: PowerProblem, cfg: neuro.TrainConfig) -> neuro.MlpNetwo
     bounded = problem if cfg.project_scaling else dataclasses.replace(problem, budget=math.inf)
     log = neuro.TrainingLog(ceiling=bounded.ee_ceiling)
     best_params = None
+    last_ee = -math.inf
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            s, y, val = _step_alone(net, problem, features, cfg.project_scaling, grads_w, grads_b)
+            s, val = _step_alone(net, problem, features, cfg.project_scaling, grads_w, grads_b)
         if not (np.isfinite(s).all() and math.isfinite(val)):
             raise neuro.TrainingError(epoch, cfg.seed)
-        log.max_budget_overshoot = max(log.max_budget_overshoot, float(y.sum() - problem.budget))
+        if val < last_ee:  # the EE fell: restart the momentum
+            m1[:] = 0.0
+        last_ee = val
         if val > log.best_ee * (1.0 + neuro.MIN_GAIN):
             log.best_ee, log.best_epoch = val, epoch
             best_params = net.params.copy()

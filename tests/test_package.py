@@ -34,6 +34,7 @@ REMOVED_FIELDS = [
     (FeasibilityPartition, {"min_cost_per_user", "order_g", "p_min", "p_tot"}),
     (PowerProblem, {"free", "lower_bound", "pinned_p"}),
     (harness.ReportTable, {"x_column", "y_column", "group_column", "y_columns"}),
+    (neuro.TrainingLog, {"max_budget_overshoot"}),
 ]
 
 # parameters that only tests set to another value, now module constants
