@@ -3,18 +3,19 @@
 The network maps the instance's sufficient statistics (normalized channel
 powers, QoS spectral efficiencies, beam costs, and the budget scale) to one
 output s = softplus(z)^2, and s to a water level on the stage-1 face: the
-height t = (L_B - b_min) G(s) above the face's lowest breakpoint b_min
-(``PowerProblem.breakpoints``), where L_B is the level that spends the
-budget (``PowerProblem.fill_height``) and G(s) = 1 - e^-s < 1.  The free
-users' spends are the floored water-fill at that level, y_k = lower_k +
-max(0, t - rise_k), so every output is on the face and within the budget by
-construction: no projector, no barrier.  Stage 2's optimum on a face is such
-a fill (``PowerProblem.ee_ceiling``), so the head loses nothing.  The loss is
-the negative EE of the fill (``PowerProblem.spend_ee``); its derivative in
-the level is the closed form dEE/dL = n (B / (ln 2 L) - EE xi) / D over the n
-users above their floors, chained through G and the squared softplus.  A
-clamp-only training (``TrainConfig.project_scaling`` False, the ablation)
-takes G(s) = s, so its level may pass L_B and its spend the budget.
+height t = (L_B - b_min) G(s) above the face's lowest breakpoint b_min,
+where L_B is the level that spends the budget (``PowerProblem.fill_height``)
+and G(s) = 1 - e^-s < 1.  The free users' spends are the floored water-fill
+at that level, y_k = lower_k + max(0, t - rise_k)
+(``PowerProblem.above_floors``), so every output is on the face and within
+the budget by construction: no projector, no barrier.  Stage 2's optimum on
+a face is such a fill (``PowerProblem.ee_ceiling``), so the head loses
+nothing.  The loss is the negative EE of the fill; its derivative in the
+level is the closed form dEE/dL = n (B / (ln 2 L) - EE xi) / D over the n
+users above their floors (both ``PowerProblem.level_ee``), chained through G
+and the squared softplus.  A clamp-only training
+(``TrainConfig.project_scaling`` False, the ablation) takes G(s) = s, so its
+level may pass L_B and its spend the budget.
 
 Optimization is Adam, its bias corrections folded into the step size
 (``_adam_step``) and its momentum restarted whenever the EE falls (O'Donoghue
@@ -32,9 +33,9 @@ arrays, and each row reproduces a lone training bit for bit.  A pool's
 problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
 in budget, so one pool serves several configurations of one instance or one
 instance at several budgets.  Any one of the problems stands for the face:
-an epoch reads the breakpoints and floors from it and each row's fill height
-and budget from the pool.  Every row runs the same numpy calls, and sums run
-on C-ordered rows.
+an epoch reads the fill's EE from it (``PowerProblem.level_ee``) and each
+row's fill height from the pool.  Every row runs the same numpy calls, and
+sums run on C-ordered rows.
 """
 
 from __future__ import annotations
@@ -247,26 +248,6 @@ def _level(s: np.ndarray, capped):
     return np.where(capped, -np.expm1(-s), s), np.where(capped, np.exp(-s), 1.0)
 
 
-def _above_floors(face: PowerProblem, t: np.ndarray) -> np.ndarray:
-    """The free users' spends above their floors at each height t (a row per entry) above the lowest breakpoint."""
-    return np.maximum(0.0, t[:, None] - face.breakpoints[0])
-
-
-def _ee_at_level(face: PowerProblem, t: np.ndarray):
-    """Spends, EE and dEE/dt at each height of ``t`` above ``face``'s lowest breakpoint, one row per entry.
-
-    At zero communication power the EE and its derivative are 0.
-    """
-    y = face.spend_terms[1] + _above_floors(face, t)
-    numer, denom = face.spend_ee(y)
-    denom = np.where(denom == 0.0, np.inf, denom)
-    ee = numer / denom
-    active = np.count_nonzero(t[:, None] > face.breakpoints[0], axis=1)
-    level = face.breakpoints[1] + t
-    d_ee = active * (float(face.rate_model.bw_hz) / (_LN2 * level) - ee * face.ledger.xi) / denom
-    return y, ee, d_ee
-
-
 def _ceiling(problem: PowerProblem, cfg: TrainConfig) -> float:
     """The EE ceiling of every point a training of ``cfg`` on ``problem`` can output: the problem's, or,
     for an uncapped level, that of its face without the budget."""
@@ -286,7 +267,7 @@ def _step(weights, biases, face: PowerProblem, features: np.ndarray, height: np.
     """
     s, cache = _forward_trace(weights, biases, features)
     g, dg = _level(s[:, 0], capped)
-    _, ee, d_ee = _ee_at_level(face, height * g)
+    _, ee, d_ee = face.level_ee(height * g)
     _backward(weights, cache, -(d_ee * height * dg)[:, None], grads_w, grads_b)
     return s, ee
 
@@ -459,10 +440,7 @@ def train(problem: PowerProblem, cfg: TrainConfig | None = None) -> MlpNetwork:
 
 
 def trained_coefficients(net: MlpNetwork, problem: PowerProblem, scaling: bool = True) -> np.ndarray:
-    """All users' coefficients at the water level a trained network outputs; with ``scaling`` False, uncapped.
-
-    A free user sits at sqrt(floor^2 + its spend above the floor / c), exactly at its floor below the level.
-    """
-    g, _ = _level(mlp_forward(net, problem_features(problem)), scaling)
-    above = _above_floors(problem, problem.fill_height * g)[0]
-    return problem.assemble(np.sqrt(problem.floor * problem.floor + above / problem.c_free))
+    """All users' coefficients (``PowerProblem.coefficients_at``) at the water level a trained network outputs;
+    with ``scaling`` False, uncapped."""
+    (g,), _ = _level(mlp_forward(net, problem_features(problem)), scaling)
+    return problem.coefficients_at(problem.fill_height * g)

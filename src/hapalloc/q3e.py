@@ -14,19 +14,22 @@ records any coefficient vector on it as a ``Q3eSolution``.  User k is
 satisfied when p_k >= p_min,k: all but the max-sum-rate baseline report
 stage 1's set, whose users sit pinned or floored at p_min.  The stage-2
 arithmetic of both backends is written here once, on ``beamforming``'s rates
-and their derivatives, in one form for a coefficient vector or a stack of
-them.  The numeric backend is projected gradient ascent on the free-user EE
-(``PowerProblem.objective``, its gradient ``ee_and_gradient`` and the
-projector ``project`` with its budget scaling ``scale_to_budget``).  The
-neural backend (``neuro``) learns one water level per instance: the face in
-spend units (``spend_terms``, ``breakpoints``), the EE there (``spend_ee``)
-and the level that spends the budget (``fill_height``) are written here.
+and their derivatives.  The numeric backend is projected gradient ascent on
+the free-user EE (``PowerProblem.objective``, its ``gradient`` and the
+projector ``project``).  ``PowerProblem`` is also the one place that knows
+the floored water-fill on the face in spend units (``spend_terms``,
+``breakpoints``): the level that spends the budget (``fill_height``), the
+spends above the floors at a level (``above_floors``), the coefficients
+there (``coefficients_at``) and their EE and its derivative in the level
+(``level_ee``, on ``spend_ee``).  The neural backend (``neuro``) trains on
+it, one water level per instance; the EE ceiling and the max-sum-rate
+baseline take the fill at ``fill_height``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -136,48 +139,25 @@ class PowerProblem:
         )
 
     def _ee_terms(self, p: np.ndarray):
-        """The free users' rate sum, the RF spend and the communication power at ``p``; per row of a stack.
-
-        A row sum adds in a vector sum's order only over a C-ordered row:
-        ``compress`` gives one, ``p[:, free]`` a column-major copy.
-        """
-        rf = (self.w_norms_sq * p * p).sum(axis=-1)
-        numer = surrogate_rates(p, self.rate_model).compress(self.free, axis=-1).sum(axis=-1)
-        return numer, rf, comm_power(rf, self.ledger)
+        """The free users' rate sum and the communication power at ``p``."""
+        numer = surrogate_rates(p, self.rate_model)[self.free].sum()
+        return numer, comm_power(self.rf_spent(p), self.ledger)
 
     def objective(self, p: np.ndarray) -> float:
         """EE restricted to the free users, bps/W; 0 when the communication power is 0."""
-        numer, _, denom = self._ee_terms(p)
+        numer, denom = self._ee_terms(p)
         return numer / denom if denom > 0.0 else 0.0
 
-    def ee_and_gradient(self, p: np.ndarray):
-        """``objective`` at ``p``, its gradient in ``p`` (zero on pinned users) and the RF spend.
-
-        A stack of coefficient vectors, one per row, gives EE and spend arrays
-        with one entry per row, by the same arithmetic as each row alone.
-        """
-        numer, rf, denom = self._ee_terms(p)
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """The gradient of ``objective`` in ``p``, zero on pinned users."""
+        numer, denom = self._ee_terms(p)
         # at zero communication power the EE and its gradient are 0: the quotient rule divides by inf there
-        denom = np.where(denom == 0.0, np.inf, denom)
-        ee = np.where(denom > 0.0, numer / denom, 0.0)  # 0, not NaN, at a NaN power
-        denom, ee_k = denom[..., None], ee[..., None]  # one per row, broadcast over users
+        denom = math.inf if denom == 0.0 else denom
+        ee = numer / denom if denom > 0.0 else 0.0  # 0, not NaN, at a NaN power
         # the quotient rule as N'/D - (N/D)(D'/D), with D' = 2 xi c p: neither D^2 nor N D' is formed
-        d_log_denom = self.ledger.xi / denom * 2.0 * (self.w_norms_sq * p)
-        grad = rate_slopes(p, self.rate_model) / denom - ee_k * d_log_denom
-        grad[..., ~self.free] = 0.0
-        return ee[()], grad, rf
-
-    def scale_to_budget(self, p_hat: np.ndarray, budget, p_0):
-        """The projector's scaling step: squared coefficients interpolated from ``floor`` (cost ``floor_cost``)
-        to ``p_hat`` (cost ``p_0``) by alpha = (budget - floor_cost) / (p_0 - floor_cost) in [0, 1].
-
-        Returns (point, alpha).  A stack of rows is scaled row by row, with one ``budget`` (a pool row's own,
-        not ``self.budget``) and ``p_0`` entry and one alpha (a column) per row; a NaN ratio gives alpha 0.
-        """
-        mask, p_m = self.floor, self.floor_cost
-        ratio = (budget - p_m) / (p_0 - p_m)
-        alpha = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)[..., None]
-        return np.sqrt(mask * mask + alpha * (p_hat * p_hat - mask * mask)), alpha
+        grad = rate_slopes(p, self.rate_model) / denom - ee * (self.ledger.xi / denom * 2.0 * (self.w_norms_sq * p))
+        grad[~self.free] = 0.0
+        return grad
 
     @cached_property
     def spend_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -198,8 +178,43 @@ class PowerProblem:
 
     @cached_property
     def fill_height(self) -> float:
-        """The water level that spends the budget, as a height t above the lowest breakpoint (``_water_fill``)."""
-        return _fill_height(self.breakpoints[0], self.budget, np.sum(self.spend_terms[1]))
+        """The height above the lowest breakpoint of the water level that spends the budget, in closed form.
+
+        With the rises sorted, the level over the m lowest is (the budget above the floors + their sum) / m,
+        and the m whose level exceeds the m-th rise are active.  Measuring from the lowest breakpoint keeps a
+        budget far below it from being lost to cancellation.  The height is shrunk by a few ulps per active
+        user, and by the floors' rounding, so that the rounded spend stays within the budget; with zero floors
+        every step adds or subtracts an exact zero.
+        """
+        lower_cost = np.sum(self.spend_terms[1])
+        rise = np.sort(self.breakpoints[0])
+        levels = (self.budget - lower_cost + np.cumsum(rise)) / np.arange(1, len(rise) + 1)
+        m = max(1, int(np.count_nonzero(levels > rise)))
+        eps = np.finfo(float).eps
+        return levels[m - 1] * (1.0 - 8.0 * m * eps) - 8.0 * len(rise) * eps * lower_cost / m
+
+    def above_floors(self, t):
+        """The free users' spends above their floors at the water level at height ``t`` above the lowest
+        breakpoint: max(0, t - rise_k), one row per entry of an array ``t``."""
+        return np.maximum(0.0, np.asarray(t)[..., None] - self.breakpoints[0])
+
+    def coefficients_at(self, t: float) -> np.ndarray:
+        """All users' coefficients at the water level at height ``t``: a free user at
+        sqrt(floor^2 + its spend above the floor / c), exactly at its floor below the level."""
+        return self.assemble(np.sqrt(self.floor * self.floor + self.above_floors(t) / self.c_free))
+
+    def level_ee(self, t: np.ndarray):
+        """The free users' spends, the EE (``spend_ee``) and dEE/dt at each height of ``t``, one row per entry:
+        dEE/dt = n (B / (ln 2 L) - EE xi) / D over the n users above their floors at the level L = b_min + t.
+        At zero communication power the EE and its derivative are 0."""
+        rise, low = self.breakpoints
+        y = self.spend_terms[1] + self.above_floors(t)
+        numer, denom = self.spend_ee(y)
+        denom = np.where(denom == 0.0, np.inf, denom)
+        ee = numer / denom
+        active = np.count_nonzero(t[:, None] > rise, axis=1)
+        d_ee = active * (float(self.rate_model.bw_hz) / (_LN2 * (low + t)) - ee * self.ledger.xi) / denom
+        return y, ee, d_ee
 
     def spend_ee(self, y: np.ndarray):
         """The free-user EE's numerator and denominator at free-user spends ``y``, per row of a stack."""
@@ -215,12 +230,12 @@ class PowerProblem:
         In spend units (``spend_terms``) the free users' rates are concave and
         the communication power D is affine, so Dinkelbach's method reaches the
         optimum EE*.  Its inner problem F(lambda) = max N(y) - lambda D(y) is
-        the floored water-fill y_k = max(lower_k, L - d_k) at
-        L = B / (ln 2 lambda xi), or, where that overspends, at the budget's
-        level (``_water_fill``).  lambda, the EE of a point of the face, rises
-        to the EE of each inner solution until it stops rising.  For
-        lambda <= EE*, every point of the face has EE <= lambda + F(lambda) /
-        D_min, where D_min is D at the face's least spend (floors and pinned
+        the floored water-fill y_k = max(lower_k, L - d_k) at L = B / (ln 2
+        lambda xi) (``above_floors``), or, where that overspends, at the
+        budget's level (``fill_height``).  lambda, the EE of a point of the
+        face, rises to the EE of each inner solution until it stops rising.
+        For lambda <= EE*, every point of the face has EE <= lambda + F(lambda)
+        / D_min, where D_min is D at the face's least spend (floors and pinned
         users).  Where the budget binds, F is bounded by Lagrange duality at
         the water-fill's multiplier nu: its value there plus nu times the spend
         the fill leaves short of the budget, which makes up the fill's shrink
@@ -234,7 +249,7 @@ class PowerProblem:
         if not d_min > 0.0:
             return math.inf
         if self.budget < math.inf:
-            fill = _water_fill(d, self.budget, lower)
+            fill = lower + self.above_floors(self.fill_height)
             fill_level = float(np.min(fill + d))  # y + d is the level above a lower bound, at least it elsewhere
             fill_slack = self.budget - float(fill.sum())
             start = lower
@@ -248,7 +263,7 @@ class PowerProblem:
         lam = numer / denom
         while True:
             level = bw / (_LN2 * lam * xi) if lam > 0.0 else math.inf  # Python floats: no overflow warning
-            y, dual = np.maximum(lower, level - d), 0.0
+            y, dual = lower + self.above_floors(level - self.breakpoints[1]), 0.0
             if not y.sum() <= self.budget:  # the budget binds: its multiplier nu times the fill's slack
                 y, dual = fill, max(bw / (_LN2 * fill_level) - lam * xi, 0.0) * fill_slack
             numer, denom = numer_denom(y)
@@ -260,12 +275,20 @@ class PowerProblem:
         return (lam + max(gain, 0.0) / d_min) * (1.0 + _CEILING_MARGIN) + 4.0 * len(d) * bw * math.ulp(1.0) / d_min
 
     def project(self, p_free: np.ndarray) -> np.ndarray:
-        """All users' coefficients, the free users' ``p_free`` projected onto {p >= floor, spend <= budget}:
-        clamped to ``floor``, then scaled onto the budget (``scale_to_budget``) unless the clamped spend fits."""
+        """All users' coefficients, the free users' ``p_free`` projected onto {p >= floor, spend <= budget}.
+
+        Clamped to ``floor``, then, unless its spend p_0 fits, scaled radially in p^2 onto the budget: each
+        square keeps its share (p^2 - floor^2) / (p_0 - p_m) of the spend above the floors' cost p_m, times
+        the headroom budget - p_m, whose ratio to p_0 - p_m can be subnormal.  With no headroom, or p_0 - p_m
+        0, inf or NaN, the point is the floor.
+        """
         p_hat = np.maximum(p_free, self.floor)
         p_0 = (self.c_free * p_hat * p_hat).sum()
         if not p_0 <= self.budget:
-            p_hat = self.scale_to_budget(p_hat, self.budget, p_0)[0]
+            floor, p_m = self.floor, self.floor_cost
+            headroom, excess = self.budget - p_m, p_0 - p_m
+            share = (p_hat * p_hat - floor * floor) / excess if headroom > 0.0 and 0.0 < excess < math.inf else 0.0
+            p_hat = np.sqrt(floor * floor + share * headroom)
         return self.assemble(p_hat)
 
 
@@ -326,7 +349,7 @@ def check_stage2_range(scenario: Scenario, beamformer: ZfBeamformer, p_tot: floa
     """Raise ConfigError if a stage-2 quantity at this budget overflows.
 
     Rates, their derivatives and the EE gradient form no intermediate larger than the terms below
-    (``beamforming``, ``PowerProblem.ee_and_gradient``), each bounded on the feasible set by its value
+    (``beamforming``, ``PowerProblem.gradient``), each bounded on the feasible set by its value
     with every user at its own ceiling sqrt(p_tot / c_k), or by the rate derivative's peak.
     """
     m = RateModel(scenario.bw_hz, scenario.n0_w, scenario.gammas())
@@ -360,7 +383,7 @@ def _ascend(problem: PowerProblem) -> Q3eSolution:
             step = 1.0
             for _ in range(_MAX_ITERS):
                 total_iters += 1
-                grad = problem.ee_and_gradient(p)[1][problem.free]
+                grad = problem.gradient(p)[problem.free]
                 gnorm = float(np.linalg.norm(grad))
                 if gnorm == 0.0:
                     break
@@ -433,38 +456,6 @@ def _equal_headroom(p_base: np.ndarray, c: np.ndarray, budget: float) -> np.ndar
     return p_base + delta / np.sqrt(c)
 
 
-def _water_fill(floors: np.ndarray, budget: float, lower=0.0) -> np.ndarray:
-    """Spends y_k = max(lower_k, level - floor_k) at the water level that spends the budget, in closed form.
-
-    User k rises above its lower bound once the level passes its breakpoint
-    lower_k + floor_k, so y is ``lower`` plus a water-fill of the budget left
-    above the lower bounds, at the height ``_fill_height`` above the lowest
-    breakpoint.
-    """
-    breaks = lower + floors
-    rise = breaks - breaks.min()
-    return lower + np.maximum(0.0, _fill_height(rise, budget, np.sum(lower)) - rise)
-
-
-def _fill_height(rise: np.ndarray, budget: float, lower_cost) -> float:
-    """The height above the lowest breakpoint of the water level that spends ``budget``, in closed form.
-
-    ``rise`` holds the breakpoints above the lowest one and ``lower_cost`` the
-    lower bounds' spend.  With the rises sorted, the level over the m lowest
-    is (the budget above the lower bounds + their sum) / m, and the m whose
-    level exceeds the m-th rise are active.  Measuring from the lowest
-    breakpoint keeps a budget far below it from being lost to cancellation.
-    The height is shrunk by a few ulps per active user, and by the lower
-    bounds' rounding, so that the rounded spend stays within the budget; with
-    zero lower bounds every step adds or subtracts an exact zero.
-    """
-    d = np.sort(rise)
-    levels = (budget - lower_cost + np.cumsum(d)) / np.arange(1, len(d) + 1)
-    m = max(1, int(np.count_nonzero(levels > d)))
-    eps = np.finfo(float).eps
-    return levels[m - 1] * (1.0 - 8.0 * m * eps) - 8.0 * len(d) * eps * lower_cost / m
-
-
 def solve_full_qos(problem: PowerProblem) -> Q3eSolution:
     """Maximize system EE with every user held at or above its QoS minimum."""
     if not problem.full_qos:
@@ -525,13 +516,15 @@ def baseline_max_sum_rate(
     """Sum-rate maximization under the budget (water-filling), no QoS stage.
 
     In x_k = p_k^2 the problem is concave with one linear constraint; the
-    KKT solution spends c_k x_k = max(0, level - c_k N_0 / gamma_k) on user k
-    (``_water_fill``).  ``q_set`` holds the users with p_k >= p_min,k.
+    KKT solution spends c_k x_k = max(0, level - c_k N_0 / gamma_k) on user k:
+    ``PowerProblem.coefficients_at`` its ``fill_height`` on the face where every
+    user is free with a zero floor.  ``q_set`` holds the users with
+    p_k >= p_min,k.
     """
-    problem = stage2_problem(scenario, beamformer, p_tot, ledger)
-    model, c = problem.rate_model, problem.w_norms_sq
-    p = np.sqrt(_water_fill(c * model.n0_w / model.gammas, p_tot) / c)
-    return _solution_from(problem, p, np.flatnonzero(p >= problem.p_min), "max_sum_rate", {})
+    face = replace(stage2_problem(scenario, beamformer, p_tot, ledger), budget=float(p_tot), satisfied_set=(),
+                   full_qos=False)
+    p = face.coefficients_at(face.fill_height)
+    return _solution_from(face, p, np.flatnonzero(p >= face.p_min), "max_sum_rate", {})
 
 
 def baseline_qos_only(

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import neuro_oracle as oracle
 from conftest import golden_section_max, random_scenario, reference_ledger
+from q3e_oracle import water_fill_bisection
 from hapalloc import neuro
 from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_rates
 from hapalloc.config import PowerLedger, static_comm_power
-from hapalloc.q3e import _water_fill, scenario_beamformer, stage2_problem
+from hapalloc.q3e import PowerProblem, scenario_beamformer, stage2_problem
 
 LEDGER = reference_ledger()
 
@@ -107,8 +108,7 @@ def faces(draw, k_max=32):
 
 def level_coefficients(problem, t: float) -> np.ndarray:
     """All users' coefficients at the water level at height ``t`` above the lowest breakpoint."""
-    above = neuro._above_floors(problem, np.array([t]))[0]
-    return problem.assemble(np.sqrt(problem.floor**2 + above / problem.c_free))
+    return problem.coefficients_at(t)
 
 
 def coefficient_ee(problem, t: float) -> float:
@@ -124,7 +124,7 @@ def assert_level_gradient_is_the_objectives(problem, fracs=(0.3, 0.6, 0.9)):
         t = frac * problem.fill_height
         assert np.min(np.abs(t - rise)) > 1e-3 * (low + t)  # away from the breakpoints
         h = 1e-6 * (low + t)
-        y, _, (d_ee,) = neuro._ee_at_level(problem, np.array([t]))
+        y, _, (d_ee,) = problem.level_ee(np.array([t]))
         fd = (coefficient_ee(problem, t + h) - coefficient_ee(problem, t - h)) / (2.0 * h)
         (denom,) = problem.spend_ee(y)[1]
         slope = np.count_nonzero(rise < t) * float(problem.rate_model.bw_hz) / (math.log(2.0) * (low + t)) / denom
@@ -146,10 +146,15 @@ class TestLosses:
         # the budget's own level, where G(s) = 1, spends what the water-fill of the budget spends
         _, prob = build_problem(k=2, seed=11)
         t = np.array([prob.fill_height])
-        y, ee, d_ee = neuro._ee_at_level(prob, t)
+        y, ee, d_ee = prob.level_ee(t)
         assert np.isfinite(ee).all() and np.isfinite(d_ee).all()
         d, lower, _ = prob.spend_terms
-        assert np.array_equal(y[0], _water_fill(d, prob.budget, lower))
+        assert np.array_equal(y[0], lower + prob.above_floors(prob.fill_height))
+        # users above their floors sit at the bisected water level of the budget, the others at or below it
+        level = water_fill_bisection(d, prob.budget, lower)
+        active = y[0] > lower
+        assert active.any() and np.allclose((y[0] + d)[active], level, rtol=1e-12, atol=0.0)
+        assert np.all((lower + d)[~active] >= level * (1.0 - 1e-12))
         assert float(y.sum()) <= prob.budget
 
     def test_shared_evaluation_matches_the_references(self):
@@ -157,7 +162,7 @@ class TestLosses:
         for partial in (False, True):
             _, prob = build_problem(k=3, seed=16, partial=partial)
             t = np.linspace(0.0, 1.0, 9) * prob.fill_height
-            y, ee, _ = neuro._ee_at_level(prob, t)
+            y, ee, _ = prob.level_ee(t)
             for row, (level, spend) in enumerate(zip(t, y)):
                 p = level_coefficients(prob, level)
                 assert ee[row] == pytest.approx(prob.objective(p), rel=1e-12, abs=0.0)
@@ -173,7 +178,7 @@ class TestLevelHead:
     @example(problem=build_problem(k=3, seed=13, partial=True)[1], z=-750.0)
     def test_every_output_is_on_the_face_and_within_the_budget(self, problem, z):
         t = problem.fill_height * neuro._level(neuro._softplus(np.array([z])) ** 2, True)[0]
-        y, ee, d_ee = neuro._ee_at_level(problem, t)
+        y, ee, d_ee = problem.level_ee(t)
         assert np.all(y >= problem.spend_terms[1]) and np.isfinite(ee).all() and np.isfinite(d_ee).all()
         p = neuro.trained_coefficients(head_network(problem, z), problem)
         free = p[problem.free]
@@ -194,8 +199,8 @@ class TestLevelHead:
         a, b = gaps[gap % len(gaps)]
         t = a + frac * (b - a)
         h = 1e-6 * (low + t)
-        _, ee, d_ee = neuro._ee_at_level(problem, np.array([t, t - h, t + h]))
-        _, denom = problem.spend_ee(problem.spend_terms[1] + neuro._above_floors(problem, np.array([t])))
+        _, ee, d_ee = problem.level_ee(np.array([t, t - h, t + h]))
+        _, denom = problem.spend_ee(problem.spend_terms[1] + problem.above_floors(np.array([t])))
         n = np.count_nonzero(rise < t)  # the users above their floors
         slope = n * float(problem.rate_model.bw_hz) / (math.log(2.0) * (low + t)) / denom[0]
         assert abs(d_ee[0] - (ee[2] - ee[1]) / (2.0 * h)) <= 1e-6 * max(abs(d_ee[0]), slope)
@@ -227,14 +232,14 @@ class TestTrain:
 
     def test_every_projected_iterate_is_feasible(self, monkeypatch):
         _, prob = build_problem(k=3, seed=22, budget_mult=1.2)
-        ee_at_level, spends = neuro._ee_at_level, []
+        level_ee, spends = PowerProblem.level_ee, []
 
         def logged(face, t):
-            out = ee_at_level(face, t)
+            out = level_ee(face, t)
             spends.append(float(out[0].sum()))
             return out
 
-        monkeypatch.setattr(neuro, "_ee_at_level", logged)
+        monkeypatch.setattr(PowerProblem, "level_ee", logged)
         net = neuro.train(prob, neuro.TrainConfig(seed=1, max_epochs=400))
         assert len(spends) == net.log.stopped_epoch
         assert max(spends) - prob.budget <= 1e-9

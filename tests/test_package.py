@@ -19,14 +19,15 @@ FORBIDDEN_IMPORTS = {"tests", "perfbench", "hypothesis", "scipy", "mpmath"}
 # public names that tests alone called, now deleted or moved to tests/
 REMOVED = {
     "neuro": ["save_checkpoint", "load_checkpoint", "CHECKPOINT_FORMAT", "DEFAULT_HIDDEN",
-              "_evaluate", "_project_with_grad", "_ee_scale", "BARRIER_WEIGHT", "BARRIER_EPS"],
+              "_evaluate", "_project_with_grad", "_ee_scale", "BARRIER_WEIGHT", "BARRIER_EPS",
+              "_above_floors", "_ee_at_level"],
     "harness": ["parse_csv", "_svg_series"],
     "propulsion": ["write_samples_csv", "parse_samples_csv"],
     "beamforming": ["surrogate_rate", "min_power_coefficient", "energy_efficiency"],
     "channel": ["sample_rician", "ChannelDraw", "channel_draw", "instantaneous_sinr", "ergodic_rate_mc"],
     "bemt": ["axial_induction", "write_spec_dir", "tip_loss"],
     "config": ["total_comm_power", "load_platform_config"],
-    "q3e": ["project_capped", "_scale_to_budget", "_OVERSPEND"],
+    "q3e": ["project_capped", "_scale_to_budget", "_OVERSPEND", "_water_fill", "_fill_height"],
 }
 
 # dataclass fields that nothing read, or that are derived from the other fields

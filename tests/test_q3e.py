@@ -28,7 +28,7 @@ from hapalloc.beamforming import RateModel, min_power_coefficients, surrogate_ra
 from hapalloc.channel import scenario_from_dict
 from hapalloc.config import ConfigError, PowerLedger, comm_power, static_comm_power
 from hapalloc.q3e import (
-    _water_fill,
+    PowerProblem,
     baseline_max_sum_rate,
     baseline_qos_only,
     check_stage2_range,
@@ -326,7 +326,7 @@ class TestOneFormForAVectorAndAStack:
         sc = random_scenario(k, seed=seed)
         bf, _, p_min = scenario_problem(sc)
         prob = stage2_problem(sc, bf, regime_budget(bf.w_norms_sq * p_min**2, full, frac), LEDGER)
-        c, floor, budget = prob.c_free, prob.floor, prob.budget
+        c, budget = prob.c_free, prob.budget
         rng = np.random.default_rng(draw_seed)
 
         def draw(level):  # free-user coefficients spending ``level`` times the budget
@@ -338,38 +338,23 @@ class TestOneFormForAVectorAndAStack:
             assert np.asarray(vector_result).tobytes() == np.asarray(row).tobytes()
 
         p_free = draw(spend)
-        p = prob.assemble(p_free)
-        ee, grad, rf = prob.ee_and_gradient(p)
-        assert np.ndim(ee) == 0 and np.ndim(rf) == 0
-        p_hat = np.maximum(p_free, floor)
-        p_0 = (c * p_hat * p_hat).sum()
-        scaled = not p_0 <= budget  # the projector scales only a clamped point that overspends
-        if scaled:
-            point, alpha = prob.scale_to_budget(p_hat, budget, p_0)
-        projected = prob.project(p_free)
+        y = prob.c_free * p_free * p_free
+        height = spend * prob.fill_height  # a water level at, below or far above the budget's
+        level_row = prob.level_ee(np.array([height]))
 
-        # a one-row stack, and a pool-sized one whose other rows overspend, so that every row scales
+        # a one-row stack, and a pool-sized one whose other rows overspend
         for rows in ([p_free], [p_free, *(draw(10.0) for _ in range(neuro.POOL_SLOTS - 1))]):
-            n = len(rows)
             stack_free = np.array(rows)
-            stack = np.array([prob.assemble(row) for row in rows])
-            for vector_result, stack_result in zip((ee, grad, rf), prob.ee_and_gradient(stack)):
-                same_bytes(vector_result, stack_result[0])
-            if scaled:
-                stack_hat = np.maximum(stack_free, floor)
-                stack_0 = (c * stack_hat * stack_hat).sum(axis=-1)
-                point_s, alpha_s = prob.scale_to_budget(stack_hat, np.full(n, budget), stack_0)
-                same_bytes(point, point_s[0])
-                same_bytes(alpha, alpha_s[0])
-            same_bytes(projected, prob.project(p_free))
-            y = prob.c_free * p_free * p_free
             stack_y = prob.c_free * stack_free * stack_free
             for vector_result, stack_result in zip(prob.spend_ee(y), prob.spend_ee(stack_y)):
                 same_bytes(vector_result, stack_result[0])
+            heights = np.array([height, *(10.0 * prob.fill_height for _ in rows[1:])])
+            for one_row, stack_result in zip(level_row, prob.level_ee(heights)):
+                same_bytes(one_row[0], stack_result[0])
 
 
 class TestEeAndGradient:
-    """The one EE gradient both backends use, against central differences of ``objective``."""
+    """The numeric backend's EE gradient (``PowerProblem.gradient``), against central differences of ``objective``."""
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_matches_objective_and_finite_differences(self, partial):
@@ -380,9 +365,7 @@ class TestEeAndGradient:
         prob = stage2_problem(sc, bf, budget, LEDGER)
         assert prob.full_qos is not partial
         p = np.where(prob.free, 1.3 * np.maximum(prob.p_min, 0.1 * np.sqrt(budget / bf.w_norms_sq)), prob.pinned_p)
-        ee, grad, rf = prob.ee_and_gradient(p)
-        assert ee == prob.objective(p)
-        assert rf == prob.rf_spent(p)
+        ee, grad = prob.objective(p), prob.gradient(p)
         assert np.all(grad[~prob.free] == 0.0)
         for i in np.flatnonzero(prob.free):
             h = 1e-6 * p[i]
@@ -691,19 +674,19 @@ class TestBaselineMaxSumRate:
 
 
 def level_head_ees(prob, draw_seed: int, n: int, uncapped: bool) -> np.ndarray:
-    """The EE training reads (``neuro._ee_at_level``) and ``objective`` at the coefficients, at ``n`` random
-    levels of the head on ``prob``: from the lowest breakpoint to the budget's level, or three times as high
-    when uncapped."""
+    """The EE training reads (``PowerProblem.level_ee``) and ``objective`` at the coefficients
+    (``coefficients_at``), at ``n`` random levels of the head on ``prob``: from the lowest breakpoint to the
+    budget's level, or three times as high when uncapped."""
     rng = np.random.default_rng(draw_seed)
     top = rng.uniform(0.0, 3.0 if uncapped else 1.0, n) * prob.fill_height
-    _, ee, _ = neuro._ee_at_level(prob, top)
-    coefficients = [prob.assemble(np.sqrt(prob.floor**2 + row / prob.c_free)) for row in neuro._above_floors(prob, top)]
-    return np.concatenate([ee, [prob.objective(p) for p in coefficients]])
+    _, ee, _ = prob.level_ee(top)
+    return np.concatenate([ee, [prob.objective(prob.coefficients_at(t)) for t in top]])
 
 
 class TestEeCeiling:
     """``PowerProblem.ee_ceiling`` against Dinkelbach with bisection inner solves, over K <= 32 in both
-    regimes, at binding and interior budgets and without a budget; and ``_water_fill`` with lower bounds."""
+    regimes, at binding and interior budgets and without a budget; and the water-fill it takes where the budget
+    binds (``PowerProblem.fill_height``), on faces with any floors."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -776,9 +759,15 @@ class TestEeCeiling:
         log_headroom=st.floats(-12.0, 3.0),
     )
     def test_water_fill_with_lower_bounds(self, users, log_headroom):
-        floors, lower = (np.array(column) for column in zip(*users))
-        budget = float(lower.sum()) + 10.0**log_headroom * float(np.sum(lower + floors))
-        y = _water_fill(floors, budget, lower)
+        noise, floor_spend = (np.array(column) for column in zip(*users))
+        budget = float(floor_spend.sum()) + 10.0**log_headroom * float(np.sum(floor_spend + noise))
+        # a full-QoS face whose users' noise spends c_k N_0 / gamma_k are ``noise`` and whose floors' spends are
+        # ``floor_spend``, each to within an ulp
+        k = len(noise)
+        face = PowerProblem(RateModel(1e7, 1.0, np.ones(k)), noise, np.sqrt(floor_spend / noise), budget, LEDGER,
+                            tuple(range(k)), True)
+        floors, lower, _ = face.spend_terms
+        y = lower + face.above_floors(face.fill_height)
         assert np.all(y >= lower) and float(y.sum()) <= budget
         # users above their lower bound sit at the bisected level, the others' breakpoints at or above it; to
         # 1e-12 of the budget, as the lower bounds' spend rounds, and of the level, as the bisection's does
@@ -995,6 +984,7 @@ class TestStage2Range:
     @example(log_budget=float(np.log10(5e307)), k=2, seed=3)
     @example(log_budget=308.0, k=4, seed=3)
     @example(log_budget=LOG10_FLOAT_MAX, k=8, seed=3)
+    @example(log_budget=-4.0, k=23, seed=0)  # a line-search trial's headroom-to-excess ratio is subnormal
     def test_accepted_budgets_solve_finitely_and_rejected_ones_exit_2(self, log_budget, k, seed):
         doc = scenario_doc(random_scenario(k, seed=seed))
         sc = scenario_from_dict(doc)
@@ -1023,5 +1013,5 @@ class TestStage2Range:
                     baseline_max_sum_rate(sc, bf, p_tot, LEDGER)):
             assert np.isfinite(sol.rates).all() and np.isfinite(sol.ee)
             assert sol.rf_spent <= p_tot * (1.0 + overspend[sol.solver_tag])
-            ee, grad, rf = problem.ee_and_gradient(sol.p)
-            assert np.isfinite(ee) and np.isfinite(grad).all() and np.isfinite(rf)
+            assert np.isfinite(sol.rf_spent) and np.isfinite(problem.objective(sol.p))
+            assert np.isfinite(problem.gradient(sol.p)).all()
