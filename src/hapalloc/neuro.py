@@ -56,7 +56,7 @@ if TYPE_CHECKING: from .q3e import PowerProblem  # noqa: E701  (annotations only
 HIDDEN = (64, 64, 32, 32)  # hidden-layer widths (sizing measured in CHANGES.md)
 PATIENCE = 50  # epochs without a new best EE before training stops
 MIN_GAIN = 1e-10  # relative EE gain an epoch needs to count as a new best (cost measured in CHANGES.md)
-STEP_SIZE = 1e-3  # Adam step size
+STEP_SIZE = 4e-3  # Adam step size (chosen on epochs and gaps in BENCH_step_size.json)
 POOL_SLOTS = 8  # jobs train_many trains side by side (width sweep in BENCH_pool_width.json)
 ADAM_BETA1 = 0.9  # decay of the first-moment estimate
 ADAM_BETA2 = 0.999  # decay of the second-moment estimate

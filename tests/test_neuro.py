@@ -526,7 +526,7 @@ class TestTrainMany:
         assert list(neuro.train_many([])) == []
 
     def test_networks_come_out_as_their_trainings_stop(self):
-        _, prob = build_problem(k=2, seed=22)  # the first job trains for 145 epochs, the second to its cap of 60
+        _, prob = build_problem(k=2, seed=28)  # the first job trains for 42 epochs, the second for 34
         cfgs = [neuro.TrainConfig(seed=0, max_epochs=300), neuro.TrainConfig(seed=1, max_epochs=60)]
         with mock.patch.object(neuro, "POOL_SLOTS", 2):
             order = [i for i, _ in neuro.train_many((prob, cfg) for cfg in cfgs)]
@@ -568,6 +568,38 @@ class TestCeilingStop:
             assert alone.log.stopped_epoch == alone.log.best_epoch + neuro.PATIENCE
         certified = [net.log.stopped_epoch == net.log.best_epoch for net in bounded]
         assert 0 < sum(certified) < len(bounded)
+
+
+class TestShippedStudiesEpochs:
+    # the epochs the shipped sweep (seed 0) and ablation (seeds 0-11) train at neuro.STEP_SIZE 4e-3
+    # (BENCH_step_size.json); the studies' time is about proportional to them
+    EPOCHS = 1745
+
+    def test_the_shipped_studies_train_within_their_epochs_and_stop_on_their_ceilings(self):
+        from conftest import CONFIG_DIR, ablation_config, sweep_scenario
+        from hapalloc.channel import scenario_from_dict
+        from hapalloc.config import ledger_from_dict
+        from hapalloc.harness import run_ablation, run_budget_sweep
+
+        sweep_doc = json.loads((CONFIG_DIR / "sweep_budget.json").read_text())
+        ablation_doc = ablation_config()
+        assert ledger_from_dict(sweep_doc["ledger"]) == ledger_from_dict(ablation_doc["ledger"]) == LEDGER
+        train_many = neuro.train_many
+        logs = []
+
+        def logged(jobs):
+            for i, net in train_many(jobs):
+                logs.append(net.log)
+                yield i, net
+
+        with mock.patch.object(neuro, "train_many", logged):
+            run_budget_sweep(sweep_scenario(), LEDGER, sweep_doc["grid"], backends=("q3e-mlp",),
+                             seeds=sweep_doc["seeds"])
+            run_ablation(scenario_from_dict(ablation_doc["scenario"]), LEDGER, ablation_doc["p_tot_w"],
+                         seeds=ablation_doc["seeds"], max_epochs=ablation_doc["max_epochs"])
+        assert (sweep_doc["seeds"], len(logs)) == ([0], len(sweep_doc["grid"]) + 2 * len(ablation_doc["seeds"]))
+        assert all(log.best_ee * (1.0 + neuro.MIN_GAIN) >= log.ceiling for log in logs)  # each stops on its ceiling
+        assert sum(log.stopped_epoch for log in logs) <= 1.05 * self.EPOCHS
 
 
 class TestCheckpointIo:

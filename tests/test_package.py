@@ -147,7 +147,7 @@ def test_adam_settings_are_constants_not_train_config_fields():
     fields = {f.name for f in dataclasses.fields(neuro.TrainConfig)}
     assert fields == {"seed", "max_epochs", "anneal_every", "project_scaling"}
     assert (neuro.ADAM_BETA1, neuro.ADAM_BETA2, neuro.ADAM_EPS) == (0.9, 0.999, 1e-8)
-    assert (neuro.HIDDEN, neuro.PATIENCE, neuro.MIN_GAIN, neuro.STEP_SIZE) == ((64, 64, 32, 32), 50, 1e-10, 1e-3)
+    assert (neuro.HIDDEN, neuro.PATIENCE, neuro.MIN_GAIN, neuro.STEP_SIZE) == ((64, 64, 32, 32), 50, 1e-10, 4e-3)
     assert bemt.N_NODES == 101
     assert (channel.NOISE_FIGURE_DB, channel.NOISE_TEMP_K) == (7.0, 290.0)
     assert (propulsion.REFERENCE_NOISE_SIGMA, propulsion.REFERENCE_SAMPLES_SEED) == (2e-3, 7)
