@@ -112,24 +112,17 @@ def _mlp_solutions(scenario: Scenario, bf: ZfBeamformer, ledger: PowerLedger, gr
     """The q3e-mlp backend's solutions, one per seed in seed order, at each budget of ``grid``.
 
     Each solution is what ``q3e(backend="mlp")`` returns for its budget and
-    seed.  Each run of consecutive budgets whose stage-2 problems share a
-    face (``PowerProblem.shares_face``) trains in one ``neuro.train_many``
-    pool, jobs in budget-then-seed order, so a diverging training raises the
-    error of the first diverging (budget, seed) in grid order.
+    seed.  Every training runs in one ``neuro.train_many`` call, jobs in
+    budget-then-seed order, so each run of consecutive budgets whose stage-2
+    problems share a face trains in one pool, and a diverging training raises
+    the error of the first diverging (budget, seed) in grid order.
     """
     problems = [stage2_problem(scenario, bf, p_tot, ledger) for p_tot in grid]
     cfgs = [neuro.TrainConfig(seed=s) for s in seeds]
     sols: list[list] = [[None] * len(cfgs) for _ in problems]
-    start = 0
-    while start < len(problems):
-        stop = start + 1
-        while stop < len(problems) and problems[stop].shares_face(problems[start]):
-            stop += 1
-        jobs = [(problems[i], cfg) for i in range(start, stop) for cfg in cfgs]
-        for j, net in neuro.train_many(jobs):
-            i, s = divmod(j, len(cfgs))
-            sols[start + i][s] = _mlp_solution(problems[start + i], net)
-        start = stop
+    for j, net in neuro.train_many((problem, cfg) for problem in problems for cfg in cfgs):
+        i, s = divmod(j, len(cfgs))
+        sols[i][s] = _mlp_solution(problems[i], net)
     return sols
 
 
@@ -207,11 +200,8 @@ def run_ablation(
         for _, scaling in variants
         for seed in seeds
     ]
-    trained = {
-        i: neuro.trained_coefficients(net, problem, scaling=cfgs[i].project_scaling)
-        for i, net in neuro.train_many((problem, cfg) for cfg in cfgs)
-    }
-    coefficients = iter([trained[i] for i in range(len(cfgs))])
+    nets = dict(neuro.train_many((problem, cfg) for cfg in cfgs))
+    coefficients = (neuro.trained_coefficients(nets[i], problem, cfg.project_scaling) for i, cfg in enumerate(cfgs))
     rows = []
     for name, _ in variants:
         feasible, overshoot, ees = [], [], []

@@ -28,14 +28,15 @@ or a best EE within ``MIN_GAIN`` of the training's EE ceiling
 can output), past which no epoch can be a new best, so that stop moves no
 checkpoint.
 
-Trainings run in a pool (``train_many``): their networks are rows of stacked
+Trainings run in pools (``train_many``): their networks are rows of stacked
 arrays, and each row reproduces a lone training bit for bit.  A pool's
 problems share one stage-1 face (``PowerProblem.shares_face``) and may differ
 in budget, so one pool serves several configurations of one instance or one
-instance at several budgets.  Any one of the problems stands for the face:
-an epoch reads the fill's EE from it (``PowerProblem.level_ee``) and each
-row's fill height from the pool.  Every row runs the same numpy calls, and
-sums run on C-ordered rows.
+instance at several budgets; ``train_many`` opens a pool for each run of
+consecutive jobs on one face.  Any one of a pool's problems stands for the
+face: an epoch reads the fill's EE from it (``PowerProblem.level_ee``) and
+each row's fill height from the pool.  Every row runs the same numpy calls,
+and sums run on C-ordered rows.
 """
 
 from __future__ import annotations
@@ -330,13 +331,15 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     (``_ceiling``, taken once as the job enters the pool, with its fill
     height): no later epoch could be a new best, so the checkpoint is final.
 
-    The jobs' problems must share one stage-1 face (``PowerProblem.shares_face``):
-    they may differ only in budget.  Otherwise the first ``next`` raises
-    ``ValueError``.  Up to ``POOL_SLOTS`` jobs train side by side.  Their
-    parameters, gradients, Adam moments, feature vectors and fill heights are
-    rows of stacked arrays, so one set of numpy calls runs an epoch of every
-    slot.  Each slot keeps its own epoch count, momentum restarts and early
-    stopping; when its job stops, the next job takes the row.  A row sees
+    Jobs train in pools, one pool at a time: each run of consecutive jobs
+    whose problems share one stage-1 face (``PowerProblem.shares_face``: they
+    differ only in budget) is one pool, opened, with arrays sized for that
+    face, once the pool before it has drained.  Up to ``POOL_SLOTS`` jobs of a
+    pool train side by side.  Their parameters, gradients, Adam moments,
+    feature vectors and fill heights are rows of stacked arrays, so one set
+    of numpy calls runs an epoch of every slot.  Each slot keeps its own
+    epoch count, momentum restarts and early stopping; when its job stops,
+    the pool's next job takes the row.  A row sees
     exactly the floating-point operations of a lone training (the batched
     products are one vector-matrix product per row, sums run along C-ordered
     rows, the fill height enters only elementwise, and Adam's bias
@@ -349,24 +352,22 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
     that diverges have been yielded, raises the ``TrainingError`` that job
     raises when trained alone.
     """
-    jobs = list(jobs)
-    if not jobs:
-        return
-    face = jobs[0][0]  # the pool's face: only its budget differs from the other jobs' problems
-    if not all(problem.shares_face(face) for problem, _ in jobs):
-        raise ValueError("train_many's problems must share one stage-1 face: they may differ only in budget")
-    widths = (3 * face.n_users + 1, *HIDDEN, 1)
-    capacity = min(POOL_SLOTS, len(jobs))
-    params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
-    features = np.zeros((capacity, widths[0]))
-    height = np.zeros(capacity)
-
     queue = deque(enumerate(jobs))
     slots: list[_Slot] = []
     failure: _Slot | None = None  # the diverged slot earliest in ``jobs``
     view_rows = -1
+    run = 0  # the open pool's jobs still queued
     while queue or slots:
-        while queue and len(slots) < capacity:
+        if not slots and not run:  # open a pool for the queued jobs up to the first on another face
+            face = queue[0][1][0]  # the pool's face: only its budget differs from the other jobs' problems
+            run = next((i for i, (_, (problem, _)) in enumerate(queue) if not problem.shares_face(face)), len(queue))
+            widths = (3 * face.n_users + 1, *HIDDEN, 1)
+            capacity = min(POOL_SLOTS, run)
+            params, grads, m1, v1, tmp = np.zeros((5, capacity, _param_count(widths)))
+            features = np.zeros((capacity, widths[0]))
+            height = np.zeros(capacity)
+        while run and len(slots) < capacity:
+            run -= 1
             index, (problem, cfg) = queue.popleft()
             row = len(slots)
             slot = _Slot(index, cfg, network_for(problem, cfg), log=TrainingLog(ceiling=_ceiling(problem, cfg)))
@@ -412,8 +413,9 @@ def train_many(jobs) -> Iterator[tuple[int, MlpNetwork]]:
                 log.stopped_epoch = slot.epoch
                 slot.net.log = log
                 done.append(row)
-        if failure is not None:  # jobs after the first divergence in ``jobs`` need not train on
-            queue = deque(item for item in queue if item[0] < failure.index)
+        if failure is not None:  # queued jobs come after every slot in ``jobs``, so after the divergence: none trains
+            queue.clear()
+            run = 0
             done = [row for row, slot in enumerate(slots) if row in done or slot.index > failure.index]
         for row in reversed(done):  # fill each freed row from the last one
             if slots[row].net.log is not None:

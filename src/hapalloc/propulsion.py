@@ -144,9 +144,10 @@ def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoe
     """Fit eta(v0) = c - alpha * v0**-beta to the sample set by least squares.
 
     For fixed beta the subproblem in (c, alpha) is linear least squares, solved
-    in closed form, so beta alone is searched: a coarse bracketing scan of 60
-    betas over [0.05, 3] in one ``_linear_subfit`` call, then golden-section
-    refinement to 1e-8.
+    in closed form, so beta alone is searched: each round scans 60 betas of a
+    bracket in one ``_linear_subfit`` call and narrows the bracket to the best
+    one's neighbours, from [0.05, 3] until it is narrower than 1e-8 (six
+    rounds); beta is the last round's best.
 
     Raises SurrogateFitError with fewer than 4 samples, when all sample
     airspeeds coincide, when the smallest is so small that v0**-beta
@@ -161,29 +162,12 @@ def fit_inverse_power_surrogate(samples: list[EfficiencySample]) -> SurrogateCoe
     if v0.min() < np.finfo(float).max ** (-1.0 / _BETA_SEARCH_HI):  # v0**-beta would overflow
         raise SurrogateFitError(f"sample airspeed {v0.min()} m/s is too small to fit: v0**-beta overflows")
 
-    # Coarse scan brackets the SSE minimum so golden-section sees a unimodal slice.
-    grid = np.linspace(_BETA_SEARCH_LO, _BETA_SEARCH_HI, 60)
-    i = int(np.argmin(_linear_subfit(v0, eta, grid[:, None])[2]))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _linear_subfit(v0, eta, x1)[2]
-    f2 = _linear_subfit(v0, eta, x2)[2]
-    while b - a > _BETA_TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _linear_subfit(v0, eta, x1)[2]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _linear_subfit(v0, eta, x2)[2]
-
-    beta = float(0.5 * (a + b))
+    lo, hi = _BETA_SEARCH_LO, _BETA_SEARCH_HI
+    while hi - lo > _BETA_TOL:  # scan 60 betas, then keep the best one's neighbours as the next bracket
+        grid = np.linspace(lo, hi, 60)
+        i = int(np.argmin(_linear_subfit(v0, eta, grid[:, None])[2]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    beta = float(grid[i])
     c, alpha, sse = _linear_subfit(v0, eta, beta)
     c, alpha = float(c), float(alpha)
     rmse = float(np.sqrt(sse / len(samples)))

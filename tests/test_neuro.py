@@ -426,29 +426,35 @@ class TestTrainMany:
         fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
         # up to two more jobs than slots, so a full-width pool also refills freed rows
         cfgs=st.lists(train_configs, min_size=1, max_size=neuro.POOL_SLOTS + 2),
+        # the users of a second face, of another scenario, that every second run of three jobs trains on
+        other_k=st.none() | st.integers(1, 6),
     )
+    # two faces of different widths, the first recurring after the second: pools of 3, 3 and 2 jobs at full width
+    @example(k=3, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], other_k=2, cfgs=[
+        neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=seed % 3 != 1) for seed in range(8)
+    ])
     # a partial-QoS face with two pinned users, where the uncapped rows end past their budgets
-    @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
+    @example(k=5, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], other_k=None, cfgs=[
         neuro.TrainConfig(max_epochs=120, seed=seed, project_scaling=scaling)
         for seed in (0, 1, 2) for scaling in (True, False)
     ])
     # ceiling stops: every capped and uncapped job on a full-QoS face, then one of each on a partial-QoS face
-    @example(k=2, scenario_seed=21, full=True, satisfied=0, fracs=[0.5, 0.95], cfgs=[
+    @example(k=2, scenario_seed=21, full=True, satisfied=0, fracs=[0.5, 0.95], other_k=None, cfgs=[
         neuro.TrainConfig(max_epochs=150, seed=seed, project_scaling=scaling)
         for seed in (0, 1) for scaling in (True, False)
     ])
-    @example(k=3, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], cfgs=[
+    @example(k=3, scenario_seed=3, full=False, satisfied=2, fracs=[0.5, 0.95], other_k=None, cfgs=[
         neuro.TrainConfig(max_epochs=150, seed=seed, project_scaling=scaling)
         for seed in (0, 1) for scaling in (True, False)
     ])
     # momentum restarts: every job, capped or uncapped, sees its EE fall 3 to 7 times, and ten jobs refill the pool
-    @example(k=4, scenario_seed=0, full=True, satisfied=0, fracs=[0.2, 0.9], cfgs=[
+    @example(k=4, scenario_seed=0, full=True, satisfied=0, fracs=[0.2, 0.9], other_k=None, cfgs=[
         neuro.TrainConfig(max_epochs=300, seed=seed, project_scaling=scaling)
         for seed in range(5) for scaling in (True, False)
     ])
-    def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, satisfied, fracs, cfgs):
+    def test_every_pooled_network_is_its_lone_training(self, k, scenario_seed, full, satisfied, fracs, cfgs, other_k):
         # the jobs' problems are one face at up to four budgets: full QoS, or partial QoS
-        # with the same cheapest users satisfied (none of them when satisfied % k is 0)
+        # with the same cheapest users satisfied (none of them when satisfied % k is 0), and maybe a second face
         sc = random_scenario(k, seed=scenario_seed)
         bf = scenario_beamformer(sc)
         p_min = min_power_coefficients(sc.qos_rates(), RateModel(sc.bw_hz, sc.n0_w, sc.gammas()))
@@ -459,6 +465,10 @@ class TestTrainMany:
         problems = [stage2_problem(sc, bf, budget, LEDGER) for budget in budgets]
         assert all(prob.full_qos is full and prob.shares_face(problems[0]) for prob in problems)
         jobs = [(problems[i % len(problems)], cfg) for i, cfg in enumerate(cfgs)]
+        if other_k is not None:
+            _, other = build_problem(k=other_k, seed=scenario_seed + 1)
+            assert not other.shares_face(problems[0])
+            jobs = [(other, cfg) if i // 3 % 2 else job for i, (job, cfg) in enumerate(zip(jobs, cfgs))]
         lone = [oracle.train_alone(prob, cfg) for prob, cfg in jobs]
         for width in sorted({1, 2, neuro.POOL_SLOTS}):
             for alone, net in zip(lone, pooled(jobs, width)):
@@ -506,20 +516,20 @@ class TestTrainMany:
         jobs = [(prob, neuro.TrainConfig(seed=seed, max_epochs=60)) for seed in (3, 5)]
         first, later = (lone_error([job]) for job in jobs)
         assert later.epoch < first.epoch
-        expected = lone_error(jobs)
-        with mock.patch.object(neuro, "POOL_SLOTS", width):
-            with pytest.raises(neuro.TrainingError) as err:
-                dict(neuro.train_many(jobs))
-        assert (err.value.epoch, err.value.seed, str(err.value)) == (expected.epoch, expected.seed, str(expected))
-        assert err.value.seed == 3
-
-    def test_jobs_on_different_faces_are_rejected(self):
-        _, full = build_problem(k=3, seed=21)
-        cfg = neuro.TrainConfig(seed=0, max_epochs=60)
-        for other in (build_problem(k=3, seed=21, partial=True)[1], build_problem(k=3, seed=22)[1]):
-            assert not other.shares_face(full)
-            with pytest.raises(ValueError, match="one stage-1 face"):
-                list(neuro.train_many([(full, cfg), (other, cfg)]))
+        # the same jobs between two of another face, which train without diverging: only the first is yielded
+        _, other = build_problem(k=3, seed=21)
+        ends = [(other, neuro.TrainConfig(seed=seed, max_epochs=60)) for seed in (0, 1)]
+        mixed = [ends[0], *jobs, ends[1]]
+        assert lone_error(ends) is None
+        for listed, before in ((jobs, []), (mixed, [0])):
+            expected = lone_error(listed)
+            yielded = []
+            with mock.patch.object(neuro, "POOL_SLOTS", width):
+                with pytest.raises(neuro.TrainingError) as err:
+                    yielded.extend(i for i, _ in neuro.train_many(listed))
+            assert (err.value.epoch, err.value.seed, str(err.value)) == (expected.epoch, expected.seed, str(expected))
+            assert err.value.seed == 3
+            assert yielded == before
 
     def test_an_empty_list_trains_nothing(self):
         _, prob = build_problem(k=2, seed=21)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_DEGENERATE_SAMPLES
@@ -195,6 +195,26 @@ class TestSurrogateFit:
             for got in (propulsion._linear_subfit(v0, eta, beta), tuple(out[i] for out in column)):
                 assert abs(got[0] - c) <= 1e-12 * size and abs(got[1] - alpha) <= 1e-12 * size
                 assert got[2] == pytest.approx(sse, rel=1e-12, abs=0.0)
+
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-4, 1e-2))
+    @settings(max_examples=100, deadline=None)
+    def test_fitted_beta_minimizes_the_sse(self, n, seed, noise):
+        # no beta in the search range fits better than the fit's, by scipy's bounded Brent search to 1e-10
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(seed)
+        v0 = rng.uniform(1.0, 30.0, n)
+        eta = 0.73 - 0.2 * v0**-0.45 + noise * rng.standard_normal(n)
+        try:
+            fit = fit_inverse_power_surrogate([EfficiencySample(float(v), float(e)) for v, e in zip(v0, eta)])
+        except SurrogateFitError:  # the best fit left the physical region
+            reject()
+
+        def sse(beta):
+            return float(propulsion._linear_subfit(v0, eta, beta)[2])
+
+        best = minimize_scalar(sse, bounds=(0.05, 3.0), method="bounded", options={"xatol": 1e-10})
+        assert sse(fit.beta) <= best.fun * (1.0 + 1e-9)
 
 
 class TestPropulsionPower:
